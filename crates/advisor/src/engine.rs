@@ -21,7 +21,7 @@ use pad_core::{DataLayout, PaddingPipeline};
 use pad_ir::Program;
 use pad_kernels::suite;
 use pad_telemetry::{self as telemetry, Event, Value};
-use pad_trace::{count_accesses, padding_config_for, simulate_batch, BatchRequest};
+use pad_trace::{padding_config_for, simulate_batch, BatchRequest, CompiledTrace};
 use pad_trace_ingest::replay::{ReplayRequest, Replayer};
 use pad_trace_ingest::IngestError;
 
@@ -89,9 +89,13 @@ pub fn resolve(source: &Source) -> Result<Program, RequestError> {
 /// simulation rate to decide whether exact fits the deadline budget.
 pub fn exact_cost(program: &Program) -> u64 {
     // The padded layout replays the same reference stream, so the cost
-    // is twice one walk. `count_accesses` itself is a cheap closed-form
-    // pass over the loop structure, not a trace walk.
-    count_accesses(program, &DataLayout::original(program)).saturating_mul(2)
+    // is twice one walk. `CompiledTrace::count` is closed-form over the
+    // loop structure: it iterates only loops that inner bounds depend
+    // on, never the trace, so a rectangular nest of any trip count is
+    // budgeted in microseconds.
+    CompiledTrace::compile(program, &DataLayout::original(program))
+        .count()
+        .saturating_mul(2)
 }
 
 /// Builds the search configuration for a request — library defaults

@@ -8,7 +8,7 @@ mod common;
 
 use std::io::{BufReader, Cursor};
 use std::sync::atomic::Ordering;
-use std::time::Duration;
+use std::time::{Duration, Instant};
 
 use common::{by_id, error_kind, status};
 use pad_advisor::json::{self, Json};
@@ -249,5 +249,51 @@ fn auto_mode_degrades_when_the_budget_cannot_afford_exact() {
         Some("fast")
     );
     assert_eq!(server.counters().degraded.load(Ordering::Relaxed), 1);
+    assert_eq!(server.counters().simulations.load(Ordering::Relaxed), 0);
+}
+
+#[test]
+fn auto_mode_budgets_astronomic_loops_without_walking_them() {
+    // `auto` prices an exact answer against the deadline budget before
+    // the deadline-guarded cell starts, so pricing must not walk the
+    // trace: these nests run 10^12 and 10^18 accesses.
+    let config = ServerConfig::default();
+    let deadline = config.deadline.expect("the default config has a deadline");
+    let server = Server::new(config);
+    let programs = [
+        "program one_loop\n\
+         array A(16)\n\
+         do i = 1, 1000000000000\n\
+           t = A(1)\n\
+         end\n",
+        "program rect_nest\n\
+         array A(16)\n\
+         do i = 1, 1000000000\n\
+           do j = 1, 1000000000\n\
+             t = A(1)\n\
+           end\n\
+         end\n",
+    ];
+    for (id, spec) in programs.into_iter().enumerate() {
+        let mut frame = format!(r#"{{"id": {id}, "op": "advise", "mode": "auto", "program": "#);
+        Json::Str(spec.to_string()).write(&mut frame);
+        frame.push_str("}\n");
+        let start = Instant::now();
+        let responses = serve_session(&server, &frame);
+        let elapsed = start.elapsed();
+        let r = by_id(&responses, id as i64);
+        assert_eq!(status(r), "ok", "{r:?}");
+        assert_eq!(r.get("degraded"), Some(&Json::Bool(true)), "{r:?}");
+        assert_eq!(
+            r.get("result")
+                .and_then(|b| b.get("mode_used"))
+                .and_then(Json::as_str),
+            Some("fast")
+        );
+        assert!(
+            elapsed < deadline / 4,
+            "{spec:?} answered after {elapsed:?}, deadline {deadline:?}"
+        );
+    }
     assert_eq!(server.counters().simulations.load(Ordering::Relaxed), 0);
 }

@@ -179,6 +179,9 @@ pub struct ClassifyingCache {
     /// misses too (capacity miss).
     reuse: ReuseStack,
     hist: ReuseHistogram,
+    /// Log2 of the line size: the stack is fed line numbers, which pack
+    /// its last-use table densely.
+    line_shift: u32,
     capacity_lines: u64,
     stats: ClassifiedStats,
 }
@@ -191,6 +194,7 @@ impl ClassifyingCache {
             main: Cache::new(config),
             reuse: ReuseStack::new(),
             hist: ReuseHistogram::new(),
+            line_shift: config.line_size().trailing_zeros(),
             capacity_lines: config.size() / config.line_size(),
             stats: ClassifiedStats::default(),
         }
@@ -198,8 +202,7 @@ impl ClassifyingCache {
 
     /// Performs one access; returns the miss class, or `None` on a hit.
     pub fn access(&mut self, access: Access) -> Option<MissClass> {
-        let line = self.main.config().line_addr(access.addr);
-        let distance = self.reuse.access(line);
+        let distance = self.reuse.access(access.addr >> self.line_shift);
         self.hist.record(distance);
         let outcome = self.main.access(access);
         self.stats.cache = *self.main.stats();

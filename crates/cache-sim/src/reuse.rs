@@ -16,12 +16,25 @@
 //! single engine, and is what powers the miss-ratio-curve experiment
 //! (`fig_mrc`) and the three-C classifier's capacity test.
 //!
-//! The engine is the classic hash-map + order-statistics-tree algorithm:
-//! each line maps to the *tick* (position in the access stream) of its
-//! last use, and a Fenwick tree over ticks counts how many still-live
-//! ticks are greater than a given one — that count is the stack distance.
-//! Every operation is O(log n); periodic compaction renumbers ticks so
-//! memory stays O(distinct lines), not O(trace length).
+//! The engine numbers accesses with *ticks* and keeps two structures:
+//!
+//! * a **last-use table**, line → tick of its latest access. While the
+//!   line span it covers stays within `SPAN_FACTOR` slots per distinct
+//!   line plus `SPAN_SLACK`, it is a flat `Vec<u64>` indexed by
+//!   `line - base`: one indexed load per access, no hashing. The first
+//!   line that would stretch it further converts it, once and for good,
+//!   to a std `HashMap` (sparse external traces, SHARDS-sampled lines),
+//!   so memory stays O(distinct lines) for any input and keys from
+//!   outside the program keep the default hasher.
+//! * the **live ticks** — each line's latest — as a bitset, plus a
+//!   Fenwick tree over the popcounts of its 64-tick words. A reuse's
+//!   stack distance is the number of live ticks after the line's
+//!   previous one: the live count minus that tick's rank, where rank is
+//!   a tree prefix over whole words plus one masked popcount.
+//!
+//! Every operation is O(log(ticks / 64)). Once ticks outnumber live lines
+//! 4×, compaction renumbers each live tick to its rank, read straight off
+//! the bitset, so memory stays O(distinct lines), not O(trace length).
 //!
 //! ```
 //! use pad_cache_sim::{Access, ReuseAnalyzer};
@@ -42,55 +55,168 @@ use std::collections::HashMap;
 
 use crate::cache::Access;
 
-/// Fenwick (binary indexed) tree over 1-based tick indices, supporting
-/// amortized O(log n) append so ticks can grow with the access stream.
+/// The flat last-use table may cover at most `SPAN_FACTOR` line slots per
+/// distinct line, plus `SPAN_SLACK`, before it becomes a hash map.
+const SPAN_FACTOR: u64 = 8;
+
+/// Slack on top of `SPAN_FACTOR`: lets a trace's first touches of a
+/// few far-apart arrays (a few MiB of address space) stay flat.
+const SPAN_SLACK: u64 = 1 << 16;
+
+/// Line id → tick of its latest access, 0 for a line never seen.
 #[derive(Debug, Clone)]
-struct TickTree {
-    /// `tree[0]` is an unused sentinel; live indices are `1..len()`.
-    tree: Vec<i64>,
+enum LastUse {
+    /// `ticks[i]` is the slot of line `base + i` (mod 2^64).
+    Flat {
+        base: u64,
+        ticks: Vec<u64>,
+    },
+    Hashed(HashMap<u64, u64>),
+}
+
+impl Default for LastUse {
+    fn default() -> Self {
+        LastUse::Flat {
+            base: 0,
+            ticks: Vec::new(),
+        }
+    }
+}
+
+impl LastUse {
+    /// The slot of `line` (0 if the line is new). `distinct` lines are in
+    /// the table, which sets how far a flat table may stretch.
+    #[inline]
+    fn slot(&mut self, line: u64, distinct: u64) -> &mut u64 {
+        if let LastUse::Flat { base, ticks } = self {
+            if line.wrapping_sub(*base) >= ticks.len() as u64 {
+                self.make_room(line, distinct);
+            }
+        }
+        match self {
+            LastUse::Flat { base, ticks } => &mut ticks[line.wrapping_sub(*base) as usize],
+            LastUse::Hashed(map) => map.entry(line).or_insert(0),
+        }
+    }
+
+    /// Stretches a flat table to cover `line`, towards whichever end is
+    /// nearer, or converts it to a hash map if that would exceed the
+    /// span bound.
+    #[cold]
+    #[inline(never)]
+    fn make_room(&mut self, line: u64, distinct: u64) {
+        let LastUse::Flat { base, ticks } = self else {
+            return;
+        };
+        let len = ticks.len() as u64;
+        if len == 0 {
+            *base = line;
+            ticks.push(0);
+            return;
+        }
+        let above = line.wrapping_sub(base.wrapping_add(len - 1));
+        let below = base.wrapping_sub(line);
+        let need = len.saturating_add(above.min(below));
+        let limit = (distinct + 1)
+            .saturating_mul(SPAN_FACTOR)
+            .saturating_add(SPAN_SLACK);
+        if need > limit {
+            let mut map = HashMap::with_capacity(distinct as usize + 1);
+            for (i, &tick) in ticks.iter().enumerate() {
+                if tick != 0 {
+                    map.insert(base.wrapping_add(i as u64), tick);
+                }
+            }
+            *self = LastUse::Hashed(map);
+        } else if above <= below {
+            ticks.resize(need as usize, 0);
+        } else {
+            // Grow downwards with headroom, so a descending stream pays
+            // amortized O(1) per new line for the shift.
+            let grown_len = need.max(len.saturating_mul(2).min(limit));
+            let mut grown = vec![0; grown_len as usize];
+            grown[(grown_len - len) as usize..].copy_from_slice(ticks);
+            *base = base.wrapping_add(len).wrapping_sub(grown_len);
+            *ticks = grown;
+        }
+    }
+
+    /// Applies `f` to every seen line's tick.
+    fn for_each_tick(&mut self, f: impl FnMut(&mut u64)) {
+        match self {
+            LastUse::Flat { ticks, .. } => ticks.iter_mut().filter(|t| **t != 0).for_each(f),
+            LastUse::Hashed(map) => map.values_mut().for_each(f),
+        }
+    }
 }
 
 fn lowbit(i: usize) -> usize {
     i & i.wrapping_neg()
 }
 
-impl TickTree {
-    fn new() -> Self {
-        TickTree { tree: vec![0] }
-    }
+/// Mask of bits `0..=bit` of a word.
+fn through(bit: u64) -> u64 {
+    u64::MAX >> (63 - bit)
+}
 
-    /// Number of tick slots (live or dead) currently indexed.
-    fn len(&self) -> usize {
-        self.tree.len() - 1
-    }
+/// The live ticks as a bitset, with a Fenwick tree over the popcounts of
+/// its 64-tick words for O(log(ticks / 64)) rank queries.
+#[derive(Debug, Clone)]
+struct LiveTicks {
+    words: Vec<u64>,
+    /// `tree[w + 1]` is word `w`'s Fenwick node; `tree[0]` is unused.
+    tree: Vec<u64>,
+}
 
-    /// Appends a new tick slot holding `value` as index `len()+1`.
-    ///
-    /// A Fenwick node at index `i` covers `(i - lowbit(i), i]`, so the new
-    /// node's sum is `value` plus the already-present nodes nested inside
-    /// that range — no rebuild required.
-    fn append(&mut self, value: i64) {
-        let i = self.tree.len();
-        let mut sum = value;
-        let mut j = i - 1;
-        let bottom = i - lowbit(i);
-        while j > bottom {
-            sum += self.tree[j];
-            j -= lowbit(j);
+impl Default for LiveTicks {
+    fn default() -> Self {
+        LiveTicks {
+            words: Vec::new(),
+            tree: vec![0],
         }
-        self.tree.push(sum);
     }
+}
 
-    fn add(&mut self, mut i: usize, delta: i64) {
+impl LiveTicks {
+    /// Adds `tick`, which is above every tick added before.
+    fn push(&mut self, tick: u64) {
+        let w = (tick / 64) as usize;
+        while self.words.len() <= w {
+            // A Fenwick node at `i` covers words `(i - lowbit(i), i]`:
+            // its sum is that of the nodes nested inside that range.
+            let i = self.tree.len();
+            let (mut sum, mut j) = (0, i - 1);
+            while j > i - lowbit(i) {
+                sum += self.tree[j];
+                j -= lowbit(j);
+            }
+            self.words.push(0);
+            self.tree.push(sum);
+        }
+        self.words[w] |= 1 << (tick % 64);
+        let mut i = w + 1;
         while i < self.tree.len() {
-            self.tree[i] += delta;
+            self.tree[i] += 1;
             i += lowbit(i);
         }
     }
 
-    /// Sum of slots `1..=i`.
-    fn prefix(&self, mut i: usize) -> i64 {
-        let mut sum = 0;
+    /// Removes live `tick`.
+    fn remove(&mut self, tick: u64) {
+        let w = (tick / 64) as usize;
+        self.words[w] &= !(1 << (tick % 64));
+        let mut i = w + 1;
+        while i < self.tree.len() {
+            self.tree[i] -= 1;
+            i += lowbit(i);
+        }
+    }
+
+    /// Number of live ticks at or below live `tick`.
+    fn rank(&self, tick: u64) -> u64 {
+        let w = (tick / 64) as usize;
+        let mut sum = u64::from((self.words[w] & through(tick % 64)).count_ones());
+        let mut i = w;
         while i > 0 {
             sum += self.tree[i];
             i -= lowbit(i);
@@ -98,21 +224,29 @@ impl TickTree {
         sum
     }
 
-    /// A tree of `n` slots all holding 1, built in O(n): with all-ones
-    /// input every node's covered sum is exactly `lowbit(i)`.
-    fn dense_ones(n: usize) -> Self {
-        let mut tree = Vec::with_capacity(n + 1);
-        tree.push(0);
-        for i in 1..=n {
-            tree.push(lowbit(i) as i64);
+    /// Makes exactly ticks `1..=n` live, in O(n / 64).
+    fn reset_to(&mut self, n: u64) {
+        let len = (n / 64) as usize + 1;
+        self.words.clear();
+        self.words.resize(len, u64::MAX);
+        self.words[0] &= !1; // tick 0 is never issued
+        self.words[len - 1] &= through(n % 64);
+        self.tree.clear();
+        self.tree.push(0);
+        self.tree
+            .extend(self.words.iter().map(|w| u64::from(w.count_ones())));
+        for i in 1..self.tree.len() {
+            let j = i + lowbit(i);
+            if j < self.tree.len() {
+                self.tree[j] += self.tree[i];
+            }
         }
-        TickTree { tree }
     }
 }
 
-/// Compaction threshold: never compact trees smaller than this, so short
+/// Compaction threshold: never compact below this many ticks, so short
 /// traces skip the machinery entirely.
-const COMPACT_MIN: usize = 1 << 12;
+const COMPACT_MIN: u64 = 1 << 12;
 
 /// The single-pass stack-distance engine over abstract line ids.
 ///
@@ -135,19 +269,17 @@ const COMPACT_MIN: usize = 1 << 12;
 /// ```
 #[derive(Debug, Clone, Default)]
 pub struct ReuseStack {
-    /// line id -> 1-based tick of its most recent access.
-    last: HashMap<u64, u64>,
-    tree: TickTree,
+    last: LastUse,
+    live: LiveTicks,
+    /// The latest tick issued; ticks start at 1.
+    tick: u64,
+    /// Distinct lines seen, which is also the number of live ticks.
+    distinct: u64,
     /// Most recently accessed line: same-line reuse (distance 0) skips
-    /// all tree work, which is the common case for cache-line streams.
+    /// all table and tree work, which is the common case for cache-line
+    /// streams.
     mru: Option<u64>,
     compactions: u64,
-}
-
-impl Default for TickTree {
-    fn default() -> Self {
-        TickTree::new()
-    }
 }
 
 impl ReuseStack {
@@ -164,25 +296,27 @@ impl ReuseStack {
             // re-ticking it cannot change any other line's distance.
             return Some(0);
         }
-        let distance = self.last.get(&line).copied().map(|prev| {
-            // Stack distance = live ticks strictly greater than `prev` =
-            // total live lines minus those at-or-before `prev` (which
-            // includes `prev` itself).
-            let live = self.last.len() as i64;
-            let k = live - self.tree.prefix(prev as usize);
-            self.tree.add(prev as usize, -1);
-            k as u64
-        });
-        self.tree.append(1);
-        self.last.insert(line, self.tree.len() as u64);
         self.mru = Some(line);
+        self.tick += 1;
+        let prev = std::mem::replace(self.last.slot(line, self.distinct), self.tick);
+        let distance = if prev == 0 {
+            self.distinct += 1;
+            None
+        } else {
+            // Stack distance = live ticks after `prev` = live lines minus
+            // those at or before `prev` (which includes `prev` itself).
+            let k = self.distinct - self.live.rank(prev);
+            self.live.remove(prev);
+            Some(k)
+        };
+        self.live.push(self.tick);
         self.maybe_compact();
         distance
     }
 
     /// Number of distinct lines seen so far.
     pub fn distinct_lines(&self) -> usize {
-        self.last.len()
+        self.distinct as usize
     }
 
     /// How many times tick compaction ran (telemetry/diagnostics).
@@ -190,21 +324,28 @@ impl ReuseStack {
         self.compactions
     }
 
-    /// Renumbers ticks densely once the tree has grown to 4x the live
-    /// line count, bounding memory at O(distinct lines). Sorting the
-    /// live ticks costs O(live log live), but at least `3 * live`
-    /// accesses have passed since the previous compaction, so the
-    /// amortized cost stays O(log) per access.
+    /// Renumbers each live tick to its rank once ticks reach 4x the live
+    /// line count, bounding memory at O(distinct lines). A pass over the
+    /// table plus one over the bitset, amortized over the `3 * live`
+    /// accesses since the previous compaction.
     fn maybe_compact(&mut self) {
-        if self.tree.len() < COMPACT_MIN || self.tree.len() < 4 * self.last.len() {
+        if self.tick < COMPACT_MIN || self.tick < 4 * self.distinct {
             return;
         }
-        let mut order: Vec<(u64, u64)> = self.last.iter().map(|(&l, &t)| (t, l)).collect();
-        order.sort_unstable();
-        self.tree = TickTree::dense_ones(order.len());
-        for (rank, &(_, line)) in order.iter().enumerate() {
-            self.last.insert(line, rank as u64 + 1);
+        // Live ticks before each word: an exclusive prefix sum.
+        let mut before = Vec::with_capacity(self.live.words.len());
+        let mut sum = 0u64;
+        for w in &self.live.words {
+            before.push(sum);
+            sum += u64::from(w.count_ones());
         }
+        let words = &self.live.words;
+        self.last.for_each_tick(|t| {
+            let w = (*t / 64) as usize;
+            *t = before[w] + u64::from((words[w] & through(*t % 64)).count_ones());
+        });
+        self.live.reset_to(self.distinct);
+        self.tick = self.distinct;
         self.compactions += 1;
     }
 }
@@ -477,16 +618,17 @@ mod tests {
         let mut s = ReuseStack::new();
         s.access(0);
         s.access(1);
-        for i in 0..3 * COMPACT_MIN as u64 {
+        for i in 0..3 * COMPACT_MIN {
             assert_eq!(s.access(i % 2), Some(1), "at access {i}");
         }
         assert!(s.compactions() > 0, "compaction never ran");
         assert!(
-            s.tree.len() <= COMPACT_MIN + 4 * s.distinct_lines(),
-            "tree grew unboundedly: {} slots for {} lines",
-            s.tree.len(),
-            s.distinct_lines()
+            s.tick <= COMPACT_MIN + 4 * s.distinct,
+            "ticks grew unboundedly: {} ticks for {} lines",
+            s.tick,
+            s.distinct
         );
+        assert_eq!(s.live.words.len() as u64, s.tick / 64 + 1);
     }
 
     #[test]
@@ -503,6 +645,102 @@ mod tests {
             );
         }
         assert!(fast.compactions() > 0);
+    }
+
+    /// Slots a flat table holds, or `None` once it has become a hash map.
+    fn flat_len(s: &ReuseStack) -> Option<usize> {
+        match &s.last {
+            LastUse::Flat { ticks, .. } => Some(ticks.len()),
+            LastUse::Hashed(_) => None,
+        }
+    }
+
+    /// Feeds `lines` to the engine and the naive stack side by side.
+    fn assert_matches_naive(s: &mut ReuseStack, lines: impl IntoIterator<Item = u64>) {
+        let mut naive = NaiveStack::default();
+        for (i, line) in lines.into_iter().enumerate() {
+            assert_eq!(
+                s.access(line),
+                naive.access(line),
+                "access {i} (line {line:#x})"
+            );
+        }
+    }
+
+    #[test]
+    fn far_apart_lines_do_not_allocate_their_span() {
+        // 10^5 lines 2^30 apart span ~2^47 slots; the table must stay
+        // O(distinct lines) and the distances exact.
+        let mut s = ReuseStack::new();
+        for i in 0..100_000u64 {
+            assert_eq!(s.access(i << 30), None);
+        }
+        assert_eq!(flat_len(&s), None, "sparse lines convert to a hash map");
+        assert_eq!(s.access(0), Some(99_999));
+        assert_eq!(s.access(99_999 << 30), Some(1));
+        assert_eq!(s.distinct_lines(), 100_000);
+    }
+
+    #[test]
+    fn dense_lines_stay_flat_within_the_span_bound() {
+        let mut rng = XorShift64Star::new(7);
+        let mut s = ReuseStack::new();
+        // Two arrays 40K lines apart: the slack keeps one table.
+        let lines: Vec<u64> = (0..3 * COMPACT_MIN)
+            .map(|_| rng.below(300) + if rng.bool() { 40_000 } else { 0 })
+            .collect();
+        assert_matches_naive(&mut s, lines);
+        // Growing downwards doubles, so at most twice the span.
+        assert!(flat_len(&s).is_some_and(|len| len <= 2 * 40_300));
+        assert!(s.compactions() > 0);
+    }
+
+    #[test]
+    fn flat_table_switches_to_hashed_mid_trace_and_stays_exact() {
+        let mut rng = XorShift64Star::new(11);
+        let mut s = ReuseStack::new();
+        let mut naive = NaiveStack::default();
+        for i in 0..4 * COMPACT_MIN {
+            // Dense for the first half, then a far-away pool joins.
+            let line = if i >= 2 * COMPACT_MIN && rng.bool() {
+                (1 << 40) + rng.below(64) * (1 << 20)
+            } else {
+                rng.below(256)
+            };
+            assert_eq!(s.access(line), naive.access(line), "access {i}");
+            if i == 2 * COMPACT_MIN - 1 {
+                assert!(flat_len(&s).is_some(), "dense prefix stays flat");
+            }
+        }
+        assert_eq!(flat_len(&s), None, "the far pool forced the hash map");
+        assert!(s.compactions() > 0);
+    }
+
+    #[test]
+    fn lines_below_the_table_base_grow_it_downwards() {
+        // A descending stream starts the table at its highest line; every
+        // new line lands below the base.
+        let mut s = ReuseStack::new();
+        let lines = (0..3 * COMPACT_MIN).map(|i| 1_000_000 - (i % 2_000) * 3);
+        assert_matches_naive(&mut s, lines);
+        let len = flat_len(&s).expect("a dense descending stream stays flat");
+        assert!(len <= (8 * 2_000 + (1 << 16)) as usize, "{len} slots");
+        assert!(s.compactions() > 0);
+    }
+
+    #[test]
+    fn wrapped_line_ids_near_the_top_of_the_range_are_exact() {
+        // Line ids either side of the u64 wrap point are neighbours in a
+        // flat table indexed modulo 2^64.
+        let mut rng = XorShift64Star::new(5);
+        let mut s = ReuseStack::new();
+        let lines: Vec<u64> = (0..2 * COMPACT_MIN)
+            .map(|_| rng.below(128).wrapping_sub(64))
+            .collect();
+        assert_matches_naive(&mut s, lines);
+        assert!(flat_len(&s).is_some_and(|len| len <= 2 * 128));
+        let mut far = ReuseStack::new();
+        assert_matches_naive(&mut far, [u64::MAX, 0, u64::MAX / 2, u64::MAX, 0, 1]);
     }
 
     #[test]

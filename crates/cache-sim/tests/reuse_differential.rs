@@ -10,12 +10,19 @@
 //!    must produce byte-identical per-access classes and final stats to
 //!    the pre-refactor shadow-simulation classifier, reconstructed here
 //!    from the public `ShadowLru` reference model.
+//! 3. On traces shaped to reach every internal path of the engine —
+//!    long enough to compact, sparse enough to leave the flat last-use
+//!    table for a hash map (from the start or mid-trace), lines arriving
+//!    below the table's base, addresses wrapped near `u64::MAX` —
+//!    `ReuseAnalyzer`, `ClassifyingCache` and `SampledReuseAnalyzer` at
+//!    rate 1 produce exactly the histogram of a naive move-to-front
+//!    stack.
 
 use std::collections::HashSet;
 
 use pad_cache_sim::{
     Access, Cache, CacheConfig, ClassifiedStats, ClassifyingCache, MissClass, ReuseAnalyzer,
-    ShadowLru, XorShift64Star,
+    ReuseHistogram, SampledReuseAnalyzer, ShadowLru, XorShift64Star,
 };
 
 const LINE: u64 = 32;
@@ -171,5 +178,142 @@ fn classifier_is_bit_identical_to_the_shadow_simulation_classifier() {
                 "seed {seed}, config {config:?}: final stats diverged"
             );
         }
+    }
+}
+
+/// Accesses per engine-path trace: several compactions' worth (the
+/// engine compacts every ~4096 ticks at these footprints).
+const LONG_LEN: u64 = 24_000;
+
+/// The O(n · depth) reference: an explicit LRU stack with move-to-front.
+fn naive_histogram(trace: &[Access], line_size: u64) -> ReuseHistogram {
+    let mut stack: Vec<u64> = Vec::new(); // most recent first
+    let mut hist = ReuseHistogram::new();
+    for a in trace {
+        let line = a.addr / line_size;
+        let pos = stack.iter().position(|&l| l == line);
+        if let Some(p) = pos {
+            stack.remove(p);
+        }
+        stack.insert(0, line);
+        hist.record(pos.map(|p| p as u64));
+    }
+    hist
+}
+
+/// Reads of line `line(i, rng)` at access `i`, with in-line byte offsets.
+fn line_trace(
+    seed: u64,
+    line_size: u64,
+    line: impl Fn(u64, &mut XorShift64Star) -> u64,
+) -> Vec<Access> {
+    let mut rng = XorShift64Star::new(seed);
+    (0..LONG_LEN)
+        .map(|i| {
+            let line = line(i, &mut rng);
+            Access::read(line.wrapping_mul(line_size) | rng.below(line_size))
+        })
+        .collect()
+}
+
+/// Every engine front end against the naive stack; the classifier also
+/// against the shadow-simulation classifier, access by access.
+fn assert_engines_match_naive(trace: &[Access], line_size: u64, label: &str) {
+    let expected = naive_histogram(trace, line_size);
+    let mut exact = ReuseAnalyzer::new(line_size);
+    exact.run_slice(trace);
+    assert_eq!(exact.histogram(), &expected, "{label}: ReuseAnalyzer");
+    assert!(
+        exact.compactions() > 0,
+        "{label}: the trace never compacted"
+    );
+    let mut sampled = SampledReuseAnalyzer::new(line_size, 0);
+    sampled.run_slice(trace);
+    assert_eq!(
+        sampled.histogram(),
+        &expected,
+        "{label}: SampledReuseAnalyzer"
+    );
+
+    let config = CacheConfig::set_associative(64 * line_size, line_size, 2);
+    let mut legacy = LegacyClassifier::new(config);
+    let mut current = ClassifyingCache::new(config);
+    for (i, &access) in trace.iter().enumerate() {
+        assert_eq!(
+            current.access(access),
+            legacy.access(access),
+            "{label}: class diverged at access {i}"
+        );
+    }
+    assert_eq!(
+        current.reuse_histogram(),
+        &expected,
+        "{label}: ClassifyingCache"
+    );
+    for capacity in [1u64, 8, 64] {
+        let mut cache = Cache::new(CacheConfig::fully_associative(
+            capacity * line_size,
+            line_size,
+        ));
+        cache.run_slice(trace);
+        assert_eq!(
+            expected.misses_at(capacity),
+            cache.stats().misses,
+            "{label}: fully-associative misses at {capacity} lines"
+        );
+    }
+}
+
+#[test]
+fn long_dense_traces_compact_and_stay_exact() {
+    for seed in 1..=4u64 {
+        // A hot pool plus a wide cold one: deep and shallow reuse both.
+        let pool = 256 << seed;
+        let trace = line_trace(seed, LINE, |_, rng| {
+            if rng.bool() {
+                rng.below(64)
+            } else {
+                rng.below(pool)
+            }
+        });
+        assert_engines_match_naive(&trace, LINE, &format!("dense seed {seed}"));
+    }
+}
+
+#[test]
+fn sparse_lines_use_the_hash_map_and_stay_exact() {
+    // Lines 2^24 apart: the flat table would span ~2^34 slots.
+    let trace = line_trace(21, LINE, |_, rng| rng.below(600) << 24);
+    assert_engines_match_naive(&trace, LINE, "sparse");
+}
+
+#[test]
+fn a_switch_from_dense_to_sparse_mid_trace_stays_exact() {
+    let trace = line_trace(22, LINE, |i, rng| {
+        if i >= LONG_LEN / 2 && rng.below(4) == 0 {
+            (1 << 36) + (rng.below(300) << 20)
+        } else {
+            rng.below(400)
+        }
+    });
+    assert_engines_match_naive(&trace, LINE, "dense then sparse");
+}
+
+#[test]
+fn lines_arriving_below_the_table_base_stay_exact() {
+    // A footprint sliding downwards: most new lines land below every
+    // line seen so far.
+    let trace = line_trace(23, LINE, |i, rng| 5_000_000 - i / 8 + rng.below(256));
+    assert_engines_match_naive(&trace, LINE, "descending");
+}
+
+#[test]
+fn addresses_wrapped_near_u64_max_stay_exact() {
+    // Addresses either side of the wrap point, as a walk with negative
+    // offsets produces them: far apart as line numbers at 32-byte lines,
+    // neighbours modulo 2^64 at 1-byte lines.
+    for line_size in [LINE, 1] {
+        let trace = line_trace(24, line_size, |_, rng| rng.below(700).wrapping_sub(350));
+        assert_engines_match_naive(&trace, line_size, &format!("wrapped, line {line_size}"));
     }
 }

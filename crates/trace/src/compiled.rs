@@ -132,11 +132,14 @@ impl CompiledTrace {
         }
     }
 
-    /// Counts the accesses the compiled program performs.
+    /// Counts the accesses the compiled program performs, without
+    /// walking them: an innermost loop adds trips × references, and a loop
+    /// whose nested bounds do not read its own variable counts its body
+    /// once and multiplies. Only loops that nested bounds depend on
+    /// (triangular nests) are iterated. Saturates at `u64::MAX`.
     pub fn count(&self) -> u64 {
-        let mut n = 0u64;
-        self.for_each(|_| n += 1);
-        n
+        let mut slots = vec![0i64; self.num_slots];
+        count_nodes(&self.roots, &mut slots)
     }
 
     /// Invokes `f` with consecutive chunks of the access stream, filling
@@ -161,7 +164,10 @@ impl CompiledTrace {
         assert!(chunk > 0, "chunk size must be positive");
         buf.clear();
         if buf.capacity() < chunk {
-            buf.reserve(chunk - buf.capacity());
+            // A chunk may be far longer than the trace: reserve no more
+            // than the trace holds.
+            let len = usize::try_from(self.count()).unwrap_or(usize::MAX);
+            buf.reserve(chunk.min(len));
         }
         {
             let f = &mut f;
@@ -302,6 +308,80 @@ fn compile_ref(r: &pad_ir::ArrayRef, layout: &DataLayout, scope: &[IndexVar]) ->
     }
 }
 
+/// Iterations of a loop from `lo` to `hi` (inclusive) by nonzero `step`,
+/// in `u128`: the bounds are `i64` expressions, so the difference must not
+/// wrap, and `i64::MIN..=i64::MAX` runs 2^64 times.
+fn trips(lo: i64, hi: i64, step: i64) -> u128 {
+    debug_assert_ne!(step, 0, "validated loops have nonzero steps");
+    let span = if step > 0 {
+        i128::from(hi) - i128::from(lo)
+    } else {
+        i128::from(lo) - i128::from(hi)
+    };
+    if span < 0 {
+        0
+    } else {
+        span as u128 / u128::from(step.unsigned_abs()) + 1
+    }
+}
+
+fn saturate(n: u128) -> u64 {
+    u64::try_from(n).unwrap_or(u64::MAX)
+}
+
+fn count_nodes(nodes: &[Node], slots: &mut [i64]) -> u64 {
+    nodes
+        .iter()
+        .fold(0, |n, node| n.saturating_add(count_node(node, slots)))
+}
+
+fn count_node(node: &Node, slots: &mut [i64]) -> u64 {
+    match node {
+        Node::Ref { .. } => 1,
+        Node::InnerLoop {
+            lower,
+            upper,
+            step,
+            refs,
+            ..
+        } => saturate(trips(lower.eval(slots), upper.eval(slots), *step))
+            .saturating_mul(refs.len() as u64),
+        Node::Loop {
+            slot,
+            lower,
+            upper,
+            step,
+            body,
+        } => {
+            let lo = lower.eval(slots);
+            let n = trips(lo, upper.eval(slots), *step);
+            if !body.iter().any(|child| bounds_read(child, *slot)) {
+                return count_nodes(body, slots).saturating_mul(saturate(n));
+            }
+            let mut total = 0u64;
+            let mut value = lo;
+            for _ in 0..n {
+                slots[*slot] = value;
+                total = total.saturating_add(count_nodes(body, slots));
+                value = value.wrapping_add(*step);
+            }
+            total
+        }
+    }
+}
+
+/// True if a loop bound inside `node` reads loop slot `slot`.
+fn bounds_read(node: &Node, slot: usize) -> bool {
+    let reads = |e: &SlotExpr| e.terms.iter().any(|&(s, _)| s == slot);
+    match node {
+        Node::Ref { .. } => false,
+        Node::InnerLoop { lower, upper, .. } => reads(lower) || reads(upper),
+        Node::Loop {
+            lower, upper, body, ..
+        } => reads(lower) || reads(upper) || body.iter().any(|c| bounds_read(c, slot)),
+    }
+}
+
 fn walk(node: &Node, slots: &mut Vec<i64>, f: &mut impl FnMut(Access)) {
     match node {
         Node::Ref { addr, is_write } => {
@@ -340,21 +420,7 @@ fn walk(node: &Node, slots: &mut Vec<i64>, f: &mut impl FnMut(Access)) {
             refs,
         } => {
             let lo = lower.eval(slots);
-            let hi = upper.eval(slots);
-            debug_assert_ne!(*step, 0, "validated loops have nonzero steps");
-            // Trip count in i128: the bounds are i64 expressions, so the
-            // difference must not wrap.
-            let iters = if *step > 0 {
-                if lo > hi {
-                    0
-                } else {
-                    (hi as i128 - lo as i128) / *step as i128 + 1
-                }
-            } else if lo < hi {
-                0
-            } else {
-                (lo as i128 - hi as i128) / (-*step) as i128 + 1
-            };
+            let iters = trips(lo, upper.eval(slots), *step);
             if iters == 0 {
                 return;
             }
@@ -450,6 +516,131 @@ mod tests {
         let p = b.build().expect("valid");
         let layout = DataLayout::original(&p);
         assert_eq!(interpret(&p, &layout), compiled(&p, &layout));
+    }
+
+    fn assert_count_matches_interpreter(p: &Program, layout: &DataLayout) {
+        assert_eq!(
+            CompiledTrace::compile(p, layout).count(),
+            crate::count_accesses(p, layout),
+            "{}",
+            p.name()
+        );
+    }
+
+    #[test]
+    fn count_matches_interpreter_on_every_suite_kernel() {
+        for k in pad_kernels::suite() {
+            let small = k.default_n.clamp(8, 16);
+            for n in [small, small + 7] {
+                let p = (k.spec)(n);
+                let pad =
+                    pad_core::Pad::new(pad_core::PaddingConfig::new(1024, 32).expect("valid"));
+                assert_count_matches_interpreter(&p, &DataLayout::original(&p));
+                assert_count_matches_interpreter(&p, &pad.run(&p).layout);
+            }
+        }
+    }
+
+    #[test]
+    fn count_matches_interpreter_on_irregular_loops() {
+        let i = || Subscript::var("i");
+        let j = || Subscript::var("j");
+        let k = || Subscript::var("k");
+        let plus = |v: &str, c: i64| Subscript::from_terms([(pad_ir::IndexVar::new(v), 1)], c);
+        let mut b = Program::builder("irregular");
+        let a = b.add_array(ArrayBuilder::new("A", [64]).elem_size(8));
+        let refs = |subs: Vec<Subscript>| Stmt::refs(subs.into_iter().map(|s| a.at([s])).collect());
+        // Triangular: do i = 1, 9; do j = i, 9.
+        b.push(Stmt::loop_(
+            Loop::new("i", 1, 9),
+            vec![Stmt::loop_(
+                Loop::new("j", i(), 9),
+                vec![refs(vec![j(), i()])],
+            )],
+        ));
+        // Three-deep LU shape: do k; do i = k+1, n; do j = k+1, n —
+        // the middle loop multiplies, the outer one iterates.
+        b.push(Stmt::loop_(
+            Loop::new("k", 1, 12),
+            vec![Stmt::loop_(
+                Loop::new("i", plus("k", 1), 12),
+                vec![
+                    refs(vec![i()]),
+                    Stmt::loop_(Loop::new("j", plus("k", 1), 12), vec![refs(vec![j()])]),
+                ],
+            )],
+        ));
+        // A bound reading a grandparent: do i; do j = 1, 3; do k = 1, i.
+        b.push(Stmt::loop_(
+            Loop::new("i", 1, 6),
+            vec![Stmt::loop_(
+                Loop::new("j", 1, 3),
+                vec![Stmt::loop_(Loop::new("k", 1, i()), vec![refs(vec![k()])])],
+            )],
+        ));
+        // Negative steps, steps that do not divide the span, and a
+        // negative-step triangle.
+        b.push(Stmt::loop_(
+            Loop::with_step("i", 9, 1, -2),
+            vec![refs(vec![i()])],
+        ));
+        b.push(Stmt::loop_(
+            Loop::with_step("i", 1, 10, 3),
+            vec![refs(vec![i()])],
+        ));
+        b.push(Stmt::loop_(
+            Loop::with_step("i", 10, 1, -3),
+            vec![Stmt::loop_(
+                Loop::with_step("j", 10, i(), -1),
+                vec![refs(vec![j()])],
+            )],
+        ));
+        // Empty ranges: outer, inner, and one inner range empty only for
+        // some outer iterations.
+        b.push(Stmt::loop_(
+            Loop::new("i", 5, 1),
+            vec![Stmt::loop_(Loop::new("j", 1, 4), vec![refs(vec![j()])])],
+        ));
+        b.push(Stmt::loop_(
+            Loop::new("i", 1, 4),
+            vec![Stmt::loop_(Loop::new("j", 3, 2), vec![refs(vec![j()])])],
+        ));
+        b.push(Stmt::loop_(
+            Loop::new("i", 1, 8),
+            vec![Stmt::loop_(Loop::new("j", 5, i()), vec![refs(vec![j()])])],
+        ));
+        // Shadowed names: `i` rebound at another depth by a sibling nest.
+        b.push(Stmt::loop_(
+            Loop::new("j", 1, 3),
+            vec![Stmt::loop_(
+                Loop::new("i", j(), 4),
+                vec![refs(vec![i(), j()])],
+            )],
+        ));
+        b.push(refs(vec![Subscript::constant(1)]));
+        let p = b.build().expect("valid");
+        assert_count_matches_interpreter(&p, &DataLayout::original(&p));
+    }
+
+    #[test]
+    fn count_saturates_and_skips_invariant_iteration() {
+        // 10^12 × 10^12 × 2 accesses: counted in closed form, saturated.
+        let mut b = Program::builder("huge");
+        let a = b.add_array(ArrayBuilder::new("A", [4]).elem_size(8));
+        b.push(Stmt::loop_(
+            Loop::new("i", 1, 1_000_000_000_000),
+            vec![Stmt::loop_(
+                Loop::new("j", 1, 1_000_000_000_000),
+                vec![Stmt::refs(vec![a.at([Subscript::constant(1)]); 2])],
+            )],
+        ));
+        b.push(Stmt::loop_(
+            Loop::new("i", i64::MIN, i64::MAX),
+            vec![Stmt::refs(vec![a.at([Subscript::constant(2)])])],
+        ));
+        let p = b.build().expect("valid");
+        let compiled = CompiledTrace::compile(&p, &DataLayout::original(&p));
+        assert_eq!(compiled.count(), u64::MAX);
     }
 
     #[test]

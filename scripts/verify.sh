@@ -72,10 +72,12 @@ gate_engine_equivalence() {
 }
 run_gate engine-equivalence gate_engine_equivalence
 
-# Reuse engine: differential vs fully-assoc sim, 3C bit-identity, MRC
-# goldens.
+# Reuse engine: unit tests (sparse input, table switching, compaction),
+# differential vs fully-assoc sim and a naive stack, 3C bit-identity,
+# MRC goldens.
 gate_reuse() {
-    cargo test -q -p pad-cache-sim --test reuse_differential &&
+    cargo test -q -p pad-cache-sim --lib &&
+        cargo test -q -p pad-cache-sim --test reuse_differential &&
         cargo test -q -p pad-bench --test mrc_golden
 }
 run_gate reuse gate_reuse
