@@ -84,18 +84,26 @@ pub fn resolve(source: &Source) -> Result<Program, RequestError> {
     }
 }
 
+/// Outer-loop trips [`exact_cost`] may iterate while counting: about
+/// 12 ms at ~12 ns per trip (2-core Xeon). A program that needs more is
+/// priced as unaffordable.
+const PRICING_TRIPS: u64 = 1 << 20;
+
 /// Trace length (accesses over both layouts) an exact answer for
-/// `program` would simulate. The server divides this by its calibrated
-/// simulation rate to decide whether exact fits the deadline budget.
+/// `program` would simulate, or `u64::MAX` when counting it would cost
+/// more than [`PRICING_TRIPS`] iterated trips. The server divides this by
+/// its calibrated simulation rate to decide whether exact fits the
+/// deadline budget; it runs before the deadline-guarded cell, so it must
+/// stay cheap on any input.
 pub fn exact_cost(program: &Program) -> u64 {
     // The padded layout replays the same reference stream, so the cost
-    // is twice one walk. `CompiledTrace::count` is closed-form over the
-    // loop structure: it iterates only loops that inner bounds depend
-    // on, never the trace, so a rectangular nest of any trip count is
-    // budgeted in microseconds.
+    // is twice one walk. `CompiledTrace::count` is closed-form over
+    // rectangular and triangular nests and never walks the trace; only
+    // deeper dependent nests iterate an outer loop, and the trip budget
+    // bounds that.
     CompiledTrace::compile(program, &DataLayout::original(program))
-        .count()
-        .saturating_mul(2)
+        .count_within(PRICING_TRIPS)
+        .map_or(u64::MAX, |n| n.saturating_mul(2))
 }
 
 /// Builds the search configuration for a request — library defaults

@@ -256,7 +256,10 @@ fn auto_mode_degrades_when_the_budget_cannot_afford_exact() {
 fn auto_mode_budgets_astronomic_loops_without_walking_them() {
     // `auto` prices an exact answer against the deadline budget before
     // the deadline-guarded cell starts, so pricing must not walk the
-    // trace: these nests run 10^12 and 10^18 accesses.
+    // trace: these nests run 10^12, 10^18, ~5·10^17 (triangular) and
+    // ~7·10^26 (LU-shaped) accesses. The triangle is summed in closed
+    // form; the three-deep nest iterates its outer loop, so pricing gives
+    // up on it as unaffordable before iterating.
     let config = ServerConfig::default();
     let deadline = config.deadline.expect("the default config has a deadline");
     let server = Server::new(config);
@@ -271,6 +274,23 @@ fn auto_mode_budgets_astronomic_loops_without_walking_them() {
          do i = 1, 1000000000\n\
            do j = 1, 1000000000\n\
              t = A(1)\n\
+           end\n\
+         end\n",
+        "program triangle\n\
+         array A(16)\n\
+         do i = 1, 1000000000\n\
+           do j = 1, i\n\
+             t = A(1)\n\
+           end\n\
+         end\n",
+        "program lu_nest\n\
+         array A(16, 16)\n\
+         do k = 1, 1000000000\n\
+           do i = k+1, 1000000000\n\
+             t = A(1, 1)\n\
+             do j = k+1, 1000000000\n\
+               A(1, 2) = A(2, 1)\n\
+             end\n\
            end\n\
          end\n",
     ];

@@ -84,7 +84,7 @@ pub use conflict::{
     circular_distance, find_severe_conflicts, increment_to_clear, is_severe_conflict,
     ConflictReport,
 };
-pub use estimate::{estimate_miss_rate, MissEstimate};
+pub use estimate::{estimate_miss_rate, MissEstimate, MissModel, ModelScore};
 pub use euclid::{first_conflict, j_star};
 pub use layout::DataLayout;
 pub use linalg::is_linear_algebra_array;

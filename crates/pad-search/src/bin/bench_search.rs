@@ -1,16 +1,17 @@
 //! Throughput of the search objective ladder and end-to-end strategy
-//! cost, per kernel: fast-rung evaluations per second, exact-rung
-//! latency, and beam/annealing wall time under the default budget.
-//! Writes `results/bench_search.csv`. Timing-dependent — informational,
-//! never golden.
+//! cost, per kernel: fast-rung evaluations per second (one
+//! `Objective::force_evaluate`, what the search pays per candidate),
+//! exact-rung latency, and beam/annealing wall time under the default
+//! budget. Writes `results/bench_search.csv`. Timing-dependent —
+//! informational, never golden.
 
 use std::time::{Duration, Instant};
 
 use pad_bench::harness::{emit, exact_misses, quick_mode, time_it};
 use pad_cache_sim::CacheConfig;
-use pad_core::{estimate_miss_rate, DataLayout};
+use pad_core::DataLayout;
 use pad_report::Table;
-use pad_search::{search, PadVector, SearchConfig, StrategyKind};
+use pad_search::{search, Objective, PadVector, SearchConfig, StrategyKind};
 use pad_trace::padding_config_for;
 
 fn main() {
@@ -41,12 +42,12 @@ fn main() {
         let program = spec(n);
         let layout = DataLayout::original(&program);
         let vector = PadVector::zero(&program);
+        let mut objective = Objective::new(&program, cache, pad_config.clone(), 1, 0);
         let fast = time_it(
             Duration::from_millis(50),
             Duration::from_millis(300),
             || {
-                let l = vector.materialize(&program);
-                std::hint::black_box(estimate_miss_rate(&program, &l, &pad_config).misses);
+                std::hint::black_box(objective.force_evaluate(vector.clone()).fast);
             },
         );
         let exact = time_it(

@@ -47,7 +47,7 @@ use pad_trace::padding_config_for;
 
 pub use anneal::Annealing;
 pub use beam::BeamSearch;
-pub use objective::{conflict_pressure, Objective};
+pub use objective::Objective;
 pub use space::{cmp_candidates, set_signature, Candidate, Move, PadVector, SearchSpace};
 
 /// Environment knob naming the strategy (`beam` or `anneal`).

@@ -1,14 +1,17 @@
 //! The two-rung objective ladder.
 //!
 //! Every candidate is scored on the **fast rung** — the paper's analytic
-//! miss model (`estimate_miss_rate`: spatial misses plus severe-conflict
-//! penalties) plus a graded [near-conflict pressure](conflict_pressure)
-//! tie-breaker, thousands of evaluations per second — and only frontier
-//! candidates are **promoted** to the exact rung, a full `simulate_batch`
-//! trace walk. Search *decisions* consume only fast scores; exact counts
-//! confirm and rank the promoted frontier afterwards. That split is what
-//! makes fault injection benign: a panicking exact evaluation can discard
-//! one candidate but can never steer the search.
+//! miss model (spatial misses plus severe-conflict penalties) plus a
+//! graded [near-conflict pressure](pad_core::ModelScore::pressure)
+//! tie-breaker — and only frontier candidates are **promoted** to the
+//! exact rung, a full `simulate_batch` trace walk. The analytic model is
+//! compiled once per search ([`pad_core::MissModel`]), so a fast
+//! evaluation only materializes the candidate's layout and scores it:
+//! a few microseconds, against milliseconds for an exact walk. Search
+//! *decisions* consume only fast scores; exact counts confirm and rank
+//! the promoted frontier afterwards. That split is what makes fault
+//! injection benign: a panicking exact evaluation can discard one
+//! candidate but can never steer the search.
 //!
 //! Exact confirmations fan out through `pad_bench::pool` isolation cells
 //! with retries disabled, so one poisoned candidate ends as a counted
@@ -25,107 +28,18 @@ use pad_bench::faults::FaultPlan;
 use pad_bench::harness::exact_misses;
 use pad_bench::pool::{self, CellCtx, RunPolicy};
 use pad_cache_sim::CacheConfig;
-use pad_core::{
-    circular_distance, constant_difference, estimate_miss_rate, linearize, DataLayout,
-    PaddingConfig,
-};
+use pad_core::{MissModel, PaddingConfig};
 use pad_ir::Program;
 use pad_telemetry::metrics_enabled;
 
 use crate::metrics::{record_eval_us, RUNG_EXACT, RUNG_FAST};
 use crate::space::{set_signature, Candidate, PadVector};
 
-/// Graded sub-severe conflict pressure for `layout` on a direct-mapped
-/// level of `cs` bytes.
-///
-/// `estimate_miss_rate` is deliberately coarse: constant-distance
-/// reference pairs cost full price when severe (circular distance under
-/// a line) and zero otherwise, so once the PAD heuristic clears the
-/// severe pairs the analytic landscape is flat and no search could
-/// improve on it. This term grades the *same* quantity the model
-/// thresholds, per pair of references sharing a loop:
-///
-/// * **constant-distance pairs** (the ones `find_severe_conflicts`
-///   scans) are charged a penalty that decays linearly with circular
-///   set-space distance, from 1 (same set) to 0 (maximally apart, half
-///   the cache away) — lockstep walkers thrash in proportion to how
-///   close they sit in set space;
-/// * **same-line pairs** are pure spatial reuse and cost nothing (the
-///   `is_severe_conflict` guard);
-/// * **non-constant pairs** — walkers whose pitches differ, typically
-///   because only one array's column was padded — cost a flat 0.5, the
-///   mean of the graded term over random placement. De-synchronized
-///   walkers sweep across each other's sets and interfere broadly;
-///   treating a vanished constant difference as *free* would reward
-///   exactly the intra pads that break synchronization, inverting the
-///   objective (keeping lockstep arrays at matched pitch and wide
-///   separation must always score best).
-///
-/// On top of the pairwise terms, each array is charged **alignment
-/// waste**: a column pitch (or base address) that is not a line
-/// multiple makes every row walk straddle one extra line — one real
-/// miss per row that the model's `stride/line` spatial term cannot see.
-/// This is what makes an element-granular heuristic pad rank *worse*
-/// than a line-granular placement with the same set-space geometry,
-/// exactly as the simulator does.
-///
-/// The pairwise magnitude — at most one unit per pair — and the
-/// alignment waste — at most one unit per row — sit far below one
-/// severe conflict's cost (a full nest of misses), so severe-vs-free
-/// ordering is never reordered; the term only differentiates
-/// severe-free layouts, and the exact rung confirms whether each
-/// tie-break is a real improvement.
-pub fn conflict_pressure(program: &Program, layout: &DataLayout, cs: u64, line: u64) -> f64 {
-    let cs = cs.max(2);
-    let half = (cs / 2) as f64;
-    let mut pressure = 0.0;
-    for group in program.ref_groups() {
-        for (i, &ra) in group.refs.iter().enumerate() {
-            for &rb in &group.refs[i + 1..] {
-                let la = linearize(ra, layout.dims(ra.array()), layout.elem_size(ra.array()));
-                let lb = linearize(rb, layout.dims(rb.array()), layout.elem_size(rb.array()));
-                let Some(rel) = constant_difference(&la, &lb) else {
-                    pressure += 0.5;
-                    continue;
-                };
-                let diff =
-                    rel + layout.base_addr(ra.array()) as i64 - layout.base_addr(rb.array()) as i64;
-                // Same-line pairs are spatial reuse, not conflict — the
-                // same guard `is_severe_conflict` applies.
-                if diff.unsigned_abs() < line {
-                    continue;
-                }
-                let dist = circular_distance(diff, cs) as f64;
-                pressure += (half - dist) / half;
-            }
-        }
-    }
-    let line = line.max(1) as i64;
-    for (id, _) in program.arrays_with_ids() {
-        let dims = layout.dims(id);
-        let strides = layout.strides_bytes(id);
-        let mut charged = false;
-        for d in 1..strides.len() {
-            if strides[d].rem_euclid(line) != 0 {
-                let walks: i64 = dims[d..].iter().map(|m| m.size).product();
-                pressure += walks as f64;
-                charged = true;
-                break;
-            }
-        }
-        if !charged && (layout.base_addr(id) as i64).rem_euclid(line) != 0 {
-            let walks: i64 = dims.iter().skip(1).map(|m| m.size).product();
-            pressure += walks as f64;
-        }
-    }
-    pressure
-}
-
 /// The budgeted evaluator shared by every strategy.
 pub struct Objective<'p> {
     program: &'p Program,
     cache: CacheConfig,
-    pad_config: PaddingConfig,
+    model: MissModel,
     threads: usize,
     policy: RunPolicy,
     faults: FaultPlan,
@@ -138,7 +52,8 @@ pub struct Objective<'p> {
 
 impl<'p> Objective<'p> {
     /// A fresh evaluator with `budget` fast evaluations available and
-    /// exact confirmations fanned over `threads` isolation cells.
+    /// exact confirmations fanned over `threads` isolation cells. Compiles
+    /// the analytic model for `program` under `pad_config` once, here.
     pub fn new(
         program: &'p Program,
         cache: CacheConfig,
@@ -149,7 +64,7 @@ impl<'p> Objective<'p> {
         Objective {
             program,
             cache,
-            pad_config,
+            model: MissModel::compile(program, &pad_config),
             threads: threads.max(1),
             // Deterministic isolation: no deadline (results must not
             // depend on wall-clock), no retries (a faulted candidate is
@@ -223,15 +138,13 @@ impl<'p> Objective<'p> {
     pub fn force_evaluate(&mut self, vector: PadVector) -> Candidate {
         let t0 = metrics_enabled().then(Instant::now);
         let layout = vector.materialize(self.program);
-        let est = estimate_miss_rate(self.program, &layout, &self.pad_config);
-        let level = self.pad_config.primary();
-        let pressure = conflict_pressure(self.program, &layout, level.size, level.line);
+        let score = self.model.score(&layout);
         self.fast_evals += 1;
         if let Some(t0) = t0 {
             record_eval_us(RUNG_FAST, t0.elapsed().as_micros() as u64);
         }
         Candidate {
-            fast: est.misses + pressure,
+            fast: score.estimate.misses + score.pressure,
             signature: set_signature(&layout, self.cache.size()),
             total_bytes: layout.total_bytes(),
             found_at: self.fast_evals,

@@ -305,7 +305,10 @@ pub struct Candidate {
     pub vector: PadVector,
     /// The materialized layout (shapes + bases).
     pub layout: DataLayout,
-    /// Analytic miss count from `estimate_miss_rate` (the fast rung).
+    /// Fast-rung score: the analytic miss estimate plus the graded
+    /// conflict pressure ([`pad_core::ModelScore`]), as
+    /// [`Objective::force_evaluate`](crate::Objective::force_evaluate)
+    /// computes it.
     pub fast: f64,
     /// Cache-set-equivalence fingerprint ([`set_signature`]).
     pub signature: u64,

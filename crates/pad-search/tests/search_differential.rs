@@ -1,7 +1,7 @@
 //! Differential test: the fast rung is pinned to ground truth.
 //!
-//! The search trusts `estimate_miss_rate` plus the graded
-//! [`conflict_pressure`] term to steer, and only promotes frontier
+//! The search trusts the analytic miss estimate plus the graded
+//! [conflict pressure] term to steer, and only promotes frontier
 //! candidates to exact simulation. That division of labor is sound only
 //! while the fast score actually ranks layouts the way the simulator
 //! does, so this suite measures rank concordance between the two rungs
@@ -16,7 +16,7 @@
 //!   concordance must stay above a floor on every kernel, and well
 //!   above it in aggregate.
 //!
-//! [`conflict_pressure`]: pad_search::conflict_pressure
+//! [conflict pressure]: pad_core::ModelScore::pressure
 
 use pad_cache_sim::CacheConfig;
 use pad_ir::Program;

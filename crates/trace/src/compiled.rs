@@ -135,11 +135,22 @@ impl CompiledTrace {
     /// Counts the accesses the compiled program performs, without
     /// walking them: an innermost loop adds trips × references, and a loop
     /// whose nested bounds do not read its own variable counts its body
-    /// once and multiplies. Only loops that nested bounds depend on
-    /// (triangular nests) are iterated. Saturates at `u64::MAX`.
+    /// once and multiplies. A loop whose body is one loop with bounds
+    /// affine in the outer variable — a triangular nest — sums the inner
+    /// trip counts in closed form. Only deeper dependent nests (LU's
+    /// `k`/`i`/`j`) iterate the outer loop. Saturates at `u64::MAX`.
     pub fn count(&self) -> u64 {
+        self.count_within(u64::MAX).unwrap_or(u64::MAX)
+    }
+
+    /// [`CompiledTrace::count`], iterating at most `max_trips` outer-loop
+    /// trips in total: `None` when counting would iterate more. Pricing
+    /// paths use this to bound their own cost on nests that cannot be
+    /// counted in closed form.
+    pub fn count_within(&self, max_trips: u64) -> Option<u64> {
         let mut slots = vec![0i64; self.num_slots];
-        count_nodes(&self.roots, &mut slots)
+        let mut trips_left = max_trips;
+        count_nodes(&self.roots, &mut slots, &mut trips_left)
     }
 
     /// Invokes `f` with consecutive chunks of the access stream, filling
@@ -329,23 +340,25 @@ fn saturate(n: u128) -> u64 {
     u64::try_from(n).unwrap_or(u64::MAX)
 }
 
-fn count_nodes(nodes: &[Node], slots: &mut [i64]) -> u64 {
-    nodes
-        .iter()
-        .fold(0, |n, node| n.saturating_add(count_node(node, slots)))
+fn count_nodes(nodes: &[Node], slots: &mut [i64], trips_left: &mut u64) -> Option<u64> {
+    nodes.iter().try_fold(0u64, |n, node| {
+        Some(n.saturating_add(count_node(node, slots, trips_left)?))
+    })
 }
 
-fn count_node(node: &Node, slots: &mut [i64]) -> u64 {
+fn count_node(node: &Node, slots: &mut [i64], trips_left: &mut u64) -> Option<u64> {
     match node {
-        Node::Ref { .. } => 1,
+        Node::Ref { .. } => Some(1),
         Node::InnerLoop {
             lower,
             upper,
             step,
             refs,
             ..
-        } => saturate(trips(lower.eval(slots), upper.eval(slots), *step))
-            .saturating_mul(refs.len() as u64),
+        } => Some(
+            saturate(trips(lower.eval(slots), upper.eval(slots), *step))
+                .saturating_mul(refs.len() as u64),
+        ),
         Node::Loop {
             slot,
             lower,
@@ -356,17 +369,153 @@ fn count_node(node: &Node, slots: &mut [i64]) -> u64 {
             let lo = lower.eval(slots);
             let n = trips(lo, upper.eval(slots), *step);
             if !body.iter().any(|child| bounds_read(child, *slot)) {
-                return count_nodes(body, slots).saturating_mul(saturate(n));
+                return Some(count_nodes(body, slots, trips_left)?.saturating_mul(saturate(n)));
             }
+            if let [child] = body.as_slice() {
+                if let Some(child_trips) = summed_trips(child, *slot, lo, n, *step, slots) {
+                    let per_trip = match child {
+                        Node::InnerLoop { refs, .. } => refs.len() as u64,
+                        Node::Loop { body, .. } => count_nodes(body, slots, trips_left)?,
+                        Node::Ref { .. } => unreachable!("summed_trips takes loops only"),
+                    };
+                    return Some(saturate(child_trips).saturating_mul(per_trip));
+                }
+            }
+            *trips_left = trips_left.checked_sub(u64::try_from(n).ok()?)?;
             let mut total = 0u64;
             let mut value = lo;
             for _ in 0..n {
                 slots[*slot] = value;
-                total = total.saturating_add(count_nodes(body, slots));
+                total = total.saturating_add(count_nodes(body, slots, trips_left)?);
                 value = value.wrapping_add(*step);
             }
-            total
+            Some(total)
         }
+    }
+}
+
+/// Total trips of `child` over the `n` iterations of the loop on `slot`
+/// (first value `lo`, advancing by `step`), in closed form: the child's
+/// bounds are affine in that loop's variable, so its span is affine in
+/// the iteration number. `None` when `child` is not a loop whose body
+/// count is the same on every trip (its body's bounds read neither
+/// loop), or the arithmetic leaves `i128`. Saturates at `u128::MAX`.
+fn summed_trips(
+    child: &Node,
+    slot: usize,
+    lo: i64,
+    n: u128,
+    step: i64,
+    slots: &[i64],
+) -> Option<u128> {
+    let (lower, upper, child_step) = match child {
+        Node::InnerLoop {
+            lower, upper, step, ..
+        } => (lower, upper, *step),
+        Node::Loop {
+            slot: own,
+            lower,
+            upper,
+            step,
+            body,
+        } if !body
+            .iter()
+            .any(|c| bounds_read(c, slot) || bounds_read(c, *own)) =>
+        {
+            (lower, upper, *step)
+        }
+        _ => return None,
+    };
+    let (lc, la) = affine_in(lower, slots, slot)?;
+    let (uc, ua) = affine_in(upper, slots, slot)?;
+    // The child's span, `hi - lo` (or `lo - hi` for a negative step), is
+    // `p + q·v` in the outer variable `v = lo + t·step`.
+    let (p, q) = if child_step > 0 {
+        (uc.checked_sub(lc)?, ua.checked_sub(la)?)
+    } else {
+        (lc.checked_sub(uc)?, la.checked_sub(ua)?)
+    };
+    let a = p.checked_add(q.checked_mul(i128::from(lo))?)?;
+    let b = q.checked_mul(i128::from(step))?;
+    trip_sum(a, b, n, u128::from(child_step.unsigned_abs()))
+}
+
+/// `expr` as `c + a·x` in the variable of loop slot `slot`, the other
+/// slots held at their current values: `(c, a)`.
+fn affine_in(expr: &SlotExpr, slots: &[i64], slot: usize) -> Option<(i128, i128)> {
+    let mut c = i128::from(expr.constant);
+    let mut a = 0i128;
+    for &(s, coeff) in &expr.terms {
+        if s == slot {
+            a = a.checked_add(i128::from(coeff))?;
+        } else {
+            c = c.checked_add(i128::from(coeff) * i128::from(slots[s]))?;
+        }
+    }
+    Some((c, a))
+}
+
+/// `Σ_{t<n} trips(t)` for a loop whose span on outer iteration `t` is
+/// `a + b·t` and whose step magnitude is `s`: a span below zero runs no
+/// trips, otherwise `span / s + 1`. `None` when the arithmetic leaves
+/// `i128`; saturates at `u128::MAX`.
+fn trip_sum(a: i128, b: i128, n: u128, s: u128) -> Option<u128> {
+    if n == 0 {
+        return Some(0);
+    }
+    let last = n - 1;
+    // The iterations with a nonnegative span form one interval [t0, t1].
+    let (t0, t1) = match (a >= 0, b.signum()) {
+        (true, 0 | 1) => (0, last),
+        (false, 1) => (a.unsigned_abs().div_ceil(b.unsigned_abs()), last),
+        (true, _) => (0, last.min(a.unsigned_abs() / b.unsigned_abs())),
+        (false, _) => return Some(0),
+    };
+    if t0 > t1 {
+        return Some(0);
+    }
+    // Spans across the interval, rising from `start` by `slope`.
+    let (start, slope) = if b >= 0 {
+        (a.checked_add(b.checked_mul(i128::try_from(t0).ok()?)?)?, b)
+    } else {
+        (a.checked_add(b.checked_mul(i128::try_from(t1).ok()?)?)?, -b)
+    };
+    let m = t1 - t0 + 1;
+    Some(
+        floor_sum(m, s, slope.unsigned_abs(), start.unsigned_abs())
+            .and_then(|f| f.checked_add(m))
+            .unwrap_or(u128::MAX),
+    )
+}
+
+/// `Σ_{i<n} ⌊(a·i + b) / m⌋` for `m > 0` by Euclid-like reduction (the
+/// classic `floor_sum`); `None` when the sum overflows `u128`. Every
+/// partial sum is a lower bound on the total, so overflow means the
+/// total does too.
+fn floor_sum(mut n: u128, mut m: u128, mut a: u128, mut b: u128) -> Option<u128> {
+    let mut sum = 0u128;
+    loop {
+        if a >= m {
+            let pairs = if n.is_multiple_of(2) {
+                (n / 2).checked_mul(n.saturating_sub(1))?
+            } else {
+                n.checked_mul((n - 1) / 2)?
+            };
+            sum = sum.checked_add(pairs.checked_mul(a / m)?)?;
+            a %= m;
+        }
+        if b >= m {
+            sum = sum.checked_add(n.checked_mul(b / m)?)?;
+            b %= m;
+        }
+        // a < m and b < m, so y_max < m·(n + 1).
+        let y_max = a.checked_mul(n)?.checked_add(b)?;
+        if y_max < m {
+            return Some(sum);
+        }
+        n = y_max / m;
+        b = y_max % m;
+        std::mem::swap(&mut m, &mut a);
     }
 }
 
@@ -641,6 +790,97 @@ mod tests {
         let p = b.build().expect("valid");
         let compiled = CompiledTrace::compile(&p, &DataLayout::original(&p));
         assert_eq!(compiled.count(), u64::MAX);
+    }
+
+    #[test]
+    fn count_sums_affine_inner_trips_in_closed_form() {
+        // Seeded two-deep nests whose inner bounds are affine in the
+        // outer variable: coefficients -2..=2, steps of both signs, spans
+        // empty on some outer iterations or on all of them. The inner
+        // body is either references or a rectangular loop (counted once
+        // and multiplied).
+        let mut rng = pad_cache_sim::SplitMix64::new(0x7412);
+        let mut draw = |lo: i64, hi: i64| lo + rng.below((hi - lo + 1) as u64) as i64;
+        for case in 0..300 {
+            let mut b = Program::builder(format!("affine{case}"));
+            let a = b.add_array(ArrayBuilder::new("A", [64]).elem_size(8));
+            let step = |d: &mut dyn FnMut(i64, i64) -> i64| match d(0, 5) {
+                0 => -3,
+                1 => -2,
+                2 => -1,
+                3 => 1,
+                4 => 2,
+                _ => 3,
+            };
+            let outer = Loop::with_step("i", draw(-6, 12), draw(-6, 12), step(&mut draw));
+            let bound = |d: &mut dyn FnMut(i64, i64) -> i64| {
+                pad_ir::AffineExpr::from_terms([(pad_ir::IndexVar::new("i"), d(-2, 2))], d(-6, 12))
+            };
+            let inner_header =
+                Loop::with_step("j", bound(&mut draw), bound(&mut draw), step(&mut draw));
+            let refs = Stmt::refs(vec![a.at([Subscript::constant(1)]); draw(1, 3) as usize]);
+            let inner_body = if draw(0, 1) == 0 {
+                vec![refs]
+            } else {
+                vec![Stmt::loop_(Loop::new("k", 1, draw(0, 3)), vec![refs])]
+            };
+            b.push(Stmt::loop_(
+                outer,
+                vec![Stmt::loop_(inner_header, inner_body)],
+            ));
+            let p = b.build().expect("valid");
+            assert_count_matches_interpreter(&p, &DataLayout::original(&p));
+        }
+    }
+
+    #[test]
+    fn count_within_bounds_iteration_of_deeper_dependent_nests() {
+        let lu = |n: i64| {
+            let mut b = Program::builder("lu");
+            let a = b.add_array(ArrayBuilder::new("A", [16, 16]).elem_size(8));
+            let plus = |c| Subscript::var_offset("k", c);
+            b.push(Stmt::loop_(
+                Loop::new("k", 1, n),
+                vec![Stmt::loop_(
+                    Loop::new("i", plus(1), n),
+                    vec![
+                        Stmt::refs(vec![a.at([Subscript::constant(1), Subscript::constant(1)])]),
+                        Stmt::loop_(
+                            Loop::new("j", plus(1), n),
+                            vec![Stmt::refs(vec![
+                                a.at([Subscript::constant(1), Subscript::constant(2)])
+                            ])],
+                        ),
+                    ],
+                )],
+            ));
+            b.build().expect("valid")
+        };
+        // The outer loop iterates: exact within the trip budget, refused
+        // beyond it without iterating.
+        let small = lu(12);
+        let compiled = CompiledTrace::compile(&small, &DataLayout::original(&small));
+        let exact = crate::count_accesses(&small, &DataLayout::original(&small));
+        assert_eq!(compiled.count_within(12), Some(exact));
+        assert_eq!(compiled.count_within(11), None);
+        let huge = lu(1_000_000_000);
+        let compiled = CompiledTrace::compile(&huge, &DataLayout::original(&huge));
+        assert_eq!(compiled.count_within(1 << 20), None);
+
+        // A 10^9 triangle needs no iteration at all: n(n+1)/2 exactly.
+        let mut b = Program::builder("triangle");
+        let a = b.add_array(ArrayBuilder::new("A", [4]).elem_size(8));
+        b.push(Stmt::loop_(
+            Loop::new("i", 1, 1_000_000_000),
+            vec![Stmt::loop_(
+                Loop::new("j", 1, Subscript::var("i")),
+                vec![Stmt::refs(vec![a.at([Subscript::constant(1)])])],
+            )],
+        ));
+        let p = b.build().expect("valid");
+        let compiled = CompiledTrace::compile(&p, &DataLayout::original(&p));
+        let n = 1_000_000_000u64;
+        assert_eq!(compiled.count_within(0), Some(n * (n + 1) / 2));
     }
 
     #[test]

@@ -112,7 +112,8 @@ gate_metrics_overhead() {
 run_gate metrics-overhead gate_metrics_overhead
 
 # Advisor: fault-injection matrix (panics, deadlines, wire corruption,
-# degradation) and admission control.
+# degradation, pricing astronomic rectangular/triangular/LU nests inside
+# a quarter deadline) and admission control.
 gate_advisor_faults() {
     timeout 300 cargo test -q -p pad-advisor --test fault_injection &&
         timeout 300 cargo test -q -p pad-advisor --test admission
@@ -127,11 +128,13 @@ gate_advisor_restart() {
 }
 run_gate advisor-restart gate_advisor_restart
 
-# Search optimizer: fast/exact rank-concordance differential plus the
+# Search optimizer: the compiled fast rung bit-identical to the
+# interpreted model, fast/exact rank-concordance differential, the
 # property suite (never-worse, seeded determinism, move-order
 # independence) and fault equivalence.
 gate_search_differential() {
-    cargo test -q -p pad-search --test search_differential &&
+    cargo test -q -p pad-search --test model_differential &&
+        cargo test -q -p pad-search --test search_differential &&
         cargo test -q -p pad-search --test search_properties &&
         cargo test -q -p pad-search --test search_faults
 }
