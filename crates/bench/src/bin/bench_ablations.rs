@@ -19,9 +19,9 @@ use pad_trace::{collect_trace, padding_config_for};
 fn main() {
     let program = pad_kernels::jacobi::spec(256);
     let cache = CacheConfig::paper_base();
-    let orig = collect_trace(&program, &DataLayout::original(&program), None);
+    let orig = collect_trace(&program, &DataLayout::original(&program));
     let padded_layout = Pad::new(padding_config_for(&cache)).run(&program).layout;
-    let padded = collect_trace(&program, &padded_layout, None);
+    let padded = collect_trace(&program, &padded_layout);
 
     let misses = |cfg: CacheConfig, trace: &[pad_cache_sim::Access]| {
         let mut cache = Cache::new(cfg);

@@ -825,7 +825,8 @@ pub fn ablation_jstar_table_ctx(ctx: &RunContext) -> (Table, f64) {
         )
         .run(&p)
         .layout;
-        pad_trace::simulate_many(&p, &layout, &[dm])[0].miss_rate_percent()
+        simulate_batch(&p, &layout, &BatchRequest::new().with_plain(dm)).plain[0]
+            .miss_rate_percent()
     });
     let completed_orig = orig_rates.iter().filter(|o| o.is_ok()).count().max(1) as f64;
     let orig_avg = orig_rates

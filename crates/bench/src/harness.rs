@@ -16,7 +16,7 @@ use pad_ir::Program;
 use pad_kernels::{suite, Kernel};
 use pad_report::{write_csv, CellFailure, FailureSummary, Table};
 use pad_telemetry::{summarize, Event, Mode, TelemetrySummary, Value};
-use pad_trace::{padding_config_for, simulate_many};
+use pad_trace::{padding_config_for, simulate_batch, BatchRequest};
 
 use crate::journal::{fingerprint, resume_requested, Journal, JournalPayload};
 use crate::pool::{self, CellCtx, CellOutcome, RunPolicy};
@@ -112,7 +112,7 @@ pub fn miss_rate_percent(program: &Program, variant: Variant, cache: &CacheConfi
 /// size and line size ([`padding_config_for`]) — never on associativity
 /// or index function, and [`Variant::Original`] ignores the cache
 /// entirely. Caches sharing a layout are therefore grouped and fed from
-/// one batched trace walk ([`simulate_many`]), which is what makes the
+/// one batched trace walk ([`simulate_batch`]), which is what makes the
 /// associativity sweeps (Figures 9 and 10) cost one walk per layout
 /// instead of one per cell.
 pub fn miss_rates(program: &Program, variant: Variant, caches: &[CacheConfig]) -> Vec<f64> {
@@ -131,8 +131,8 @@ pub fn miss_rates(program: &Program, variant: Variant, caches: &[CacheConfig]) -
     }
     for (_, members) in groups {
         let layout = variant.layout(program, &caches[members[0]]);
-        let group: Vec<CacheConfig> = members.iter().map(|&i| caches[i]).collect();
-        let stats = simulate_many(program, &layout, &group);
+        let request = BatchRequest::new().with_plain_configs(members.iter().map(|&i| caches[i]));
+        let stats = simulate_batch(program, &layout, &request).plain;
         for (&slot, s) in members.iter().zip(&stats) {
             rates[slot] = s.miss_rate_percent();
         }
@@ -144,7 +144,7 @@ pub fn miss_rates(program: &Program, variant: Variant, caches: &[CacheConfig]) -
 /// on `cache` — the ground-truth rung the pad-search objective promotes
 /// frontier candidates to. One compiled trace walk per call.
 pub fn exact_misses(program: &Program, layout: &DataLayout, cache: &CacheConfig) -> u64 {
-    simulate_many(program, layout, std::slice::from_ref(cache))[0].misses
+    simulate_batch(program, layout, &BatchRequest::new().with_plain(*cache)).plain[0].misses
 }
 
 /// The benchmark suite with each kernel's spec built at its default size.

@@ -47,11 +47,9 @@
 //! [`faults`] module provides the seeded fault-injection plans the
 //! integration suite uses to prove those contracts.
 
-// `deny` rather than `forbid`: `pool::persistent` carries a scoped
-// `allow` for the single lifetime-erasing transmute that lets parked
-// workers borrow a submission's closure (see its safety comment);
-// everything else stays unsafe-free.
-#![deny(unsafe_code)]
+// `forbid`: the experiment pool runs on scoped threads, whose borrows
+// the compiler checks, so nothing here needs `unsafe`.
+#![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
 pub mod experiments;

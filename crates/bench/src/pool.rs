@@ -2,28 +2,27 @@
 //!
 //! The figure sweeps decompose into independent *cells* — one (kernel,
 //! config-set, layout) unit each, internally batched by
-//! [`pad_trace::simulate_batch`]. This module executes cells on a
-//! *persistent* worker pool (plain `std::thread`; no external runtime):
-//! `available_parallelism - 1` workers are spawned once on first use and
-//! park on a condvar between submissions, the submitting thread itself
-//! participates in the work, and cells are claimed off a shared atomic
-//! cursor (work stealing). Dispatching a run is therefore one mutex
-//! publish and a wakeup — no thread spawn, no per-cell closure boxing —
-//! and on a single-core host the pool has zero workers, so dispatch
-//! degenerates to a plain inline loop. Results are reassembled in
-//! submission order so every table and CSV is byte-identical to a serial
-//! run regardless of thread count or scheduling. (Nested or concurrent
-//! submissions fall back to one-shot scoped threads so the pool can
-//! never deadlock on itself.)
+//! [`pad_trace::simulate_batch`]. This module executes cells on scoped
+//! threads (plain `std::thread::scope`; no external runtime): a run of
+//! width `w` spawns `w - 1` threads, the submitting thread participates
+//! in the work, and cells are claimed off a shared atomic cursor (work
+//! stealing). The width is clamped to the cell count and the host's core
+//! count, so on a single-core host — or for a serial request — dispatch
+//! is a plain loop on the calling thread. Each thread hands its results
+//! back through its join handle and they are reassembled in submission
+//! order, so every table and CSV is byte-identical to a serial run
+//! regardless of thread count or scheduling. Every run owns its threads,
+//! so nested and concurrent submissions need no special case.
 //!
-//! Results land in lock-free per-slot storage (`Vec<OnceLock<..>>`), so a
-//! panicking cell can never poison a shared mutex and take its sibling
-//! workers down with it. The fault-tolerant entry points
-//! ([`run_cells_outcome_on`]) additionally wrap each cell in
-//! `catch_unwind` and classify the result as a [`CellOutcome`]: per-cell
-//! panics are isolated, cells exceeding the configured deadline are
-//! reported as timed out, and failures classified *transient* are retried
-//! a bounded number of times with a deterministic backoff schedule.
+//! A panicking cell can never take its siblings down with it: the claim
+//! loop catches each cell's panic and carries on, and the lowest-indexed
+//! panic is re-raised, with its original payload, only after every cell
+//! has run. The fault-tolerant
+//! entry points ([`run_cells_outcome_on`]) additionally classify each
+//! cell's result as a [`CellOutcome`]: per-cell panics are isolated,
+//! cells exceeding the configured deadline are reported as timed out,
+//! and failures classified *transient* are retried a bounded number of
+//! times with a deterministic backoff schedule.
 //!
 //! The pool width defaults to the host's available parallelism and can be
 //! overridden with the `RIVERA_THREADS` environment variable (`1` forces
@@ -31,11 +30,13 @@
 //! per-cell deadline and `RIVERA_CELL_RETRIES` (default 0) bounds how
 //! often a transient failure is retried — see [`RunPolicy::from_env`].
 
+use std::any::Any;
 use std::backtrace::Backtrace;
 use std::cell::{Cell, RefCell};
 use std::num::NonZeroUsize;
 use std::panic::{catch_unwind, resume_unwind, AssertUnwindSafe};
-use std::sync::{Mutex, Once, OnceLock};
+use std::sync::atomic::{AtomicUsize, Ordering};
+use std::sync::{Once, OnceLock};
 use std::time::{Duration, Instant};
 
 /// Environment variable overriding the worker-thread count.
@@ -76,9 +77,7 @@ pub fn thread_count() -> usize {
 /// chosen width and, for a present-but-invalid override, the warning
 /// text.
 pub fn thread_count_from(raw: Option<&str>) -> (usize, Option<String>) {
-    let host = std::thread::available_parallelism()
-        .map(NonZeroUsize::get)
-        .unwrap_or(1);
+    let host = host_cores();
     match raw {
         None => (host, None),
         Some(raw) => match raw.trim().parse::<usize>() {
@@ -245,10 +244,11 @@ impl RunPolicy {
     pub fn from_env() -> Self {
         let mut policy = RunPolicy::default();
         if let Ok(raw) = std::env::var(TIMEOUT_ENV) {
-            match raw.trim().parse::<f64>() {
-                Ok(secs) if secs > 0.0 && secs.is_finite() => {
-                    policy.deadline = Some(Duration::from_secs_f64(secs));
-                }
+            // `try_from_secs_f64` rejects infinities and values too large
+            // for a `Duration` (say `1e30`), where `from_secs_f64` panics.
+            let secs = raw.trim().parse::<f64>().ok().filter(|&secs| secs > 0.0);
+            match secs.map(Duration::try_from_secs_f64) {
+                Some(Ok(deadline)) => policy.deadline = Some(deadline),
                 _ => eprintln!("warning: ignoring {TIMEOUT_ENV}={raw:?} (want seconds > 0)"),
             }
         }
@@ -327,450 +327,118 @@ fn install_capture_hook() {
     });
 }
 
-/// The executor every entry point funnels through: claims cell indices
-/// off an atomic cursor and stores each result in its own `OnceLock`
-/// slot, so no shared lock exists to poison and result order is index
-/// order by construction. Execution happens on the persistent pool (see
-/// [`persistent`]); `run` must not panic (callers wrap the user closure
-/// in `catch_unwind` first when isolation is wanted — if it panics
-/// anyway the panic is propagated after the pool drains). The `Sync`
-/// bound comes from sharing the slot vector across workers; every cell
-/// payload in this crate is plain data, so it costs nothing.
-fn run_slots<R: Send + Sync>(
-    threads: usize,
-    count: usize,
-    run: impl Fn(usize) -> R + Sync,
-) -> Vec<R> {
-    let threads = threads.max(1).min(count.max(1));
-    if threads == 1 || count <= 1 {
-        return (0..count).map(run).collect();
-    }
-    let slots: Vec<OnceLock<R>> = (0..count).map(|_| OnceLock::new()).collect();
-    let job = |index: usize| {
-        let value = run(index);
-        // Each index is claimed exactly once, so the slot is always
-        // empty here.
-        let _ = slots[index].set(value);
+/// The executor every entry point funnels through. A run of width `w`
+/// ([`effective_width`]) opens one `std::thread::scope`, spawns `w - 1`
+/// threads, and has the submitting thread claim cells too; at width 1
+/// nothing is spawned and the claim loop runs on the calling thread.
+/// Every claimer takes indices off one atomic cursor and returns its
+/// `(index, value)` pairs through its join handle, so result order is
+/// index order whatever the schedule.
+///
+/// A panic out of `run` is caught per index and the claimer carries on,
+/// so every index runs; afterwards the lowest-indexed panic is re-raised
+/// with its original payload.
+fn run_slots<R: Send>(threads: usize, count: usize, run: impl Fn(usize) -> R + Sync) -> Vec<R> {
+    type Escaped = (usize, Box<dyn Any + Send>);
+    let cursor = AtomicUsize::new(0);
+    let claim = || {
+        let mut values = Vec::new();
+        // A claimer takes indices in increasing order, so its first
+        // panic is its lowest-indexed one.
+        let mut panic: Option<Escaped> = None;
+        loop {
+            // Relaxed suffices: the cursor only hands out distinct
+            // indices, and results travel through the join.
+            let index = cursor.fetch_add(1, Ordering::Relaxed);
+            if index >= count {
+                return (values, panic);
+            }
+            match catch_unwind(AssertUnwindSafe(|| run(index))) {
+                Ok(value) => values.push((index, value)),
+                Err(payload) => {
+                    panic.get_or_insert((index, payload));
+                }
+            }
+        }
     };
-    persistent::run(threads, count, &job);
-    slots
-        .into_iter()
-        .map(|slot| slot.into_inner().expect("every cell produced a result"))
-        .collect()
+    let mut values = Vec::with_capacity(count);
+    let mut first_panic: Option<Escaped> = None;
+    std::thread::scope(|scope| {
+        let spawned: Vec<_> = (1..effective_width(threads, count))
+            .map(|_| scope.spawn(claim))
+            .collect();
+        let own = claim();
+        let joined = spawned.into_iter().map(|handle| {
+            handle
+                .join()
+                .unwrap_or_else(|payload| resume_unwind(payload))
+        });
+        for (part, panic) in std::iter::once(own).chain(joined) {
+            values.extend(part);
+            if let Some((index, payload)) = panic {
+                if first_panic.as_ref().is_none_or(|(first, _)| index < *first) {
+                    first_panic = Some((index, payload));
+                }
+            }
+        }
+    });
+    if let Some((_, payload)) = first_panic {
+        resume_unwind(payload);
+    }
+    values.sort_unstable_by_key(|&(index, _)| index);
+    values.into_iter().map(|(_, value)| value).collect()
 }
 
 /// The number of threads a width-`requested` run over `count` cells
 /// actually engages: the requested width clamped by the cell count and
-/// the host's core count (the submitting thread plus the pool's
-/// `available_parallelism - 1` persistent workers). The benchmark
-/// harness records this in `BENCH_simulator.json` so the host metadata
-/// reflects real, not requested, parallelism.
+/// the host's core count. A run spawns this many threads less one, since
+/// the submitting thread claims cells too. The benchmark harness records
+/// this in `BENCH_simulator.json` so the host metadata reflects real, not
+/// requested, parallelism.
 pub fn effective_width(requested: usize, count: usize) -> usize {
-    let host = std::thread::available_parallelism()
-        .map(NonZeroUsize::get)
-        .unwrap_or(1);
-    requested.max(1).min(count.max(1)).min(host)
+    requested.max(1).min(count.max(1)).min(host_cores())
 }
 
-/// The persistent worker pool behind [`run_slots`].
-///
-/// Lifecycle: the first multi-threaded submission spawns
-/// `available_parallelism - 1` detached workers that park on a condvar.
-/// A submission publishes one type-erased job — a borrowed
-/// `&dyn Fn(usize)` plus a shared atomic cursor — under the state mutex,
-/// wakes the workers, and then participates in claiming cells itself.
-/// Workers that join a job register in `active`; the submitter returns
-/// only after clearing the job slot and watching `active` drain to zero,
-/// which is what makes handing workers a *borrowed* closure sound (see
-/// the safety comment in [`persistent::run`]).
-///
-/// Two situations bypass the pool and run on one-shot scoped threads
-/// instead: a submission from inside a pool worker (a nested
-/// `run_cells_on` call) and a submission while another is in flight —
-/// both would otherwise contend for the same workers, and the scoped
-/// fallback keeps them correct and deadlock-free.
-#[allow(unsafe_code)]
-mod persistent {
-    use std::num::NonZeroUsize;
-    use std::panic::{catch_unwind, resume_unwind, AssertUnwindSafe};
-    use std::sync::atomic::{AtomicUsize, Ordering};
-    use std::sync::{Arc, Condvar, Mutex, OnceLock};
-
-    /// A lifetime-erased borrow of a submission's job closure. Only ever
-    /// stored while the originating [`run`] frame is alive.
-    type Task = &'static (dyn Fn(usize) + Sync);
-
-    #[derive(Clone)]
-    struct Job {
-        task: Task,
-        cursor: Arc<AtomicUsize>,
-        count: usize,
-    }
-
-    struct State {
-        /// Bumped on every publish so parked workers can tell a new job
-        /// from a spurious wakeup.
-        epoch: u64,
-        /// The live job, present only between publish and drain.
-        job: Option<Job>,
-        /// Worker slots remaining for the live job (the requested width
-        /// minus the submitting thread).
-        slots_left: usize,
-        /// Workers currently holding a clone of the live job.
-        active: usize,
-        /// First panic that escaped a job closure (a contract violation;
-        /// re-raised on the submitting thread after the drain).
-        panic: Option<Box<dyn std::any::Any + Send>>,
-    }
-
-    struct Shared {
-        state: Mutex<State>,
-        /// Workers park here between jobs.
-        work: Condvar,
-        /// The submitter parks here while `active` drains.
-        done: Condvar,
-    }
-
-    struct Pool {
-        shared: Arc<Shared>,
-        workers: usize,
-        /// Serializes submissions; `try_lock` failure routes concurrent
-        /// submitters to the scoped fallback instead of blocking.
-        submit: Mutex<()>,
-    }
-
-    thread_local! {
-        static IS_POOL_WORKER: std::cell::Cell<bool> = const { std::cell::Cell::new(false) };
-    }
-
-    impl Pool {
-        /// Spawns `workers` detached, parked worker threads. The global
-        /// pool sizes this as `available_parallelism - 1`; tests build
-        /// private pools with a forced width so the publish/claim/drain
-        /// protocol is exercised even on single-core hosts.
-        fn new(workers: usize) -> Pool {
-            let shared = Arc::new(Shared {
-                state: Mutex::new(State {
-                    epoch: 0,
-                    job: None,
-                    slots_left: 0,
-                    active: 0,
-                    panic: None,
-                }),
-                work: Condvar::new(),
-                done: Condvar::new(),
-            });
-            for _ in 0..workers {
-                let shared = Arc::clone(&shared);
-                std::thread::Builder::new()
-                    .name("pad-pool-worker".into())
-                    .spawn(move || worker_loop(&shared))
-                    .expect("spawning a pool worker");
-            }
-            Pool {
-                shared,
-                workers,
-                submit: Mutex::new(()),
-            }
-        }
-
-        /// Runs `task` for every index in `0..count` at the requested
-        /// width on this pool. Blocks until all indices have completed;
-        /// re-raises the first panic that escaped `task` after every
-        /// worker has left the job.
-        fn run_on(&self, width: usize, count: usize, task: &(dyn Fn(usize) + Sync)) {
-            if self.workers == 0 || width <= 1 {
-                // Single-core host (or serial request): no workers
-                // exist, so dispatch is a plain loop — the
-                // zero-overhead path.
-                for index in 0..count {
-                    task(index);
-                }
-                return;
-            }
-            let Ok(_submit_guard) = self.submit.try_lock() else {
-                // Another thread is mid-submission; don't queue behind it.
-                return run_scoped(width, count, task);
-            };
-
-            // SAFETY: `task`'s lifetime is erased to park it in the
-            // shared job slot. The reference is published under the
-            // state mutex, only workers that register in `active` clone
-            // it, and this frame does not return (or unwind) until the
-            // job slot is cleared and `active` has drained to zero — so
-            // no worker can observe the reference after `task`'s
-            // referent dies.
-            let task_static: Task =
-                unsafe { std::mem::transmute::<&(dyn Fn(usize) + Sync), Task>(task) };
-            let cursor = Arc::new(AtomicUsize::new(0));
-            {
-                let mut st = self.shared.state.lock().expect("pool state never poisoned");
-                st.epoch += 1;
-                st.job = Some(Job {
-                    task: task_static,
-                    cursor: Arc::clone(&cursor),
-                    count,
-                });
-                st.slots_left = (width - 1).min(self.workers);
-                self.shared.work.notify_all();
-            }
-
-            // The submitter is a full participant; wrapped like the
-            // workers so an escaped panic still reaches the drain
-            // barrier below.
-            let own = catch_unwind(AssertUnwindSafe(|| loop {
-                let index = cursor.fetch_add(1, Ordering::Relaxed);
-                if index >= count {
-                    break;
-                }
-                task(index);
-            }));
-
-            let payload = {
-                let mut st = self.shared.state.lock().expect("pool state never poisoned");
-                st.job = None;
-                st.slots_left = 0;
-                while st.active > 0 {
-                    st = self
-                        .shared
-                        .done
-                        .wait(st)
-                        .expect("pool state never poisoned");
-                }
-                st.panic.take()
-            };
-            if let Err(own_payload) = own {
-                resume_unwind(own_payload);
-            }
-            if let Some(payload) = payload {
-                resume_unwind(payload);
-            }
-        }
-    }
-
-    fn pool() -> &'static Pool {
-        static POOL: OnceLock<Pool> = OnceLock::new();
-        POOL.get_or_init(|| {
-            let host = std::thread::available_parallelism()
-                .map(NonZeroUsize::get)
-                .unwrap_or(1);
-            Pool::new(host.saturating_sub(1))
-        })
-    }
-
-    fn worker_loop(shared: &Shared) {
-        IS_POOL_WORKER.with(|w| w.set(true));
-        let mut seen_epoch = 0u64;
-        loop {
-            let job = {
-                let mut st = shared.state.lock().expect("pool state never poisoned");
-                loop {
-                    if st.epoch != seen_epoch {
-                        seen_epoch = st.epoch;
-                        if st.slots_left > 0 {
-                            if let Some(job) = st.job.clone() {
-                                st.slots_left -= 1;
-                                st.active += 1;
-                                break job;
-                            }
-                        }
-                    }
-                    st = shared.work.wait(st).expect("pool state never poisoned");
-                }
-            };
-            // Claim cells until the cursor runs dry. The closure is
-            // wrapped defensively: its contract says it must not panic,
-            // but an escaped panic here must still decrement `active`,
-            // or the submitter would wait forever.
-            let outcome = catch_unwind(AssertUnwindSafe(|| loop {
-                let index = job.cursor.fetch_add(1, Ordering::Relaxed);
-                if index >= job.count {
-                    break;
-                }
-                (job.task)(index);
-            }));
-            drop(job);
-            let mut st = shared.state.lock().expect("pool state never poisoned");
-            if let Err(payload) = outcome {
-                st.panic.get_or_insert(payload);
-            }
-            st.active -= 1;
-            if st.active == 0 {
-                shared.done.notify_all();
-            }
-        }
-    }
-
-    /// One-shot fallback for nested or concurrent submissions: plain
-    /// scoped threads with the same cursor discipline (the pre-pool
-    /// execution strategy, kept because a scoped scope may be opened
-    /// freely from any thread at any nesting depth).
-    fn run_scoped(width: usize, count: usize, task: &(dyn Fn(usize) + Sync)) {
-        let cursor = AtomicUsize::new(0);
-        std::thread::scope(|scope| {
-            for _ in 0..width {
-                scope.spawn(|| loop {
-                    let index = cursor.fetch_add(1, Ordering::Relaxed);
-                    if index >= count {
-                        break;
-                    }
-                    task(index);
-                });
-            }
-        });
-    }
-
-    /// Runs `task` for every index in `0..count` at the requested width
-    /// on the global pool. Blocks until all indices have completed.
-    /// Re-raises the first panic that escaped `task`, after every worker
-    /// has left the job.
-    pub(super) fn run(width: usize, count: usize, task: &(dyn Fn(usize) + Sync)) {
-        if IS_POOL_WORKER.with(std::cell::Cell::get) {
-            // Nested submission from inside a pool worker: the pool is
-            // by definition busy with the outer job.
-            return run_scoped(width, count, task);
-        }
-        pool().run_on(width, count, task);
-    }
-
-    #[cfg(test)]
-    mod tests {
-        use super::*;
-        use std::collections::HashSet;
-        use std::sync::atomic::AtomicBool;
-
-        // These tests build private pools with forced worker counts so
-        // the publish/claim/drain protocol runs for real even when the
-        // host reports a single core (where the global pool has zero
-        // workers and `run` degenerates to the inline loop).
-
-        #[test]
-        fn forced_pool_completes_every_index_exactly_once() {
-            let pool = Pool::new(3);
-            let hits: Vec<AtomicUsize> = (0..500).map(|_| AtomicUsize::new(0)).collect();
-            for round in 0..20 {
-                pool.run_on(4, 500, &|i| {
-                    hits[i].fetch_add(1, Ordering::Relaxed);
-                });
-                for (i, h) in hits.iter().enumerate() {
-                    assert_eq!(
-                        h.load(Ordering::Relaxed),
-                        round + 1,
-                        "index {i} after round {round}"
-                    );
-                }
-            }
-        }
-
-        #[test]
-        fn forced_pool_engages_worker_threads() {
-            let pool = Pool::new(2);
-            let ids = Mutex::new(HashSet::new());
-            // Enough spinning per cell that parked workers have time to
-            // wake and claim some; the assertion tolerates scheduling by
-            // only requiring the submitter to have been joined at all
-            // across many rounds on any multi-thread-capable OS — and
-            // degrades to the correctness half on a machine that never
-            // schedules the workers in time.
-            for _ in 0..50 {
-                pool.run_on(3, 64, &|_| {
-                    let mut acc = 0u64;
-                    for k in 0..20_000u64 {
-                        acc = acc.wrapping_mul(6364136223846793005).wrapping_add(k);
-                    }
-                    std::hint::black_box(acc);
-                    ids.lock()
-                        .expect("id set")
-                        .insert(std::thread::current().id());
-                });
-            }
-            assert!(!ids.lock().expect("id set").is_empty());
-        }
-
-        #[test]
-        fn forced_pool_propagates_escaped_panics_after_drain() {
-            let pool = Pool::new(2);
-            let done = AtomicUsize::new(0);
-            let caught = catch_unwind(AssertUnwindSafe(|| {
-                pool.run_on(3, 200, &|i| {
-                    if i == 97 {
-                        panic!("escaped panic from cell {i}");
-                    }
-                    done.fetch_add(1, Ordering::Relaxed);
-                });
-            }));
-            assert!(caught.is_err(), "escaped panic must propagate");
-            // The pool must be reusable afterwards (no stuck workers, no
-            // lingering job state).
-            let flag = AtomicBool::new(false);
-            pool.run_on(3, 8, &|i| {
-                if i == 7 {
-                    flag.store(true, Ordering::Relaxed);
-                }
-            });
-            assert!(flag.load(Ordering::Relaxed));
-        }
-
-        #[test]
-        fn zero_worker_pool_runs_inline() {
-            let pool = Pool::new(0);
-            let hits = AtomicUsize::new(0);
-            pool.run_on(8, 100, &|_| {
-                hits.fetch_add(1, Ordering::Relaxed);
-            });
-            assert_eq!(hits.load(Ordering::Relaxed), 100);
-        }
-    }
+/// The host's available parallelism (1 if unknown), read once per
+/// process: the query reads cgroup files and costs as much as the thread
+/// spawn it sizes (~15–25 µs), on every dispatch, width 1 included.
+fn host_cores() -> usize {
+    static HOST: OnceLock<usize> = OnceLock::new();
+    *HOST.get_or_init(|| {
+        std::thread::available_parallelism()
+            .map(NonZeroUsize::get)
+            .unwrap_or(1)
+    })
 }
 
 /// Runs `count` cells through `f` on the default pool width
 /// ([`thread_count`]) and returns the results in cell order.
-pub fn run_cells<T: Send + Sync>(count: usize, f: impl Fn(usize) -> T + Sync) -> Vec<T> {
+pub fn run_cells<T: Send>(count: usize, f: impl Fn(usize) -> T + Sync) -> Vec<T> {
     run_cells_on(thread_count(), count, f)
 }
 
-/// Runs `count` cells through `f` on exactly `threads` workers and
-/// returns the results in cell order — `run_cells_on(1, ..)` is the
-/// serial reference the determinism tests compare against.
+/// Runs `count` cells through `f` at width `threads` (clamped as in
+/// [`effective_width`]) and returns the results in cell order —
+/// `run_cells_on(1, ..)` is the serial reference the determinism tests
+/// compare against.
 ///
 /// Cells are claimed through an atomic cursor (work stealing: a free
-/// worker takes the next unclaimed index), so uneven cell costs do not
+/// thread takes the next unclaimed index), so uneven cell costs do not
 /// idle the pool. Result order is index order, never completion order.
 ///
 /// # Panics
 ///
 /// Propagates the panic of the lowest-indexed panicking cell — but only
 /// after every other cell has run to completion: a panicking cell is
-/// caught and isolated, never killing sibling workers or poisoning
+/// caught and isolated, never killing sibling threads or poisoning
 /// shared state. Use [`run_cells_outcome_on`] to observe failures as
 /// values instead.
-pub fn run_cells_on<T: Send + Sync>(
+pub fn run_cells_on<T: Send>(
     threads: usize,
     count: usize,
     f: impl Fn(usize) -> T + Sync,
 ) -> Vec<T> {
-    // The panic payload (`Box<dyn Any + Send>`) is not `Sync`, which the
-    // slot storage requires; a Mutex wrapper adds exactly that. It is
-    // never locked concurrently — only unwrapped after the pool joins.
-    let results = run_slots(threads, count, |index| {
-        catch_unwind(AssertUnwindSafe(|| f(index))).map_err(Mutex::new)
-    });
-    let mut values = Vec::with_capacity(count);
-    let mut first_panic = None;
-    for result in results {
-        match result {
-            Ok(value) => values.push(value),
-            Err(payload) => {
-                if first_panic.is_none() {
-                    first_panic = Some(payload.into_inner().unwrap_or_else(|p| p.into_inner()));
-                }
-            }
-        }
-    }
-    if let Some(payload) = first_panic {
-        resume_unwind(payload);
-    }
-    values
+    run_slots(threads, count, f)
 }
 
 /// Records one finalized cell in the live metrics layer: final-attempt
@@ -889,7 +557,7 @@ fn run_one_cell<T>(
 /// Fault-isolated run: every cell's panic is caught, deadlines and
 /// retries applied per `policy`, and the per-cell [`CellOutcome`]s
 /// returned in cell order. No cell failure disturbs any sibling cell.
-pub fn run_cells_outcome_on<T: Send + Sync>(
+pub fn run_cells_outcome_on<T: Send>(
     threads: usize,
     count: usize,
     policy: &RunPolicy,
@@ -903,7 +571,7 @@ pub fn run_cells_outcome_on<T: Send + Sync>(
 /// finalized (completion order, concurrently across workers). The
 /// checkpoint journal hooks in here so a killed sweep has every finished
 /// cell on disk.
-pub fn run_cells_outcome_with<T: Send + Sync>(
+pub fn run_cells_outcome_with<T: Send>(
     threads: usize,
     count: usize,
     policy: &RunPolicy,
@@ -920,12 +588,12 @@ pub fn run_cells_outcome_with<T: Send + Sync>(
 /// [`run_cells`] with a progress label per cell: each cell's label and
 /// wall time are printed to stderr as it finishes (completion order; the
 /// *results* remain in cell order).
-pub fn run_labeled<T: Send + Sync>(labels: &[String], f: impl Fn(usize) -> T + Sync) -> Vec<T> {
+pub fn run_labeled<T: Send>(labels: &[String], f: impl Fn(usize) -> T + Sync) -> Vec<T> {
     run_labeled_on(thread_count(), labels, f)
 }
 
 /// [`run_cells_on`] with per-cell progress labels and timing.
-pub fn run_labeled_on<T: Send + Sync>(
+pub fn run_labeled_on<T: Send>(
     threads: usize,
     labels: &[String],
     f: impl Fn(usize) -> T + Sync,
@@ -970,6 +638,85 @@ mod tests {
     fn more_threads_than_cells_is_fine() {
         assert_eq!(run_cells_on(64, 3, |i| i * i), vec![0, 1, 4]);
         assert_eq!(run_cells_on(4, 0, |i| i), Vec::<usize>::new());
+    }
+
+    #[test]
+    fn width_two_runs_two_cells_at_once() {
+        if effective_width(2, 2) < 2 {
+            eprintln!("skipped: a width-2 run needs two cores");
+            return;
+        }
+        // Each cell blocks until both have arrived, so the run returns
+        // only if two threads really ran it. A watchdog turns a hang
+        // into a failure.
+        let (done, finished) = std::sync::mpsc::channel();
+        let submitter = std::thread::spawn(move || {
+            let barrier = std::sync::Barrier::new(2);
+            let ran = run_cells_on(2, 2, |i| {
+                barrier.wait();
+                i
+            });
+            done.send(ran).expect("the test is still waiting");
+        });
+        let ran = finished
+            .recv_timeout(Duration::from_secs(60))
+            .expect("both cells reached the barrier");
+        submitter.join().expect("the submitter returns");
+        assert_eq!(ran, vec![0, 1]);
+    }
+
+    #[test]
+    fn nested_runs_return_the_serial_result() {
+        let nested = |threads: usize| {
+            run_cells_on(threads, 8, |i| {
+                run_cells_on(threads, 16, |j| i * 100 + j)
+                    .into_iter()
+                    .sum::<usize>()
+            })
+        };
+        assert_eq!(nested(2), nested(1));
+    }
+
+    #[test]
+    fn concurrent_runs_each_return_the_serial_result() {
+        let work = |i: usize| (0..i as u64 * 50).fold(i as u64, |acc, k| acc.wrapping_mul(31) ^ k);
+        let serial = run_cells_on(1, 200, work);
+        let start = std::sync::Barrier::new(2);
+        std::thread::scope(|scope| {
+            let runs: Vec<_> = (0..2)
+                .map(|_| {
+                    scope.spawn(|| {
+                        start.wait();
+                        run_cells_on(2, 200, work)
+                    })
+                })
+                .collect();
+            for run in runs {
+                assert_eq!(run.join().expect("submitter returns"), serial);
+            }
+        });
+    }
+
+    #[test]
+    fn escaped_panic_keeps_its_payload_and_waits_for_every_index() {
+        #[derive(Debug, PartialEq)]
+        struct Escaped(usize);
+        let ran = AtomicUsize::new(0);
+        let caught = catch_unwind(AssertUnwindSafe(|| {
+            run_slots(2, 200, |i| {
+                if i == 97 || i == 150 {
+                    std::panic::panic_any(Escaped(i));
+                }
+                ran.fetch_add(1, Ordering::Relaxed);
+            })
+        }));
+        let payload = caught.expect_err("the escaped panic is re-raised");
+        assert_eq!(
+            payload.downcast_ref::<Escaped>(),
+            Some(&Escaped(97)),
+            "the lowest-indexed payload, unchanged"
+        );
+        assert_eq!(ran.load(Ordering::Relaxed), 198, "every other index ran");
     }
 
     #[test]

@@ -27,6 +27,10 @@ struct Line {
 
 /// The original single-level set-associative cache model
 /// (`Vec<Vec<Line>>` storage, per-access linear search, no fast paths).
+///
+/// A reference oracle only: the equivalence suites, `bench_simulator`'s
+/// seed engine and the benchmark's output checks compare against it,
+/// while every production simulation runs [`crate::Cache`].
 #[derive(Debug, Clone)]
 pub struct BaselineCache {
     config: CacheConfig,

@@ -32,9 +32,9 @@ use crate::stats::CacheStats;
 /// This is the *legacy* shadow the classifier ran once per capacity; the
 /// classifier now derives the same answer from [`ReuseStack`] in a single
 /// pass, and the differential suite pins the two paths against each
-/// other. It remains public as the independent reference model (and as
-/// the baseline the `bench_simulator` classification-speedup measurement
-/// times against).
+/// other. It remains public only as a reference oracle: the independent
+/// model the tests compare against, and the baseline the
+/// `bench_simulator` classification-speedup measurement times against.
 ///
 /// # Example
 ///

@@ -137,10 +137,12 @@ pub struct BatchResults {
 /// Compiles `program` × `layout` and runs the trace through every sink in
 /// the request with a single walk.
 ///
-/// Equivalent, sink for sink, to calling [`crate::simulate_program`],
-/// [`crate::simulate_classified`], [`crate::simulate_victim`], and
-/// [`crate::simulate_hierarchy`] separately (the `batch` test module and
-/// the bench determinism suite assert this bit-for-bit).
+/// Equivalent, sink for sink, to feeding the interpreted walk
+/// ([`crate::for_each_access`]) into each simulator one access at a time
+/// (the `batch` test module asserts this bit-for-bit against such a
+/// reference). [`crate::simulate_program`], [`crate::simulate_classified`],
+/// [`crate::simulate_victim`] and [`crate::simulate_hierarchy`] are
+/// one-sink calls of this function.
 ///
 /// # Example
 ///
@@ -184,11 +186,24 @@ pub fn simulate_batch(
 /// [`simulate_batch`] for an already-compiled trace, reusing a
 /// caller-owned chunk buffer across calls (the experiment runner keeps
 /// one buffer per worker thread).
+///
+/// With telemetry on, the walk also emits a `sim` throughput span and
+/// optional periodic cache-counter samples (`RIVERA_SIM_SAMPLE` accesses
+/// apart, checked at chunk boundaries); the sink updates are the same
+/// either way, so statistics are bit-identical. Victim-buffered sinks are
+/// not sampled — they do not expose their main cache — but still run and
+/// report normally. Reuse sinks have no `Cache` to sample; instead each
+/// emits one end-of-walk counter (distinct lines, max distance, tick
+/// compactions). Heat sinks likewise emit one end-of-walk counter with
+/// their class census.
 pub fn simulate_batch_compiled(
     trace: &CompiledTrace,
     request: &BatchRequest,
     buf: &mut Vec<Access>,
 ) -> BatchResults {
+    if request.is_empty() {
+        return BatchResults::default();
+    }
     let mut plain: Vec<Cache> = request.plain.iter().map(|c| Cache::new(*c)).collect();
     let mut classified: Vec<ClassifyingCache> = request
         .classified
@@ -216,48 +231,89 @@ pub fn simulate_batch_compiled(
         .map(|c| SetHeatTracker::new(*c))
         .collect();
 
+    let instrumented = pad_telemetry::enabled();
+    let (start_us, interval) = if instrumented {
+        (pad_telemetry::now_us(), pad_telemetry::sample_interval())
+    } else {
+        (0, 0)
+    };
+    // Sampler setup is hoisted fully out of the walk and skipped — name
+    // `format!`s included — unless sampling is on: only *active* samplers
+    // are materialized (paired with the index of the sink they watch), so
+    // the per-chunk sampler loops iterate zero times otherwise.
+    let mut plain_samplers: Vec<(usize, Sampler)> = Vec::new();
+    let mut classified_samplers: Vec<(usize, Sampler)> = Vec::new();
+    let mut hierarchy_samplers: Vec<(usize, usize, Sampler)> = Vec::new();
+    if interval > 0 {
+        plain_samplers = (0..plain.len())
+            .filter_map(|i| {
+                Sampler::new(format!("{}/plain{i}", trace.name()), interval).map(|s| (i, s))
+            })
+            .collect();
+        classified_samplers = (0..classified.len())
+            .filter_map(|i| {
+                Sampler::new(format!("{}/classified{i}", trace.name()), interval).map(|s| (i, s))
+            })
+            .collect();
+        hierarchy_samplers = hierarchy
+            .iter()
+            .enumerate()
+            .flat_map(|(i, h)| (0..h.levels().len()).map(move |lvl| (i, lvl)))
+            .filter_map(|(i, lvl)| {
+                Sampler::new(format!("{}/hier{i}.L{}", trace.name(), lvl + 1), interval)
+                    .map(|s| (i, lvl, s))
+            })
+            .collect();
+    }
+
     // Accesses actually walked, tallied per chunk (one add per ~4K
-    // accesses) so the metrics accounting below never needs a second
-    // walk of the trace.
+    // accesses) so the accounting below never needs a second walk.
     let mut walked = 0u64;
-    if !request.is_empty() {
-        if pad_telemetry::enabled() {
-            // Instrumented walk, taken only when telemetry is on; the
-            // default path below stays exactly the seed loop, so the
-            // disabled cost is this one branch per batch call.
-            walked = run_instrumented(
-                trace,
-                buf,
-                &mut plain,
-                &mut classified,
-                &mut victim,
-                &mut hierarchy,
-                &mut reuse,
-                &mut heat,
-            );
-        } else {
-            trace.for_each_chunk(BATCH_CHUNK, buf, |chunk| {
-                walked += chunk.len() as u64;
-                for cache in &mut plain {
-                    cache.run_slice(chunk);
-                }
-                for cache in &mut classified {
-                    cache.run_slice(chunk);
-                }
-                for cache in &mut victim {
-                    cache.run_slice(chunk);
-                }
-                for h in &mut hierarchy {
-                    h.run_slice(chunk);
-                }
-                for r in &mut reuse {
-                    r.run_slice(chunk);
-                }
-                for h in &mut heat {
-                    h.run_slice(chunk);
-                }
-            });
+    let mut chunks = 0u64;
+    trace.for_each_chunk(BATCH_CHUNK, buf, |chunk| {
+        walked += chunk.len() as u64;
+        chunks += 1;
+        for cache in &mut plain {
+            cache.run_slice(chunk);
         }
+        for cache in &mut classified {
+            cache.run_slice(chunk);
+        }
+        for cache in &mut victim {
+            cache.run_slice(chunk);
+        }
+        for h in &mut hierarchy {
+            h.run_slice(chunk);
+        }
+        for r in &mut reuse {
+            r.run_slice(chunk);
+        }
+        for h in &mut heat {
+            h.run_slice(chunk);
+        }
+        for (i, s) in &mut plain_samplers {
+            s.tick(&plain[*i]);
+        }
+        for (i, s) in &mut classified_samplers {
+            s.tick(classified[*i].main());
+        }
+        for (i, lvl, s) in &mut hierarchy_samplers {
+            s.tick(&hierarchy[*i].levels()[*lvl]);
+        }
+    });
+
+    if instrumented {
+        // End-of-walk flush so short walks still yield one data point each.
+        for (i, s) in &plain_samplers {
+            s.sample(&plain[*i]);
+        }
+        for (i, s) in &classified_samplers {
+            s.sample(classified[*i].main());
+        }
+        for (i, lvl, s) in &hierarchy_samplers {
+            s.sample(&hierarchy[*i].levels()[*lvl]);
+        }
+        emit_walk_events(trace, start_us, walked, chunks, &reuse, &heat, request);
     }
 
     // Live-metrics accounting happens once per batch, after the walk:
@@ -288,103 +344,17 @@ pub fn simulate_batch_compiled(
     }
 }
 
-/// The telemetry-enabled walk: identical sink updates (same chunking,
-/// same `run_slice` calls, so statistics are bit-identical to the plain
-/// loop), plus a `sim` throughput span per walk and optional periodic
-/// cache-counter samples (`RIVERA_SIM_SAMPLE` accesses apart, checked at
-/// chunk boundaries). Victim-buffered sinks are not sampled — they do not
-/// expose their main cache — but still run and report normally. Reuse
-/// sinks have no `Cache` to sample; instead each emits one end-of-walk
-/// counter (distinct lines, max distance, tick compactions). Heat sinks
-/// likewise emit one end-of-walk counter with their class census.
-#[allow(clippy::too_many_arguments)]
-fn run_instrumented(
+/// The end-of-walk telemetry: one counter per reuse and heat sink, then
+/// the walk's `sim` throughput span.
+fn emit_walk_events(
     trace: &CompiledTrace,
-    buf: &mut Vec<Access>,
-    plain: &mut [Cache],
-    classified: &mut [ClassifyingCache],
-    victim: &mut [VictimCache],
-    hierarchy: &mut [Hierarchy],
-    reuse: &mut [ReuseAnalyzer],
-    heat: &mut [SetHeatTracker],
-) -> u64 {
-    let start_us = pad_telemetry::now_us();
-    let interval = pad_telemetry::sample_interval();
-    // Sampler setup is hoisted fully out of the walk and skipped — name
-    // `format!`s included — when sampling is disabled: only *active*
-    // samplers are materialized (paired with the index of the sink they
-    // watch), so the per-chunk loops below iterate zero times instead of
-    // re-checking a per-sink `Option` every chunk.
-    let mut plain_samplers: Vec<(usize, Sampler)> = Vec::new();
-    let mut classified_samplers: Vec<(usize, Sampler)> = Vec::new();
-    let mut hierarchy_samplers: Vec<(usize, usize, Sampler)> = Vec::new();
-    if interval > 0 {
-        plain_samplers = (0..plain.len())
-            .filter_map(|i| {
-                Sampler::new(format!("{}/plain{i}", trace.name()), interval).map(|s| (i, s))
-            })
-            .collect();
-        classified_samplers = (0..classified.len())
-            .filter_map(|i| {
-                Sampler::new(format!("{}/classified{i}", trace.name()), interval).map(|s| (i, s))
-            })
-            .collect();
-        hierarchy_samplers = hierarchy
-            .iter()
-            .enumerate()
-            .flat_map(|(i, h)| (0..h.levels().len()).map(move |lvl| (i, lvl)))
-            .filter_map(|(i, lvl)| {
-                Sampler::new(format!("{}/hier{i}.L{}", trace.name(), lvl + 1), interval)
-                    .map(|s| (i, lvl, s))
-            })
-            .collect();
-    }
-
-    let mut accesses = 0u64;
-    let mut chunks = 0u64;
-    trace.for_each_chunk(BATCH_CHUNK, buf, |chunk| {
-        accesses += chunk.len() as u64;
-        chunks += 1;
-        for cache in &mut *plain {
-            cache.run_slice(chunk);
-        }
-        for cache in &mut *classified {
-            cache.run_slice(chunk);
-        }
-        for cache in &mut *victim {
-            cache.run_slice(chunk);
-        }
-        for h in &mut *hierarchy {
-            h.run_slice(chunk);
-        }
-        for r in &mut *reuse {
-            r.run_slice(chunk);
-        }
-        for h in &mut *heat {
-            h.run_slice(chunk);
-        }
-        for (i, s) in &mut plain_samplers {
-            s.tick(&plain[*i]);
-        }
-        for (i, s) in &mut classified_samplers {
-            s.tick(classified[*i].main());
-        }
-        for (i, lvl, s) in &mut hierarchy_samplers {
-            s.tick(&hierarchy[*i].levels()[*lvl]);
-        }
-    });
-
-    // End-of-walk flush so short walks still yield one data point each.
-    for (i, s) in &plain_samplers {
-        s.sample(&plain[*i]);
-    }
-    for (i, s) in &classified_samplers {
-        s.sample(classified[*i].main());
-    }
-    for (i, lvl, s) in &hierarchy_samplers {
-        s.sample(&hierarchy[*i].levels()[*lvl]);
-    }
-
+    start_us: u64,
+    accesses: u64,
+    chunks: u64,
+    reuse: &[ReuseAnalyzer],
+    heat: &[SetHeatTracker],
+    request: &BatchRequest,
+) {
     for (i, r) in reuse.iter().enumerate() {
         pad_telemetry::emit(|| {
             let h = r.histogram();
@@ -419,12 +389,12 @@ fn run_instrumented(
         });
     }
 
-    let sinks = (plain.len()
-        + classified.len()
-        + victim.len()
-        + hierarchy.len()
-        + reuse.len()
-        + heat.len()) as u64;
+    let sinks = (request.plain.len()
+        + request.classified.len()
+        + request.victim.len()
+        + request.hierarchy.len()
+        + request.reuse.len()
+        + request.heat.len()) as u64;
     pad_telemetry::emit(|| {
         let busy_us = pad_telemetry::now_us().saturating_sub(start_us).max(1);
         Event::span(
@@ -442,49 +412,53 @@ fn run_instrumented(
             ],
         )
     });
-    accesses
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::run::{simulate_classified, simulate_hierarchy, simulate_program, simulate_victim};
+    use crate::reference;
 
     #[test]
     fn batch_matches_individual_entry_points() {
         let program = pad_kernels::shal::spec(24);
         let layout = DataLayout::original(&program);
         let dm = CacheConfig::direct_mapped(1024, 32);
-        let assoc = CacheConfig::set_associative(2048, 32, 2);
+        let plain = [
+            dm,
+            CacheConfig::direct_mapped(4096, 32),
+            CacheConfig::set_associative(2048, 32, 2),
+        ];
         let l2 = CacheConfig::set_associative(8 * 1024, 64, 4);
 
         let results = simulate_batch(
             &program,
             &layout,
             &BatchRequest::new()
-                .with_plain(dm)
-                .with_plain(assoc)
+                .with_plain_configs(plain)
                 .with_classified(dm)
                 .with_victim(dm, 4)
                 .with_hierarchy([dm, l2]),
         );
 
-        assert_eq!(results.plain[0], simulate_program(&program, &layout, &dm));
+        // Every sink against the interpreted walk, one access at a time,
+        // and each one-sink entry point against the same oracle.
+        for (config, stats) in plain.iter().zip(&results.plain) {
+            let expected = reference::simulate_program(&program, &layout, config);
+            assert_eq!(*stats, expected, "{config:?}");
+            assert_eq!(crate::simulate_program(&program, &layout, config), expected);
+        }
+        let expected = reference::simulate_classified(&program, &layout, &dm);
+        assert_eq!(results.classified[0], expected);
+        assert_eq!(crate::simulate_classified(&program, &layout, &dm), expected);
+        let expected = reference::simulate_victim(&program, &layout, &dm, 4);
+        assert_eq!(results.victim[0], expected);
+        assert_eq!(crate::simulate_victim(&program, &layout, &dm, 4), expected);
+        let expected = reference::simulate_hierarchy(&program, &layout, &[dm, l2]);
+        assert_eq!(results.hierarchy[0], expected);
         assert_eq!(
-            results.plain[1],
-            simulate_program(&program, &layout, &assoc)
-        );
-        assert_eq!(
-            results.classified[0],
-            simulate_classified(&program, &layout, &dm)
-        );
-        assert_eq!(
-            results.victim[0],
-            simulate_victim(&program, &layout, &dm, 4)
-        );
-        assert_eq!(
-            results.hierarchy[0],
-            simulate_hierarchy(&program, &layout, &[dm, l2])
+            crate::simulate_hierarchy(&program, &layout, &[dm, l2]),
+            expected
         );
     }
 
@@ -587,7 +561,7 @@ mod tests {
         // The histogram agrees with a plain fully-associative simulation
         // at a spot-check capacity (64 lines of 32 B).
         let fa = CacheConfig::fully_associative(64 * 32, 32);
-        let stats = simulate_program(&program, &layout, &fa);
+        let stats = reference::simulate_program(&program, &layout, &fa);
         assert_eq!(results.reuse[0].misses_at(64), stats.misses);
         assert_eq!(results.reuse[0].accesses(), stats.accesses);
     }

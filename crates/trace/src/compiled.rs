@@ -196,16 +196,6 @@ impl CompiledTrace {
             buf.clear();
         }
     }
-
-    /// Runs the compiled trace through a cache and returns its
-    /// statistics.
-    pub fn simulate(&self, config: &pad_cache_sim::CacheConfig) -> pad_cache_sim::CacheStats {
-        let mut cache = pad_cache_sim::Cache::new(*config);
-        self.for_each(|a| {
-            cache.access(a);
-        });
-        *cache.stats()
-    }
 }
 
 fn resolve(expr: &AffineExpr, scope: &[IndexVar], scale: i64, constant: i64) -> SlotExpr {
@@ -888,8 +878,8 @@ mod tests {
         let p = pad_kernels::jacobi::spec(32);
         let layout = DataLayout::original(&p);
         let cache = pad_cache_sim::CacheConfig::direct_mapped(1024, 32);
-        let compiled_stats = CompiledTrace::compile(&p, &layout).simulate(&cache);
-        let interpreted = crate::simulate_program(&p, &layout, &cache);
+        let compiled_stats = crate::simulate_program(&p, &layout, &cache);
+        let interpreted = crate::reference::simulate_program(&p, &layout, &cache);
         assert_eq!(compiled_stats, interpreted);
     }
 

@@ -1,11 +1,16 @@
-//! Walking loop nests to produce address streams.
+//! The interpreted walk: loop nests executed straight from the IR. It is
+//! the reference oracle that tests, the `bench_*` reference engines and
+//! the benchmark's output checks compare the compiled walk against;
+//! production simulation goes through [`crate::simulate_batch`].
 
 use pad_cache_sim::Access;
 use pad_core::DataLayout;
 use pad_ir::{AccessKind, AffineExpr, IndexVar, Program, Stmt};
 
 /// Executes the program's loop nests under `layout`, invoking `f` for
-/// every array access in program order.
+/// every array access in program order — the reference oracle for
+/// [`crate::CompiledTrace`], which walks the same stream several times
+/// faster.
 ///
 /// Loop bounds are inclusive (Fortran `do` semantics); loops whose bounds
 /// describe an empty range simply execute zero iterations, which is what
@@ -28,7 +33,9 @@ pub fn for_each_access(program: &Program, layout: &DataLayout, mut f: impl FnMut
     }
 }
 
-/// Counts the accesses the program would perform, without simulating.
+/// Counts the accesses the program would perform by walking it, without
+/// simulating: the reference oracle for [`crate::CompiledTrace::count`],
+/// which counts in closed form.
 pub fn count_accesses(program: &Program, layout: &DataLayout) -> u64 {
     let mut n = 0u64;
     for_each_access(program, layout, |_| n += 1);

@@ -1,25 +1,18 @@
-//! Bounded trace capture, mostly for tests and debugging.
+//! Trace capture, for tests and debugging.
 
 use pad_cache_sim::Access;
 use pad_core::DataLayout;
 use pad_ir::Program;
 
-/// Materializes the program's address stream, stopping after `limit`
-/// accesses if a limit is given.
+/// Materializes the program's address stream through the interpreted
+/// walk ([`crate::for_each_access`]): a reference oracle for golden tests
+/// that inspect exact address sequences.
 ///
-/// Simulation should normally stream accesses through
-/// [`crate::for_each_access`] instead of collecting them; this helper
-/// exists for golden tests that inspect exact address sequences.
-pub fn collect_trace(program: &Program, layout: &DataLayout, limit: Option<usize>) -> Vec<Access> {
+/// Simulation streams accesses through [`crate::simulate_batch`] instead
+/// of collecting them.
+pub fn collect_trace(program: &Program, layout: &DataLayout) -> Vec<Access> {
     let mut out = Vec::new();
-    let cap = limit.unwrap_or(usize::MAX);
-    // `for_each_access` has no early-exit channel; guard with a cheap
-    // length check so bounded captures of huge programs stay cheap.
-    crate::for_each_access(program, layout, |a| {
-        if out.len() < cap {
-            out.push(a);
-        }
-    });
+    crate::for_each_access(program, layout, |a| out.push(a));
     out
 }
 
@@ -41,16 +34,9 @@ mod tests {
     #[test]
     fn unlimited_capture() {
         let p = program();
-        let t = collect_trace(&p, &DataLayout::original(&p), None);
+        let t = collect_trace(&p, &DataLayout::original(&p));
         assert_eq!(t.len(), 100);
         assert_eq!(t[0].addr, 0);
         assert_eq!(t[99].addr, 99 * 8);
-    }
-
-    #[test]
-    fn limit_truncates() {
-        let p = program();
-        let t = collect_trace(&p, &DataLayout::original(&p), Some(7));
-        assert_eq!(t.len(), 7);
     }
 }

@@ -1,13 +1,11 @@
-//! Trace-driven simulation entry points.
+//! Trace-driven simulation entry points: each one is a one-sink
+//! [`simulate_batch`] call, so every simulation runs the compiled walk.
 
-use pad_cache_sim::{
-    Cache, CacheConfig, CacheStats, ClassifiedStats, ClassifyingCache, Hierarchy, LevelStats,
-    VictimCache, VictimStats,
-};
+use pad_cache_sim::{CacheConfig, CacheStats, ClassifiedStats, LevelStats, VictimStats};
 use pad_core::{CacheParams, DataLayout, PaddingConfig};
 use pad_ir::Program;
 
-use crate::generate::for_each_access;
+use crate::batch::{simulate_batch, BatchRequest};
 
 /// Simulates the program's address stream through one cache and returns
 /// the statistics.
@@ -16,11 +14,8 @@ pub fn simulate_program(
     layout: &DataLayout,
     config: &CacheConfig,
 ) -> CacheStats {
-    let mut cache = Cache::new(*config);
-    for_each_access(program, layout, |a| {
-        cache.access(a);
-    });
-    *cache.stats()
+    let request = BatchRequest::new().with_plain(*config);
+    simulate_batch(program, layout, &request).plain[0]
 }
 
 /// Simulates with three-C miss classification (conflict / capacity /
@@ -30,11 +25,8 @@ pub fn simulate_classified(
     layout: &DataLayout,
     config: &CacheConfig,
 ) -> ClassifiedStats {
-    let mut cache = ClassifyingCache::new(*config);
-    for_each_access(program, layout, |a| {
-        cache.access(a);
-    });
-    *cache.stats()
+    let request = BatchRequest::new().with_classified(*config);
+    simulate_batch(program, layout, &request).classified[0]
 }
 
 /// Simulates through a cache augmented with a `victim_lines`-entry
@@ -46,11 +38,8 @@ pub fn simulate_victim(
     config: &CacheConfig,
     victim_lines: usize,
 ) -> VictimStats {
-    let mut cache = VictimCache::new(*config, victim_lines);
-    for_each_access(program, layout, |a| {
-        cache.access(a);
-    });
-    *cache.stats()
+    let request = BatchRequest::new().with_victim(*config, victim_lines);
+    simulate_batch(program, layout, &request).victim[0]
 }
 
 /// Simulates through a multi-level hierarchy, returning per-level
@@ -60,9 +49,9 @@ pub fn simulate_hierarchy(
     layout: &DataLayout,
     configs: &[CacheConfig],
 ) -> Vec<LevelStats> {
-    let mut h = Hierarchy::new(configs.to_vec());
-    for_each_access(program, layout, |a| h.access(a));
-    h.stats()
+    let request = BatchRequest::new().with_hierarchy(configs.iter().copied());
+    let mut results = simulate_batch(program, layout, &request);
+    results.hierarchy.swap_remove(0)
 }
 
 /// Derives the padding analysis parameters matching a simulated cache

@@ -27,11 +27,11 @@ fn copy2d(n: i64) -> Program {
 fn strip_mining_preserves_the_exact_trace() {
     let p = copy2d(16);
     let layout = DataLayout::original(&p);
-    let original = collect_trace(&p, &layout, None);
+    let original = collect_trace(&p, &layout);
     for (var, tile) in [("j", 4), ("j", 8), ("i", 2), ("i", 16)] {
         let stripped = strip_mine(&p, var, tile).expect("tileable");
         let layout_s = DataLayout::original(&stripped);
-        let transformed = collect_trace(&stripped, &layout_s, None);
+        let transformed = collect_trace(&stripped, &layout_s);
         assert_eq!(
             original, transformed,
             "strip_mine({var}, {tile}) changed the trace"
@@ -43,10 +43,10 @@ fn strip_mining_preserves_the_exact_trace() {
 fn interchange_permutes_but_preserves_the_access_multiset() {
     let p = copy2d(12);
     let layout = DataLayout::original(&p);
-    let original = collect_trace(&p, &layout, None);
+    let original = collect_trace(&p, &layout);
     let swapped = interchange(&p, "i", "j").expect("perfect nest");
     let layout_s = DataLayout::original(&swapped);
-    let transformed = collect_trace(&swapped, &layout_s, None);
+    let transformed = collect_trace(&swapped, &layout_s);
 
     assert_ne!(original, transformed, "interchange should reorder accesses");
     let histogram = |trace: &[pad_cache_sim::Access]| {
@@ -65,8 +65,7 @@ fn full_tiling_recipe_preserves_the_access_multiset() {
     let stripped = strip_mine(&p, "j", 4).expect("tileable");
     let tiled = interchange(&stripped, "i", "j_t").expect("perfect");
 
-    let count =
-        |program: &Program| collect_trace(program, &DataLayout::original(program), None).len();
+    let count = |program: &Program| collect_trace(program, &DataLayout::original(program)).len();
     assert_eq!(count(&p), count(&tiled));
 
     // The tiled nest changes locality: on a tiny cache the column-major

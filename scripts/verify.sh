@@ -160,6 +160,13 @@ gate_telemetry_csv() {
 }
 run_gate telemetry-csv gate_telemetry_csv
 
+# Benchmark smoke: perfbench builds against this checkout's APIs and
+# passes its own output checks (oracle re-simulation, repeat
+# byte-identity, digest match); it exits 1 when a run reads
+# `correct: false`. Timings stay ungated here.
+run_gate perfbench-smoke cargo run --release --quiet \
+    --manifest-path perfbench/Cargo.toml -- --workload all --seed 1 --seconds 2
+
 echo ""
 echo "== verify summary =="
 printf '%s' "$SUMMARY"
