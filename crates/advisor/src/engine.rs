@@ -3,11 +3,16 @@
 //!
 //! Two rungs of a degradation ladder:
 //!
-//! * **Exact** — run the padding pipeline, then simulate both the
-//!   original and the padded layout through the batch simulator with a
+//! * **Exact** — run the padding pipeline, then simulate the original
+//!   and the padded layout through the batch simulator with a
 //!   reuse-distance sink attached, yielding measured miss rates plus a
 //!   miss-ratio curve. This is the answer the paper's tables are made
-//!   of, and it costs time proportional to the trace length.
+//!   of, and it costs time proportional to the trace length. PAD and
+//!   PADLITE pad only where their analysis finds a conflict, and a
+//!   search may keep the original, so the answer's layout often *is*
+//!   the original one; a (program, layout) pair always simulates to the
+//!   same result, so such a layout is walked once and both answer
+//!   sections come from that walk.
 //! * **Fast** — run the same pipeline but report the analytic miss-rate
 //!   estimate instead of simulating. Costs microseconds, marked
 //!   `degraded` when it stands in for an exact answer.
@@ -90,14 +95,18 @@ pub fn resolve(source: &Source) -> Result<Program, RequestError> {
 const PRICING_TRIPS: u64 = 1 << 20;
 
 /// Trace length (accesses over both layouts) an exact answer for
-/// `program` would simulate, or `u64::MAX` when counting it would cost
+/// `program` may simulate, or `u64::MAX` when counting it would cost
 /// more than [`PRICING_TRIPS`] iterated trips. The server divides this by
 /// its calibrated simulation rate to decide whether exact fits the
 /// deadline budget; it runs before the deadline-guarded cell, so it must
 /// stay cheap on any input.
+///
+/// The price is the two-walk upper bound. Which layout the answer picks
+/// is only known after the pipeline or search has run, and an answer
+/// whose layout equals the original costs one walk.
 pub fn exact_cost(program: &Program) -> u64 {
     // The padded layout replays the same reference stream, so the cost
-    // is twice one walk. `CompiledTrace::count` is closed-form over
+    // is at most twice one walk. `CompiledTrace::count` is closed-form over
     // rectangular and triangular nests and never walks the trace; only
     // deeper dependent nests iterate an outer loop, and the trip budget
     // bounds that.
@@ -215,7 +224,9 @@ pub fn advise(program: &Program, request: &AdviseRequest, exact: bool, degraded:
             .with_plain(*cache)
             .with_reuse(cache.line_size());
         let before = simulate_batch(program, &original, &request_batch);
-        let after = simulate_batch(program, &layout, &request_batch);
+        // An unchanged layout would walk to the same results again.
+        let padded = (layout != original).then(|| simulate_batch(program, &layout, &request_batch));
+        let after = padded.as_ref().unwrap_or(&before);
         let (bs, as_) = (&before.plain[0], &after.plain[0]);
         fields.push(("original".into(), stats_json(bs.accesses, bs.misses)));
         fields.push(("padded".into(), stats_json(as_.accesses, as_.misses)));
@@ -223,7 +234,7 @@ pub fn advise(program: &Program, request: &AdviseRequest, exact: bool, degraded:
             "improvement_points".into(),
             Json::Num(bs.miss_rate_percent() - as_.miss_rate_percent()),
         ));
-        fields.push(("mrc".into(), mrc_json(cache.line_size(), &before, &after)));
+        fields.push(("mrc".into(), mrc_json(cache.line_size(), &before, after)));
     } else {
         let before = pad_core::estimate_miss_rate(program, &original, &config);
         let after = pad_core::estimate_miss_rate(program, &layout, &config);

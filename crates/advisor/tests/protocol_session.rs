@@ -9,7 +9,8 @@ use std::sync::mpsc;
 
 use common::{by_id, error_kind, next_response, status, ChannelReader, LineWriter};
 use pad_advisor::json::{self, Json};
-use pad_advisor::{Server, ServerConfig};
+use pad_advisor::protocol::MAX_PROBLEM_SIZE;
+use pad_advisor::{resolve, Server, ServerConfig, Source};
 
 /// Runs one complete scripted session and returns the parsed responses.
 fn session(server: &Server, frames: &str) -> Vec<Json> {
@@ -120,6 +121,52 @@ fn inline_programs_are_analyzed_and_parse_errors_are_typed() {
             .is_empty(),
         "parser diagnostics are forwarded"
     );
+}
+
+#[test]
+fn overflowing_array_footprints_answer_a_parse_error() {
+    // Each array's byte size wraps 64 bits. Unchecked, every algorithm
+    // answered `ok` and placed B at a negative base.
+    let server = Server::new(quick_config());
+    let spec = "program wrap\n\
+                array A(9223372036854775807, 256)\n\
+                array B(9223372036854775807, 256)\n\
+                do i = 1, 4\n\
+                  A(i, 1) = B(i, 1)\n\
+                end\n";
+    let algorithms = ["pad", "padlite", "search"];
+    let mut frames = String::new();
+    for (id, algorithm) in algorithms.iter().enumerate() {
+        frames.push_str(&format!(
+            r#"{{"id": {id}, "op": "advise", "algorithm": "{algorithm}", "program": "#
+        ));
+        Json::Str(spec.to_string()).write(&mut frames);
+        frames.push_str("}\n");
+    }
+    let responses = session(&server, &frames);
+    assert_eq!(responses.len(), algorithms.len(), "{responses:?}");
+    for id in 0..algorithms.len() {
+        let err = by_id(&responses, id as i64);
+        assert_eq!(status(err), "error", "{err}");
+        assert_eq!(error_kind(err), "parse", "{err}");
+        let detail = err.get("detail").and_then(Json::as_str).unwrap_or("");
+        assert!(detail.contains("array A occupies more than"), "{detail}");
+    }
+}
+
+#[test]
+fn every_suite_kernel_builds_at_the_largest_problem_size() {
+    // The footprint limit must leave every size a request may name
+    // buildable (a kernel's spec panics on a build error).
+    for kernel in pad_kernels::suite() {
+        let source = Source::Kernel {
+            name: kernel.name.into(),
+            n: Some(MAX_PROBLEM_SIZE),
+        };
+        if let Err(e) = resolve(&source) {
+            panic!("{} at n={MAX_PROBLEM_SIZE}: {e:?}", kernel.name);
+        }
+    }
 }
 
 #[test]

@@ -75,7 +75,7 @@ impl Dim {
 
     /// The largest legal subscript along this dimension.
     pub fn upper(&self) -> i64 {
-        self.lower + self.size - 1
+        self.lower + (self.size - 1)
     }
 }
 
@@ -145,6 +145,12 @@ impl ArraySpec {
         }
         if elem_size == 0 {
             return Err(IrError::ZeroElementSize { array: name });
+        }
+        let bytes = dims
+            .iter()
+            .try_fold(i64::from(elem_size), |acc, d| acc.checked_mul(d.size));
+        if bytes.is_none_or(|b| b > crate::MAX_FOOTPRINT_BYTES) {
+            return Err(IrError::FootprintTooLarge { array: Some(name) });
         }
         Ok(ArraySpec {
             name,

@@ -88,6 +88,46 @@ mod tests {
     }
 
     #[test]
+    fn footprints_beyond_half_the_i64_range_are_rejected() {
+        use crate::MAX_FOOTPRINT_BYTES as MAX;
+        let build = |arrays: &[(&str, &[i64], u32)]| {
+            let mut b = Program::builder("big");
+            for &(name, dims, elem) in arrays {
+                b.add_array(ArrayBuilder::new(name, dims.iter().copied()).elem_size(elem));
+            }
+            b.build()
+        };
+        let too_large = |array: Option<&str>| {
+            Err(IrError::FootprintTooLarge {
+                array: array.map(str::to_string),
+            })
+        };
+
+        // Byte sizes that wrap 64 bits, in the element count or only
+        // once the element size multiplies in.
+        assert_eq!(build(&[("A", &[i64::MAX, 256], 8)]), too_large(Some("A")));
+        assert_eq!(build(&[("A", &[1 << 61], 8)]), too_large(Some("A")));
+        // The limit itself fits; one byte more does not.
+        assert!(build(&[("A", &[MAX], 1)]).is_ok());
+        assert!(build(&[("A", &[MAX / 8], 8)]).is_ok());
+        assert_eq!(build(&[("A", &[MAX + 1], 1)]), too_large(Some("A")));
+        // Each array fits alone, but not together.
+        let half = MAX / 2 + 1;
+        assert_eq!(
+            build(&[("A", &[half], 1), ("B", &[half], 1)]),
+            too_large(None)
+        );
+        assert!(build(&[("A", &[half], 1), ("B", &[half - 2], 1)]).is_ok());
+        // Many arrays whose sum wraps i64.
+        let many: Vec<(String, i64)> = (0..5).map(|i| (format!("A{i}"), MAX)).collect();
+        let many: Vec<(&str, &[i64], u32)> = many
+            .iter()
+            .map(|(n, size)| (n.as_str(), std::slice::from_ref(size), 1))
+            .collect();
+        assert_eq!(build(&many), too_large(None));
+    }
+
+    #[test]
     fn empty_program_is_fine() {
         let p = Program::builder("empty").build().expect("valid");
         assert!(p.all_refs().is_empty());

@@ -54,6 +54,13 @@ pub enum IrError {
     },
     /// A loop nest was requested with no loop headers.
     EmptyLoopNest,
+    /// An array's byte size, or the program's total footprint, exceeds
+    /// [`crate::MAX_FOOTPRINT_BYTES`].
+    FootprintTooLarge {
+        /// Name of the offending array, or `None` when every array fits
+        /// but their sum does not.
+        array: Option<String>,
+    },
 }
 
 impl fmt::Display for IrError {
@@ -91,6 +98,16 @@ impl fmt::Display for IrError {
             IrError::EmptyLoopNest => {
                 write!(f, "a loop nest requires at least one loop header")
             }
+            IrError::FootprintTooLarge { array: Some(array) } => write!(
+                f,
+                "array {array} occupies more than {} bytes",
+                crate::MAX_FOOTPRINT_BYTES
+            ),
+            IrError::FootprintTooLarge { array: None } => write!(
+                f,
+                "the program's arrays occupy more than {} bytes together",
+                crate::MAX_FOOTPRINT_BYTES
+            ),
         }
     }
 }

@@ -67,3 +67,9 @@ pub use parse::{parse, ParseError};
 pub use program::{Program, RefGroup, RefInContext};
 pub use reference::{AccessKind, ArrayRef, Subscript};
 pub use transform::{interchange, strip_mine, TransformError};
+
+/// Largest byte size accepted for one array, and for all of a program's
+/// arrays together: half the `i64` range. Layouts place arrays and grow
+/// them by padding in 64-bit byte arithmetic; the other half is headroom
+/// for the alignment gaps and pads a layout adds on top.
+pub const MAX_FOOTPRINT_BYTES: i64 = i64::MAX / 2;

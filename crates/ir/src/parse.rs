@@ -275,7 +275,12 @@ fn parse_array_decl(line: usize, text: &str) -> Result<(String, ArrayBuilder), P
                     message: format!("empty range {part}"),
                 });
             }
-            Dim::with_lower(hi - lo + 1, lo)
+            let size = hi.checked_sub(lo).and_then(|d| d.checked_add(1));
+            let size = size.ok_or_else(|| ParseError {
+                line,
+                message: format!("range {part} has more than {} elements", i64::MAX),
+            })?;
+            Dim::with_lower(size, lo)
         } else {
             let size: i64 = part.parse().map_err(|_| ParseError {
                 line,
@@ -670,6 +675,42 @@ mod tests {
                 "source {src:?} gave {err} (wanted {needle})"
             );
         }
+    }
+
+    #[test]
+    fn footprints_that_overflow_are_parse_errors() {
+        // Each array's byte count wraps i64; unchecked, the second one's
+        // base address wrapped negative.
+        let err = parse(
+            "program big
+             array A(9223372036854775807, 256)
+             array B(9223372036854775807, 256)
+             do i = 1, 4
+               A(i, 1) = B(i, 1)
+             end",
+        )
+        .expect_err("A's footprint overflows");
+        assert!(
+            err.to_string().contains("array A occupies more than"),
+            "{err}"
+        );
+
+        let err = parse(
+            "program big
+             array A(2305843009213693952) elem 1
+             array B(2305843009213693952) elem 1",
+        )
+        .expect_err("the total footprint overflows");
+        assert!(err.to_string().contains("arrays occupy more than"), "{err}");
+
+        let err = parse("program big\narray A(-9223372036854775808:9223372036854775807)")
+            .expect_err("the range's element count overflows");
+        assert_eq!(err.line, 2);
+        assert!(err.to_string().contains("more than"), "{err}");
+
+        let p = parse("program edge\narray A(9223372036854775807:9223372036854775807) elem 1")
+            .expect("a one-element range at the top of i64 parses");
+        assert_eq!(p.arrays()[0].dims()[0].upper(), i64::MAX);
     }
 
     #[test]

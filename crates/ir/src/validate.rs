@@ -8,8 +8,17 @@ use crate::loops::Stmt;
 use crate::program::Program;
 use crate::reference::ArrayRef;
 
-/// Checks that every reference is well-formed and every variable is bound.
+/// Checks that the arrays fit [`crate::MAX_FOOTPRINT_BYTES`] together,
+/// every reference is well-formed and every variable is bound. Each
+/// array's own size was checked when it was declared.
 pub(crate) fn validate(program: &Program) -> Result<(), IrError> {
+    let total = program
+        .arrays()
+        .iter()
+        .try_fold(0i64, |acc, a| acc.checked_add(a.size_bytes()));
+    if total.is_none_or(|t| t > crate::MAX_FOOTPRINT_BYTES) {
+        return Err(IrError::FootprintTooLarge { array: None });
+    }
     let mut bound: Vec<IndexVar> = Vec::new();
     for stmt in program.body() {
         validate_stmt(program, stmt, &mut bound)?;

@@ -15,6 +15,11 @@
 //! [`IngestError::Line`] carrying the 1-based line number, because a
 //! garbage line in the middle of a trace means every count derived from
 //! it is suspect.
+//!
+//! Lines in the exact shape [`write_ndjson`] emits take a byte-level
+//! fast path that builds no [`Json`] tree. Every other line goes through
+//! the general JSON decode, so a line yields the same access, or the
+//! same error, on either path.
 
 use std::io::{BufRead, Write};
 
@@ -67,6 +72,39 @@ pub fn write_ndjson<W: Write>(out: &mut W, trace: &[Access]) -> Result<(), Inges
 
 /// Parses one non-blank trace line.
 fn parse_line(line: &str, line_no: u64) -> Result<Access, IngestError> {
+    match parse_canonical(line.as_bytes()) {
+        Some(access) => Ok(access),
+        None => parse_line_tree(line, line_no),
+    }
+}
+
+/// Decodes the canonical record [`write_ndjson`] emits,
+/// `{"addr":<digits>,"write":true|false}` with 1–18 digits, without
+/// building a [`Json`] tree; `None` for any other line. Eighteen digits
+/// stay below `i64::MAX`, so every address accepted here is one the
+/// general decode accepts too, and leading zeros read the same in both.
+fn parse_canonical(line: &[u8]) -> Option<Access> {
+    let rest = line.strip_prefix(b"{\"addr\":")?;
+    let digits = rest.iter().take_while(|b| b.is_ascii_digit()).count();
+    if !(1..=18).contains(&digits) {
+        return None;
+    }
+    let (number, rest) = rest.split_at(digits);
+    let is_write = match rest {
+        b",\"write\":true}" => true,
+        b",\"write\":false}" => false,
+        _ => return None,
+    };
+    let addr = number
+        .iter()
+        .fold(0u64, |acc, &d| acc * 10 + u64::from(d - b'0'));
+    Some(Access { addr, is_write })
+}
+
+/// Parses one non-blank trace line through a full [`Json`] tree: the
+/// fallback for every line [`parse_canonical`] declines, and the oracle
+/// its tests compare against.
+fn parse_line_tree(line: &str, line_no: u64) -> Result<Access, IngestError> {
     let fail = |message: String| IngestError::Line {
         line: line_no,
         message,
@@ -213,6 +251,126 @@ mod tests {
             IngestError::Line { line: 1, message } => assert!(message.contains("exceeds")),
             other => panic!("expected oversized-line error, got {other}"),
         }
+    }
+
+    /// Decodes `line` on the dispatching path and on the tree oracle;
+    /// errors compare by their text, line number included.
+    fn assert_same_decode(line: &str) {
+        let fast = parse_line(line, 7).map_err(|e| e.to_string());
+        let tree = parse_line_tree(line, 7).map_err(|e| e.to_string());
+        assert_eq!(fast, tree, "line {line:?}");
+    }
+
+    #[test]
+    fn canonical_fast_path_matches_the_tree_decode_on_edges() {
+        for line in [
+            r#"{"addr":0,"write":false}"#,
+            r#"{"addr":007,"write":true}"#,
+            r#"{"addr":000000000000000000,"write":true}"#,
+            r#"{"addr":999999999999999999,"write":false}"#,
+            r#"{"addr":1000000000000000000,"write":false}"#,
+            r#"{"addr":0000000000000000064,"write":false}"#,
+            r#"{"addr":9223372036854775807,"write":true}"#,
+            r#"{"addr":9223372036854775808,"write":true}"#,
+            r#"{"addr":18446744073709551615,"write":true}"#,
+            r#"{"addr":99999999999999999999,"write":true}"#,
+            r#"{"addr": 64,"write":true}"#,
+            r#"{ "addr":64,"write":true}"#,
+            r#"{"addr":64 ,"write":true}"#,
+            r#"{"addr":64, "write":true}"#,
+            r#"{"addr":64,"write": true}"#,
+            r#"{"addr":64,"write":true }"#,
+            "\t{\"addr\":64,\"write\":true}\r",
+            "\u{c}{\"addr\":64,\"write\":true}",
+            r#"{"write":true,"addr":64}"#,
+            r#"{"addr":64}"#,
+            r#"{"addr":64,"write":true,"tid":3}"#,
+            r#"{"tid":3,"addr":64,"write":true}"#,
+            r#"{"addr":64,"write":true,"addr":128}"#,
+            r#"{"addr":64,"addr":128,"write":false}"#,
+            r#"{"addr":64,"write":false,"write":true}"#,
+            r#"{"addr":64,"write":TRUE}"#,
+            r#"{"addr":64,"write":True}"#,
+            r#"{"addr":64,"write":FALSE}"#,
+            r#"{"addr":64,"write":False}"#,
+            r#"{"addr":64,"write":1}"#,
+            r#"{"addr":64,"write":tru}"#,
+            r#"{"addr":64,"write":true}x"#,
+            r#"{"addr":64,"write":true}}"#,
+            r#"{"addr":64,"write":true},"#,
+            r#"{"addr":64,"write":true} {}"#,
+            r#"{"addr":64,"write":true"#,
+            r#"{"addr":-64,"write":true}"#,
+            r#"{"addr":+64,"write":true}"#,
+            r#"{"addr":64.0,"write":true}"#,
+            r#"{"addr":6e1,"write":true}"#,
+            r#"{"addr":,"write":true}"#,
+            r#"{"addr":"64","write":true}"#,
+            r#"{"ADDR":64,"write":true}"#,
+        ] {
+            assert_same_decode(line);
+        }
+        // The fast path claims the canonical shape, leading zeros and
+        // 18 digits included, and declines a 19th digit.
+        assert_eq!(
+            parse_canonical(br#"{"addr":007,"write":true}"#),
+            Some(Access::write(7))
+        );
+        assert_eq!(
+            parse_canonical(br#"{"addr":999999999999999999,"write":false}"#),
+            Some(Access::read(999_999_999_999_999_999))
+        );
+        assert_eq!(
+            parse_canonical(br#"{"addr":1000000000000000000,"write":false}"#),
+            None
+        );
+    }
+
+    #[test]
+    fn seeded_lines_decode_alike_on_both_paths() {
+        // Canonical records with 1–20 digit addresses (leading zeros
+        // allowed), half of them then hit by 1–3 byte edits drawn from
+        // the grammar's own characters.
+        const ALPHABET: &[u8] = b"{}[]\":, \t0123456789-+.eEaddrwritetrufalsnTRUE";
+        let mut rng = pad_cache_sim::SplitMix64::new(0x6e64_6a73_6f6e);
+        let mut claimed = 0;
+        for _ in 0..20_000 {
+            let digits = 1 + rng.below(20) as usize;
+            let number: String = (0..digits)
+                .map(|_| char::from(b'0' + rng.below(10) as u8))
+                .collect();
+            let write = rng.below(2) == 1;
+            let mut line = format!("{{\"addr\":{number},\"write\":{write}}}").into_bytes();
+            let mutated = rng.below(2) == 1;
+            if mutated {
+                for _ in 0..1 + rng.below(3) {
+                    let at = rng.below(line.len() as u64 + 1) as usize;
+                    let byte = ALPHABET[rng.below(ALPHABET.len() as u64) as usize];
+                    match rng.below(3) {
+                        0 if at < line.len() => line[at] = byte,
+                        1 if at < line.len() => {
+                            line.remove(at);
+                        }
+                        _ => line.insert(at, byte),
+                    }
+                }
+            }
+            let line = String::from_utf8(line).expect("ASCII edits keep UTF-8");
+            if !mutated && digits <= 18 {
+                let addr: u64 = number.parse().expect("18 digits fit");
+                assert_eq!(
+                    parse_canonical(line.as_bytes()),
+                    Some(Access {
+                        addr,
+                        is_write: write
+                    }),
+                    "fast path declined {line:?}"
+                );
+            }
+            claimed += usize::from(parse_canonical(line.as_bytes()).is_some());
+            assert_same_decode(&line);
+        }
+        assert!(claimed > 5_000, "fast path claimed only {claimed} lines");
     }
 
     #[test]

@@ -83,8 +83,13 @@ gate_reuse() {
 run_gate reuse gate_reuse
 
 # Trace ingestion: typed truncation/garbage errors, lane-boundary
-# replay, kernel-trace bit-identity, SHARDS-sampled MRC error bound.
-run_gate trace-ingest cargo test -q -p pad-trace-ingest --test ingest_edge
+# replay, kernel-trace bit-identity, SHARDS-sampled MRC error bound,
+# and the canonical NDJSON fast path against the JSON-tree decode.
+gate_trace_ingest() {
+    cargo test -q -p pad-trace-ingest --test ingest_edge &&
+        cargo test -q -p pad-trace-ingest --lib ndjson
+}
+run_gate trace-ingest gate_trace_ingest
 
 # padtool record/ingest roundtrip, in-process and as real processes.
 run_gate cli-roundtrip cargo test -q -p pad-cli --test cli
@@ -113,10 +118,13 @@ run_gate metrics-overhead gate_metrics_overhead
 
 # Advisor: fault-injection matrix (panics, deadlines, wire corruption,
 # degradation, pricing astronomic rectangular/triangular/LU nests inside
-# a quarter deadline) and admission control.
+# a quarter deadline), admission control, and exact answers equal to
+# direct walks of both layouts (an unchanged layout walked once).
 gate_advisor_faults() {
     timeout 300 cargo test -q -p pad-advisor --test fault_injection &&
-        timeout 300 cargo test -q -p pad-advisor --test admission
+        timeout 300 cargo test -q -p pad-advisor --test admission &&
+        timeout 300 cargo test -q -p pad-advisor --test answer_equivalence &&
+        timeout 300 cargo test -q -p pad-advisor --test walk_count
 }
 run_gate advisor-faults gate_advisor_faults
 
