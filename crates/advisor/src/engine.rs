@@ -25,7 +25,7 @@
 use pad_core::{DataLayout, PaddingPipeline};
 use pad_ir::Program;
 use pad_kernels::suite;
-use pad_telemetry::{self as telemetry, Event, Value};
+use pad_telemetry as telemetry;
 use pad_trace::{padding_config_for, simulate_batch, BatchRequest, CompiledTrace};
 use pad_trace_ingest::replay::{ReplayRequest, Replayer};
 use pad_trace_ingest::IngestError;
@@ -267,18 +267,6 @@ pub fn advise(program: &Program, request: &AdviseRequest, exact: bool, degraded:
         fields.push(("search".into(), section));
     }
 
-    telemetry::emit(|| {
-        Event::span(
-            start,
-            "advisor",
-            "advise",
-            vec![
-                ("program", Value::Str(program.name().to_string())),
-                ("exact", Value::U64(u64::from(exact))),
-            ],
-        )
-    });
-
     record_analysis(if exact { "exact" } else { "fast" }, start);
 
     Advice {
@@ -436,18 +424,6 @@ pub fn advise_trace(request: &AdviseRequest) -> Result<Advice, RequestError> {
             ]),
         ),
     ];
-
-    telemetry::emit(|| {
-        Event::span(
-            start,
-            "advisor",
-            "advise_trace",
-            vec![
-                ("accesses", Value::U64(results.accesses)),
-                ("sample_log2", Value::U64(u64::from(reuse.sample_log2))),
-            ],
-        )
-    });
 
     record_analysis("trace", start);
 

@@ -40,7 +40,7 @@ pub mod store;
 
 pub use engine::{advise, exact_cost, resolve, Advice};
 pub use json::{Json, JsonError};
-pub use metrics::{advisor_metrics, snapshot_json, AdvisorMetrics};
+pub use metrics::AdvisorMetrics;
 /// The hand-rolled JSON layer now lives in `pad-trace-ingest` (both the
 /// NDJSON trace reader and this protocol parse with it); re-exported so
 /// `pad_advisor::json::...` paths keep working.
@@ -48,7 +48,5 @@ pub use pad_trace_ingest::json;
 pub use protocol::{
     parse_request, AdviseRequest, Algorithm, ErrorKind, Mode, Op, Request, RequestError, Source,
 };
-pub use server::{
-    Counters, Server, ServerConfig, DEADLINE_ENV, QUEUE_ENV, RATE_ENV, STORE_ENV, THREADS_ENV,
-};
+pub use server::{Server, ServerConfig, DEADLINE_ENV, QUEUE_ENV, RATE_ENV, STORE_ENV, THREADS_ENV};
 pub use store::Store;

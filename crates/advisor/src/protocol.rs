@@ -224,11 +224,14 @@ pub enum Op {
     /// Liveness probe; also a sync barrier (answered in receive order,
     /// ahead of queued work).
     Ping,
-    /// Server counters snapshot.
+    /// Ten request tallies (`requests`, `ok`, `errors`, `shed`,
+    /// `cache_hits`, `simulations`, `degraded`, `timeouts`, `panics`,
+    /// `replayed`), read off the server's own metric families.
     Stats,
-    /// Live metrics snapshot: every registered counter, gauge, and
-    /// latency histogram (with p50/p95/p99), answered inline like
-    /// `stats`. `padtool top` polls this op.
+    /// Live metrics snapshot: every counter, gauge, and latency
+    /// histogram (with p50/p95/p99) of the process registry and the
+    /// server's own, answered inline like `stats`. `padtool top` polls
+    /// this op.
     Metrics,
     /// Drain and exit cleanly.
     Shutdown,

@@ -25,20 +25,23 @@
 //! cache hit splices the stored bytes into the response verbatim, so a
 //! restarted server answers repeated queries bit-exactly without
 //! re-simulating.
+//!
+//! Each server tallies its traffic in its own [`AdvisorMetrics`],
+//! always: the `stats` op is a view of those families, and the
+//! `metrics` op renders them merged with the process registry.
 
 use std::io::{self, BufRead, Write};
-use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::mpsc::{self, Receiver, SyncSender, TrySendError};
 use std::sync::Mutex;
 use std::time::Duration;
 
 use pad_bench::faults::FaultPlan;
 use pad_bench::pool::{self, CellCtx, CellOutcome, RunPolicy};
-use pad_telemetry::{self as telemetry, Event, Value};
+use pad_telemetry as telemetry;
 
 use crate::engine::{self, Advice};
 use crate::json::{self, Json};
-use crate::metrics::{self, advisor_metrics};
+use crate::metrics::AdvisorMetrics;
 use crate::protocol::{
     parse_request, AdviseRequest, Algorithm, ErrorKind, Mode, Op, RequestError, Source,
 };
@@ -110,76 +113,11 @@ impl ServerConfig {
     }
 }
 
-/// Monotonic request accounting, readable while the server runs (the
-/// `stats` op snapshots these, and tests assert on them).
-#[derive(Debug, Default)]
-pub struct Counters {
-    /// Advise frames admitted or shed.
-    pub requests: AtomicU64,
-    /// Successful answers (fresh or cached).
-    pub ok: AtomicU64,
-    /// Typed error answers of any kind.
-    pub errors: AtomicU64,
-    /// Frames shed by the full admission queue.
-    pub shed: AtomicU64,
-    /// Answers served from the store without re-analysis.
-    pub cache_hits: AtomicU64,
-    /// Exact (simulation-backed) analyses run.
-    pub simulations: AtomicU64,
-    /// Answers produced on the fast rung for requests that wanted exact.
-    pub degraded: AtomicU64,
-    /// Requests refused with `timeout`.
-    pub timeouts: AtomicU64,
-    /// Handler panics caught and answered as `internal`.
-    pub panics: AtomicU64,
-}
-
-impl Counters {
-    fn bump(field: &AtomicU64) {
-        field.fetch_add(1, Ordering::Relaxed);
-    }
-
-    /// Current values as a JSON object (plus the store's replay count).
-    fn snapshot(&self, replayed: usize) -> Json {
-        let read = |f: &AtomicU64| Json::Int(f.load(Ordering::Relaxed) as i64);
-        Json::Obj(vec![
-            ("requests".into(), read(&self.requests)),
-            ("ok".into(), read(&self.ok)),
-            ("errors".into(), read(&self.errors)),
-            ("shed".into(), read(&self.shed)),
-            ("cache_hits".into(), read(&self.cache_hits)),
-            ("simulations".into(), read(&self.simulations)),
-            ("degraded".into(), read(&self.degraded)),
-            ("timeouts".into(), read(&self.timeouts)),
-            ("panics".into(), read(&self.panics)),
-            ("replayed".into(), Json::Int(replayed as i64)),
-        ])
-    }
-}
-
 /// A test-injectable replacement for the engine: receives the frame
 /// index and the validated request, runs *inside* the fault isolation
 /// (so its panics and stalls exercise the real recovery paths).
 pub type AdviseHandler =
     Box<dyn Fn(usize, &AdviseRequest) -> Result<Advice, RequestError> + Send + Sync>;
-
-/// Counts one typed refusal in the live metrics layer (the legacy
-/// [`Counters`] keep their own tally for the `stats` op).
-fn metric_error(kind: ErrorKind) {
-    if telemetry::metrics_enabled() {
-        advisor_metrics().error(kind).inc();
-    }
-}
-
-/// Records an inline-answered control op in the live metrics layer.
-fn record_control_op(op: &str, received: u64) {
-    if telemetry::metrics_enabled() {
-        let m = advisor_metrics();
-        m.requests(op).inc();
-        m.latency(op)
-            .record(telemetry::now_us().saturating_sub(received));
-    }
-}
 
 /// One advise job queued for the worker pool.
 struct Job {
@@ -192,12 +130,12 @@ struct Job {
 }
 
 /// The advisor server. One instance serves one connection at a time
-/// (`serve` borrows the streams); state (store, counters) persists
+/// (`serve` borrows the streams); state (store, metrics) persists
 /// across connections.
 pub struct Server {
     config: ServerConfig,
     store: Store,
-    counters: Counters,
+    metrics: AdvisorMetrics,
     faults: FaultPlan,
     handler: Option<AdviseHandler>,
 }
@@ -213,7 +151,7 @@ impl Server {
         Server {
             config,
             store,
-            counters: Counters::default(),
+            metrics: AdvisorMetrics::new(),
             faults: FaultPlan::none(),
             handler: None,
         }
@@ -234,9 +172,10 @@ impl Server {
         self
     }
 
-    /// The request accounting counters.
-    pub fn counters(&self) -> &Counters {
-        &self.counters
+    /// This server's metric families: its request accounting, which
+    /// the `stats` and `metrics` ops report and tests assert on.
+    pub fn metrics(&self) -> &AdvisorMetrics {
+        &self.metrics
     }
 
     /// The answer store.
@@ -298,20 +237,23 @@ impl Server {
             let received = telemetry::now_us();
             let text = match frame {
                 Frame::Oversized => {
-                    Counters::bump(&self.counters.errors);
-                    metric_error(ErrorKind::Oversized);
-                    write_error(
+                    self.refuse(
                         out,
                         &Json::Null,
                         ErrorKind::Oversized,
                         &format!("frame exceeds {} bytes", self.config.max_frame),
+                        None,
                     );
                     continue;
                 }
                 Frame::Binary => {
-                    Counters::bump(&self.counters.errors);
-                    metric_error(ErrorKind::Malformed);
-                    write_error(out, &Json::Null, ErrorKind::Malformed, "frame is not UTF-8");
+                    self.refuse(
+                        out,
+                        &Json::Null,
+                        ErrorKind::Malformed,
+                        "frame is not UTF-8",
+                        None,
+                    );
                     continue;
                 }
                 Frame::Line(text) => text,
@@ -322,9 +264,8 @@ impl Server {
             let parsed = match json::parse(&text) {
                 Ok(v) => v,
                 Err(e) => {
-                    Counters::bump(&self.counters.errors);
-                    metric_error(ErrorKind::Malformed);
-                    write_error(out, &Json::Null, ErrorKind::Malformed, &e.to_string());
+                    let detail = e.to_string();
+                    self.refuse(out, &Json::Null, ErrorKind::Malformed, &detail, None);
                     continue;
                 }
             };
@@ -332,9 +273,7 @@ impl Server {
                 Ok(r) => r,
                 Err(e) => {
                     let id = parsed.get("id").cloned().unwrap_or(Json::Null);
-                    Counters::bump(&self.counters.errors);
-                    metric_error(e.kind);
-                    write_error(out, &id, e.kind, &e.detail);
+                    self.refuse(out, &id, e.kind, &e.detail, None);
                     continue;
                 }
             };
@@ -344,46 +283,39 @@ impl Server {
                     request.id.write(&mut line);
                     line.push_str(",\"status\":\"ok\",\"pong\":true}");
                     write_line(out, &line);
-                    record_control_op("ping", received);
+                    self.control_done("ping", received);
                 }
                 Op::Stats => {
                     let mut line = String::from("{\"id\":");
                     request.id.write(&mut line);
                     line.push_str(",\"status\":\"ok\",\"stats\":");
-                    self.counters
-                        .snapshot(self.store.replayed())
+                    self.metrics
+                        .stats_json(self.store.replayed())
                         .write(&mut line);
                     line.push('}');
                     write_line(out, &line);
-                    record_control_op("stats", received);
+                    self.control_done("stats", received);
                 }
                 Op::Metrics => {
                     // The request counter bumps before the snapshot so
                     // the answer counts the poll that produced it.
-                    if telemetry::metrics_enabled() {
-                        advisor_metrics().requests("metrics").inc();
-                    }
+                    self.metrics.requests("metrics").inc();
                     let mut line = String::from("{\"id\":");
                     request.id.write(&mut line);
                     line.push_str(",\"status\":\"ok\",\"metrics\":");
-                    metrics::snapshot_json().write(&mut line);
+                    self.metrics.snapshot_json().write(&mut line);
                     line.push('}');
                     write_line(out, &line);
-                    if telemetry::metrics_enabled() {
-                        advisor_metrics()
-                            .latency("metrics")
-                            .record(telemetry::now_us().saturating_sub(received));
-                    }
+                    self.metrics
+                        .latency("metrics")
+                        .record(telemetry::now_us().saturating_sub(received));
                 }
                 Op::Shutdown => {
                     *shutdown_id = Some(request.id);
                     return Ok(());
                 }
                 Op::Advise(advise) => {
-                    Counters::bump(&self.counters.requests);
-                    if telemetry::metrics_enabled() {
-                        advisor_metrics().requests("advise").inc();
-                    }
+                    self.metrics.requests("advise").inc();
                     let job = Job {
                         frame: index,
                         id: request.id,
@@ -391,32 +323,15 @@ impl Server {
                         received,
                     };
                     match tx.try_send(job) {
-                        Ok(()) => {
-                            if telemetry::metrics_enabled() {
-                                advisor_metrics().queue_depth.inc();
-                            }
-                        }
+                        Ok(()) => self.metrics.queue_depth.inc(),
                         Err(TrySendError::Full(job)) => {
-                            Counters::bump(&self.counters.shed);
-                            Counters::bump(&self.counters.errors);
-                            if telemetry::metrics_enabled() {
-                                let m = advisor_metrics();
-                                m.shed.inc();
-                                m.error(ErrorKind::Overloaded).inc();
-                                m.finish_advise(job.received, false);
-                            }
-                            telemetry::emit(|| {
-                                Event::instant(
-                                    "advisor",
-                                    "shed",
-                                    vec![("frame", Value::U64(job.frame as u64))],
-                                )
-                            });
-                            write_error(
+                            self.metrics.shed.inc();
+                            self.refuse(
                                 out,
                                 &job.id,
                                 ErrorKind::Overloaded,
                                 "admission queue full; retry later",
+                                Some(job.received),
                             );
                         }
                         Err(TrySendError::Disconnected(_)) => return Ok(()),
@@ -434,15 +349,10 @@ impl Server {
             };
             match job {
                 Ok(job) => {
-                    if telemetry::metrics_enabled() {
-                        let m = advisor_metrics();
-                        m.queue_depth.dec();
-                        m.inflight.inc();
-                    }
+                    self.metrics.queue_depth.dec();
+                    self.metrics.inflight.inc();
                     self.handle(job, out);
-                    if telemetry::metrics_enabled() {
-                        advisor_metrics().inflight.dec();
-                    }
+                    self.metrics.inflight.dec();
                 }
                 Err(_) => return, // channel closed and drained
             }
@@ -450,7 +360,6 @@ impl Server {
     }
 
     fn handle<W: Write>(&self, job: Job, out: &Mutex<W>) {
-        let start = telemetry::now_us();
         let Job {
             frame,
             id,
@@ -470,13 +379,7 @@ impl Server {
             None => match engine::resolve(&request.source) {
                 Ok(program) => Some(program),
                 Err(e) => {
-                    Counters::bump(&self.counters.errors);
-                    if telemetry::metrics_enabled() {
-                        let m = advisor_metrics();
-                        m.error(e.kind).inc();
-                        m.finish_advise(received, false);
-                    }
-                    write_error(out, &id, e.kind, &e.detail);
+                    self.refuse(out, &id, e.kind, &e.detail, Some(received));
                     return;
                 }
             },
@@ -493,20 +396,8 @@ impl Server {
             .map(|program| Store::key(&program.to_string(), &request.cache, request.algorithm));
         if let Some(fp) = fingerprint {
             if let Some(body) = self.store.get(fp) {
-                Counters::bump(&self.counters.cache_hits);
-                Counters::bump(&self.counters.ok);
-                if telemetry::metrics_enabled() {
-                    let m = advisor_metrics();
-                    m.cache_hits.inc();
-                    m.finish_advise(received, true);
-                }
-                telemetry::emit(|| {
-                    Event::instant(
-                        "advisor",
-                        "cache_hit",
-                        vec![("frame", Value::U64(frame as u64))],
-                    )
-                });
+                self.metrics.cache_hits.inc();
+                self.metrics.finish_advise(received, true);
                 write_ok(out, &id, true, false, &body);
                 return;
             }
@@ -562,49 +453,24 @@ impl Server {
             }
         });
         let outcome = outcomes.into_iter().next().expect("one cell requested");
-
-        telemetry::emit(|| {
-            Event::span(
-                start,
-                "advisor",
-                "request",
-                vec![("frame", Value::U64(frame as u64))],
-            )
-        });
-
-        self.finish(frame, &id, fingerprint, outcome, received, out);
+        self.finish(&id, fingerprint, outcome, received, out);
     }
 
     fn finish<W: Write>(
         &self,
-        frame: usize,
         id: &Json,
         fingerprint: Option<u64>,
         outcome: CellOutcome<Result<Advice, RequestError>>,
         received: u64,
         out: &Mutex<W>,
     ) {
-        let metrics_on = telemetry::metrics_enabled();
         match flatten_outcome(outcome) {
             Flat::Answer(advice) => {
                 if advice.simulated {
-                    Counters::bump(&self.counters.simulations);
-                    if metrics_on {
-                        advisor_metrics().simulations.inc();
-                    }
+                    self.metrics.simulations.inc();
                 }
                 if advice.degraded {
-                    Counters::bump(&self.counters.degraded);
-                    if metrics_on {
-                        advisor_metrics().degraded.inc();
-                    }
-                    telemetry::emit(|| {
-                        Event::instant(
-                            "advisor",
-                            "degraded",
-                            vec![("frame", Value::U64(frame as u64))],
-                        )
-                    });
+                    self.metrics.degraded.inc();
                 }
                 let body = advice.body.to_string();
                 // Only full-fidelity answers are worth persisting: a
@@ -615,42 +481,48 @@ impl Server {
                         self.store.put(fp, &body);
                     }
                 }
-                Counters::bump(&self.counters.ok);
-                if metrics_on {
-                    advisor_metrics().finish_advise(received, true);
-                }
+                self.metrics.finish_advise(received, true);
                 write_ok(out, id, false, advice.degraded, &body);
             }
-            Flat::Refused(e) => {
-                Counters::bump(&self.counters.errors);
-                if metrics_on {
-                    let m = advisor_metrics();
-                    m.error(e.kind).inc();
-                    m.finish_advise(received, false);
-                }
-                write_error(out, id, e.kind, &e.detail);
-            }
+            Flat::Refused(e) => self.refuse(out, id, e.kind, &e.detail, Some(received)),
             Flat::TimedOut => {
-                Counters::bump(&self.counters.errors);
-                Counters::bump(&self.counters.timeouts);
-                if metrics_on {
-                    let m = advisor_metrics();
-                    m.error(ErrorKind::Timeout).inc();
-                    m.finish_advise(received, false);
-                }
-                write_error(out, id, ErrorKind::Timeout, "deadline exceeded");
+                self.refuse(
+                    out,
+                    id,
+                    ErrorKind::Timeout,
+                    "deadline exceeded",
+                    Some(received),
+                );
             }
             Flat::Panicked(detail) => {
-                Counters::bump(&self.counters.errors);
-                Counters::bump(&self.counters.panics);
-                if metrics_on {
-                    let m = advisor_metrics();
-                    m.error(ErrorKind::Internal).inc();
-                    m.finish_advise(received, false);
-                }
-                write_error(out, id, ErrorKind::Internal, &detail);
+                self.refuse(out, id, ErrorKind::Internal, &detail, Some(received));
             }
         }
+    }
+
+    /// Answers a typed refusal and counts it; `received` is the receipt
+    /// time of an advise request, which also closes its books.
+    fn refuse<W: Write>(
+        &self,
+        out: &Mutex<W>,
+        id: &Json,
+        kind: ErrorKind,
+        detail: &str,
+        received: Option<u64>,
+    ) {
+        self.metrics.error(kind).inc();
+        if let Some(received) = received {
+            self.metrics.finish_advise(received, false);
+        }
+        write_error(out, id, kind, detail);
+    }
+
+    /// Counts an answered control op and records its latency.
+    fn control_done(&self, op: &str, received: u64) {
+        self.metrics.requests(op).inc();
+        self.metrics
+            .latency(op)
+            .record(telemetry::now_us().saturating_sub(received));
     }
 }
 

@@ -1,0 +1,59 @@
+//! Programs whose reference addresses would wrap 64 bits are refused as
+//! `parse` errors before any analysis prices or walks them, under every
+//! algorithm, and the session goes on answering.
+
+mod common;
+
+use std::io::{BufReader, Cursor};
+
+use common::{by_id, error_kind, status};
+use pad_advisor::json::{self, Json};
+use pad_advisor::{Server, ServerConfig};
+
+/// A coefficient times the stride, a constant, a loop at the top of
+/// i64, and a lower bound at the bottom: each reference's byte offset
+/// leaves i64.
+const WRAPPING: [&str; 4] = [
+    "program a\narray A(100, 4)\ndo i = 1, 10\n  t = A(4611686018427387904*i, 1)\nend\n",
+    "program b\narray A(100, 4)\ndo i = 1, 10\n  t = A(i + 9223372036854775000, 1)\nend\n",
+    "program c\narray A(100, 4)\ndo i = 9223372036854775800, 9223372036854775807\n  t = A(i, 1)\nend\n",
+    "program d\narray A(-9223372036854775807:-9223372036854775000, 4)\n\
+     do i = 1, 10\n  t = A(i, 1)\nend\n",
+];
+
+#[test]
+fn wrapping_addresses_answer_parse_under_every_algorithm() {
+    let mut frames = String::new();
+    let mut id = 0;
+    for program in WRAPPING {
+        for algorithm in ["pad", "padlite", "search"] {
+            let program = Json::Str(program.to_string());
+            frames.push_str(&format!(
+                r#"{{"id": {id}, "op": "advise", "algorithm": "{algorithm}", "program": {program}}}"#
+            ));
+            frames.push('\n');
+            id += 1;
+        }
+    }
+    frames.push_str(r#"{"id": 12, "op": "advise", "kernel": "JACOBI512", "n": 32}"#);
+    frames.push('\n');
+
+    let server = Server::new(ServerConfig::default());
+    let mut out: Vec<u8> = Vec::new();
+    server
+        .serve(BufReader::new(Cursor::new(frames)), &mut out)
+        .expect("in-memory serve cannot fail");
+    let responses: Vec<Json> = String::from_utf8(out)
+        .expect("responses are UTF-8")
+        .lines()
+        .map(|line| json::parse(line).unwrap_or_else(|e| panic!("bad response {line:?}: {e}")))
+        .collect();
+
+    assert_eq!(responses.len(), 13, "every frame answered: {responses:?}");
+    for id in 0..12 {
+        let r = by_id(&responses, id);
+        assert_eq!(status(r), "error", "{r}");
+        assert_eq!(error_kind(r), "parse", "{r}");
+    }
+    assert_eq!(status(by_id(&responses, 12)), "ok");
+}

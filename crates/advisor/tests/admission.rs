@@ -8,7 +8,6 @@
 mod common;
 
 use std::io::BufReader;
-use std::sync::atomic::Ordering;
 use std::sync::{mpsc, Arc, Condvar, Mutex};
 use std::time::Duration;
 
@@ -144,11 +143,8 @@ fn a_saturated_queue_sheds_new_requests_and_finishes_admitted_ones() {
         drop(in_tx); // EOF: serve drains and returns
     });
 
-    let counters = server.counters();
-    assert_eq!(
-        counters.requests.load(Ordering::Relaxed),
-        (ADMITTED + SHED) as u64
-    );
-    assert_eq!(counters.shed.load(Ordering::Relaxed), SHED as u64);
-    assert_eq!(counters.ok.load(Ordering::Relaxed), ADMITTED as u64);
+    let metrics = server.metrics();
+    assert_eq!(metrics.requests("advise").get(), (ADMITTED + SHED) as u64);
+    assert_eq!(metrics.shed.get(), SHED as u64);
+    assert_eq!(metrics.ok.get(), ADMITTED as u64);
 }

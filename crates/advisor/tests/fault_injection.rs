@@ -7,12 +7,11 @@
 mod common;
 
 use std::io::{BufReader, Cursor};
-use std::sync::atomic::Ordering;
 use std::time::{Duration, Instant};
 
 use common::{by_id, error_kind, status};
 use pad_advisor::json::{self, Json};
-use pad_advisor::{Server, ServerConfig};
+use pad_advisor::{ErrorKind, Server, ServerConfig};
 use pad_bench::faults::{FaultPlan, FrameFault};
 
 fn advise_frame(id: usize) -> String {
@@ -145,11 +144,11 @@ fn every_faulted_request_gets_exactly_one_typed_answer() {
         "wire corruption maps to typed errors: {anonymous:?}"
     );
 
-    let counters = server.counters();
-    assert_eq!(counters.panics.load(Ordering::Relaxed), 1);
-    assert_eq!(counters.timeouts.load(Ordering::Relaxed), 1);
-    assert_eq!(counters.degraded.load(Ordering::Relaxed), 1);
-    assert_eq!(counters.shed.load(Ordering::Relaxed), 0);
+    let metrics = server.metrics();
+    assert_eq!(metrics.error(ErrorKind::Internal).get(), 1);
+    assert_eq!(metrics.error(ErrorKind::Timeout).get(), 1);
+    assert_eq!(metrics.degraded.get(), 1);
+    assert_eq!(metrics.shed.get(), 0);
 }
 
 #[test]
@@ -248,8 +247,8 @@ fn auto_mode_degrades_when_the_budget_cannot_afford_exact() {
             .and_then(Json::as_str),
         Some("fast")
     );
-    assert_eq!(server.counters().degraded.load(Ordering::Relaxed), 1);
-    assert_eq!(server.counters().simulations.load(Ordering::Relaxed), 0);
+    assert_eq!(server.metrics().degraded.get(), 1);
+    assert_eq!(server.metrics().simulations.get(), 0);
 }
 
 #[test]
@@ -315,5 +314,5 @@ fn auto_mode_budgets_astronomic_loops_without_walking_them() {
             "{spec:?} answered after {elapsed:?}, deadline {deadline:?}"
         );
     }
-    assert_eq!(server.counters().simulations.load(Ordering::Relaxed), 0);
+    assert_eq!(server.metrics().simulations.get(), 0);
 }

@@ -7,7 +7,6 @@ mod common;
 
 use std::io::{BufReader, Cursor};
 use std::path::PathBuf;
-use std::sync::atomic::Ordering;
 
 use common::{by_id, status};
 use pad_advisor::json::{self, Json};
@@ -64,8 +63,8 @@ fn a_restarted_server_replays_its_answers_bit_exactly() {
     let before = {
         let server = Server::with_store(config.clone(), Store::open(&path).expect("create"));
         let responses = session(&server, &frames);
-        assert_eq!(server.counters().simulations.load(Ordering::Relaxed), 4);
-        assert_eq!(server.counters().cache_hits.load(Ordering::Relaxed), 0);
+        assert_eq!(server.metrics().simulations.get(), 4);
+        assert_eq!(server.metrics().cache_hits.get(), 0);
         result_bodies(&responses, &[0, 1, 2, 3])
         // The server is dropped without any shutdown handshake — the
         // journal's per-record flush is the only durability mechanism,
@@ -103,10 +102,10 @@ fn a_restarted_server_replays_its_answers_bit_exactly() {
         Some(&Json::Bool(false)),
         "the torn answer is re-simulated"
     );
-    let counters = server.counters();
-    assert_eq!(counters.cache_hits.load(Ordering::Relaxed), 3);
+    let metrics = server.metrics();
+    assert_eq!(metrics.cache_hits.get(), 3);
     assert_eq!(
-        counters.simulations.load(Ordering::Relaxed),
+        metrics.simulations.get(),
         1,
         "only the torn record re-simulates; warm answers never re-run the simulator"
     );
@@ -123,8 +122,8 @@ fn a_restarted_server_replays_its_answers_bit_exactly() {
     assert_eq!(server.store().replayed(), 4);
     let responses = session(&server, &frames);
     assert_eq!(result_bodies(&responses, &[0, 1, 2, 3]), before);
-    assert_eq!(server.counters().simulations.load(Ordering::Relaxed), 0);
-    assert_eq!(server.counters().cache_hits.load(Ordering::Relaxed), 4);
+    assert_eq!(server.metrics().simulations.get(), 0);
+    assert_eq!(server.metrics().cache_hits.get(), 4);
 
     let _ = std::fs::remove_file(&path);
 }
@@ -160,8 +159,8 @@ fn cache_keys_unify_kernel_and_inline_forms_of_the_same_nest() {
     let responses = session(&server, &frames);
     let bodies = result_bodies(&responses, &[1, 2]);
     assert_eq!(bodies[0], bodies[1], "one nest, one answer");
-    assert_eq!(server.counters().simulations.load(Ordering::Relaxed), 1);
-    assert_eq!(server.counters().cache_hits.load(Ordering::Relaxed), 1);
+    assert_eq!(server.metrics().simulations.get(), 1);
+    assert_eq!(server.metrics().cache_hits.get(), 1);
 
     let _ = std::fs::remove_file(&path);
 }

@@ -1,29 +1,25 @@
-//! Overhead guardrail for the telemetry layer.
+//! Overhead guardrail for the instrumentation: the telemetry event
+//! layer and the live metrics registry, in one run (the `telemetry`
+//! gate in `scripts/verify.sh`).
 //!
-//! Two claims the instrumentation makes, both enforced here (and wired
-//! into `scripts/verify.sh`):
+//! Two claims, both enforced here:
 //!
-//! 1. **Zero-cost when disabled.** With no collector installed the
+//! 1. **Near-free.** With no collector installed and metrics off, the
 //!    batched simulation engine must run within `MAX_OVERHEAD_PCT` of a
-//!    hand-rolled loop with no telemetry branches at all. Measured with
-//!    interleaved best-of rounds so a load spike on a shared host lands
-//!    on both variants instead of biasing one.
-//! 2. **Observation never changes results.** A miss-rate sweep table
-//!    rendered with `RIVERA_TELEMETRY=events` must be byte-identical
-//!    (table text and CSV bytes) to the same sweep with telemetry off,
-//!    while the recorder actually captures cell spans, simulation spans,
-//!    and pad-decision events.
-//!
-//! With `--metrics` the binary instead gates the *live metrics* layer
-//! (the `MetricsRegistry` behind `RIVERA_METRICS`): the batched engine
-//! with metrics **on** must run within `MAX_OVERHEAD_PCT` of the same
-//! engine with metrics off (same interleaved best-of protocol, same
-//! escalation on noisy hosts), simulation results and rendered tables
-//! must be byte-identical in both states, and the Prometheus rendering
-//! of the populated registry must be byte-stable — two renders of the
-//! unchanged registry produce identical bytes, written to
-//! `results/metrics.prom` as a CI artifact. This is the
-//! `metrics-overhead` gate in `scripts/verify.sh`.
+//!    hand-rolled loop with no instrumentation branches at all; with
+//!    metrics on, within `MAX_OVERHEAD_PCT` of itself with metrics off.
+//!    All three variants are timed in the same interleaved best-of
+//!    rounds, so a load spike on a shared host lands on every variant
+//!    instead of biasing one.
+//! 2. **Observation never changes results.** Miss counts are equal in
+//!    every state, and a miss-rate sweep table rendered with
+//!    `RIVERA_TELEMETRY=events` or with metrics on is byte-identical
+//!    (table text and CSV bytes) to the same sweep with both off, while
+//!    the recorder actually captures cell spans, simulation spans, and
+//!    pad-decision events. The Prometheus rendering of the populated
+//!    registry must be non-empty and byte-stable — two renders of the
+//!    unchanged registry produce identical bytes — and is written to
+//!    `results/metrics.prom` as a CI artifact.
 //!
 //! Exits nonzero if any claim fails.
 
@@ -36,8 +32,9 @@ use pad_report::{csv_string, render_prometheus, Table};
 use pad_telemetry::Mode;
 use pad_trace::{simulate_batch_compiled, BatchRequest, CompiledTrace, BATCH_CHUNK};
 
-/// Maximum tolerated slowdown of the telemetry-off batched engine over
-/// the telemetry-free hand-rolled loop, in percent.
+/// Maximum tolerated slowdown, in percent, of the uninstrumented engine
+/// over the hand-rolled loop, and of the metrics-on engine over the
+/// metrics-off one.
 const MAX_OVERHEAD_PCT: f64 = 2.0;
 
 fn sweep_configs() -> Vec<CacheConfig> {
@@ -87,146 +84,10 @@ fn sweep_table() -> Table {
     t
 }
 
-/// The `--metrics` gate: the live-metrics layer must be near-free when
-/// enabled on the engine path, invisible in every rendered result, and
-/// byte-stable in its Prometheus exposition.
-fn metrics_gate() -> ExitCode {
-    let quick = quick_mode();
-    assert_eq!(
-        pad_telemetry::mode(),
-        Mode::Off,
-        "the metrics gate measures the metrics layer alone; run without a collector"
-    );
-
-    let n = if quick { 192 } else { 256 };
-    let program = pad_kernels::jacobi::spec(n);
-    let layout = DataLayout::original(&program);
-    let compiled = CompiledTrace::compile(&program, &layout);
-    let configs = sweep_configs();
-    let request = BatchRequest::new().with_plain_configs(configs.iter().copied());
-    let engine = || {
-        let mut buf = Vec::with_capacity(BATCH_CHUNK);
-        let results = simulate_batch_compiled(&compiled, &request, &mut buf);
-        results
-            .plain
-            .iter()
-            .fold(0u64, |acc, s| acc.wrapping_add(s.misses))
-    };
-
-    // Results and rendered tables must not see the metrics state.
-    pad_telemetry::set_metrics_enabled(false);
-    let misses_off = engine();
-    let table_off = sweep_table();
-    let (text_off, csv_off) = (table_off.to_string(), csv_string(&table_off));
-    pad_telemetry::set_metrics_enabled(true);
-    let misses_on = engine();
-    let table_on = sweep_table();
-    let (text_on, csv_on) = (table_on.to_string(), csv_string(&table_on));
-
-    // Interleaved best-of rounds, metrics toggled per sample so host
-    // noise lands on both states; escalate before concluding failure,
-    // exactly like the telemetry-off gate above.
-    let rounds = if quick { 5 } else { 7 };
-    let time_once = |on: bool| {
-        pad_telemetry::set_metrics_enabled(on);
-        let start = std::time::Instant::now();
-        std::hint::black_box(engine());
-        start.elapsed().as_secs_f64()
-    };
-    let mut best = [f64::INFINITY; 2];
-    for round in 0..=rounds {
-        eprintln!("  timing round {round}/{rounds} (metrics off, metrics on)...");
-        let samples = [time_once(false), time_once(true)];
-        if round > 0 {
-            for (slot, s) in samples.into_iter().enumerate() {
-                best[slot] = best[slot].min(s);
-            }
-        }
-    }
-    let mut overhead_pct = (best[1] / best[0] - 1.0) * 100.0;
-    let mut extra = 0;
-    while (overhead_pct.is_nan() || overhead_pct >= MAX_OVERHEAD_PCT) && extra < 4 * rounds {
-        extra += 1;
-        eprintln!("  overhead reads {overhead_pct:+.2}%; extra timing round {extra}...");
-        let samples = [time_once(false), time_once(true)];
-        for (slot, s) in samples.into_iter().enumerate() {
-            best[slot] = best[slot].min(s);
-        }
-        overhead_pct = (best[1] / best[0] - 1.0) * 100.0;
-    }
-    pad_telemetry::set_metrics_enabled(false);
-
-    // The registry now holds everything the runs above recorded; its
-    // Prometheus rendering must be byte-stable and lands in results/ so
-    // CI uploads a real scrape body alongside the tables.
-    let snapshot = render_prometheus(&pad_telemetry::registry().snapshot());
-    let again = render_prometheus(&pad_telemetry::registry().snapshot());
-    let stable = snapshot == again;
-    let populated = snapshot.contains("pad_sim_accesses_total");
-    let written = std::fs::create_dir_all("results")
-        .and_then(|()| std::fs::write("results/metrics.prom", &snapshot));
-
-    let mut t = Table::new(["variant", "best_secs", "overhead"]);
-    t.row([
-        "engine, metrics off".to_string(),
-        format!("{:.6}", best[0]),
-        String::new(),
-    ]);
-    t.row([
-        "engine, metrics on".to_string(),
-        format!("{:.6}", best[1]),
-        format!("{overhead_pct:+.2}%"),
-    ]);
-    println!(
-        "== metrics-on overhead (JACOBI n={n}, {} sinks) ==",
-        configs.len()
-    );
-    println!("{t}");
-    println!(
-        "results identical: {} | tables identical: {} | exposition stable: {stable}",
-        misses_off == misses_on,
-        text_off == text_on && csv_off == csv_on
-    );
-
-    let mut ok = true;
-    if overhead_pct.is_nan() || overhead_pct >= MAX_OVERHEAD_PCT {
-        eprintln!("FAIL: metrics-on overhead {overhead_pct:+.2}% exceeds {MAX_OVERHEAD_PCT}%");
-        ok = false;
-    }
-    if misses_off != misses_on {
-        eprintln!("FAIL: metrics state changed simulated miss counts");
-        ok = false;
-    }
-    if text_off != text_on || csv_off != csv_on {
-        eprintln!("FAIL: metrics state changed rendered results");
-        ok = false;
-    }
-    if !stable || !populated {
-        eprintln!("FAIL: Prometheus exposition unstable or empty (stable {stable}, populated {populated})");
-        ok = false;
-    }
-    if let Err(e) = written {
-        eprintln!("FAIL: could not write results/metrics.prom: {e}");
-        ok = false;
-    }
-    if ok {
-        println!(
-            "bench_telemetry --metrics: PASS (overhead {overhead_pct:+.2}%, \
-             results byte-identical, exposition stable)"
-        );
-        ExitCode::SUCCESS
-    } else {
-        ExitCode::FAILURE
-    }
-}
-
 fn main() -> ExitCode {
-    if std::env::args().skip(1).any(|a| a == "--metrics") {
-        return metrics_gate();
-    }
     let quick = quick_mode();
 
-    // -- Claim 1: disabled overhead ------------------------------------
+    // -- Claim 1: overhead ---------------------------------------------
     assert_eq!(
         pad_telemetry::mode(),
         Mode::Off,
@@ -243,8 +104,9 @@ fn main() -> ExitCode {
     let configs = sweep_configs();
     let request = BatchRequest::new().with_plain_configs(configs.iter().copied());
 
-    // Telemetry-free reference: the same chunked walk and flat-storage
-    // caches, with no `enabled()` branch anywhere on the path.
+    // Instrumentation-free reference: the same chunked walk and
+    // flat-storage caches, with no `enabled()` branch anywhere on the
+    // path.
     let hand_rolled = || {
         let mut caches: Vec<Cache> = configs.iter().map(|c| Cache::new(*c)).collect();
         let mut buf = Vec::with_capacity(BATCH_CHUNK);
@@ -257,7 +119,8 @@ fn main() -> ExitCode {
             .iter()
             .fold(0u64, |acc, c| acc.wrapping_add(c.stats().misses))
     };
-    let engine_off = || {
+    let engine = |metrics_on: bool| {
+        pad_telemetry::set_metrics_enabled(metrics_on);
         let mut buf = Vec::with_capacity(BATCH_CHUNK);
         let results = simulate_batch_compiled(&compiled, &request, &mut buf);
         results
@@ -265,109 +128,153 @@ fn main() -> ExitCode {
             .iter()
             .fold(0u64, |acc, s| acc.wrapping_add(s.misses))
     };
-    let reference = hand_rolled();
-    assert_eq!(
-        engine_off(),
-        reference,
-        "instrumentable engine diverged from reference"
-    );
+    let misses = [hand_rolled(), engine(false), engine(true)];
 
-    let rounds = if quick { 5 } else { 7 };
-    let time_once = |f: &dyn Fn() -> u64| {
-        let start = std::time::Instant::now();
-        std::hint::black_box(f());
-        start.elapsed().as_secs_f64()
+    // Interleaved best-of rounds (round 0 warms up). Minimum-of-N timing
+    // on a shared host: a noisy batch can leave a minimum stranded above
+    // the true runtime and report a phantom overhead. Extra samples only
+    // tighten the minima, so escalate sampling before concluding failure
+    // — a genuine regression keeps its minimum above the gate no matter
+    // how many rounds run.
+    let variants: [&dyn Fn() -> u64; 3] = [&hand_rolled, &|| engine(false), &|| engine(true)];
+    let mut best = [f64::INFINITY; 3];
+    let sample = |best: &mut [f64; 3]| {
+        for (slot, f) in variants.iter().enumerate() {
+            let start = std::time::Instant::now();
+            std::hint::black_box(f());
+            best[slot] = best[slot].min(start.elapsed().as_secs_f64());
+        }
     };
-    let mut best = [f64::INFINITY; 2];
-    for round in 0..=rounds {
-        eprintln!("  timing round {round}/{rounds} (hand_rolled, engine_off)...");
-        let samples = [time_once(&hand_rolled), time_once(&engine_off)];
-        if round > 0 {
-            for (slot, s) in samples.into_iter().enumerate() {
-                best[slot] = best[slot].min(s);
-            }
-        }
+    let overheads = |best: &[f64; 3]| {
+        [
+            (best[1] / best[0] - 1.0) * 100.0,
+            (best[2] / best[1] - 1.0) * 100.0,
+        ]
+    };
+    let over = |pct: f64| pct.is_nan() || pct >= MAX_OVERHEAD_PCT;
+    let rounds = if quick { 5 } else { 7 };
+    sample(&mut [f64::INFINITY; 3]);
+    for round in 1..=rounds {
+        eprintln!(
+            "  timing round {round}/{rounds} (hand_rolled, engine off, engine metrics on)..."
+        );
+        sample(&mut best);
     }
-    let mut overhead_pct = (best[1] / best[0] - 1.0) * 100.0;
-
-    // Minimum-of-N timing on a shared host: a noisy batch can leave
-    // either minimum stranded above the true runtime and report a
-    // phantom overhead. Extra samples only tighten both minima, so
-    // escalate sampling before concluding failure — a genuine
-    // regression keeps the engine minimum above the gate no matter how
-    // many rounds run.
     let mut extra = 0;
-    while (overhead_pct.is_nan() || overhead_pct >= MAX_OVERHEAD_PCT) && extra < 4 * rounds {
+    while overheads(&best).into_iter().any(over) && extra < 4 * rounds {
         extra += 1;
-        eprintln!("  overhead reads {overhead_pct:+.2}%; extra timing round {extra}...");
-        let samples = [time_once(&hand_rolled), time_once(&engine_off)];
-        for (slot, s) in samples.into_iter().enumerate() {
-            best[slot] = best[slot].min(s);
-        }
-        overhead_pct = (best[1] / best[0] - 1.0) * 100.0;
+        let [off, on] = overheads(&best);
+        eprintln!("  overheads read {off:+.2}% / {on:+.2}%; extra timing round {extra}...");
+        sample(&mut best);
     }
+    pad_telemetry::set_metrics_enabled(false);
+    let [off_pct, on_pct] = overheads(&best);
 
     let mut t = Table::new(["variant", "best_secs", "overhead"]);
-    t.row([
-        "hand_rolled (no telemetry code)".to_string(),
-        format!("{:.6}", best[0]),
-        String::new(),
-    ]);
-    t.row([
-        "batched engine, telemetry off".to_string(),
-        format!("{:.6}", best[1]),
-        format!("{overhead_pct:+.2}%"),
-    ]);
+    for (variant, secs, overhead) in [
+        ("hand_rolled (no instrumentation)", best[0], String::new()),
+        (
+            "engine, telemetry and metrics off",
+            best[1],
+            format!("{off_pct:+.2}%"),
+        ),
+        (
+            "engine, metrics on",
+            best[2],
+            format!("{on_pct:+.2}% vs off"),
+        ),
+    ] {
+        t.row([variant.to_string(), format!("{secs:.6}"), overhead]);
+    }
     println!(
-        "== telemetry-off overhead (JACOBI n={n}, {} sinks) ==",
+        "== instrumentation overhead (JACOBI n={n}, {} sinks) ==",
         configs.len()
     );
     println!("{t}");
 
     // -- Claim 2: observation changes nothing --------------------------
-    let table_off = sweep_table();
-    let text_off = table_off.to_string();
-    let csv_off = csv_string(&table_off);
+    let render = |t: Table| (t.to_string(), csv_string(&t));
+    let off = render(sweep_table());
 
     let recorder = pad_telemetry::install_recorder(Mode::Events);
-    let table_events = sweep_table();
-    let text_events = table_events.to_string();
-    let csv_events = csv_string(&table_events);
+    let events_mode = render(sweep_table());
     let events = recorder.snapshot();
     pad_telemetry::uninstall();
 
+    pad_telemetry::set_metrics_enabled(true);
+    let metrics_on = render(sweep_table());
+    pad_telemetry::set_metrics_enabled(false);
+
     let count = |cat: &str| events.iter().filter(|e| e.category == cat).count();
     let (cell_events, sim_events, pad_events) = (count("cell"), count("sim"), count("pad"));
-    println!("== events-mode determinism ==");
+
+    // The registry now holds everything the metrics-on runs recorded;
+    // its Prometheus rendering must be byte-stable and lands in results/
+    // so CI uploads a real scrape body alongside the tables.
+    let exposition = render_prometheus(&pad_telemetry::registry().snapshot());
+    let stable = exposition == render_prometheus(&pad_telemetry::registry().snapshot());
+    let populated = exposition.contains("pad_sim_accesses_total");
+    let written = std::fs::create_dir_all("results")
+        .and_then(|()| std::fs::write("results/metrics.prom", &exposition));
+
+    let same_misses = misses.iter().all(|&m| m == misses[0]);
+    println!("== determinism ==");
     println!(
         "captured {} event(s): {cell_events} cell, {sim_events} sim, {pad_events} pad",
         events.len()
     );
     println!(
-        "table bytes identical: {} | csv bytes identical: {}",
-        text_off == text_events,
-        csv_off == csv_events
+        "miss counts equal: {same_misses} | events-mode table/csv identical: {}/{} | \
+         metrics-on table/csv identical: {}/{} | exposition stable: {stable}",
+        off.0 == events_mode.0,
+        off.1 == events_mode.1,
+        off.0 == metrics_on.0,
+        off.1 == metrics_on.1,
     );
     println!();
 
     let mut ok = true;
-    if overhead_pct.is_nan() || overhead_pct >= MAX_OVERHEAD_PCT {
-        eprintln!("FAIL: telemetry-off overhead {overhead_pct:+.2}% exceeds {MAX_OVERHEAD_PCT}%");
+    let mut fail = |msg: String| {
+        eprintln!("FAIL: {msg}");
         ok = false;
+    };
+    if over(off_pct) {
+        fail(format!(
+            "telemetry-off overhead {off_pct:+.2}% exceeds {MAX_OVERHEAD_PCT}%"
+        ));
     }
-    if text_off != text_events || csv_off != csv_events {
-        eprintln!("FAIL: events mode changed rendered results");
-        ok = false;
+    if over(on_pct) {
+        fail(format!(
+            "metrics-on overhead {on_pct:+.2}% exceeds {MAX_OVERHEAD_PCT}%"
+        ));
+    }
+    if !same_misses {
+        fail(format!("miss counts differ across states: {misses:?}"));
+    }
+    if off != events_mode {
+        fail("events mode changed rendered results".into());
+    }
+    if off != metrics_on {
+        fail("metrics state changed rendered results".into());
     }
     if cell_events == 0 || sim_events == 0 || pad_events == 0 {
-        eprintln!(
-            "FAIL: events mode captured too little \
-             (cell {cell_events}, sim {sim_events}, pad {pad_events})"
-        );
-        ok = false;
+        fail(format!(
+            "events mode captured too little (cell {cell_events}, sim {sim_events}, pad {pad_events})"
+        ));
+    }
+    if !stable || !populated {
+        fail(format!(
+            "Prometheus exposition unstable or empty (stable {stable}, populated {populated})"
+        ));
+    }
+    if let Err(e) = written {
+        fail(format!("could not write results/metrics.prom: {e}"));
     }
     if ok {
-        println!("bench_telemetry: PASS (overhead {overhead_pct:+.2}%, results byte-identical)");
+        println!(
+            "bench_telemetry: PASS (overhead {off_pct:+.2}% off, {on_pct:+.2}% metrics on; \
+             results byte-identical, exposition stable)"
+        );
         ExitCode::SUCCESS
     } else {
         ExitCode::FAILURE

@@ -643,19 +643,6 @@ fn print_telemetry_summary(experiment: &str, summary: &TelemetrySummary) {
             eprintln!("  {line}");
         }
     }
-    if !summary.advisor.is_empty() {
-        let a = &summary.advisor;
-        eprintln!(
-            "  advisor: {} requests (mean {:.1} ms) | {} analyses | {} cache hits | \
-             {} degraded | {} shed",
-            a.requests,
-            a.mean_request_us() / 1e3,
-            a.advises,
-            a.cache_hits,
-            a.degraded,
-            a.shed,
-        );
-    }
 }
 
 /// Renders one cell outcome into `width` table cells: the value's

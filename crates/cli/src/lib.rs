@@ -128,9 +128,9 @@ fn usage() -> String {
 fn cmd_serve() -> Result<(), String> {
     use pad_advisor::{Server, ServerConfig, Store, STORE_ENV};
 
-    // A service wants its metrics on unless the operator says otherwise;
-    // batch commands keep the library default (off).
-    pad_telemetry::init_metrics_from_env(true);
+    // The service records the process-wide metric families (engine,
+    // walk, search, ingest) beside its own; batch commands keep them off.
+    pad_telemetry::set_metrics_enabled(true);
     let config = ServerConfig::from_env();
     let store = match std::env::var(STORE_ENV) {
         Ok(path) if !path.is_empty() => {

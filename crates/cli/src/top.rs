@@ -202,7 +202,7 @@ fn render(cur: &Sample, prev: Option<&Sample>) -> String {
 
     out.push_str("padtool top — layout-advisor service\n\n");
     if !cur.enabled {
-        out.push_str("  !! metrics are DISABLED on the server (RIVERA_METRICS=off)\n\n");
+        out.push_str("  !! process metrics are DISABLED on the server (advisor families only)\n\n");
     }
     out.push_str(&format!(
         "  requests   {:>8}   {}\n",

@@ -61,6 +61,18 @@ pub enum IrError {
         /// but their sum does not.
         array: Option<String>,
     },
+    /// A loop bound, or a partial sum of its evaluation, can leave `i64`
+    /// over the enclosing loops' ranges.
+    BoundOverflow {
+        /// The loop's index variable name.
+        var: String,
+    },
+    /// A reference's byte offset from its array's base can exceed
+    /// [`crate::MAX_FOOTPRINT_BYTES`] in magnitude over the loop bounds.
+    AddressOverflow {
+        /// Name of the referenced array.
+        array: String,
+    },
 }
 
 impl fmt::Display for IrError {
@@ -106,6 +118,17 @@ impl fmt::Display for IrError {
             IrError::FootprintTooLarge { array: None } => write!(
                 f,
                 "the program's arrays occupy more than {} bytes together",
+                crate::MAX_FOOTPRINT_BYTES
+            ),
+            IrError::BoundOverflow { var } => {
+                write!(
+                    f,
+                    "the bounds of the loop over {var} leave the 64-bit range"
+                )
+            }
+            IrError::AddressOverflow { array } => write!(
+                f,
+                "a reference to {array} can reach more than {} bytes from its base",
                 crate::MAX_FOOTPRINT_BYTES
             ),
         }

@@ -3,14 +3,35 @@
 use std::collections::HashSet;
 
 use crate::affine::{AffineExpr, IndexVar};
+use crate::array::ArraySpec;
 use crate::error::IrError;
 use crate::loops::Stmt;
 use crate::program::Program;
 use crate::reference::ArrayRef;
 
+/// What validation knows about one loop's index variable while checking
+/// the loop's body.
+struct Bound {
+    var: IndexVar,
+    /// Smallest and largest value either loop bound can take.
+    lo: i128,
+    hi: i128,
+    /// Largest magnitude of a value or of the step.
+    reach: i128,
+}
+
 /// Checks that the arrays fit [`crate::MAX_FOOTPRINT_BYTES`] together,
 /// every reference is well-formed and every variable is bound. Each
 /// array's own size was checked when it was declared.
+///
+/// It also keeps address arithmetic inside `i64`. Every loop bound
+/// must fit `i64` over the enclosing loops' ranges, at every partial sum
+/// of its evaluation. Every reference's byte offset from its array's
+/// base must stay within `MAX_FOOTPRINT_BYTES` in magnitude. That offset
+/// is bounded term by term: each subscript's constant and the
+/// dimension's lower bound, plus each coefficient times its variable's
+/// largest value or step, times the dimension's byte stride. So no
+/// partial sum of a compiled address, in any order, leaves `i64`.
 pub(crate) fn validate(program: &Program) -> Result<(), IrError> {
     let total = program
         .arrays()
@@ -19,14 +40,14 @@ pub(crate) fn validate(program: &Program) -> Result<(), IrError> {
     if total.is_none_or(|t| t > crate::MAX_FOOTPRINT_BYTES) {
         return Err(IrError::FootprintTooLarge { array: None });
     }
-    let mut bound: Vec<IndexVar> = Vec::new();
+    let mut bound: Vec<Bound> = Vec::new();
     for stmt in program.body() {
         validate_stmt(program, stmt, &mut bound)?;
     }
     Ok(())
 }
 
-fn validate_stmt(program: &Program, stmt: &Stmt, bound: &mut Vec<IndexVar>) -> Result<(), IrError> {
+fn validate_stmt(program: &Program, stmt: &Stmt, bound: &mut Vec<Bound>) -> Result<(), IrError> {
     match stmt {
         Stmt::Refs(refs) => refs
             .iter()
@@ -34,12 +55,23 @@ fn validate_stmt(program: &Program, stmt: &Stmt, bound: &mut Vec<IndexVar>) -> R
         Stmt::Loop { header, body } => {
             check_expr(header.lower(), bound)?;
             check_expr(header.upper(), bound)?;
-            if bound.contains(header.var()) {
+            if bound.iter().any(|b| &b.var == header.var()) {
                 return Err(IrError::ShadowedVariable {
                     var: header.var().name().into(),
                 });
             }
-            bound.push(header.var().clone());
+            let overflow = || IrError::BoundOverflow {
+                var: header.var().name().into(),
+            };
+            let lower = bound_range(header.lower(), bound).ok_or_else(overflow)?;
+            let upper = bound_range(header.upper(), bound).ok_or_else(overflow)?;
+            let (lo, hi) = (lower.0.min(upper.0), lower.1.max(upper.1));
+            bound.push(Bound {
+                var: header.var().clone(),
+                lo,
+                hi,
+                reach: lo.abs().max(hi.abs()).max(i128::from(header.step()).abs()),
+            });
             let result = body
                 .iter()
                 .try_for_each(|s| validate_stmt(program, s, bound));
@@ -49,11 +81,33 @@ fn validate_stmt(program: &Program, stmt: &Stmt, bound: &mut Vec<IndexVar>) -> R
     }
 }
 
-fn validate_ref(
-    program: &Program,
-    array_ref: &ArrayRef,
-    bound: &[IndexVar],
-) -> Result<(), IrError> {
+/// The innermost binding of `var` (checked to exist beforehand).
+fn lookup<'b>(bound: &'b [Bound], var: &IndexVar) -> &'b Bound {
+    bound
+        .iter()
+        .rev()
+        .find(|b| &b.var == var)
+        .expect("variables are checked bound first")
+}
+
+/// The range of a loop bound over the enclosing loops' ranges, or `None`
+/// when a term or a partial sum of its evaluation can leave `i64`.
+fn bound_range(expr: &AffineExpr, bound: &[Bound]) -> Option<(i128, i128)> {
+    let fits = |v: i128| i64::try_from(v).is_ok();
+    let offset = i128::from(expr.offset());
+    let mut range = (offset, offset);
+    for (var, coeff) in expr.terms() {
+        let b = lookup(bound, var);
+        let (x, y) = (i128::from(*coeff) * b.lo, i128::from(*coeff) * b.hi);
+        range = (range.0 + x.min(y), range.1 + x.max(y));
+        if ![x, y, range.0, range.1].into_iter().all(fits) {
+            return None;
+        }
+    }
+    Some(range)
+}
+
+fn validate_ref(program: &Program, array_ref: &ArrayRef, bound: &[Bound]) -> Result<(), IrError> {
     let index = array_ref.array().index();
     let Some(spec) = program.arrays().get(index) else {
         return Err(IrError::UnknownArray { index });
@@ -68,11 +122,35 @@ fn validate_ref(
     for sub in array_ref.subscripts() {
         check_expr(sub, bound)?;
     }
+    if offset_reach(spec, array_ref, bound) > i128::from(crate::MAX_FOOTPRINT_BYTES) {
+        return Err(IrError::AddressOverflow {
+            array: spec.name().into(),
+        });
+    }
     Ok(())
 }
 
-fn check_expr(expr: &AffineExpr, bound: &[IndexVar]) -> Result<(), IrError> {
-    let bound_set: HashSet<&IndexVar> = bound.iter().collect();
+/// The term-by-term bound on a reference's byte offset from its array's
+/// base (see [`validate`]), saturating far above any accepted value.
+fn offset_reach(spec: &ArraySpec, array_ref: &ArrayRef, bound: &[Bound]) -> i128 {
+    let mut stride = i128::from(spec.elem_size());
+    let mut reach = 0i128;
+    for (sub, dim) in array_ref.subscripts().iter().zip(spec.dims()) {
+        let elements = sub.terms().iter().fold(
+            i128::from(sub.offset()).abs() + i128::from(dim.lower).abs(),
+            |acc, (var, coeff)| {
+                let term = i128::from(*coeff).abs() * lookup(bound, var).reach;
+                acc.saturating_add(term)
+            },
+        );
+        reach = reach.saturating_add(elements.saturating_mul(stride));
+        stride = stride.saturating_mul(i128::from(dim.size));
+    }
+    reach
+}
+
+fn check_expr(expr: &AffineExpr, bound: &[Bound]) -> Result<(), IrError> {
+    let bound_set: HashSet<&IndexVar> = bound.iter().map(|b| &b.var).collect();
     for var in expr.vars() {
         if !bound_set.contains(var) {
             return Err(IrError::UnboundVariable {
@@ -86,7 +164,7 @@ fn check_expr(expr: &AffineExpr, bound: &[IndexVar]) -> Result<(), IrError> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::array::ArrayBuilder;
+    use crate::array::{ArrayBuilder, Dim};
     use crate::loops::Loop;
     use crate::reference::Subscript;
 
@@ -145,6 +223,77 @@ mod tests {
             ));
         }
         assert!(b.build().is_ok());
+    }
+
+    /// The error `text` fails to parse with.
+    fn parse_err(text: &str) -> String {
+        crate::parse(text).expect_err(text).to_string()
+    }
+
+    #[test]
+    fn references_whose_addresses_wrap_64_bits_are_rejected() {
+        // Each reference's byte offset wraps i64 unchecked: a coefficient
+        // times the stride, a constant, a loop near the top of i64, and a
+        // lower bound near the bottom.
+        let cases = [
+            "array A(100, 4)\ndo i = 1, 10\n  t = A(4611686018427387904*i, 1)\nend",
+            "array A(100, 4)\ndo i = 1, 10\n  t = A(i + 9223372036854775000, 1)\nend",
+            "array A(100, 4)\ndo i = 9223372036854775800, 9223372036854775807\n  t = A(i, 1)\nend",
+            "array A(-9223372036854775807:-9223372036854775000, 4)\n\
+             do i = 1, 10\n  t = A(i, 1)\nend",
+        ];
+        for body in cases {
+            let err = parse_err(&format!("program wrap\n{body}"));
+            assert!(
+                err.contains("a reference to A can reach more than"),
+                "{body:?} gave {err}"
+            );
+        }
+    }
+
+    #[test]
+    fn loop_bounds_outside_i64_are_rejected() {
+        let err = parse_err(
+            "program wrap\narray A(4)\n\
+             do i = 1, 9223372036854775807\n  do j = i, i + 1\n    t = A(1)\n  end\nend",
+        );
+        assert!(err.contains("loop over j leave the 64-bit range"), "{err}");
+        let err = parse_err(
+            "program wrap\narray A(4)\n\
+             do i = -9223372036854775807, 2\n  do j = 1, 2*i\n    t = A(1)\n  end\nend",
+        );
+        assert!(err.contains("loop over j leave the 64-bit range"), "{err}");
+    }
+
+    #[test]
+    fn the_limits_themselves_are_accepted() {
+        // A loop spanning all of i64 whose body never scales its variable.
+        let mut b = Program::builder("p");
+        let a = b.add_array(ArrayBuilder::new("A", [10]));
+        b.push(Stmt::loop_(
+            Loop::new("i", i64::MIN, i64::MAX),
+            vec![Stmt::refs(vec![a.at([Subscript::constant(2)])])],
+        ));
+        assert!(b.build().is_ok());
+        // Offsets reaching exactly MAX_FOOTPRINT_BYTES, and one byte more.
+        let reach = |hi: i64| {
+            let mut b = Program::builder("p");
+            let a = b.add_array(
+                ArrayBuilder::new("A", [10])
+                    .dims([Dim::with_lower(10, 0)])
+                    .elem_size(1),
+            );
+            b.push(Stmt::loop_(
+                Loop::new("i", 0, hi),
+                vec![Stmt::refs(vec![a.at([Subscript::var("i")])])],
+            ));
+            b.build()
+        };
+        assert!(reach(crate::MAX_FOOTPRINT_BYTES).is_ok());
+        assert_eq!(
+            reach(crate::MAX_FOOTPRINT_BYTES + 1),
+            Err(IrError::AddressOverflow { array: "A".into() })
+        );
     }
 
     #[test]

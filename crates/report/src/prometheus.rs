@@ -10,7 +10,7 @@
 //! (family, labels) and this renderer adds nothing nondeterministic (no
 //! timestamps, no uptime), so rendering the same snapshot — or two
 //! snapshots of an unchanged registry — produces identical bytes. The
-//! `metrics-overhead` verify gate asserts exactly that.
+//! `telemetry` verify gate asserts exactly that.
 //!
 //! Histogram buckets: the native log2 buckets would emit 65 series per
 //! histogram, most empty; the exposition instead emits bounds of the

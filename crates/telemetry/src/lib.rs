@@ -67,11 +67,11 @@ pub use collector::{Collector, NoopCollector, Recorder};
 pub use event::{Event, EventKind, Value};
 pub use histogram::Histogram;
 pub use metrics::{
-    init_metrics_from_env, metrics_enabled, registry, set_metrics_enabled, slo_threshold_us,
-    Counter, Gauge, HistogramSnapshot, LatencyHistogram, MetricsRegistry, MetricsSnapshot,
-    SnapshotMetric, SnapshotValue, DEFAULT_SLO_MS, METRICS_ENV, SLO_ENV,
+    metrics_enabled, registry, set_metrics_enabled, slo_threshold_us, Counter, Gauge,
+    HistogramSnapshot, LatencyHistogram, MetricsRegistry, MetricsSnapshot, SnapshotMetric,
+    SnapshotValue, DEFAULT_SLO_MS, SLO_ENV,
 };
-pub use summary::{summarize, AdvisorSummary, CellSummary, KernelThroughput, TelemetrySummary};
+pub use summary::{summarize, CellSummary, KernelThroughput, TelemetrySummary};
 
 use std::sync::atomic::{AtomicBool, AtomicU64, AtomicU8, Ordering};
 use std::sync::{Arc, OnceLock, RwLock};

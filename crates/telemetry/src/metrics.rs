@@ -1,6 +1,7 @@
-//! Live service metrics: a process-global registry of monotonic
-//! counters, gauges, and latency histograms, cheap enough to leave in
-//! the request path of a long-running server.
+//! Live service metrics: registries of monotonic counters, gauges, and
+//! latency histograms, cheap enough to leave in the request path of a
+//! long-running server. One registry is process-global ([`registry`]);
+//! each advisor server keeps another of its own.
 //!
 //! The event/span layer in this crate answers *post-hoc* questions —
 //! what did a sweep do, where did the time go. This module answers the
@@ -9,8 +10,9 @@
 //! the same discipline as the event layer:
 //!
 //! * the disabled state costs one relaxed atomic load per
-//!   instrumentation site ([`metrics_enabled`]), gated by the
-//!   `RIVERA_METRICS` environment variable;
+//!   instrumentation site ([`metrics_enabled`]). No environment
+//!   variable sets it: the program calls [`set_metrics_enabled`]
+//!   (`padtool serve` turns it on; sweeps leave it off);
 //! * hot counters are single relaxed `fetch_add`s; latency histograms
 //!   are **sharded** ([`HIST_SHARDS`] cache-line-aligned shards, one
 //!   picked per recording thread) so concurrent workers never contend
@@ -35,11 +37,6 @@ use std::sync::atomic::{AtomicBool, AtomicI64, AtomicU64, Ordering};
 use std::sync::{Arc, Mutex, OnceLock};
 
 use crate::histogram::Histogram;
-
-/// Environment variable switching the live metrics layer (`on`/`off`;
-/// commands choose their own default — `padtool serve` and `padtool
-/// top` default on, batch/figure binaries default off).
-pub const METRICS_ENV: &str = "RIVERA_METRICS";
 
 /// Environment variable setting the request-latency SLO threshold in
 /// milliseconds (default [`DEFAULT_SLO_MS`]; `0` disables SLO
@@ -68,30 +65,6 @@ pub fn metrics_enabled() -> bool {
 /// Turns the metrics layer on or off process-wide.
 pub fn set_metrics_enabled(on: bool) {
     METRICS_ENABLED.store(on, Ordering::Relaxed);
-}
-
-/// The `RIVERA_METRICS` override, if one was given: `on`/`1`/`true`
-/// mean on, `off`/`0`/`false`/`` mean off, anything else warns and
-/// counts as unset.
-pub fn metrics_env_override() -> Option<bool> {
-    let raw = std::env::var(METRICS_ENV).ok()?;
-    match raw.trim().to_ascii_lowercase().as_str() {
-        "on" | "1" | "true" | "yes" => Some(true),
-        "" | "off" | "0" | "false" | "no" => Some(false),
-        _ => {
-            eprintln!("warning: ignoring {METRICS_ENV}={raw:?} (want on|off)");
-            None
-        }
-    }
-}
-
-/// Enables or disables metrics from the environment, using
-/// `default_on` when `RIVERA_METRICS` is unset. Returns the resulting
-/// state.
-pub fn init_metrics_from_env(default_on: bool) -> bool {
-    let on = metrics_env_override().unwrap_or(default_on);
-    set_metrics_enabled(on);
-    on
 }
 
 /// The SLO latency threshold in microseconds (`None` when disabled via
@@ -150,7 +123,7 @@ impl Gauge {
         self.value.store(v, Ordering::Relaxed);
     }
 
-    /// Adds `n` (may be negative via [`Gauge::dec`]).
+    /// Adds one ([`Gauge::dec`] subtracts one).
     #[inline]
     pub fn inc(&self) {
         self.value.fetch_add(1, Ordering::Relaxed);
@@ -344,6 +317,20 @@ impl MetricsSnapshot {
         self.counters.is_empty() && self.gauges.is_empty() && self.histograms.is_empty()
     }
 
+    /// This snapshot and `other` as one, in key order: what a single
+    /// registry holding both sets of metrics would snapshot.
+    pub fn merge(mut self, other: MetricsSnapshot) -> MetricsSnapshot {
+        for (mine, theirs) in [
+            (&mut self.counters, other.counters),
+            (&mut self.gauges, other.gauges),
+            (&mut self.histograms, other.histograms),
+        ] {
+            mine.extend(theirs);
+            mine.sort_by(|a, b| (&a.name, &a.labels).cmp(&(&b.name, &b.labels)));
+        }
+        self
+    }
+
     /// Looks a counter up by flat name (`name` or `name{k="v"}`).
     pub fn counter(&self, flat: &str) -> Option<u64> {
         self.counters
@@ -378,8 +365,8 @@ impl MetricsSnapshot {
     }
 }
 
-/// The process-global metrics registry. Metric handles are registered
-/// once (mutex-guarded) and updated lock-free thereafter; snapshots
+/// A metrics registry. Metric handles are registered once
+/// (mutex-guarded) and updated lock-free thereafter; snapshots
 /// iterate the sorted key space so output order is deterministic.
 #[derive(Default)]
 pub struct MetricsRegistry {
@@ -394,7 +381,7 @@ fn poisoned<T>(e: std::sync::PoisonError<T>) -> T {
 }
 
 impl MetricsRegistry {
-    /// An empty registry (tests; production code uses [`registry`]).
+    /// An empty registry, separate from the process-global [`registry`].
     pub fn new() -> Self {
         MetricsRegistry::default()
     }
@@ -599,10 +586,31 @@ mod tests {
     }
 
     #[test]
+    fn merged_snapshots_keep_key_order() {
+        let (one, two, both) = (
+            MetricsRegistry::new(),
+            MetricsRegistry::new(),
+            MetricsRegistry::new(),
+        );
+        for (r, name, labels) in [
+            (&one, "a_total", &[][..]),
+            (&two, "a_total_x", &[][..]),
+            (&one, "a_total", &[("op", "ping")][..]),
+            (&two, "b_total", &[][..]),
+        ] {
+            r.counter_with(name, "help", labels).inc();
+            both.counter_with(name, "help", labels).inc();
+        }
+        two.gauge("g", "gauge").set(4);
+        both.gauge("g", "gauge").set(4);
+        assert_eq!(one.snapshot().merge(two.snapshot()), both.snapshot());
+    }
+
+    #[test]
     fn env_parsing_is_forgiving() {
-        // metrics_env_override reads the real environment; only the
-        // pure pieces are testable without racing other tests, so pin
-        // the SLO default math instead.
+        // slo_threshold_us reads the real environment; only the pure
+        // pieces are testable without racing other tests, so pin the
+        // SLO default instead.
         assert_eq!(DEFAULT_SLO_MS, 250);
     }
 }

@@ -44,41 +44,6 @@ impl KernelThroughput {
     }
 }
 
-/// Aggregate of one advisor-service session's request stream
-/// (`advisor`-category events emitted by `pad-advisor`).
-#[derive(Debug, Clone, Default, PartialEq, Eq)]
-pub struct AdvisorSummary {
-    /// Completed request spans.
-    pub requests: u64,
-    /// Total request wall time, microseconds.
-    pub request_us: u64,
-    /// Analysis (`advise`) spans — cache hits never run one.
-    pub advises: u64,
-    /// Requests shed by admission control.
-    pub shed: u64,
-    /// Requests answered from the persistent store.
-    pub cache_hits: u64,
-    /// Requests answered on the degraded fast rung.
-    pub degraded: u64,
-}
-
-impl AdvisorSummary {
-    /// True when no advisor events were observed at all (the summary
-    /// table omits the section entirely).
-    pub fn is_empty(&self) -> bool {
-        *self == AdvisorSummary::default()
-    }
-
-    /// Mean wall time per completed request, microseconds.
-    pub fn mean_request_us(&self) -> f64 {
-        if self.requests == 0 {
-            0.0
-        } else {
-            self.request_us as f64 / self.requests as f64
-        }
-    }
-}
-
 /// Everything the end-of-sweep summary table reports.
 #[derive(Debug, Clone, Default)]
 pub struct TelemetrySummary {
@@ -98,8 +63,6 @@ pub struct TelemetrySummary {
     pub pad_decisions: u64,
     /// Sampled cache-counter snapshots observed.
     pub cache_samples: u64,
-    /// Advisor-service request aggregates.
-    pub advisor: AdvisorSummary,
 }
 
 /// Folds an event stream into a [`TelemetrySummary`].
@@ -150,20 +113,6 @@ pub fn summarize(events: &[Event]) -> TelemetrySummary {
             }
             ("pad", _) => summary.pad_decisions += 1,
             ("cache", EventKind::Counter) => summary.cache_samples += 1,
-            ("advisor", EventKind::Span { dur_us }) => match event.name.as_str() {
-                "request" => {
-                    summary.advisor.requests += 1;
-                    summary.advisor.request_us += dur_us;
-                }
-                "advise" => summary.advisor.advises += 1,
-                _ => {}
-            },
-            ("advisor", EventKind::Instant) => match event.name.as_str() {
-                "shed" => summary.advisor.shed += 1,
-                "cache_hit" => summary.advisor.cache_hits += 1,
-                "degraded" => summary.advisor.degraded += 1,
-                _ => {}
-            },
             _ => {}
         }
     }
@@ -253,35 +202,10 @@ mod tests {
     }
 
     #[test]
-    fn advisor_events_aggregate_into_their_own_section() {
-        let events = vec![
-            span("advisor", "request", 400, vec![("frame", Value::U64(0))]),
-            span("advisor", "request", 600, vec![("frame", Value::U64(1))]),
-            span("advisor", "advise", 350, vec![("exact", Value::U64(1))]),
-            Event::instant("advisor", "cache_hit", vec![("frame", Value::U64(1))]),
-            Event::instant("advisor", "shed", vec![("frame", Value::U64(2))]),
-            Event::instant("advisor", "degraded", vec![("frame", Value::U64(3))]),
-            Event::instant("advisor", "unknown-name", vec![]),
-        ];
-        let s = summarize(&events);
-        assert_eq!(s.advisor.requests, 2);
-        assert_eq!(s.advisor.request_us, 1000);
-        assert!((s.advisor.mean_request_us() - 500.0).abs() < f64::EPSILON);
-        assert_eq!(s.advisor.advises, 1);
-        assert_eq!(s.advisor.cache_hits, 1);
-        assert_eq!(s.advisor.shed, 1);
-        assert_eq!(s.advisor.degraded, 1);
-        assert!(!s.advisor.is_empty());
-        // Advisor spans are not cell spans; they stay out of the cell table.
-        assert!(s.cells.is_empty());
-    }
-
-    #[test]
     fn empty_stream_is_empty_summary() {
         let s = summarize(&[]);
         assert!(s.cells.is_empty());
         assert!(s.kernels.is_empty());
         assert_eq!(s.cell_durations_us.count(), 0);
-        assert!(s.advisor.is_empty());
     }
 }

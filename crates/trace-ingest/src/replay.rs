@@ -16,7 +16,6 @@ use pad_cache_sim::{
     Access, Cache, CacheConfig, CacheStats, ReuseHistogram, SampledReuseAnalyzer, SetHeatReport,
     SetHeatTracker, VictimCache, VictimStats,
 };
-use pad_telemetry::{Event, Value};
 
 /// What a replay should measure. Build with the `with_*` methods; an
 /// empty request still counts records (useful as a format check).
@@ -163,66 +162,15 @@ impl Replayer {
         self.accesses
     }
 
-    /// Closes the replay, emitting telemetry and collecting results.
+    /// Closes the replay, recording its metrics and collecting results.
     pub fn finish(self) -> ReplayResults {
-        let heat: Vec<SetHeatReport> = self.heat.iter().map(|h| h.report()).collect();
-        for (i, report) in heat.iter().enumerate() {
-            pad_telemetry::emit(|| {
-                let c = report.class_counts();
-                Event::counter(
-                    "cache",
-                    format!("ingest/heat{i}"),
-                    vec![
-                        ("very_hot_sets", Value::U64(c[0])),
-                        ("hot_sets", Value::U64(c[1])),
-                        ("cold_sets", Value::U64(c[2])),
-                        ("very_cold_sets", Value::U64(c[3])),
-                        ("evictions", Value::U64(report.total_evictions())),
-                    ],
-                )
-            });
-        }
-        if let Some(reuse) = &self.reuse {
-            pad_telemetry::emit(|| {
-                Event::counter(
-                    "reuse",
-                    "ingest/reuse",
-                    vec![
-                        ("sample_log2", Value::U64(u64::from(reuse.sample_log2()))),
-                        ("sampled", Value::U64(reuse.sampled_accesses())),
-                        ("total", Value::U64(reuse.total_accesses())),
-                        (
-                            "distinct_sampled_lines",
-                            Value::U64(reuse.distinct_sampled_lines() as u64),
-                        ),
-                    ],
-                )
-            });
-        }
-        let sinks = (self.plain.len()
-            + self.victim.len()
-            + self.heat.len()
-            + usize::from(self.reuse.is_some())) as u64;
-        let accesses = self.accesses;
-        let start_us = self.start_us;
-        pad_telemetry::emit(|| {
-            Event::span(
-                start_us,
-                "sim",
-                "ingest/replay",
-                vec![
-                    ("accesses", Value::U64(accesses)),
-                    ("sinks", Value::U64(sinks)),
-                ],
-            )
-        });
         if pad_telemetry::metrics_enabled() {
             let m = crate::metrics::ingest_metrics();
-            let elapsed = pad_telemetry::now_us().saturating_sub(start_us);
+            let elapsed = pad_telemetry::now_us().saturating_sub(self.start_us);
             m.replays.inc();
             m.replay_us.record(elapsed);
             if elapsed > 0 {
-                let rate = (accesses as f64 * 1e6 / elapsed as f64) as i64;
+                let rate = (self.accesses as f64 * 1e6 / elapsed as f64) as i64;
                 m.replay_records_per_sec.set(rate);
             }
         }
@@ -230,7 +178,7 @@ impl Replayer {
             accesses: self.accesses,
             plain: self.plain.iter().map(|c| *c.stats()).collect(),
             victim: self.victim.iter().map(|v| *v.stats()).collect(),
-            heat,
+            heat: self.heat.iter().map(|h| h.report()).collect(),
             reuse: self.reuse.map(|r| ReuseOutcome {
                 sample_log2: r.sample_log2(),
                 sampled_accesses: r.sampled_accesses(),

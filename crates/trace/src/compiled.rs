@@ -548,7 +548,11 @@ fn walk(node: &Node, slots: &mut Vec<i64>, f: &mut impl FnMut(Access)) {
                 for child in body {
                     walk(child, slots, f);
                 }
-                value += step;
+                // A next value beyond i64 lies beyond any bound, too.
+                let Some(next) = value.checked_add(*step) else {
+                    break;
+                };
+                value = next;
             }
         }
         Node::InnerLoop {
@@ -655,6 +659,30 @@ mod tests {
         let p = b.build().expect("valid");
         let layout = DataLayout::original(&p);
         assert_eq!(interpret(&p, &layout), compiled(&p, &layout));
+    }
+
+    #[test]
+    fn outer_loops_at_the_ends_of_i64_stop_there() {
+        let mut b = Program::builder("edges");
+        let a = b.add_array(ArrayBuilder::new("A", [4]).elem_size(8));
+        let inner = || {
+            Stmt::loop_(
+                Loop::new("j", 1, 2),
+                vec![Stmt::refs(vec![a.at([Subscript::constant(1)])])],
+            )
+        };
+        b.push(Stmt::loop_(
+            Loop::new("i", i64::MAX - 1, i64::MAX),
+            vec![inner()],
+        ));
+        b.push(Stmt::loop_(
+            Loop::with_step("i", i64::MIN + 1, i64::MIN, -1),
+            vec![inner()],
+        ));
+        let p = b.build().expect("valid");
+        let mut walked = 0;
+        CompiledTrace::compile(&p, &DataLayout::original(&p)).for_each(|_| walked += 1);
+        assert_eq!(walked, 8);
     }
 
     fn assert_count_matches_interpreter(p: &Program, layout: &DataLayout) {
