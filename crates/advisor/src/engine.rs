@@ -357,16 +357,18 @@ pub fn advise_trace(request: &AdviseRequest) -> Result<Advice, RequestError> {
         .collect();
 
     let hist = &reuse.histogram;
+    let capacities = hist.pow2_capacities();
     let mrc = Json::Arr(
-        hist.pow2_capacities()
-            .into_iter()
-            .map(|lines| {
+        capacities
+            .iter()
+            .zip(hist.miss_ratios(&capacities))
+            .map(|(&lines, ratio)| {
                 Json::Obj(vec![
                     (
                         "capacity_bytes".into(),
                         Json::Int((lines * cache.line_size()) as i64),
                     ),
-                    ("miss_ratio".into(), Json::Num(hist.miss_ratio_at(lines))),
+                    ("miss_ratio".into(), Json::Num(ratio)),
                 ])
             })
             .collect(),
@@ -466,16 +468,18 @@ fn mrc_json(
         .collect();
     capacities.sort_unstable();
     capacities.dedup();
+    let (original, padded) = (hb.miss_ratios(&capacities), ha.miss_ratios(&capacities));
     let points = capacities
-        .into_iter()
-        .map(|lines| {
+        .iter()
+        .zip(original.into_iter().zip(padded))
+        .map(|(&lines, (original, padded))| {
             Json::Obj(vec![
                 (
                     "capacity_bytes".into(),
                     Json::Int((lines * line_size) as i64),
                 ),
-                ("original".into(), Json::Num(hb.miss_ratio_at(lines))),
-                ("padded".into(), Json::Num(ha.miss_ratio_at(lines))),
+                ("original".into(), Json::Num(original)),
+                ("padded".into(), Json::Num(padded)),
             ])
         })
         .collect();

@@ -630,8 +630,8 @@ fn mrc_size_label(bytes: u64) -> String {
 }
 
 /// One kernel's miss-ratio curves, built under an explicit run context
-/// with pinned problem size and capacity list (the golden test pins
-/// both; [`fig_mrc_tables_ctx`] supplies the defaults).
+/// with pinned problem size and ascending capacity list (the golden
+/// test pins both; [`fig_mrc_tables_ctx`] supplies the defaults).
 ///
 /// Each of the two cells (original / PAD layout) is a *single* batched
 /// walk: the reuse sink yields the fully-associative miss ratio at every
@@ -662,10 +662,11 @@ pub fn mrc_kernel_table_ctx(
                 r.with_plain(CacheConfig::direct_mapped(bytes, line))
             });
         let results = simulate_batch(&p, &layout, &request);
-        let hist = &results.reuse[0];
-        let fa: Vec<f64> = cache_bytes
-            .iter()
-            .map(|&b| 100.0 * hist.miss_ratio_at(b / line))
+        let capacities: Vec<u64> = cache_bytes.iter().map(|&b| b / line).collect();
+        let fa: Vec<f64> = results.reuse[0]
+            .miss_ratios(&capacities)
+            .into_iter()
+            .map(|ratio| 100.0 * ratio)
             .collect();
         let dm: Vec<f64> = results
             .plain

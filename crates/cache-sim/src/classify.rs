@@ -253,6 +253,12 @@ impl ClassifyingCache {
     pub fn reuse_histogram(&self) -> &ReuseHistogram {
         &self.hist
     }
+
+    /// Whether the reuse engine's last-use table went to the hash map
+    /// ([`ReuseStack::is_hashed`]).
+    pub fn is_hashed(&self) -> bool {
+        self.reuse.is_hashed()
+    }
 }
 
 #[cfg(test)]

@@ -18,19 +18,24 @@
 //!
 //! The engine numbers accesses with *ticks* and keeps two structures:
 //!
-//! * a **last-use table**, line → tick of its latest access. While the
-//!   line span it covers stays within `SPAN_FACTOR` slots per distinct
-//!   line plus `SPAN_SLACK`, it is a flat `Vec<u64>` indexed by
-//!   `line - base`: one indexed load per access, no hashing. The first
-//!   line that would stretch it further converts it, once and for good,
-//!   to a std `HashMap` (sparse external traces, SHARDS-sampled lines),
-//!   so memory stays O(distinct lines) for any input and keys from
-//!   outside the program keep the default hasher.
-//! * the **live ticks** — each line's latest — as a bitset, plus a
-//!   Fenwick tree over the popcounts of its 64-tick words. A reuse's
-//!   stack distance is the number of live ticks after the line's
-//!   previous one: the live count minus that tick's rank, where rank is
-//!   a tree prefix over whole words plus one masked popcount.
+//! * a **last-use table**, line → tick of its latest access. While it
+//!   covers at most `SPAN_FACTOR` slots per distinct line plus
+//!   `SPAN_SLACK`, it is *paged*: a directory over fixed pages of
+//!   `PAGE` line slots, each page allocated on its first touch, so an
+//!   access costs two dependent loads and no hashing, and a first-touch
+//!   burst across many large arrays costs one page per array. The first
+//!   page that would take it past the bound converts it, once and for
+//!   good, to a std `HashMap` (sparse external traces, SHARDS-sampled
+//!   lines), so memory stays O(distinct lines) for any input and keys
+//!   from outside the program keep the default hasher.
+//! * the **live ticks** — each line's latest — as a bitset. The newest
+//!   `HOT_WORDS` 64-tick words form a hot window with a live count per
+//!   word; a Fenwick tree covers the popcounts of the older, frozen
+//!   words. A reuse's stack distance is the number of live ticks after
+//!   the line's previous one: for a previous tick in the window, one
+//!   masked popcount of its word plus the later words' counts; otherwise
+//!   the live count minus that tick's rank, a tree prefix over whole
+//!   words plus one masked popcount.
 //!
 //! Every operation is O(log(ticks / 64)). Once ticks outnumber live lines
 //! 4×, compaction renumbers each live tick to its rank, read straight off
@@ -55,99 +60,159 @@ use std::collections::HashMap;
 
 use crate::cache::Access;
 
-/// The flat last-use table may cover at most `SPAN_FACTOR` line slots per
-/// distinct line, plus `SPAN_SLACK`, before it becomes a hash map.
+/// The paged last-use table may hold at most `SPAN_FACTOR` slots (page
+/// slots plus directory entries) per distinct line, plus `SPAN_SLACK`,
+/// before it becomes a hash map.
 const SPAN_FACTOR: u64 = 8;
 
-/// Slack on top of `SPAN_FACTOR`: lets a trace's first touches of a
-/// few far-apart arrays (a few MiB of address space) stay flat.
+/// Slack on top of `SPAN_FACTOR`: 64 pages' worth, so a trace's first
+/// touches of dozens of large arrays stay paged.
 const SPAN_SLACK: u64 = 1 << 16;
+
+/// Log2 of the lines per page of the last-use table.
+const PAGE_SHIFT: u32 = 10;
+
+/// Line slots per page of the last-use table.
+const PAGE: usize = 1 << PAGE_SHIFT;
+
+/// One page of the last-use table: the slots of `PAGE` consecutive lines.
+type Page = Box<[u64; PAGE]>;
 
 /// Line id → tick of its latest access, 0 for a line never seen.
 #[derive(Debug, Clone)]
 enum LastUse {
-    /// `ticks[i]` is the slot of line `base + i` (mod 2^64).
-    Flat {
+    /// `dir[i]`, once allocated, holds the slots of lines
+    /// `base + i * PAGE ..` (mod 2^64); `base` is a multiple of `PAGE`.
+    Paged {
         base: u64,
-        ticks: Vec<u64>,
+        dir: Vec<Option<Page>>,
+        /// Allocated pages (the `Some` entries of `dir`).
+        pages: u64,
     },
     Hashed(HashMap<u64, u64>),
 }
 
 impl Default for LastUse {
     fn default() -> Self {
-        LastUse::Flat {
+        LastUse::Paged {
             base: 0,
-            ticks: Vec::new(),
+            dir: Vec::new(),
+            pages: 0,
         }
     }
 }
 
 impl LastUse {
     /// The slot of `line` (0 if the line is new). `distinct` lines are in
-    /// the table, which sets how far a flat table may stretch.
+    /// the table, which sets how far a paged table may grow.
     #[inline]
     fn slot(&mut self, line: u64, distinct: u64) -> &mut u64 {
-        if let LastUse::Flat { base, ticks } = self {
-            if line.wrapping_sub(*base) >= ticks.len() as u64 {
-                self.make_room(line, distinct);
-            }
+        // The hit path checks, then indexes, with no call in between, so
+        // the compiler folds the two lookups into one.
+        if !self.has_page(line) {
+            return self.slot_without_page(line, distinct);
+        }
+        let LastUse::Paged { base, dir, .. } = self else {
+            unreachable!("only a paged table has pages");
+        };
+        page_slot(*base, dir, line)
+    }
+
+    /// Whether the table is paged and `line`'s page is allocated.
+    fn has_page(&self, line: u64) -> bool {
+        let LastUse::Paged { base, dir, .. } = self else {
+            return false;
+        };
+        let page = (line.wrapping_sub(*base) >> PAGE_SHIFT) as usize;
+        matches!(dir.get(page), Some(Some(_)))
+    }
+
+    /// [`LastUse::slot`] for a line with no allocated page: a hashed
+    /// table's every access, a paged table's first touch of a page.
+    fn slot_without_page(&mut self, line: u64, distinct: u64) -> &mut u64 {
+        if let LastUse::Paged { .. } = self {
+            self.make_room(line, distinct);
         }
         match self {
-            LastUse::Flat { base, ticks } => &mut ticks[line.wrapping_sub(*base) as usize],
+            LastUse::Paged { base, dir, .. } => page_slot(*base, dir, line),
             LastUse::Hashed(map) => map.entry(line).or_insert(0),
         }
     }
 
-    /// Stretches a flat table to cover `line`, towards whichever end is
-    /// nearer, or converts it to a hash map if that would exceed the
-    /// span bound.
+    /// Allocates the page holding `line`, first stretching the directory
+    /// towards whichever end is nearer, or converts the table to a hash
+    /// map if that would exceed the span bound.
     #[cold]
     #[inline(never)]
     fn make_room(&mut self, line: u64, distinct: u64) {
-        let LastUse::Flat { base, ticks } = self else {
+        let LastUse::Paged { base, dir, pages } = self else {
             return;
         };
-        let len = ticks.len() as u64;
-        if len == 0 {
-            *base = line;
-            ticks.push(0);
-            return;
+        let first = line >> PAGE_SHIFT << PAGE_SHIFT;
+        if dir.is_empty() {
+            *base = first;
+            dir.push(None);
         }
-        let above = line.wrapping_sub(base.wrapping_add(len - 1));
-        let below = base.wrapping_sub(line);
-        let need = len.saturating_add(above.min(below));
+        // Directory entries that reach `first` growing up, and down.
+        let len = dir.len() as u64;
+        let up = (first.wrapping_sub(*base) >> PAGE_SHIFT) + 1;
+        let down = len + (base.wrapping_sub(first) >> PAGE_SHIFT);
+        let entries = len.max(up.min(down));
+        let slots = (*pages + 1) << PAGE_SHIFT;
         let limit = (distinct + 1)
             .saturating_mul(SPAN_FACTOR)
             .saturating_add(SPAN_SLACK);
-        if need > limit {
+        if slots.saturating_add(entries) > limit {
             let mut map = HashMap::with_capacity(distinct as usize + 1);
-            for (i, &tick) in ticks.iter().enumerate() {
-                if tick != 0 {
-                    map.insert(base.wrapping_add(i as u64), tick);
+            for (i, page) in dir.iter().enumerate() {
+                let Some(page) = page else { continue };
+                let start = base.wrapping_add((i as u64) << PAGE_SHIFT);
+                for (j, &tick) in page.iter().enumerate() {
+                    if tick != 0 {
+                        map.insert(start.wrapping_add(j as u64), tick);
+                    }
                 }
             }
             *self = LastUse::Hashed(map);
-        } else if above <= below {
-            ticks.resize(need as usize, 0);
-        } else {
-            // Grow downwards with headroom, so a descending stream pays
-            // amortized O(1) per new line for the shift.
-            let grown_len = need.max(len.saturating_mul(2).min(limit));
-            let mut grown = vec![0; grown_len as usize];
-            grown[(grown_len - len) as usize..].copy_from_slice(ticks);
-            *base = base.wrapping_add(len).wrapping_sub(grown_len);
-            *ticks = grown;
+            return;
         }
+        if entries > len && up <= down {
+            dir.resize(entries as usize, None);
+        } else if entries > len {
+            // Grow downwards with headroom, so a descending stream pays
+            // amortized O(1) per new page for the shift.
+            let grown_len = entries.max(len.saturating_mul(2).min(limit - slots));
+            let mut grown = Vec::with_capacity(grown_len as usize);
+            grown.resize((grown_len - len) as usize, None);
+            grown.append(dir);
+            *base = base.wrapping_sub((grown_len - len) << PAGE_SHIFT);
+            *dir = grown;
+        }
+        let i = (line.wrapping_sub(*base) >> PAGE_SHIFT) as usize;
+        dir[i] = Some(vec![0; PAGE].try_into().expect("PAGE slots"));
+        *pages += 1;
     }
 
     /// Applies `f` to every seen line's tick.
-    fn for_each_tick(&mut self, f: impl FnMut(&mut u64)) {
+    fn for_each_tick(&mut self, mut f: impl FnMut(&mut u64)) {
         match self {
-            LastUse::Flat { ticks, .. } => ticks.iter_mut().filter(|t| **t != 0).for_each(f),
+            LastUse::Paged { dir, .. } => {
+                for page in dir.iter_mut().flatten() {
+                    page.iter_mut().filter(|t| **t != 0).for_each(&mut f);
+                }
+            }
             LastUse::Hashed(map) => map.values_mut().for_each(f),
         }
     }
+}
+
+/// The slot of `line` in a paged table whose page for it is allocated.
+fn page_slot(base: u64, dir: &mut [Option<Page>], line: u64) -> &mut u64 {
+    let offset = line.wrapping_sub(base);
+    let page = dir[(offset >> PAGE_SHIFT) as usize]
+        .as_mut()
+        .expect("the line's page is allocated");
+    &mut page[offset as usize % PAGE]
 }
 
 fn lowbit(i: usize) -> usize {
@@ -159,60 +224,95 @@ fn through(bit: u64) -> u64 {
     u64::MAX >> (63 - bit)
 }
 
-/// The live ticks as a bitset, with a Fenwick tree over the popcounts of
-/// its 64-tick words for O(log(ticks / 64)) rank queries.
+/// Bitset words in the live ticks' hot window.
+const HOT_WORDS: usize = 4;
+
+/// The live ticks as a bitset. The newest `HOT_WORDS` words are the hot
+/// window, zero past the latest tick, with a plain live count per word;
+/// a Fenwick tree over the popcounts of the older, frozen words answers
+/// their rank queries in O(log(ticks / 64)).
 #[derive(Debug, Clone)]
 struct LiveTicks {
+    /// Frozen words, then the window's words.
     words: Vec<u64>,
-    /// `tree[w + 1]` is word `w`'s Fenwick node; `tree[0]` is unused.
+    /// `hot[j]` is the popcount of window word `j`.
+    hot: [u64; HOT_WORDS],
+    /// `tree[w + 1]` is frozen word `w`'s Fenwick node; `tree[0]` is
+    /// unused, so `tree.len() - 1` words are frozen.
     tree: Vec<u64>,
 }
 
 impl Default for LiveTicks {
     fn default() -> Self {
         LiveTicks {
-            words: Vec::new(),
+            words: vec![0; HOT_WORDS],
+            hot: [0; HOT_WORDS],
             tree: vec![0],
         }
     }
 }
 
 impl LiveTicks {
-    /// Adds `tick`, which is above every tick added before.
+    /// Number of frozen words, which is also the window's first word.
+    fn frozen(&self) -> usize {
+        self.tree.len() - 1
+    }
+
+    /// Adds `tick`, which is above every tick added before, sliding the
+    /// window up to it: each word leaving the window joins the tree.
     fn push(&mut self, tick: u64) {
         let w = (tick / 64) as usize;
         while self.words.len() <= w {
             // A Fenwick node at `i` covers words `(i - lowbit(i), i]`:
-            // its sum is that of the nodes nested inside that range.
+            // its sum is that word's count plus the nodes nested inside
+            // that range.
             let i = self.tree.len();
-            let (mut sum, mut j) = (0, i - 1);
+            let (mut sum, mut j) = (self.hot[0], i - 1);
             while j > i - lowbit(i) {
                 sum += self.tree[j];
                 j -= lowbit(j);
             }
-            self.words.push(0);
             self.tree.push(sum);
+            self.hot.rotate_left(1);
+            self.hot[HOT_WORDS - 1] = 0;
+            self.words.push(0);
         }
         self.words[w] |= 1 << (tick % 64);
-        let mut i = w + 1;
-        while i < self.tree.len() {
-            self.tree[i] += 1;
-            i += lowbit(i);
-        }
+        let j = w - self.frozen();
+        self.hot[j] += 1;
     }
 
-    /// Removes live `tick`.
-    fn remove(&mut self, tick: u64) {
-        let w = (tick / 64) as usize;
-        self.words[w] &= !(1 << (tick % 64));
-        let mut i = w + 1;
-        while i < self.tree.len() {
-            self.tree[i] -= 1;
-            i += lowbit(i);
-        }
+    /// Removes live `tick`; returns the number of live ticks above it.
+    /// `live` is the number of live ticks.
+    fn take(&mut self, tick: u64, live: u64) -> u64 {
+        let (w, bit) = ((tick / 64) as usize, tick % 64);
+        let frozen = self.frozen();
+        let above = if w >= frozen {
+            // Every tick above lies in the window: the bits above `tick`
+            // in its word, plus the later words' counts.
+            let j = w - frozen;
+            let mut above = u64::from((self.words[w] >> bit >> 1).count_ones());
+            for (k, &count) in self.hot.iter().enumerate() {
+                if k > j {
+                    above += count;
+                }
+            }
+            self.hot[j] -= 1;
+            above
+        } else {
+            let above = live - self.rank(tick);
+            let mut i = w + 1;
+            while i < self.tree.len() {
+                self.tree[i] -= 1;
+                i += lowbit(i);
+            }
+            above
+        };
+        self.words[w] &= !(1 << bit);
+        above
     }
 
-    /// Number of live ticks at or below live `tick`.
+    /// Number of live ticks at or below live frozen `tick`.
     fn rank(&self, tick: u64) -> u64 {
         let w = (tick / 64) as usize;
         let mut sum = u64::from((self.words[w] & through(tick % 64)).count_ones());
@@ -224,17 +324,27 @@ impl LiveTicks {
         sum
     }
 
-    /// Makes exactly ticks `1..=n` live, in O(n / 64).
+    /// Makes exactly ticks `1..=n` live, in O(n / 64), with tick `n` in
+    /// the window's last word (or in the first `HOT_WORDS` words).
     fn reset_to(&mut self, n: u64) {
-        let len = (n / 64) as usize + 1;
+        let top = (n / 64) as usize;
+        let len = (top + 1).max(HOT_WORDS);
         self.words.clear();
-        self.words.resize(len, u64::MAX);
+        self.words.resize(len, 0);
+        self.words[..top].fill(u64::MAX);
+        self.words[top] = through(n % 64);
         self.words[0] &= !1; // tick 0 is never issued
-        self.words[len - 1] &= through(n % 64);
+        let frozen = len - HOT_WORDS;
+        for (count, word) in self.hot.iter_mut().zip(&self.words[frozen..]) {
+            *count = u64::from(word.count_ones());
+        }
         self.tree.clear();
         self.tree.push(0);
-        self.tree
-            .extend(self.words.iter().map(|w| u64::from(w.count_ones())));
+        self.tree.extend(
+            self.words[..frozen]
+                .iter()
+                .map(|w| u64::from(w.count_ones())),
+        );
         for i in 1..self.tree.len() {
             let j = i + lowbit(i);
             if j < self.tree.len() {
@@ -303,11 +413,8 @@ impl ReuseStack {
             self.distinct += 1;
             None
         } else {
-            // Stack distance = live ticks after `prev` = live lines minus
-            // those at or before `prev` (which includes `prev` itself).
-            let k = self.distinct - self.live.rank(prev);
-            self.live.remove(prev);
-            Some(k)
+            // Stack distance = live ticks after `prev`.
+            Some(self.live.take(prev, self.distinct))
         };
         self.live.push(self.tick);
         self.maybe_compact();
@@ -322,6 +429,13 @@ impl ReuseStack {
     /// How many times tick compaction ran (telemetry/diagnostics).
     pub fn compactions(&self) -> u64 {
         self.compactions
+    }
+
+    /// Whether the last-use table has left its pages for the hash map,
+    /// which it does once and for good when the lines seen are too
+    /// sparse to page (telemetry/diagnostics).
+    pub fn is_hashed(&self) -> bool {
+        matches!(self.last, LastUse::Hashed(_))
     }
 
     /// Renumbers each live tick to its rank once ticks reach 4x the live
@@ -451,19 +565,69 @@ impl ReuseHistogram {
     /// `capacity_lines` lines: every cold access misses, plus every reuse
     /// at distance ≥ capacity.
     pub fn misses_at(&self, capacity_lines: u64) -> u64 {
-        let from = (capacity_lines as usize).min(self.counts.len());
-        self.cold + self.counts[from..].iter().sum::<u64>()
+        self.cold
+            + self.counts[self.index_of(capacity_lines)..]
+                .iter()
+                .sum::<u64>()
     }
 
     /// Miss ratio (in `[0, 1]`) of a fully-associative LRU cache of
     /// `capacity_lines` lines; 0 when no accesses were recorded.
     pub fn miss_ratio_at(&self, capacity_lines: u64) -> f64 {
-        let accesses = self.accesses();
-        if accesses == 0 {
-            0.0
-        } else {
-            self.misses_at(capacity_lines) as f64 / accesses as f64
-        }
+        ratio(self.misses_at(capacity_lines), self.accesses())
+    }
+
+    /// [`miss_ratio_at`](Self::miss_ratio_at) at each of `capacities`
+    /// (in lines, ascending), bit for bit, in one backward pass over the
+    /// counts: a whole miss-ratio curve for the price of one
+    /// [`accesses`](Self::accesses).
+    ///
+    /// # Panics
+    ///
+    /// Panics if `capacities` is not in ascending order.
+    ///
+    /// # Example
+    ///
+    /// ```
+    /// use pad_cache_sim::ReuseHistogram;
+    ///
+    /// let mut h = ReuseHistogram::new();
+    /// for d in [None, None, Some(0), Some(1), Some(3)] {
+    ///     h.record(d);
+    /// }
+    /// let caps = h.pow2_capacities();
+    /// let curve: Vec<f64> = caps.iter().map(|&c| h.miss_ratio_at(c)).collect();
+    /// assert_eq!(h.miss_ratios(&caps), curve);
+    /// ```
+    pub fn miss_ratios(&self, capacities: &[u64]) -> Vec<f64> {
+        assert!(
+            capacities.is_sorted(),
+            "capacities must be in ascending order"
+        );
+        // Misses at each capacity, largest first: the cold count plus a
+        // running sum of the counts from that capacity's index up.
+        let (mut misses, mut end) = (self.cold, self.counts.len());
+        let tails: Vec<u64> = capacities
+            .iter()
+            .rev()
+            .map(|&c| {
+                let from = self.index_of(c);
+                misses += self.counts[from..end].iter().sum::<u64>();
+                end = from;
+                misses
+            })
+            .collect();
+        let accesses = misses + self.counts[..end].iter().sum::<u64>();
+        tails
+            .into_iter()
+            .rev()
+            .map(|m| ratio(m, accesses))
+            .collect()
+    }
+
+    /// The first count a `capacity_lines`-line cache misses on.
+    fn index_of(&self, capacity_lines: u64) -> usize {
+        usize::try_from(capacity_lines).map_or(self.counts.len(), |c| c.min(self.counts.len()))
     }
 
     /// The power-of-two capacities worth querying: 1, 2, 4, ... up to and
@@ -476,6 +640,15 @@ impl ReuseHistogram {
             caps.push(next);
         }
         caps
+    }
+}
+
+/// `misses / accesses`, or 0 when no accesses were recorded.
+fn ratio(misses: u64, accesses: u64) -> f64 {
+    if accesses == 0 {
+        0.0
+    } else {
+        misses as f64 / accesses as f64
     }
 }
 
@@ -557,6 +730,12 @@ impl ReuseAnalyzer {
     pub fn compactions(&self) -> u64 {
         self.stack.compactions()
     }
+
+    /// Whether the walk's last-use table went to the hash map
+    /// ([`ReuseStack::is_hashed`]).
+    pub fn is_hashed(&self) -> bool {
+        self.stack.is_hashed()
+    }
 }
 
 #[cfg(test)]
@@ -628,7 +807,12 @@ mod tests {
             s.tick,
             s.distinct
         );
-        assert_eq!(s.live.words.len() as u64, s.tick / 64 + 1);
+        // The bitset spans the ticks (with the window zero-padded to
+        // HOT_WORDS words), not the accesses.
+        assert_eq!(
+            s.live.words.len() as u64,
+            (s.tick / 64 + 1).max(HOT_WORDS as u64)
+        );
     }
 
     #[test]
@@ -647,15 +831,18 @@ mod tests {
         assert!(fast.compactions() > 0);
     }
 
-    /// Slots a flat table holds, or `None` once it has become a hash map.
-    fn flat_len(s: &ReuseStack) -> Option<usize> {
+    /// `(pages, directory entries)` of a paged table, or `None` once it
+    /// has become a hash map.
+    fn paging(s: &ReuseStack) -> Option<(u64, usize)> {
         match &s.last {
-            LastUse::Flat { ticks, .. } => Some(ticks.len()),
+            LastUse::Paged { dir, pages, .. } => Some((*pages, dir.len())),
             LastUse::Hashed(_) => None,
         }
     }
 
-    /// Feeds `lines` to the engine and the naive stack side by side.
+    /// Feeds `lines` to the engine and the naive stack side by side,
+    /// checking after every access that a paged table holds no more page
+    /// slots plus directory entries than the span bound allows.
     fn assert_matches_naive(s: &mut ReuseStack, lines: impl IntoIterator<Item = u64>) {
         let mut naive = NaiveStack::default();
         for (i, line) in lines.into_iter().enumerate() {
@@ -664,6 +851,11 @@ mod tests {
                 naive.access(line),
                 "access {i} (line {line:#x})"
             );
+            if let Some((pages, entries)) = paging(s) {
+                let held = (pages << PAGE_SHIFT) + entries as u64;
+                let budget = SPAN_FACTOR * s.distinct + SPAN_SLACK;
+                assert!(held <= budget, "access {i}: {held} slots > {budget}");
+            }
         }
     }
 
@@ -675,7 +867,7 @@ mod tests {
         for i in 0..100_000u64 {
             assert_eq!(s.access(i << 30), None);
         }
-        assert_eq!(flat_len(&s), None, "sparse lines convert to a hash map");
+        assert!(s.is_hashed(), "sparse lines convert to a hash map");
         assert_eq!(s.access(0), Some(99_999));
         assert_eq!(s.access(99_999 << 30), Some(1));
         assert_eq!(s.distinct_lines(), 100_000);
@@ -690,8 +882,8 @@ mod tests {
             .map(|_| rng.below(300) + if rng.bool() { 40_000 } else { 0 })
             .collect();
         assert_matches_naive(&mut s, lines);
-        // Growing downwards doubles, so at most twice the span.
-        assert!(flat_len(&s).is_some_and(|len| len <= 2 * 40_300));
+        // One page per array, one directory entry per page of the span.
+        assert_eq!(paging(&s), Some((2, 40)));
         assert!(s.compactions() > 0);
     }
 
@@ -709,38 +901,159 @@ mod tests {
             };
             assert_eq!(s.access(line), naive.access(line), "access {i}");
             if i == 2 * COMPACT_MIN - 1 {
-                assert!(flat_len(&s).is_some(), "dense prefix stays flat");
+                assert!(!s.is_hashed(), "dense prefix stays paged");
             }
         }
-        assert_eq!(flat_len(&s), None, "the far pool forced the hash map");
+        assert!(s.is_hashed(), "the far pool forced the hash map");
         assert!(s.compactions() > 0);
     }
 
     #[test]
     fn lines_below_the_table_base_grow_it_downwards() {
         // A descending stream starts the table at its highest line; every
-        // new line lands below the base.
+        // new page lands below the base.
         let mut s = ReuseStack::new();
         let lines = (0..3 * COMPACT_MIN).map(|i| 1_000_000 - (i % 2_000) * 3);
         assert_matches_naive(&mut s, lines);
-        let len = flat_len(&s).expect("a dense descending stream stays flat");
-        assert!(len <= (8 * 2_000 + (1 << 16)) as usize, "{len} slots");
+        let (pages, entries) = paging(&s).expect("a dense descending stream stays paged");
+        // Lines 994_003..=1_000_000 lie on pages 970..=976; growing
+        // downwards at most doubles the directory.
+        assert_eq!(pages, 7);
+        assert!(entries <= 2 * 7, "{entries} directory entries");
         assert!(s.compactions() > 0);
     }
 
     #[test]
     fn wrapped_line_ids_near_the_top_of_the_range_are_exact() {
         // Line ids either side of the u64 wrap point are neighbours in a
-        // flat table indexed modulo 2^64.
+        // table indexed modulo 2^64.
         let mut rng = XorShift64Star::new(5);
         let mut s = ReuseStack::new();
         let lines: Vec<u64> = (0..2 * COMPACT_MIN)
             .map(|_| rng.below(128).wrapping_sub(64))
             .collect();
         assert_matches_naive(&mut s, lines);
-        assert!(flat_len(&s).is_some_and(|len| len <= 2 * 128));
+        // The 128-line span touches the last page and the first: two
+        // pages, two directory entries.
+        assert_eq!(paging(&s), Some((2, 2)));
         let mut far = ReuseStack::new();
         assert_matches_naive(&mut far, [u64::MAX, 0, u64::MAX / 2, u64::MAX, 0, 1]);
+    }
+
+    #[test]
+    fn page_numbers_wrapping_at_u64_max_stay_paged() {
+        // Sweeps across the wrap point, downwards from line 4_999 and
+        // upwards from line -5_000, then random reuse over the span:
+        // pages -5..=-1 and 0..=4 are neighbours in the directory.
+        let mut rng = XorShift64Star::new(13);
+        for down in [true, false] {
+            let sweep = (0..2_500u64).map(|i| {
+                let up = i * 4;
+                if down {
+                    4_999u64.wrapping_sub(up)
+                } else {
+                    up.wrapping_sub(5_000)
+                }
+            });
+            let reuse: Vec<u64> = (0..COMPACT_MIN)
+                .map(|_| (rng.below(2_500) * 4).wrapping_sub(5_000))
+                .collect();
+            let mut s = ReuseStack::new();
+            assert_matches_naive(&mut s, sweep.chain(reuse));
+            let (pages, entries) = paging(&s).expect("the wrapped span stays paged");
+            assert_eq!(pages, 10, "descending {down}");
+            assert!(entries <= 2 * 10, "descending {down}: {entries} entries");
+        }
+    }
+
+    #[test]
+    fn round_robin_first_touches_of_many_large_arrays_stay_paged() {
+        // 17 arrays of 2^16 lines, touched round-robin from the first
+        // access (as a loop over many arrays does): the span reaches
+        // 17 * 2^16 lines while only a handful are known, but each array
+        // costs one page.
+        const ARRAYS: u64 = 17;
+        let mut rng = XorShift64Star::new(17);
+        let sweep = (0..256u64).flat_map(|j| (0..ARRAYS).map(move |a| (a << 16) + j));
+        let reuse: Vec<u64> = (0..2 * COMPACT_MIN)
+            .map(|_| (rng.below(ARRAYS) << 16) + rng.below(300))
+            .collect();
+        let mut s = ReuseStack::new();
+        assert_matches_naive(&mut s, sweep.chain(reuse));
+        assert!(!s.is_hashed(), "a dense round-robin walk stays paged");
+        assert_eq!(paging(&s).map(|(pages, _)| pages), Some(ARRAYS));
+    }
+
+    #[test]
+    fn the_table_grows_within_the_span_budget_until_it_hashes() {
+        // Lines drawn from a range that doubles every 256 accesses: the
+        // table pages the dense start, then (checked after every access
+        // by `assert_matches_naive`) stops at the budget and hashes.
+        let mut rng = XorShift64Star::new(19);
+        let lines: Vec<u64> = (0..3_000u64)
+            .map(|i| rng.below(1 << (10 + i / 256)))
+            .collect();
+        let mut start = ReuseStack::new();
+        assert_matches_naive(&mut start, lines[..512].iter().copied());
+        assert!(!start.is_hashed(), "the dense start stays paged");
+        let mut s = ReuseStack::new();
+        assert_matches_naive(&mut s, lines);
+        assert!(s.is_hashed(), "the sparse tail exceeds the budget");
+    }
+
+    /// The window's live counts are its words' popcounts.
+    fn assert_window_counts(s: &ReuseStack) {
+        let window = &s.live.words[s.live.frozen()..];
+        let popcounts: Vec<u64> = window.iter().map(|w| u64::from(w.count_ones())).collect();
+        assert_eq!(popcounts, s.live.hot, "at tick {}", s.tick);
+    }
+
+    #[test]
+    fn reuses_at_the_hot_window_boundary_match_naive() {
+        // After `n` first touches, line `t - 1` holds tick `t`. Reuse the
+        // newest frozen tick, or the oldest hot one, for many `n`.
+        for n in (4 * 64..9 * 64).step_by(5) {
+            for hot in [false, true] {
+                let mut s = ReuseStack::new();
+                let mut naive = NaiveStack::default();
+                for line in 0..n {
+                    assert_eq!(s.access(line), naive.access(line));
+                }
+                let edge = s.live.frozen() as u64 * 64;
+                assert!(edge > 0, "n = {n} freezes words");
+                let tick = if hot { edge } else { edge - 1 };
+                let line = tick - 1;
+                assert_eq!(s.access(line), naive.access(line), "n {n}, tick {tick}");
+                // The newest and oldest remaining lines on either side.
+                for line in [n - 1, 0, edge, line.saturating_sub(1)] {
+                    assert_eq!(s.access(line), naive.access(line), "n {n}, line {line}");
+                    assert_window_counts(&s);
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn compactions_with_live_hot_words_match_naive() {
+        // 600 lines: after a compaction the ticks fill ten words, four of
+        // them hot, so reuses take both paths on the renumbered ticks.
+        let mut rng = XorShift64Star::new(23);
+        let mut s = ReuseStack::new();
+        let mut naive = NaiveStack::default();
+        let mut compactions = 0;
+        for i in 0..4 * COMPACT_MIN {
+            let line = rng.below(600);
+            assert_eq!(s.access(line), naive.access(line), "access {i}");
+            if s.compactions() > compactions {
+                compactions = s.compactions();
+                let frozen = s.live.frozen();
+                assert_eq!(s.live.words.len(), frozen + HOT_WORDS);
+                assert!(frozen > 0, "ticks 1..={} reach past the window", s.tick);
+                assert!(s.live.words[frozen..].iter().any(|&w| w != 0));
+                assert_window_counts(&s);
+            }
+        }
+        assert!(compactions >= 2, "{compactions} compactions");
     }
 
     #[test]
@@ -779,6 +1092,29 @@ mod tests {
         let mut other = b.clone();
         other.merge(&a);
         assert_eq!(merged, other);
+    }
+
+    #[test]
+    fn miss_ratios_match_miss_ratio_at_bit_for_bit() {
+        let mut rng = XorShift64Star::new(29);
+        let mut h = ReuseHistogram::new();
+        assert_eq!(h.miss_ratios(&[0, 1, 8]), vec![0.0; 3]);
+        for _ in 0..5_000 {
+            let span = 1 << rng.below(12);
+            h.record((rng.below(8) != 0).then(|| rng.below(span)));
+        }
+        let mut caps = h.pow2_capacities();
+        caps.extend([0, 3, 3, 100, 1 << 20, u64::MAX]);
+        caps.sort_unstable();
+        let expected: Vec<u64> = caps.iter().map(|&c| h.miss_ratio_at(c).to_bits()).collect();
+        let got: Vec<u64> = h.miss_ratios(&caps).iter().map(|r| r.to_bits()).collect();
+        assert_eq!(got, expected);
+    }
+
+    #[test]
+    #[should_panic(expected = "ascending")]
+    fn miss_ratios_reject_unsorted_capacities() {
+        let _ = ReuseHistogram::new().miss_ratios(&[4, 2]);
     }
 
     #[test]

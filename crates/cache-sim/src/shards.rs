@@ -1,7 +1,7 @@
 //! SHARDS-style fixed-rate sampled reuse-distance analysis.
 //!
-//! The exact engine ([`crate::ReuseAnalyzer`]) keeps one hash-map entry
-//! and one Fenwick slot per distinct line, and pays O(log n) per access.
+//! The exact engine ([`crate::ReuseAnalyzer`]) keeps a last-use slot and
+//! a live-tick bit per distinct line, and pays O(log n) per access.
 //! For multi-billion-access traces from real programs that is still too
 //! much state and too much time to spend on every access. SHARDS
 //! (Waldspurger et al., *Efficient MRC Construction with SHARDS*) shows

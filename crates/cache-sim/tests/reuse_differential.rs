@@ -11,7 +11,7 @@
 //!    the pre-refactor shadow-simulation classifier, reconstructed here
 //!    from the public `ShadowLru` reference model.
 //! 3. On traces shaped to reach every internal path of the engine —
-//!    long enough to compact, sparse enough to leave the flat last-use
+//!    long enough to compact, sparse enough to leave the paged last-use
 //!    table for a hash map (from the start or mid-trace), lines arriving
 //!    below the table's base, addresses wrapped near `u64::MAX` —
 //!    `ReuseAnalyzer`, `ClassifyingCache` and `SampledReuseAnalyzer` at
@@ -217,8 +217,9 @@ fn line_trace(
 }
 
 /// Every engine front end against the naive stack; the classifier also
-/// against the shadow-simulation classifier, access by access.
-fn assert_engines_match_naive(trace: &[Access], line_size: u64, label: &str) {
+/// against the shadow-simulation classifier, access by access. `hashed`
+/// is whether the trace is sparse enough to leave the paged table.
+fn assert_engines_match_naive(trace: &[Access], line_size: u64, label: &str, hashed: bool) {
     let expected = naive_histogram(trace, line_size);
     let mut exact = ReuseAnalyzer::new(line_size);
     exact.run_slice(trace);
@@ -227,6 +228,7 @@ fn assert_engines_match_naive(trace: &[Access], line_size: u64, label: &str) {
         exact.compactions() > 0,
         "{label}: the trace never compacted"
     );
+    assert_eq!(exact.is_hashed(), hashed, "{label}: ReuseAnalyzer table");
     let mut sampled = SampledReuseAnalyzer::new(line_size, 0);
     sampled.run_slice(trace);
     assert_eq!(
@@ -249,6 +251,11 @@ fn assert_engines_match_naive(trace: &[Access], line_size: u64, label: &str) {
         current.reuse_histogram(),
         &expected,
         "{label}: ClassifyingCache"
+    );
+    assert_eq!(
+        current.is_hashed(),
+        hashed,
+        "{label}: ClassifyingCache table"
     );
     for capacity in [1u64, 8, 64] {
         let mut cache = Cache::new(CacheConfig::fully_associative(
@@ -276,15 +283,15 @@ fn long_dense_traces_compact_and_stay_exact() {
                 rng.below(pool)
             }
         });
-        assert_engines_match_naive(&trace, LINE, &format!("dense seed {seed}"));
+        assert_engines_match_naive(&trace, LINE, &format!("dense seed {seed}"), false);
     }
 }
 
 #[test]
 fn sparse_lines_use_the_hash_map_and_stay_exact() {
-    // Lines 2^24 apart: the flat table would span ~2^34 slots.
+    // Lines 2^24 apart: a page and 2^14 directory entries per line.
     let trace = line_trace(21, LINE, |_, rng| rng.below(600) << 24);
-    assert_engines_match_naive(&trace, LINE, "sparse");
+    assert_engines_match_naive(&trace, LINE, "sparse", true);
 }
 
 #[test]
@@ -296,7 +303,7 @@ fn a_switch_from_dense_to_sparse_mid_trace_stays_exact() {
             rng.below(400)
         }
     });
-    assert_engines_match_naive(&trace, LINE, "dense then sparse");
+    assert_engines_match_naive(&trace, LINE, "dense then sparse", true);
 }
 
 #[test]
@@ -304,7 +311,7 @@ fn lines_arriving_below_the_table_base_stay_exact() {
     // A footprint sliding downwards: most new lines land below every
     // line seen so far.
     let trace = line_trace(23, LINE, |i, rng| 5_000_000 - i / 8 + rng.below(256));
-    assert_engines_match_naive(&trace, LINE, "descending");
+    assert_engines_match_naive(&trace, LINE, "descending", false);
 }
 
 #[test]
@@ -314,6 +321,11 @@ fn addresses_wrapped_near_u64_max_stay_exact() {
     // neighbours modulo 2^64 at 1-byte lines.
     for line_size in [LINE, 1] {
         let trace = line_trace(24, line_size, |_, rng| rng.below(700).wrapping_sub(350));
-        assert_engines_match_naive(&trace, line_size, &format!("wrapped, line {line_size}"));
+        assert_engines_match_naive(
+            &trace,
+            line_size,
+            &format!("wrapped, line {line_size}"),
+            line_size == LINE,
+        );
     }
 }

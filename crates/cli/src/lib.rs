@@ -556,14 +556,15 @@ fn cmd_ingest(target: &str, opts: &Options) -> Result<(), String> {
             hist.cold()
         );
         let mut t = Table::new(["capacity", "miss %"]);
-        for lines in hist.pow2_capacities() {
+        let capacities = hist.pow2_capacities();
+        for (lines, ratio) in capacities.iter().zip(hist.miss_ratios(&capacities)) {
             let bytes = lines * cache.line_size();
             let label = if bytes >= 1024 {
                 format!("{} KB", bytes / 1024)
             } else {
                 format!("{bytes} B")
             };
-            t.row([label, format!("{:.2}", hist.miss_ratio_at(lines) * 100.0)]);
+            t.row([label, format!("{:.2}", ratio * 100.0)]);
         }
         println!("{t}");
     }

@@ -366,6 +366,10 @@ fn emit_walk_events(
                     ("distinct_lines", Value::U64(h.cold())),
                     ("max_distance", Value::U64(h.max_distance().unwrap_or(0))),
                     ("compactions", Value::U64(r.compactions())),
+                    (
+                        "table",
+                        Value::Str(if r.is_hashed() { "hashed" } else { "paged" }.into()),
+                    ),
                 ],
             )
         });

@@ -74,13 +74,15 @@ gate_engine_equivalence() {
 }
 run_gate engine-equivalence gate_engine_equivalence
 
-# Reuse engine: unit tests (sparse input, table switching, compaction),
-# differential vs fully-assoc sim and a naive stack, 3C bit-identity,
-# MRC goldens.
+# Reuse engine: unit tests (sparse input, table switching, compaction,
+# the hot window), differential vs fully-assoc sim and a naive stack, 3C
+# bit-identity, MRC goldens, and every suite kernel's walk keeping a
+# paged last-use table.
 gate_reuse() {
     cargo test -q -p pad-cache-sim --lib &&
         cargo test -q -p pad-cache-sim --test reuse_differential &&
-        cargo test -q -p pad-bench --test mrc_golden
+        cargo test -q -p pad-bench --test mrc_golden &&
+        cargo test -q -p pad-trace --test reuse_table
 }
 run_gate reuse gate_reuse
 
