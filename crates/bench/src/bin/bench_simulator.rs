@@ -15,7 +15,7 @@
 //!    dispatch, division-based indexing).
 //! 2. `batched`: tee chunked slices of the shared trace into every
 //!    flat-storage cache, so each `BATCH_CHUNK` block stays cache-hot
-//!    across all sinks while the lane kernels consume it.
+//!    across all sinks while the `run_slice` kernels consume it.
 //! 3. `parallel`: one pool cell per configuration ([`pad_bench::pool`]),
 //!    each streaming the whole shared trace through its own cache. On a
 //!    single-core host this approximates `batched` without the teeing
@@ -31,8 +31,8 @@
 //!
 //! Also measures the per-component rates the retired Criterion bench
 //! tracked: interpreted vs compiled trace walkers, and per-organization
-//! cache throughput (baseline vs flat storage) for every lane-kernel
-//! specialization (DM and 2/4/8/16-way).
+//! cache throughput (baseline vs flat storage) for every `run_slice`
+//! kernel specialization (DM and 2/4/8/16-way).
 
 use std::collections::HashSet;
 use std::time::Duration;
@@ -83,7 +83,7 @@ fn strided_trace(len: usize) -> Vec<Access> {
 }
 
 /// Per-organization single-cache throughput: the seed's nested-Vec model
-/// vs the flat-storage lane kernels, on a strided synthetic trace. Every
+/// vs the flat-storage `run_slice` kernels, on a strided synthetic trace. Every
 /// const-generic associativity specialization gets its own row so a
 /// regression in one kernel can't hide behind the others.
 fn component_rates(t: &mut Table) {

@@ -24,14 +24,12 @@
 //! and conflict pressure — a set that is very-hot here is a set the
 //! XOR-indexing and victim-cache scenarios can actually help.
 //!
-//! The per-set access tally is computed from the lane kernels' set lanes:
-//! each [`LANE`]-access block goes through [`precompute`] once, the dense
-//! `set` lane is accumulated branch-free, and the same lane then feeds
-//! the stateful miss/eviction walk so set indices are never recomputed.
+//! Each access's set comes from the inner cache's own shift/mask address
+//! arithmetic, computed inline, so the tally follows exactly the set the
+//! cache indexes, XOR folding included.
 
 use crate::cache::{Access, Cache};
 use crate::config::CacheConfig;
-use crate::lanes::{precompute, LaneBuf, LANE};
 use crate::stats::CacheStats;
 
 /// One rung of the set-heat ladder. Ordering is hottest-first so
@@ -96,8 +94,8 @@ pub struct SetHeatRow {
     /// Set index.
     pub set: u64,
     /// Accesses that indexed into this set (same-line fast-path hits
-    /// included — the tally comes from the precomputed set lane, before
-    /// any short-circuiting).
+    /// included — the tally is taken before the cache short-circuits
+    /// any access).
     pub accesses: u64,
     /// Misses charged to this set.
     pub misses: u64,
@@ -188,36 +186,20 @@ impl SetHeatTracker {
     }
 
     /// Runs one access, attributing its outcome to the indexed set.
+    #[inline]
     pub fn access(&mut self, access: Access) {
-        let set = self.cache.config().set_of(access.addr) as usize;
+        let geometry = self.cache.geometry();
+        let set = geometry.set(geometry.line(access.addr));
         self.accesses[set] += 1;
         let outcome = self.cache.access(access);
         self.misses[set] += u64::from(!outcome.hit);
         self.evictions[set] += u64::from(outcome.evicted.is_some());
     }
 
-    /// Runs a batch of accesses. Set indices come from the lane
-    /// kernels' precomputed set lane: one vector-filled pass per
-    /// [`LANE`]-access block feeds both the branch-free access tally and
-    /// the stateful miss/eviction walk.
+    /// Runs a batch of accesses (the batched engine's chunk hand-off).
     pub fn run_slice(&mut self, trace: &[Access]) {
-        let geom = self.cache.lane_geometry();
-        let mask = self.cache.config().num_sets() as usize - 1;
-        let mut lanes = LaneBuf::new();
-        for block in trace.chunks(LANE) {
-            precompute(block, geom, &mut lanes);
-            let m = block.len();
-            for i in 0..m {
-                // Re-masking drops the bounds check; the lane value is
-                // already `& set_mask` so this is a no-op numerically.
-                self.accesses[lanes.set[i] as usize & mask] += 1;
-            }
-            for (i, &access) in block.iter().enumerate() {
-                let set = lanes.set[i] as usize & mask;
-                let outcome = self.cache.access(access);
-                self.misses[set] += u64::from(!outcome.hit);
-                self.evictions[set] += u64::from(outcome.evicted.is_some());
-            }
+        for &access in trace {
+            self.access(access);
         }
     }
 

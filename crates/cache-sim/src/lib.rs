@@ -25,10 +25,7 @@
 //! assert_eq!(cache.stats().misses, 16);
 //! ```
 
-// `deny` rather than `forbid`: the `lanes` module carries a scoped
-// `allow` for its two feature-detected `#[target_feature]` calls (the
-// crate's only unsafe code); everything else stays unsafe-free.
-#![deny(unsafe_code)]
+#![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
 mod baseline;
@@ -38,7 +35,6 @@ mod config;
 mod heat;
 mod hierarchy;
 mod index;
-mod lanes;
 mod replacement;
 mod reuse;
 mod rng;

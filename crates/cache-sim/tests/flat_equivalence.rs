@@ -195,3 +195,34 @@ fn kernel_trace_equivalence() {
         assert_eq!(fast.stats(), slow.stats());
     }
 }
+
+#[test]
+fn reset_returns_the_cache_to_its_constructed_state() {
+    // A cache that ran a trace and was reset must rerun it exactly like a
+    // new one: same victims (the random policy's state included), same
+    // outcomes, same stats.
+    for (i, config) in configs_under_test().into_iter().enumerate() {
+        let trace = mixed_trace(0x5E7 + i as u64, 3000, 64 * 1024);
+        let mut cache = Cache::new(config);
+        cache.run_slice(&trace);
+        cache.reset();
+        let mut fresh = BaselineCache::new(config);
+        for (n, &a) in trace.iter().enumerate() {
+            assert_eq!(
+                cache.access(a),
+                fresh.access(a),
+                "outcome diverged at access {n} after reset under {config}"
+            );
+        }
+        assert_eq!(
+            cache.stats(),
+            fresh.stats(),
+            "stats after reset under {config}"
+        );
+        assert_eq!(
+            cache.resident_lines(),
+            fresh.resident_lines(),
+            "residency after reset under {config}"
+        );
+    }
+}

@@ -5,8 +5,8 @@
 //! `CacheConfig::line_addr_from` must thrash LRU: every access of a
 //! cyclic sweep misses. W of them must fit: only the cold misses. The
 //! expected counts come from the geometry, not from another engine, so
-//! a set-mapping bug that the lane kernels and the baseline model share
-//! fails here even though `lane_differential` would pass.
+//! a set-mapping bug that the `run_slice` kernels and the baseline model
+//! share fails here even though `lane_differential` would pass.
 
 use pad_cache_sim::{Access, BaselineCache, Cache, CacheConfig, ClassifyingCache, IndexFunction};
 
@@ -43,15 +43,15 @@ fn cycle(lines: &[u64]) -> Vec<Access> {
         .collect()
 }
 
-/// Misses of the lane-kernel cache and of the per-access baseline model.
+/// Misses of the `run_slice` kernels and of the per-access baseline model.
 fn misses(config: CacheConfig, trace: &[Access]) -> [u64; 2] {
-    let mut lanes = Cache::new(config);
-    lanes.run_slice(trace);
+    let mut kernels = Cache::new(config);
+    kernels.run_slice(trace);
     let mut baseline = BaselineCache::new(config);
     for &access in trace {
         baseline.access(access);
     }
-    [lanes.stats().misses, baseline.stats().misses]
+    [kernels.stats().misses, baseline.stats().misses]
 }
 
 #[test]

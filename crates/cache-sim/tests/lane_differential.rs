@@ -1,27 +1,30 @@
-//! Differential verification of the lane-oriented batch kernels.
+//! Differential verification of the `run_slice` kernels.
 //!
-//! `Cache::run_slice` routes direct-mapped and const-generic N-way
-//! write-allocate configurations through chunk-at-a-time lane kernels
-//! (`LANE = 128` accesses per block: vectorizable line/set/tag
-//! precompute, then a branch-light stateful pass). Those kernels must be
-//! *bit-identical* to the seed's per-access `BaselineCache` model on any
-//! trace, at any slice length, cut at any chunk boundary. This suite
-//! drives seeded-random traces through every specialized shape and
-//! checks the full `CacheStats` — not just misses — so a divergence in
-//! writeback or write-miss accounting can't hide behind an agreeing
-//! miss count.
+//! `Cache::run_slice` routes packed direct-mapped and LRU write-allocate
+//! configurations through specialized slice loops: one word per set for
+//! direct-mapped caches of at least 4 bytes, fixed-width set scans at
+//! 2, 4, 8 and 16 ways, and a dynamic scan (`W = 0`) for every other
+//! associativity. Those kernels must be *bit-identical* to the seed's
+//! per-access `BaselineCache` model on any trace, at any slice length,
+//! cut at any slice boundary, and interleaved with `Cache::access`.
+//! This suite drives seeded-random traces through every specialized
+//! shape and checks the full `CacheStats` — not just misses — so a
+//! divergence in writeback or write-miss accounting can't hide behind an
+//! agreeing miss count. Addresses at the top of `u64` probe the packed
+//! word's boundary, where a tag fills all but one bit of it.
 
 use pad_cache_sim::{
     Access, BaselineCache, Cache, CacheConfig, CacheStats, IndexFunction, XorShift64Star,
 };
 
-/// The lane-kernel block width in `cache::lanes`. Kept as a literal here
-/// (the constant is crate-private) so the tests stay honest about which
-/// boundaries they straddle; `lane_width_assumption` pins the value.
+/// The unit the trace lengths and slice sizes below are built from:
+/// lengths of a few `LANE`s plus ragged tails, and slices of one less,
+/// exactly and one more, so every trace crosses many slice boundaries.
 const LANE: usize = 128;
 
 /// Every kernel-specialized shape: direct-mapped and each const-generic
-/// associativity, with both index functions for the DM and 2-way cases.
+/// associativity, the dynamic `W = 0` scan, and XOR indexing at every
+/// associativity.
 fn kernel_configs() -> Vec<CacheConfig> {
     let mut configs = vec![
         CacheConfig::direct_mapped(4096, 32),
@@ -34,6 +37,16 @@ fn kernel_configs() -> Vec<CacheConfig> {
     // A tiny cache so evictions and writebacks dominate.
     configs.push(CacheConfig::direct_mapped(1024, 32));
     configs.push(CacheConfig::set_associative(1024, 32, 4));
+    // The 16-way kernel, and associativities without a fixed-width kernel:
+    // fully associative (128 ways) and 32 ways take the dynamic scan.
+    configs.push(CacheConfig::set_associative(4096, 32, 16));
+    configs.push(CacheConfig::fully_associative(4096, 32));
+    configs.push(CacheConfig::set_associative(4096, 32, 32));
+    for ways in [4, 8, 16, 32] {
+        configs.push(
+            CacheConfig::set_associative(4096, 32, ways).with_index_function(IndexFunction::Xor),
+        );
+    }
     configs
 }
 
@@ -102,11 +115,11 @@ fn chunked_stats(config: CacheConfig, trace: &[Access], chunk: usize) -> CacheSt
 
 #[test]
 fn lane_width_assumption() {
-    // `LANE` above must track `cache::lanes::LANE`. The crate does not
-    // export it, but a 256-access trace through a 1-line-capacity cache
-    // exercises at least two full blocks plus the boundary; if the real
-    // width ever grows past 128 these length-targeted tests silently
-    // stop straddling blocks, so pin the contract here.
+    // The kernels carry their state (MRU line, set contents, LRU order)
+    // from one `run_slice` call to the next. The length-targeted tests
+    // below cut traces at `LANE - 1`, `LANE` and `LANE + 1` and feed
+    // traces of only a few `LANE`s; a much larger unit would leave them
+    // too few slice boundaries to cross, so pin its size here.
     assert!(LANE.is_power_of_two() && LANE <= 256);
 }
 
@@ -220,6 +233,102 @@ fn write_heavy_traces_match_baseline() {
                 baseline_stats(config, trace),
                 "lane kernel diverged on uniform read/write trace ({config:?})"
             );
+        }
+    }
+}
+
+#[test]
+fn access_and_run_slice_interleave() {
+    // One cache fed alternately by `Cache::access` and `run_slice`, in
+    // pieces of random length: every per-access outcome, residency after
+    // every piece, and the final stats must match the baseline model.
+    for config in kernel_configs() {
+        let trace = mixed_trace(0x1A7E, 6 * LANE + 11, 1 << 15);
+        let mut rng = XorShift64Star::new(0x5111CE);
+        let mut cache = Cache::new(config);
+        let mut baseline = BaselineCache::new(config);
+        let mut rest = &trace[..];
+        let mut per_access = true;
+        while !rest.is_empty() {
+            let len = (rng.range(1, 2 * LANE as u64) as usize).min(rest.len());
+            let (piece, tail) = rest.split_at(len);
+            if per_access {
+                for (n, &a) in piece.iter().enumerate() {
+                    assert_eq!(
+                        cache.access(a),
+                        baseline.access(a),
+                        "access {n} of a piece ({a:?}) under {config:?}"
+                    );
+                }
+            } else {
+                cache.run_slice(piece);
+                baseline.run(piece.iter().copied());
+            }
+            for a in piece {
+                assert_eq!(
+                    cache.contains(a.addr),
+                    baseline.contains(a.addr),
+                    "residency of {:#x} under {config:?}",
+                    a.addr
+                );
+            }
+            per_access = !per_access;
+            rest = tail;
+        }
+        assert_eq!(cache.stats(), baseline.stats(), "{config:?}");
+        assert_eq!(
+            cache.resident_lines(),
+            baseline.resident_lines(),
+            "{config:?}"
+        );
+    }
+}
+
+#[test]
+fn addresses_at_the_top_of_u64_match_baseline() {
+    // Within 2^12 of `u64::MAX`, a 4-byte cache's tags fill 62 bits —
+    // the packed word's limit — and 1- and 2-byte caches need tags the
+    // word cannot hold, so they must keep the multi-way representation.
+    for line in [1u64, 2] {
+        for size in [1u64, 2, 4, 8] {
+            if line > size {
+                continue;
+            }
+            for index in [IndexFunction::Modulo, IndexFunction::Xor] {
+                let config = CacheConfig::direct_mapped(size, line).with_index_function(index);
+                // Cold reads of the top lines first — the largest tags
+                // the geometry has, each landing in an empty set — then
+                // random accesses, a quarter of them to the top 16 bytes.
+                let mut rng = XorShift64Star::new(size << 8 | line);
+                let trace: Vec<Access> = (0..8)
+                    .map(|k| Access::read(u64::MAX - k))
+                    .chain((0..4 * LANE + 7).map(|_| {
+                        let span = if rng.below(4) == 0 { 16 } else { 1 << 12 };
+                        Access {
+                            addr: u64::MAX - rng.below(span),
+                            is_write: rng.bool(),
+                        }
+                    }))
+                    .collect();
+                let mut cache = Cache::new(config);
+                let mut baseline = BaselineCache::new(config);
+                for (n, &a) in trace.iter().enumerate() {
+                    assert_eq!(
+                        cache.access(a),
+                        baseline.access(a),
+                        "access {n} ({a:?}) under {config:?}"
+                    );
+                }
+                let reference = *baseline.stats();
+                assert_eq!(lane_stats(config, &trace), reference, "{config:?}");
+                for chunk in [1, LANE - 1, LANE + 1] {
+                    assert_eq!(
+                        chunked_stats(config, &trace, chunk),
+                        reference,
+                        "chunk {chunk} under {config:?}"
+                    );
+                }
+            }
         }
     }
 }

@@ -42,8 +42,8 @@ const FLAG_WRITE: u8 = 1;
 
 /// Default records decoded per callback from [`read_binary`]: 4096
 /// records ≈ 36 KiB of file bytes and 64 KiB of decoded [`Access`]es —
-/// bounded regardless of trace length, and a multiple of the simulator's
-/// 128-access lane blocks.
+/// bounded regardless of trace length, and the batched engine's chunk
+/// size (`pad_trace::BATCH_CHUNK`).
 pub const CHUNK_RECORDS: usize = 4096;
 
 /// Encodes the header into its 8-byte wire form.

@@ -7,8 +7,8 @@
 //! the file answers every configured question; memory is the sinks'
 //! state plus one chunk buffer, never the trace.
 //!
-//! The plain-cache path uses the same [`Cache::run_slice`] lane kernels
-//! the kernel-based batch engine uses, which is what makes the
+//! The plain-cache path uses the same [`Cache::run_slice`] kernels the
+//! kernel-based batch engine uses, which is what makes the
 //! record-then-replay differential tests meaningful: a trace recorded
 //! from a built-in kernel replays to bit-identical miss counts.
 

@@ -1,7 +1,7 @@
 //! Edge-case and differential coverage for trace ingestion: truncated
 //! and garbage inputs get typed errors with positions, zero-length
-//! traces are valid, record counts straddling the SIMD lane boundary
-//! replay exactly, and traces recorded from the built-in kernels
+//! traces are valid, record counts straddling the reader's chunk
+//! boundary replay exactly, and traces recorded from the built-in kernels
 //! reproduce the kernels' simulated miss counts bit-identically.
 
 use pad_cache_sim::{Access, Cache, CacheConfig, ReuseAnalyzer, SampledReuseAnalyzer};
@@ -142,10 +142,9 @@ fn zero_length_traces_are_valid_and_empty_files_are_not() {
 
 #[test]
 fn record_counts_straddling_the_lane_boundary_replay_exactly() {
-    // The heat tracker and slice kernels process LANE = 128 accesses at
-    // a time and the binary reader chunks at 4096 records; counts one
-    // off either boundary must replay identically to a one-access-at-a-
-    // time walk of the same stream.
+    // The binary reader chunks at 4096 records; counts one off that
+    // boundary, and off smaller powers of two, must replay identically
+    // to a one-access-at-a-time walk of the same stream.
     let cache = CacheConfig::paper_base();
     for n in [1usize, 127, 128, 129, 255, 256, 4095, 4096, 4097] {
         let trace = synth_trace(n);

@@ -423,6 +423,28 @@ mod tests {
     use super::*;
     use crate::reference;
 
+    /// The collector is process-global and the tests run on parallel
+    /// threads, so the tests that install one hold this lock, walk a
+    /// kernel no other test here walks (EXPL), and count only the events
+    /// that carry its name: another test's concurrent walk reports into
+    /// whatever collector is installed.
+    static COLLECTOR: std::sync::Mutex<()> = std::sync::Mutex::new(());
+
+    /// Events of `events` in `category` named for `program` or one of
+    /// its sinks.
+    fn events_of<'e>(
+        events: &'e [pad_telemetry::Event],
+        category: &str,
+        program: &pad_ir::Program,
+    ) -> Vec<&'e pad_telemetry::Event> {
+        let sink_prefix = format!("{}/", program.name());
+        events
+            .iter()
+            .filter(|e| e.category == category)
+            .filter(|e| e.name == program.name() || e.name.starts_with(&sink_prefix))
+            .collect()
+    }
+
     #[test]
     fn batch_matches_individual_entry_points() {
         let program = pad_kernels::shal::spec(24);
@@ -507,7 +529,10 @@ mod tests {
 
     #[test]
     fn instrumented_heat_sink_emits_class_census() {
-        let program = pad_kernels::jacobi::spec(24);
+        let _collector = COLLECTOR
+            .lock()
+            .unwrap_or_else(std::sync::PoisonError::into_inner);
+        let program = pad_kernels::expl::spec(24);
         let layout = DataLayout::original(&program);
         let dm = CacheConfig::direct_mapped(1024, 32);
         let request = BatchRequest::new().with_heat(dm);
@@ -519,7 +544,7 @@ mod tests {
 
         assert_eq!(baseline.heat, instrumented.heat);
         let events = recorder.snapshot();
-        let heat_counters: Vec<_> = events.iter().filter(|e| e.category == "heat").collect();
+        let heat_counters = events_of(&events, "heat", &program);
         assert_eq!(heat_counters.len(), 1);
         let census: u64 = ["very_hot_sets", "hot_sets", "cold_sets", "very_cold_sets"]
             .iter()
@@ -531,9 +556,9 @@ mod tests {
             })
             .sum();
         assert_eq!(census, baseline.heat[0].num_sets());
-        let sim_span = events
-            .iter()
-            .find(|e| e.category == "sim" && e.name == program.name())
+        let sim_span = events_of(&events, "sim", &program)
+            .into_iter()
+            .next()
             .expect("walk span");
         assert_eq!(
             sim_span.arg("sinks").and_then(pad_telemetry::Value::as_u64),
@@ -572,7 +597,10 @@ mod tests {
 
     #[test]
     fn instrumented_walk_matches_plain_and_emits_events() {
-        let program = pad_kernels::jacobi::spec(24);
+        let _collector = COLLECTOR
+            .lock()
+            .unwrap_or_else(std::sync::PoisonError::into_inner);
+        let program = pad_kernels::expl::spec(24);
         let layout = DataLayout::original(&program);
         let dm = CacheConfig::direct_mapped(1024, 32);
         let l2 = CacheConfig::set_associative(8 * 1024, 64, 4);
@@ -595,10 +623,7 @@ mod tests {
         assert_eq!(baseline.reuse, instrumented.reuse);
 
         let events = recorder.snapshot();
-        let sim_spans: Vec<_> = events
-            .iter()
-            .filter(|e| e.category == "sim" && e.name == program.name())
-            .collect();
+        let sim_spans = events_of(&events, "sim", &program);
         assert_eq!(sim_spans.len(), 1, "one walk span per batch");
         assert_eq!(
             sim_spans[0]
@@ -613,11 +638,11 @@ mod tests {
         assert_eq!(accesses, baseline.plain[0].accesses);
         // End-of-walk flush: one counter per sampled level (plain +
         // classified main + two hierarchy levels; victim is unsampled).
-        let cache_counters = events.iter().filter(|e| e.category == "cache").count();
+        let cache_counters = events_of(&events, "cache", &program).len();
         assert_eq!(cache_counters, 4);
         // ...plus one end-of-walk reuse counter carrying the histogram
         // shape.
-        let reuse_counters: Vec<_> = events.iter().filter(|e| e.category == "reuse").collect();
+        let reuse_counters = events_of(&events, "reuse", &program);
         assert_eq!(reuse_counters.len(), 1);
         assert_eq!(
             reuse_counters[0]
@@ -635,18 +660,75 @@ mod tests {
 
     #[test]
     fn chunking_is_invisible() {
-        // Walk the same compiled trace with pathological chunk sizes; the
-        // concatenation must always equal the plain stream.
-        let program = pad_kernels::jacobi::spec(20);
-        let layout = DataLayout::original(&program);
-        let compiled = CompiledTrace::compile(&program, &layout);
-        let mut plain = Vec::new();
-        compiled.for_each(|a| plain.push(a));
-        for chunk in [1usize, 2, 3, 7, 1024, usize::MAX >> 32] {
-            let mut buf = Vec::new();
-            let mut chunked = Vec::new();
-            compiled.for_each_chunk(chunk, &mut buf, |c| chunked.extend_from_slice(c));
-            assert_eq!(plain, chunked, "chunk={chunk}");
+        // Walk compiled traces with pathological chunk sizes: the
+        // concatenation must always equal the interpreted stream, and
+        // every chunk but the last must be exactly `chunk` long (the
+        // telemetry samplers tick once per chunk). Jacobi's innermost
+        // loops carry 2 and 5 references, and at n = 40 it walks more
+        // than two `BATCH_CHUNK`s; the second program mixes a
+        // 3-reference innermost loop with references between loops and
+        // at the top level. Both straddle chunk ends at the sizes below.
+        use pad_ir::{ArrayBuilder, Loop, Stmt, Subscript};
+
+        let mut b = pad_ir::Program::builder("mixed");
+        let a = b.add_array(ArrayBuilder::new("A", [64]).elem_size(8));
+        let c = b.add_array(ArrayBuilder::new("C", [64]).elem_size(4));
+        let i = || Subscript::var("i");
+        let j = || Subscript::var("j");
+        b.push(Stmt::refs(vec![a.at([Subscript::constant(1)])]));
+        b.push(Stmt::loop_(
+            Loop::new("i", 1, 61),
+            vec![
+                Stmt::refs(vec![c.at([i()]).write()]),
+                Stmt::loop_(
+                    Loop::new("j", 1, 3),
+                    vec![Stmt::refs(vec![
+                        a.at([j()]),
+                        c.at([i()]),
+                        a.at([Subscript::from_terms(
+                            [
+                                (pad_ir::IndexVar::new("i"), 1),
+                                (pad_ir::IndexVar::new("j"), 1),
+                            ],
+                            0,
+                        )])
+                        .write(),
+                    ])],
+                ),
+            ],
+        ));
+        let mixed = b.build().expect("valid");
+
+        let jacobi = pad_kernels::jacobi::spec(40);
+        let jacobi_len = crate::count_accesses(&jacobi, &DataLayout::original(&jacobi));
+        assert!(jacobi_len > 2 * BATCH_CHUNK as u64);
+        for program in [jacobi, mixed] {
+            let layout = DataLayout::original(&program);
+            let compiled = CompiledTrace::compile(&program, &layout);
+            let mut plain = Vec::new();
+            crate::for_each_access(&program, &layout, |a| plain.push(a));
+            for chunk in [1usize, 2, 3, 7, 1024, BATCH_CHUNK, usize::MAX >> 32] {
+                // A reused buffer may arrive holding stale accesses, and
+                // longer than the chunk.
+                let stale = vec![Access::write(u64::MAX); chunk.min(plain.len()) + 5];
+                for mut buf in [Vec::new(), stale] {
+                    let mut chunked = Vec::new();
+                    let mut lens = Vec::new();
+                    compiled.for_each_chunk(chunk, &mut buf, |c| {
+                        chunked.extend_from_slice(c);
+                        lens.push(c.len());
+                    });
+                    let name = program.name();
+                    assert_eq!(plain, chunked, "{name} chunk={chunk}");
+                    let (last, full) = lens.split_last().expect("a nonempty trace");
+                    assert_eq!(
+                        full.iter().position(|&n| n != chunk),
+                        None,
+                        "{name} chunk={chunk}: a short chunk before the last"
+                    );
+                    assert!((1..=chunk).contains(last), "{name} chunk={chunk}");
+                }
+            }
         }
     }
 }

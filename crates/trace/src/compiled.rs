@@ -126,10 +126,9 @@ impl CompiledTrace {
     /// Invokes `f` for every access, in program order — the compiled
     /// equivalent of [`crate::for_each_access`].
     pub fn for_each(&self, mut f: impl FnMut(Access)) {
-        let mut slots = vec![0i64; self.num_slots];
-        for node in &self.roots {
-            walk(node, &mut slots, &mut f);
-        }
+        self.for_each_chunk(crate::BATCH_CHUNK, &mut Vec::new(), |chunk| {
+            chunk.iter().for_each(|&a| f(a));
+        });
     }
 
     /// Counts the accesses the compiled program performs, without
@@ -153,47 +152,185 @@ impl CompiledTrace {
         count_nodes(&self.roots, &mut slots, &mut trips_left)
     }
 
-    /// Invokes `f` with consecutive chunks of the access stream, filling
-    /// (and reusing) `buf` up to `chunk` accesses at a time. Concatenated,
-    /// the chunks are exactly the [`CompiledTrace::for_each`] stream.
+    /// Invokes `f` with consecutive chunks of the access stream, in
+    /// program order: every chunk but the last holds exactly `chunk`
+    /// accesses. `buf` is scratch space, reused across calls; its
+    /// contents on entry are ignored and on return unspecified.
     ///
-    /// This is the batched engine's generation primitive: emitting into a
-    /// contiguous buffer once and handing slices to each simulation sink
-    /// amortizes per-access dispatch across every cache configuration
-    /// that consumes the trace. The buffer is caller-owned so sweeps can
-    /// reuse one allocation across many kernels.
+    /// This is the one traversal of a compiled trace, and the batched
+    /// engine's generation primitive: emitting into a contiguous buffer
+    /// once and handing slices to each simulation sink amortizes
+    /// per-access dispatch across every cache configuration that
+    /// consumes the trace. An innermost loop is written a block at a
+    /// time — every reference of as many whole iterations as the chunk
+    /// has room for — so the steady state is one add and one store per
+    /// access, with no per-access length test.
     ///
     /// # Panics
     ///
     /// Panics if `chunk == 0`.
-    pub fn for_each_chunk(
-        &self,
-        chunk: usize,
-        buf: &mut Vec<Access>,
-        mut f: impl FnMut(&[Access]),
-    ) {
+    pub fn for_each_chunk(&self, chunk: usize, buf: &mut Vec<Access>, f: impl FnMut(&[Access])) {
         assert!(chunk > 0, "chunk size must be positive");
-        buf.clear();
-        if buf.capacity() < chunk {
-            // A chunk may be far longer than the trace: reserve no more
-            // than the trace holds.
-            let len = usize::try_from(self.count()).unwrap_or(usize::MAX);
-            buf.reserve(chunk.min(len));
+        buf.truncate(chunk);
+        let mut walk = ChunkWalk {
+            slots: vec![0; self.num_slots],
+            cursors: Vec::new(),
+            chunk,
+            buf,
+            filled: 0,
+            f,
+        };
+        for node in &self.roots {
+            walk.node(node);
         }
-        {
-            let f = &mut f;
-            let buf = &mut *buf;
-            self.for_each(move |a| {
-                buf.push(a);
-                if buf.len() == chunk {
-                    f(buf);
-                    buf.clear();
+        if walk.filled > 0 {
+            (walk.f)(&walk.buf[..walk.filled]);
+        }
+    }
+}
+
+/// One reference's address inside an innermost loop being emitted.
+#[derive(Debug, Clone, Copy)]
+struct Cursor {
+    addr: i64,
+    delta: i64,
+    is_write: bool,
+}
+
+impl Cursor {
+    /// The reference's access at the current iteration; steps to the next.
+    #[inline(always)]
+    fn next(&mut self) -> Access {
+        let access = Access {
+            addr: self.addr as u64,
+            is_write: self.is_write,
+        };
+        self.addr = self.addr.wrapping_add(self.delta);
+        access
+    }
+}
+
+/// The state of one [`CompiledTrace::for_each_chunk`] traversal.
+struct ChunkWalk<'b, F> {
+    slots: Vec<i64>,
+    /// The current innermost loop's cursors, one per reference; reused
+    /// from loop to loop.
+    cursors: Vec<Cursor>,
+    chunk: usize,
+    /// The chunk being filled. It grows geometrically up to `chunk`
+    /// accesses, so a short trace never fills a long buffer.
+    buf: &'b mut Vec<Access>,
+    /// Accesses written to the front of `buf`.
+    filled: usize,
+    f: F,
+}
+
+impl<F: FnMut(&[Access])> ChunkWalk<'_, F> {
+    /// Free slots in the chunk: a full chunk first grows or, at its full
+    /// length, goes to `f`. Never zero.
+    fn room(&mut self) -> usize {
+        if self.filled == self.buf.len() {
+            if self.buf.len() < self.chunk {
+                let len = (2 * self.buf.len()).max(256).min(self.chunk);
+                self.buf.resize(len, Access::read(0));
+            } else {
+                (self.f)(self.buf);
+                self.filled = 0;
+            }
+        }
+        self.buf.len() - self.filled
+    }
+
+    fn push(&mut self, access: Access) {
+        self.room();
+        self.buf[self.filled] = access;
+        self.filled += 1;
+    }
+
+    fn node(&mut self, node: &Node) {
+        match node {
+            Node::Ref { addr, is_write } => self.push(Access {
+                addr: addr.eval(&self.slots) as u64,
+                is_write: *is_write,
+            }),
+            Node::Loop {
+                slot,
+                lower,
+                upper,
+                step,
+                body,
+            } => {
+                let lo = lower.eval(&self.slots);
+                let hi = upper.eval(&self.slots);
+                let mut value = lo;
+                loop {
+                    let in_range = if *step > 0 { value <= hi } else { value >= hi };
+                    if !in_range {
+                        break;
+                    }
+                    self.slots[*slot] = value;
+                    for child in body {
+                        self.node(child);
+                    }
+                    // A next value beyond i64 lies beyond any bound, too.
+                    let Some(next) = value.checked_add(*step) else {
+                        break;
+                    };
+                    value = next;
                 }
-            });
+            }
+            Node::InnerLoop {
+                slot,
+                lower,
+                upper,
+                step,
+                refs,
+            } => {
+                let lo = lower.eval(&self.slots);
+                let mut left = trips(lo, upper.eval(&self.slots), *step);
+                if left == 0 {
+                    return;
+                }
+                self.slots[*slot] = lo;
+                let slots = &self.slots;
+                self.cursors.clear();
+                self.cursors.extend(refs.iter().map(|r| Cursor {
+                    addr: r.addr.eval(slots),
+                    delta: r.delta,
+                    is_write: r.is_write,
+                }));
+                let per_trip = refs.len();
+                while left > 0 {
+                    let whole = (self.room() / per_trip) as u128;
+                    if whole == 0 {
+                        // Less room than one iteration: it straddles the
+                        // chunk end.
+                        for r in 0..per_trip {
+                            let access = self.cursors[r].next();
+                            self.push(access);
+                        }
+                        left -= 1;
+                        continue;
+                    }
+                    let block = whole.min(left);
+                    let end = self.filled + block as usize * per_trip;
+                    fill_trips(&mut self.buf[self.filled..end], &mut self.cursors);
+                    self.filled = end;
+                    left -= block;
+                }
+            }
         }
-        if !buf.is_empty() {
-            f(buf);
-            buf.clear();
+    }
+}
+
+/// Writes whole iterations of an innermost loop into `block`, whose
+/// length is a multiple of `cursors.len()`: one strided pass per
+/// reference, so each pass keeps its one cursor in a register.
+fn fill_trips(block: &mut [Access], cursors: &mut [Cursor]) {
+    let refs = cursors.len();
+    for (r, cursor) in cursors.iter_mut().enumerate() {
+        for slot in block[r..].iter_mut().step_by(refs) {
+            *slot = cursor.next();
         }
     }
 }
@@ -518,87 +655,6 @@ fn bounds_read(node: &Node, slot: usize) -> bool {
         Node::Loop {
             lower, upper, body, ..
         } => reads(lower) || reads(upper) || body.iter().any(|c| bounds_read(c, slot)),
-    }
-}
-
-fn walk(node: &Node, slots: &mut Vec<i64>, f: &mut impl FnMut(Access)) {
-    match node {
-        Node::Ref { addr, is_write } => {
-            f(Access {
-                addr: addr.eval(slots) as u64,
-                is_write: *is_write,
-            });
-        }
-        Node::Loop {
-            slot,
-            lower,
-            upper,
-            step,
-            body,
-        } => {
-            let lo = lower.eval(slots);
-            let hi = upper.eval(slots);
-            let mut value = lo;
-            loop {
-                let in_range = if *step > 0 { value <= hi } else { value >= hi };
-                if !in_range {
-                    break;
-                }
-                slots[*slot] = value;
-                for child in body {
-                    walk(child, slots, f);
-                }
-                // A next value beyond i64 lies beyond any bound, too.
-                let Some(next) = value.checked_add(*step) else {
-                    break;
-                };
-                value = next;
-            }
-        }
-        Node::InnerLoop {
-            slot,
-            lower,
-            upper,
-            step,
-            refs,
-        } => {
-            let lo = lower.eval(slots);
-            let iters = trips(lo, upper.eval(slots), *step);
-            if iters == 0 {
-                return;
-            }
-            slots[*slot] = lo;
-            match refs.as_slice() {
-                // Single-reference bodies (copy/transpose-style inner
-                // loops) collapse to a pure strided emit.
-                [r] => {
-                    let mut addr = r.addr.eval(slots);
-                    let is_write = r.is_write;
-                    for _ in 0..iters {
-                        f(Access {
-                            addr: addr as u64,
-                            is_write,
-                        });
-                        addr = addr.wrapping_add(r.delta);
-                    }
-                }
-                _ => {
-                    let mut cursors: Vec<(i64, i64, bool)> = refs
-                        .iter()
-                        .map(|r| (r.addr.eval(slots), r.delta, r.is_write))
-                        .collect();
-                    for _ in 0..iters {
-                        for c in &mut cursors {
-                            f(Access {
-                                addr: c.0 as u64,
-                                is_write: c.2,
-                            });
-                            c.0 = c.0.wrapping_add(c.1);
-                        }
-                    }
-                }
-            }
-        }
     }
 }
 

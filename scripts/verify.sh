@@ -64,13 +64,15 @@ run_gate clippy cargo clippy --workspace --all-targets -- -D warnings
 # Isolation, retries, resume, determinism under injected faults.
 run_gate fault-injection cargo test -q -p pad-bench --test fault_injection
 
-# Flat cache vs seed model, lane kernels, batched vs per-config, and
-# W+1-line conflict sets against analytic miss counts.
+# Flat cache vs seed model, the run_slice kernels, batched vs
+# per-config, W+1-line conflict sets against analytic miss counts, and
+# the compiled walker against the interpreter (streams and counts).
 gate_engine_equivalence() {
     cargo test -q -p pad-cache-sim --test flat_equivalence &&
         cargo test -q -p pad-cache-sim --test lane_differential &&
         cargo test -q -p pad-cache-sim --test geometry_conformance &&
-        cargo test -q -p pad-trace batch
+        cargo test -q -p pad-trace batch &&
+        cargo test -q -p pad-trace compiled
 }
 run_gate engine-equivalence gate_engine_equivalence
 
@@ -86,7 +88,7 @@ gate_reuse() {
 }
 run_gate reuse gate_reuse
 
-# Trace ingestion: typed truncation/garbage errors, lane-boundary
+# Trace ingestion: typed truncation/garbage errors, chunk-boundary
 # replay, kernel-trace bit-identity, SHARDS-sampled MRC error bound,
 # and the canonical NDJSON fast path against the JSON-tree decode.
 gate_trace_ingest() {
