@@ -26,8 +26,7 @@ use pad_core::{DataLayout, PaddingPipeline};
 use pad_ir::Program;
 use pad_kernels::suite;
 use pad_telemetry as telemetry;
-use pad_trace::{padding_config_for, simulate_batch, BatchRequest, CompiledTrace};
-use pad_trace_ingest::replay::{ReplayRequest, Replayer};
+use pad_trace::{padding_config_for, simulate_batch, BatchRequest, CompiledTrace, Sinks};
 use pad_trace_ingest::IngestError;
 
 use crate::json::Json;
@@ -222,7 +221,7 @@ pub fn advise(program: &Program, request: &AdviseRequest, exact: bool, degraded:
     if exact {
         let request_batch = BatchRequest::new()
             .with_plain(*cache)
-            .with_reuse(cache.line_size());
+            .with_reuse(cache.line_size(), 0);
         let before = simulate_batch(program, &original, &request_batch);
         // An unchanged layout would walk to the same results again.
         let padded = (layout != original).then(|| simulate_batch(program, &layout, &request_batch));
@@ -313,31 +312,32 @@ pub fn advise_trace(request: &AdviseRequest) -> Result<Advice, RequestError> {
     const VICTIM_LINES: usize = 8;
 
     let xor_cache = cache.with_index_function(pad_cache_sim::IndexFunction::Xor);
-    let replay_request = ReplayRequest::new()
-        .with_plain(*cache)
-        .with_plain(xor_cache)
-        .with_victim(*cache, VICTIM_LINES)
-        .with_heat(*cache)
-        .with_reuse(cache.line_size(), *sample_log2);
-
-    let mut replayer = Replayer::new(&replay_request);
-    pad_trace_ingest::read_trace_file(std::path::Path::new(path), *format, |chunk| {
-        replayer.feed(chunk)
-    })
-    .map_err(|e| {
-        let kind = match e {
-            IngestError::Io(_) => ErrorKind::Invalid,
-            _ => ErrorKind::Parse,
-        };
-        RequestError::new(kind, format!("trace `{path}`: {e}"))
-    })?;
-    let results = replayer.finish();
+    let mut sinks = Sinks::new(
+        &BatchRequest::new()
+            .with_plain(*cache)
+            .with_plain(xor_cache)
+            .with_victim(*cache, VICTIM_LINES)
+            .with_heat(*cache)
+            .with_reuse(cache.line_size(), *sample_log2),
+    );
+    let accesses =
+        pad_trace_ingest::read_trace_file(std::path::Path::new(path), *format, |chunk| {
+            sinks.feed(chunk)
+        })
+        .map_err(|e| {
+            let kind = match e {
+                IngestError::Io(_) => ErrorKind::Invalid,
+                _ => ErrorKind::Parse,
+            };
+            RequestError::new(kind, format!("trace `{path}`: {e}"))
+        })?;
+    let results = sinks.finish();
 
     let plain = &results.plain[0];
     let xor = &results.plain[1];
     let victim = &results.victim[0];
     let heat = &results.heat[0];
-    let reuse = results.reuse.as_ref().expect("reuse sink requested");
+    let hist = &results.reuse[0];
 
     let census = heat.class_counts();
     let hottest: Vec<Json> = heat
@@ -356,7 +356,6 @@ pub fn advise_trace(request: &AdviseRequest) -> Result<Advice, RequestError> {
         })
         .collect();
 
-    let hist = &reuse.histogram;
     let capacities = hist.pow2_capacities();
     let mrc = Json::Arr(
         capacities
@@ -385,7 +384,7 @@ pub fn advise_trace(request: &AdviseRequest) -> Result<Advice, RequestError> {
                 ("ways".into(), Json::Int(i64::from(cache.ways()))),
             ]),
         ),
-        ("accesses".into(), Json::Int(results.accesses as i64)),
+        ("accesses".into(), Json::Int(accesses as i64)),
         ("plain".into(), stats_json(plain.accesses, plain.misses)),
         ("xor".into(), stats_json(xor.accesses, xor.misses)),
         (
@@ -413,13 +412,10 @@ pub fn advise_trace(request: &AdviseRequest) -> Result<Advice, RequestError> {
         (
             "reuse".into(),
             Json::Obj(vec![
-                (
-                    "sample_log2".into(),
-                    Json::Int(i64::from(reuse.sample_log2)),
-                ),
+                ("sample_log2".into(), Json::Int(i64::from(*sample_log2))),
                 (
                     "sampled_accesses".into(),
-                    Json::Int(reuse.sampled_accesses as i64),
+                    Json::Int((hist.accesses() >> *sample_log2) as i64),
                 ),
                 ("distinct_lines".into(), Json::Int(hist.cold() as i64)),
                 ("mrc".into(), mrc),

@@ -180,7 +180,7 @@ fn check_algorithm(algorithm: Algorithm) -> (usize, usize) {
 
                 let batch = BatchRequest::new()
                     .with_plain(cache)
-                    .with_reuse(cache.line_size());
+                    .with_reuse(cache.line_size(), 0);
                 let before = simulate_batch(&program, &original, &batch);
                 let after = simulate_batch(&program, &layout, &batch);
                 assert_eq!(

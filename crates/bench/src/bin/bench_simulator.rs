@@ -8,7 +8,7 @@
 //! inside an engine number and vice versa. Three engines do the *same*
 //! work — simulating the trace through a sweep of cache configurations —
 //! and must report identical miss counts (asserted before timing, along
-//! with the `pad_trace::simulate_batch_compiled` production path):
+//! with the `pad_trace::simulate_batch` production path):
 //!
 //! 1. `seed_serial`: the seed's architecture — per configuration, feed
 //!    the nested-`Vec` [`BaselineCache`] one access at a time (per-access
@@ -44,7 +44,7 @@ use pad_cache_sim::{
 };
 use pad_core::DataLayout;
 use pad_report::Table;
-use pad_trace::{simulate_batch_compiled, BatchRequest, CompiledTrace, BATCH_CHUNK};
+use pad_trace::{simulate_batch, BatchRequest, CompiledTrace, BATCH_CHUNK};
 
 const WARMUP: Duration = Duration::from_millis(300);
 const MEASURE: Duration = Duration::from_secs(1);
@@ -313,8 +313,8 @@ fn main() {
     };
 
     // Correctness before speed: all three engines must agree exactly,
-    // and so must the production batch path (compiled walk teed through
-    // `pad_trace::simulate_batch_compiled`).
+    // and so must the production batch path (compile, walk, and tee
+    // through `pad_trace::simulate_batch`).
     let reference = seed_serial();
     assert_eq!(
         batched(),
@@ -327,15 +327,14 @@ fn main() {
         "parallel engine diverged from the seed model"
     );
     let request = BatchRequest::new().with_plain_configs(configs.iter().copied());
-    let mut buf = Vec::with_capacity(BATCH_CHUNK);
-    let batch_path = simulate_batch_compiled(&compiled, &request, &mut buf)
+    let batch_path = simulate_batch(&program, &layout, &request)
         .plain
         .iter()
         .map(|s| s.misses)
         .fold(0u64, u64::wrapping_add);
     assert_eq!(
         batch_path, reference,
-        "simulate_batch_compiled diverged from the seed model"
+        "simulate_batch diverged from the seed model"
     );
     println!(
         "workload: JACOBI n={n}, {} configs x {per_walk} accesses = {total} simulated \

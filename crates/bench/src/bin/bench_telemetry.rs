@@ -30,7 +30,7 @@ use pad_cache_sim::{Cache, CacheConfig};
 use pad_core::DataLayout;
 use pad_report::{csv_string, render_prometheus, Table};
 use pad_telemetry::Mode;
-use pad_trace::{simulate_batch_compiled, BatchRequest, CompiledTrace, BATCH_CHUNK};
+use pad_trace::{simulate_batch, BatchRequest, CompiledTrace, BATCH_CHUNK};
 
 /// Maximum tolerated slowdown, in percent, of the uninstrumented engine
 /// over the hand-rolled loop, and of the metrics-on engine over the
@@ -100,14 +100,14 @@ fn main() -> ExitCode {
     let n = if quick { 192 } else { 256 };
     let program = pad_kernels::jacobi::spec(n);
     let layout = DataLayout::original(&program);
-    let compiled = CompiledTrace::compile(&program, &layout);
     let configs = sweep_configs();
     let request = BatchRequest::new().with_plain_configs(configs.iter().copied());
 
-    // Instrumentation-free reference: the same chunked walk and
+    // Instrumentation-free reference: the same compile, chunked walk and
     // flat-storage caches, with no `enabled()` branch anywhere on the
     // path.
     let hand_rolled = || {
+        let compiled = CompiledTrace::compile(&program, &layout);
         let mut caches: Vec<Cache> = configs.iter().map(|c| Cache::new(*c)).collect();
         let mut buf = Vec::with_capacity(BATCH_CHUNK);
         compiled.for_each_chunk(BATCH_CHUNK, &mut buf, |chunk| {
@@ -121,9 +121,7 @@ fn main() -> ExitCode {
     };
     let engine = |metrics_on: bool| {
         pad_telemetry::set_metrics_enabled(metrics_on);
-        let mut buf = Vec::with_capacity(BATCH_CHUNK);
-        let results = simulate_batch_compiled(&compiled, &request, &mut buf);
-        results
+        simulate_batch(&program, &layout, &request)
             .plain
             .iter()
             .fold(0u64, |acc, s| acc.wrapping_add(s.misses))

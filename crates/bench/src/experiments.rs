@@ -117,11 +117,6 @@ pub fn table2() -> RunStatus {
     ctx.finish()
 }
 
-/// Figure 8's rows, built on `threads` workers.
-pub fn fig08_table(threads: usize) -> Table {
-    fig08_table_ctx(&RunContext::plain(threads))
-}
-
 /// Figure 8's rows, built under an explicit run context.
 pub fn fig08_table_ctx(ctx: &RunContext) -> Table {
     let cache = base_cache();
@@ -186,11 +181,6 @@ pub fn fig08() -> RunStatus {
     ctx.finish()
 }
 
-/// Figure 9's rows, built on `threads` workers.
-pub fn fig09_table(threads: usize) -> Table {
-    fig09_table_ctx(&RunContext::plain(threads))
-}
-
 /// Figure 9's rows, built under an explicit run context.
 pub fn fig09_table_ctx(ctx: &RunContext) -> Table {
     let dm = base_cache();
@@ -226,11 +216,6 @@ pub fn fig09() -> RunStatus {
         "fig09",
     );
     ctx.finish()
-}
-
-/// Figure 10's rows, built on `threads` workers.
-pub fn fig10_table(threads: usize) -> Table {
-    fig10_table_ctx(&RunContext::plain(threads))
 }
 
 /// Figure 10's rows, built under an explicit run context.
@@ -292,11 +277,6 @@ fn size_sweep_table(ctx: &RunContext, stem: &str, minuend: Variant, subtrahend: 
     t
 }
 
-/// Figure 11's rows, built on `threads` workers.
-pub fn fig11_table(threads: usize) -> Table {
-    fig11_table_ctx(&RunContext::plain(threads))
-}
-
 /// Figure 11's rows, built under an explicit run context.
 pub fn fig11_table_ctx(ctx: &RunContext) -> Table {
     size_sweep_table(ctx, "fig11", Variant::Original, Variant::Pad)
@@ -311,11 +291,6 @@ pub fn fig11() -> RunStatus {
         "fig11",
     );
     ctx.finish()
-}
-
-/// Figure 12's rows, built on `threads` workers.
-pub fn fig12_table(threads: usize) -> Table {
-    fig12_table_ctx(&RunContext::plain(threads))
 }
 
 /// Figure 12's rows, built under an explicit run context.
@@ -333,11 +308,6 @@ pub fn fig12() -> RunStatus {
         "fig12",
     );
     ctx.finish()
-}
-
-/// Figure 13's rows, built on `threads` workers.
-pub fn fig13_table(threads: usize) -> Table {
-    fig13_table_ctx(&RunContext::plain(threads))
 }
 
 /// Figure 13's rows, built under an explicit run context.
@@ -376,11 +346,6 @@ pub fn fig13() -> RunStatus {
         "fig13",
     );
     ctx.finish()
-}
-
-/// Figure 14's rows, built on `threads` workers.
-pub fn fig14_table(threads: usize) -> Table {
-    fig14_table_ctx(&RunContext::plain(threads))
 }
 
 /// Figure 14's rows, built under an explicit run context.
@@ -486,11 +451,6 @@ fn recondition(name: &str, ws: &mut pad_kernels::Workspace, n: i64) {
     }
 }
 
-/// Figure 16's per-kernel tables and charts, built on `threads` workers.
-pub fn fig16_tables(threads: usize) -> Vec<(String, Table, AsciiChart)> {
-    fig16_tables_ctx(&RunContext::plain(threads))
-}
-
 /// Figure 16's per-kernel tables and charts, built under an explicit run
 /// context.
 pub fn fig16_tables_ctx(ctx: &RunContext) -> Vec<(String, Table, AsciiChart)> {
@@ -553,11 +513,6 @@ pub fn fig16() -> RunStatus {
         );
     }
     ctx.finish()
-}
-
-/// Figure 17's per-kernel tables, built on `threads` workers.
-pub fn fig17_tables(threads: usize) -> Vec<(String, Table)> {
-    fig17_tables_ctx(&RunContext::plain(threads))
 }
 
 /// Figure 17's per-kernel tables, built under an explicit run context.
@@ -658,7 +613,7 @@ pub fn mrc_kernel_table_ctx(
         let layout = variants[i].0.layout(&p, &base_cache());
         let request = cache_bytes
             .iter()
-            .fold(BatchRequest::new().with_reuse(line), |r, &bytes| {
+            .fold(BatchRequest::new().with_reuse(line, 0), |r, &bytes| {
                 r.with_plain(CacheConfig::direct_mapped(bytes, line))
             });
         let results = simulate_batch(&p, &layout, &request);
@@ -732,11 +687,6 @@ pub fn mrc_kernel_table_ctx(
     (t, chart, crossover)
 }
 
-/// The miss-ratio-curve per-kernel tables, built on `threads` workers.
-pub fn fig_mrc_tables(threads: usize) -> Vec<(String, Table, AsciiChart, Option<u64>)> {
-    fig_mrc_tables_ctx(&RunContext::plain(threads))
-}
-
 /// The miss-ratio-curve per-kernel tables, built under an explicit run
 /// context.
 pub fn fig_mrc_tables_ctx(ctx: &RunContext) -> Vec<(String, Table, AsciiChart, Option<u64>)> {
@@ -783,12 +733,6 @@ pub fn fig_mrc() -> RunStatus {
         );
     }
     ctx.finish()
-}
-
-/// The `j*` ablation's table and the original-layout average miss rate,
-/// built on `threads` workers.
-pub fn ablation_jstar_table(threads: usize) -> (Table, f64) {
-    ablation_jstar_table_ctx(&RunContext::plain(threads))
 }
 
 /// The `j*` ablation's table and the original-layout average miss rate
@@ -890,11 +834,6 @@ pub fn ablation_jstar() -> RunStatus {
     ctx.finish()
 }
 
-/// The hardware-remedies ablation's rows, built on `threads` workers.
-pub fn ablation_hardware_table(threads: usize) -> Table {
-    ablation_hardware_table_ctx(&RunContext::plain(threads))
-}
-
 /// The hardware-remedies ablation's rows, built under an explicit run
 /// context.
 pub fn ablation_hardware_table_ctx(ctx: &RunContext) -> Table {
@@ -948,12 +887,6 @@ pub fn ablation_hardware() -> RunStatus {
         "ablation_hardware",
     );
     ctx.finish()
-}
-
-/// The tiling ablation's table plus a note describing the selected tile,
-/// built on `threads` workers.
-pub fn ablation_tiling_table(threads: usize) -> (Table, String) {
-    ablation_tiling_table_ctx(&RunContext::plain(threads))
 }
 
 /// The tiling ablation's table plus a note describing the selected tile,
@@ -1040,11 +973,6 @@ pub fn ablation_tiling() -> RunStatus {
 
 /// The labels of the three layouts the multi-level ablation compares.
 const MULTILEVEL_LAYOUTS: [&str; 3] = ["original", "pad L1", "pad L1+L2"];
-
-/// The multi-level ablation's rows, built on `threads` workers.
-pub fn ablation_multilevel_table(threads: usize) -> Table {
-    ablation_multilevel_table_ctx(&RunContext::plain(threads))
-}
 
 /// The multi-level ablation's rows, built under an explicit run context.
 pub fn ablation_multilevel_table_ctx(ctx: &RunContext) -> Table {

@@ -411,12 +411,6 @@ fn host_cores() -> usize {
     })
 }
 
-/// Runs `count` cells through `f` on the default pool width
-/// ([`thread_count`]) and returns the results in cell order.
-pub fn run_cells<T: Send>(count: usize, f: impl Fn(usize) -> T + Sync) -> Vec<T> {
-    run_cells_on(thread_count(), count, f)
-}
-
 /// Runs `count` cells through `f` at width `threads` (clamped as in
 /// [`effective_width`]) and returns the results in cell order —
 /// `run_cells_on(1, ..)` is the serial reference the determinism tests
@@ -582,31 +576,6 @@ pub fn run_cells_outcome_with<T: Send>(
         let outcome = run_one_cell(index, policy, &f);
         on_complete(index, &outcome);
         outcome
-    })
-}
-
-/// [`run_cells`] with a progress label per cell: each cell's label and
-/// wall time are printed to stderr as it finishes (completion order; the
-/// *results* remain in cell order).
-pub fn run_labeled<T: Send>(labels: &[String], f: impl Fn(usize) -> T + Sync) -> Vec<T> {
-    run_labeled_on(thread_count(), labels, f)
-}
-
-/// [`run_cells_on`] with per-cell progress labels and timing.
-pub fn run_labeled_on<T: Send>(
-    threads: usize,
-    labels: &[String],
-    f: impl Fn(usize) -> T + Sync,
-) -> Vec<T> {
-    run_cells_on(threads, labels.len(), |index| {
-        let start = Instant::now();
-        let value = f(index);
-        eprintln!(
-            "  {} ({:.0} ms)",
-            labels[index],
-            start.elapsed().as_secs_f64() * 1e3
-        );
-        value
     })
 }
 

@@ -167,6 +167,17 @@ impl SampledReuseAnalyzer {
     pub fn distinct_sampled_lines(&self) -> usize {
         self.stack.distinct_lines()
     }
+
+    /// Tick-compaction count (telemetry/diagnostics).
+    pub fn compactions(&self) -> u64 {
+        self.stack.compactions()
+    }
+
+    /// Whether the sampled stack's last-use table went to the hash map
+    /// ([`ReuseStack::is_hashed`]).
+    pub fn is_hashed(&self) -> bool {
+        self.stack.is_hashed()
+    }
 }
 
 #[cfg(test)]

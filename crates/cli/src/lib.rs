@@ -455,10 +455,10 @@ fn cmd_record(program: &Program, opts: &Options) -> Result<(), String> {
 
 fn cmd_ingest(target: &str, opts: &Options) -> Result<(), String> {
     use pad_cache_sim::IndexFunction;
-    use pad_trace_ingest::replay::{ReplayRequest, Replayer};
+    use pad_trace::{BatchRequest, Sinks};
 
     let cache = opts.cache_config()?;
-    let mut request = ReplayRequest::new().with_plain(cache);
+    let mut request = BatchRequest::new().with_plain(cache);
     if opts.xor {
         request = request.with_plain(cache.with_index_function(IndexFunction::Xor));
     }
@@ -472,13 +472,13 @@ fn cmd_ingest(target: &str, opts: &Options) -> Result<(), String> {
         request = request.with_reuse(cache.line_size(), opts.sample);
     }
 
-    let mut replayer = Replayer::new(&request);
+    let mut sinks = Sinks::new(&request);
     let records =
         pad_trace_ingest::read_trace_file(std::path::Path::new(target), opts.format, |chunk| {
-            replayer.feed(chunk)
+            sinks.feed(chunk)
         })
         .map_err(|e| format!("{target}: {e}"))?;
-    let results = replayer.finish();
+    let results = sinks.finish();
 
     println!("{cache}");
     println!("replayed {records} access(es) from {target}");
@@ -543,16 +543,16 @@ fn cmd_ingest(target: &str, opts: &Options) -> Result<(), String> {
         }
     }
 
-    if let Some(reuse) = &results.reuse {
-        let hist = &reuse.histogram;
+    if let Some(hist) = results.reuse.first() {
+        let k = opts.sample;
         println!(
             "miss-ratio curve ({}; {} of {records} access(es) sampled, {} distinct line(s)):",
-            if reuse.sample_log2 == 0 {
+            if k == 0 {
                 "exact".to_string()
             } else {
-                format!("SHARDS rate 1/{}", 1u64 << reuse.sample_log2)
+                format!("SHARDS rate 1/{}", 1u64 << k)
             },
-            reuse.sampled_accesses,
+            hist.accesses() >> k,
             hist.cold()
         );
         let mut t = Table::new(["capacity", "miss %"]);

@@ -152,12 +152,11 @@ fn record_and_ingest_roundtrip_binary_and_ndjson() {
     let layout = pad_core::DataLayout::original(&program);
     let cache = pad_cache_sim::CacheConfig::paper_base();
     let direct = pad_trace::simulate_program(&program, &layout, &cache);
-    let replayed = pad_trace_ingest::replay::replay_slice(
-        &from_bin,
-        &pad_trace_ingest::replay::ReplayRequest::new().with_plain(cache),
-    );
+    let mut sinks = pad_trace::Sinks::new(&pad_trace::BatchRequest::new().with_plain(cache));
+    sinks.feed(&from_bin);
     assert_eq!(
-        replayed.plain[0], direct,
+        sinks.finish().plain[0],
+        direct,
         "trace replay matches direct simulation"
     );
 

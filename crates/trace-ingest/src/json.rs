@@ -11,11 +11,6 @@
 //! Parsing is total: every input either yields a [`Json`] value or a
 //! [`JsonError`]; no input panics.
 
-// The crate denies `unsafe_code`; this module's single unsafe block
-// (re-slicing a `&str`'s already-validated bytes in the string scanner)
-// is the one local exception.
-#![allow(unsafe_code)]
-
 use std::fmt;
 
 /// Maximum nesting depth accepted by [`parse`]. Deep enough for any real
@@ -174,6 +169,7 @@ impl std::error::Error for JsonError {}
 /// error (an NDJSON frame is exactly one value).
 pub fn parse(input: &str) -> Result<Json, JsonError> {
     let mut p = Parser {
+        text: input,
         bytes: input.as_bytes(),
         pos: 0,
     };
@@ -187,6 +183,8 @@ pub fn parse(input: &str) -> Result<Json, JsonError> {
 }
 
 struct Parser<'a> {
+    text: &'a str,
+    /// `text`'s bytes; `pos` only ever rests on a scalar boundary.
     bytes: &'a [u8],
     pos: usize,
 }
@@ -342,11 +340,8 @@ impl<'a> Parser<'a> {
                 }
                 Some(&b) if b < 0x20 => return Err(self.fail("raw control character in string")),
                 Some(_) => {
-                    // Consume one UTF-8 scalar; input is a &str, so the
-                    // encoding is already valid.
-                    let rest = &self.bytes[self.pos..];
-                    let s = unsafe { std::str::from_utf8_unchecked(rest) };
-                    let Some(c) = s.chars().next() else {
+                    // Consume one UTF-8 scalar of the input `&str`.
+                    let Some(c) = self.text.get(self.pos..).and_then(|s| s.chars().next()) else {
                         return Err(self.fail("unterminated string"));
                     };
                     out.push(c);
@@ -481,6 +476,19 @@ mod tests {
         let mut out = String::new();
         v.write(&mut out);
         assert_eq!(parse(&out), Ok(v));
+    }
+
+    #[test]
+    fn raw_multibyte_scalars_scan_whole() {
+        // A raw 4-byte scalar directly before a `\u` escape.
+        let v = parse(r#""😀\u00e9😀""#).expect("parses");
+        assert_eq!(v.as_str(), Some("😀é😀"));
+        // An unterminated string ending in a multi-byte scalar.
+        for bad in ["\"café", "\"😀", "[\"x😀"] {
+            let err = parse(bad).expect_err("unterminated");
+            assert_eq!(err.message, "unterminated string", "{bad:?}");
+            assert_eq!(err.at, bad.len(), "{bad:?}");
+        }
     }
 
     #[test]

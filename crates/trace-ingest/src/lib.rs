@@ -13,12 +13,15 @@
 //!   debugging, parsed with the same hand-rolled [`json`] layer the
 //!   advisor protocol uses;
 //!
-//! — and replays them through the cache simulator ([`replay`]): plain
-//! and XOR-indexed configurations, victim-cache scenarios, per-set heat
-//! classification, and exact or SHARDS-sampled reuse-distance analysis.
-//! Replay of a trace recorded from a built-in kernel reproduces that
-//! kernel's miss counts bit-identically (pinned by differential tests),
-//! so external traces get exactly the analyses the paper's kernels get.
+//! — and streams them, chunk by chunk, into any sink. Replaying a trace
+//! through the cache simulator means feeding those chunks to
+//! `pad_trace::Sinks`, the same sink set a compiled kernel walk feeds:
+//! plain and XOR-indexed caches, three-C classifiers, victim buffers,
+//! hierarchies, per-set heat, and exact or SHARDS-sampled reuse
+//! distances. Replay of a trace recorded from a built-in kernel
+//! reproduces that kernel's results bit-identically (pinned by
+//! differential tests), so external traces get exactly the analyses the
+//! paper's kernels get.
 //!
 //! The readers never materialize a whole trace: both stream fixed-size
 //! chunks into a caller-supplied sink, so memory stays bounded at a few
@@ -27,16 +30,13 @@
 //! affordable on traces with working sets too large for the exact
 //! engine.
 
-// deny, not forbid: the json string scanner re-slices already-validated
-// UTF-8 with one locally-allowed `from_utf8_unchecked`.
-#![deny(unsafe_code)]
+#![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
 pub mod binary;
 pub mod json;
 pub mod metrics;
 pub mod ndjson;
-pub mod replay;
 
 use std::fmt;
 use std::fs::File;
@@ -183,7 +183,11 @@ impl std::error::Error for IngestError {
 
 /// Streams a trace in `format` from `input`, feeding decoded chunks to
 /// `sink`; returns the record count.
-pub fn read_trace<R, F>(input: &mut R, format: TraceFormat, sink: F) -> Result<u64, IngestError>
+///
+/// With metrics on, a read records its bytes and records, and a
+/// complete read its wall time and rate (the sink's work included);
+/// a read refused as malformed counts as such.
+pub fn read_trace<R, F>(input: &mut R, format: TraceFormat, mut sink: F) -> Result<u64, IngestError>
 where
     R: Read,
     F: FnMut(&[Access]),
@@ -191,18 +195,30 @@ where
     if !pad_telemetry::metrics_enabled() {
         return read_trace_inner(input, format, sink);
     }
+    let m = metrics::ingest_metrics();
+    let start_us = pad_telemetry::now_us();
     let mut counting = CountingReader {
         inner: input,
         bytes: 0,
     };
-    let result = read_trace_inner(&mut counting, format, sink);
-    let m = metrics::ingest_metrics();
+    let result = read_trace_inner(&mut counting, format, |chunk| {
+        m.records.add(chunk.len() as u64);
+        sink(chunk)
+    });
     m.bytes.add(counting.bytes);
-    if let Err(e) = &result {
-        // I/O failures are the host's fault, not the trace's.
-        if !matches!(e, IngestError::Io(_)) {
-            m.malformed.inc();
+    match &result {
+        Ok(records) => {
+            let elapsed = pad_telemetry::now_us().saturating_sub(start_us);
+            m.replays.inc();
+            m.replay_us.record(elapsed);
+            if elapsed > 0 {
+                m.replay_records_per_sec
+                    .set((*records as f64 * 1e6 / elapsed as f64) as i64);
+            }
         }
+        // I/O failures are the host's fault, not the trace's.
+        Err(IngestError::Io(_)) => {}
+        Err(_) => m.malformed.inc(),
     }
     result
 }

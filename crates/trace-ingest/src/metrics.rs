@@ -6,12 +6,15 @@
 //!
 //! | metric                              | kind      | meaning                                 |
 //! |-------------------------------------|-----------|-----------------------------------------|
-//! | `pad_ingest_records_total`          | counter   | trace records fed to replay sinks       |
+//! | `pad_ingest_records_total`          | counter   | trace records decoded and fed to a sink |
 //! | `pad_ingest_bytes_total`            | counter   | raw bytes consumed by trace readers     |
 //! | `pad_ingest_malformed_total`        | counter   | reads refused as not-a-well-formed trace|
-//! | `pad_ingest_replays_total`          | counter   | completed replays                       |
-//! | `pad_ingest_replay_us`              | histogram | wall time of each completed replay      |
-//! | `pad_ingest_replay_records_per_sec` | gauge     | throughput of the latest replay         |
+//! | `pad_ingest_replays_total`          | counter   | traces read to the end                  |
+//! | `pad_ingest_replay_us`              | histogram | wall time of each complete read         |
+//! | `pad_ingest_replay_records_per_sec` | gauge     | throughput of the latest complete read  |
+//!
+//! A complete read's time includes its sink's work, so for a replay
+//! into `pad_trace::Sinks` these time the whole replay.
 
 use std::sync::{Arc, OnceLock};
 
@@ -19,7 +22,7 @@ use pad_telemetry::{Counter, Gauge, LatencyHistogram};
 
 /// Cached handles to every ingest metric (see the module table).
 pub struct IngestMetrics {
-    /// Trace records fed to replay sinks.
+    /// Trace records decoded and fed to a sink.
     pub records: Arc<Counter>,
     /// Raw bytes consumed by the trace readers.
     pub bytes: Arc<Counter>,
@@ -27,11 +30,11 @@ pub struct IngestMetrics {
     /// (bad magic, truncated record, garbage NDJSON — I/O errors are
     /// not the trace's fault and are excluded).
     pub malformed: Arc<Counter>,
-    /// Completed replays.
+    /// Traces read to the end.
     pub replays: Arc<Counter>,
-    /// Wall time of each completed replay, in microseconds.
+    /// Wall time of each complete read, in microseconds.
     pub replay_us: Arc<LatencyHistogram>,
-    /// Records per second of the most recently finished replay.
+    /// Records per second of the most recent complete read.
     pub replay_records_per_sec: Arc<Gauge>,
 }
 
@@ -43,7 +46,7 @@ pub fn ingest_metrics() -> &'static IngestMetrics {
         IngestMetrics {
             records: r.counter(
                 "pad_ingest_records_total",
-                "Trace records fed to replay sinks.",
+                "Trace records decoded and fed to a sink.",
             ),
             bytes: r.counter(
                 "pad_ingest_bytes_total",
@@ -53,14 +56,14 @@ pub fn ingest_metrics() -> &'static IngestMetrics {
                 "pad_ingest_malformed_total",
                 "Reads refused as not a well-formed trace (I/O errors excluded).",
             ),
-            replays: r.counter("pad_ingest_replays_total", "Completed replays."),
+            replays: r.counter("pad_ingest_replays_total", "Traces read to the end."),
             replay_us: r.histogram(
                 "pad_ingest_replay_us",
-                "Wall time of each completed replay, in microseconds.",
+                "Wall time of each complete trace read, in microseconds.",
             ),
             replay_records_per_sec: r.gauge(
                 "pad_ingest_replay_records_per_sec",
-                "Records per second of the most recently finished replay.",
+                "Records per second of the most recent complete trace read.",
             ),
         }
     })

@@ -2,13 +2,15 @@
 //! and garbage inputs get typed errors with positions, zero-length
 //! traces are valid, record counts straddling the reader's chunk
 //! boundary replay exactly, and traces recorded from the built-in kernels
-//! reproduce the kernels' simulated miss counts bit-identically.
+//! replay through `pad_trace::Sinks` to the kernels' simulated results
+//! bit-identically.
 
-use pad_cache_sim::{Access, Cache, CacheConfig, ReuseAnalyzer, SampledReuseAnalyzer};
+use pad_cache_sim::{
+    Access, Cache, CacheConfig, IndexFunction, ReuseAnalyzer, SampledReuseAnalyzer,
+};
 use pad_core::DataLayout;
-use pad_trace::CompiledTrace;
+use pad_trace::{simulate_batch, BatchRequest, CompiledTrace, Sinks};
 use pad_trace_ingest::binary::{self, BinaryTraceWriter};
-use pad_trace_ingest::replay::{replay_slice, ReplayRequest, Replayer};
 use pad_trace_ingest::{ndjson, read_trace, read_trace_file, IngestError, TraceFormat};
 
 /// A deterministic synthetic trace with reuse, strides, and writes.
@@ -130,14 +132,18 @@ fn zero_length_traces_are_valid_and_empty_files_are_not() {
     }
 
     // An empty trace replays to empty results everywhere.
-    let request = ReplayRequest::new()
-        .with_plain(CacheConfig::paper_base())
-        .with_heat(CacheConfig::paper_base())
-        .with_reuse(32, 0);
-    let results = replay_slice(&[], &request);
-    assert_eq!(results.accesses, 0);
+    let mut sinks = Sinks::new(
+        &BatchRequest::new()
+            .with_plain(CacheConfig::paper_base())
+            .with_heat(CacheConfig::paper_base())
+            .with_reuse(32, 0),
+    );
+    let records = read_trace(&mut &bytes[..], TraceFormat::Binary, |c| sinks.feed(c)).unwrap();
+    let results = sinks.finish();
+    assert_eq!(records, 0);
     assert_eq!(results.plain[0].accesses, 0);
     assert_eq!(results.heat[0].total_evictions(), 0);
+    assert_eq!(results.reuse[0].accesses(), 0);
 }
 
 #[test]
@@ -151,12 +157,10 @@ fn record_counts_straddling_the_lane_boundary_replay_exactly() {
         let mut bytes = Vec::new();
         binary::write_binary(&mut bytes, &trace).unwrap();
 
-        let request = ReplayRequest::new().with_plain(cache).with_heat(cache);
-        let mut replayer = Replayer::new(&request);
-        let records =
-            read_trace(&mut &bytes[..], TraceFormat::Binary, |c| replayer.feed(c)).unwrap();
+        let mut sinks = Sinks::new(&BatchRequest::new().with_plain(cache).with_heat(cache));
+        let records = read_trace(&mut &bytes[..], TraceFormat::Binary, |c| sinks.feed(c)).unwrap();
         assert_eq!(records, n as u64);
-        let results = replayer.finish();
+        let results = sinks.finish();
 
         let mut reference = Cache::new(cache);
         for &a in &trace {
@@ -179,11 +183,21 @@ fn record_counts_straddling_the_lane_boundary_replay_exactly() {
 
 #[test]
 fn kernel_traces_replay_bit_identically_through_both_encodings() {
+    // Every sink kind, fed from a recorded trace in either encoding,
+    // matches the compiled walk of the same program and layout.
+    let cache = CacheConfig::paper_base();
+    let request = BatchRequest::new()
+        .with_plain(cache)
+        .with_plain(cache.with_index_function(IndexFunction::Xor))
+        .with_classified(cache)
+        .with_victim(cache, 8)
+        .with_hierarchy([cache, CacheConfig::set_associative(64 * 1024, 32, 4)])
+        .with_reuse(cache.line_size(), 0)
+        .with_reuse(cache.line_size(), 3)
+        .with_heat(cache);
     for (name, n) in [("DOT256K", 384), ("JACOBI512", 48), ("EXPL512", 24)] {
         let (program, trace) = kernel_trace(name, n);
-        let cache = CacheConfig::paper_base();
-        let layout = DataLayout::original(&program);
-        let direct = pad_trace::simulate_program(&program, &layout, &cache);
+        let walked = simulate_batch(&program, &DataLayout::original(&program), &request);
 
         for format in [TraceFormat::Binary, TraceFormat::Ndjson] {
             let mut bytes = Vec::new();
@@ -191,14 +205,23 @@ fn kernel_traces_replay_bit_identically_through_both_encodings() {
                 TraceFormat::Binary => binary::write_binary(&mut bytes, &trace).unwrap(),
                 TraceFormat::Ndjson => ndjson::write_ndjson(&mut bytes, &trace).unwrap(),
             }
-            let request = ReplayRequest::new().with_plain(cache);
-            let mut replayer = Replayer::new(&request);
-            let records = read_trace(&mut &bytes[..], format, |c| replayer.feed(c)).unwrap();
-            let results = replayer.finish();
+            let mut sinks = Sinks::new(&request);
+            let mut unsampled = SampledReuseAnalyzer::new(cache.line_size(), 0);
+            let records = read_trace(&mut &bytes[..], format, |c| {
+                sinks.feed(c);
+                unsampled.run_slice(c);
+            })
+            .unwrap();
+            let replayed = sinks.finish();
             assert_eq!(records, trace.len() as u64, "{name}/{format}");
             assert_eq!(
-                results.plain[0], direct,
-                "{name}/{format}: replay must equal direct simulation bit-for-bit"
+                replayed, walked,
+                "{name}/{format}: replay must equal the compiled walk bit-for-bit"
+            );
+            assert_eq!(
+                unsampled.histogram(),
+                &replayed.reuse[0],
+                "{name}/{format}: a k = 0 sampled sink is the exact one"
             );
         }
     }

@@ -1,20 +1,23 @@
-//! Batched simulation: every simulator a (program, layout) pair feeds,
-//! in one trace walk.
+//! Batched simulation: one sink set for every access stream.
 //!
 //! The figure sweeps evaluate the *same* program/layout against several
 //! cache organizations, miss classifiers, victim buffers, and multi-level
 //! hierarchies. Trace generation is a large share of each cell's cost, so
 //! regenerating the stream per simulator wastes the dominant term. A
-//! [`BatchRequest`] names every sink up front; [`simulate_batch`] compiles
-//! the trace once, walks it once, and tees chunked slices (via
-//! [`CompiledTrace::for_each_chunk`]) into all sinks, so per-access
-//! dispatch is a tight slice loop per simulator rather than a closure
-//! call per access per simulator.
+//! [`BatchRequest`] names every sink up front and [`Sinks`] holds them
+//! live: each fed chunk is teed into every simulator as a tight slice
+//! loop, rather than a closure call per access per simulator.
+//!
+//! [`Sinks`] is the only place an access stream meets the simulators.
+//! [`simulate_batch`] compiles a program's trace, walks it once in
+//! chunks ([`CompiledTrace::for_each_chunk`]) and feeds them in; a trace
+//! file replay (`pad_trace_ingest::read_trace_file`) feeds its decoded
+//! chunks into the same type, so both streams get the same menu.
 
 use pad_cache_sim::{
     Access, Cache, CacheConfig, CacheStats, ClassifiedStats, ClassifyingCache, Hierarchy,
-    LevelStats, ReuseAnalyzer, ReuseHistogram, Sampler, SetHeatReport, SetHeatTracker, VictimCache,
-    VictimStats,
+    LevelStats, ReuseAnalyzer, ReuseHistogram, SampledReuseAnalyzer, Sampler, SetHeatReport,
+    SetHeatTracker, VictimCache, VictimStats,
 };
 use pad_core::DataLayout;
 use pad_ir::Program;
@@ -27,7 +30,7 @@ use crate::compiled::CompiledTrace;
 /// several simulated caches touch it.
 pub const BATCH_CHUNK: usize = 4096;
 
-/// Everything one compiled trace should be run through.
+/// Everything one access stream should be run through.
 ///
 /// Build with the fluent `with_*` methods; empty requests are legal and
 /// produce empty results.
@@ -41,10 +44,12 @@ pub struct BatchRequest {
     pub victim: Vec<(CacheConfig, usize)>,
     /// Multi-level hierarchies (each a list of levels, L1 first).
     pub hierarchy: Vec<Vec<CacheConfig>>,
-    /// Reuse-distance (stack-distance) analyses, one per line size in
-    /// bytes. Each yields a [`ReuseHistogram`] — the exact
-    /// fully-associative LRU miss count for *every* capacity at once.
-    pub reuse: Vec<u64>,
+    /// Reuse-distance (stack-distance) analyses, each a line size in
+    /// bytes and a SHARDS sampling exponent `k` (rate `2^-k`, 0 =
+    /// exact). Each yields a [`ReuseHistogram`] — the fully-associative
+    /// LRU miss count for *every* capacity at once, estimated when
+    /// `k > 0`.
+    pub reuse: Vec<(u64, u32)>,
     /// Per-set heat classifications. Each yields a [`SetHeatReport`]
     /// naming which sets carry the conflict pressure — the evidence the
     /// XOR-indexing and victim-cache scenarios act on.
@@ -92,10 +97,12 @@ impl BatchRequest {
         self
     }
 
-    /// Adds a reuse-distance analysis over lines of `line_size` bytes.
+    /// Adds a reuse-distance analysis over lines of `line_size` bytes,
+    /// sampled at rate `2^-sample_log2`. At 0 it runs the exact
+    /// [`ReuseAnalyzer`]; above, a [`SampledReuseAnalyzer`].
     #[must_use]
-    pub fn with_reuse(mut self, line_size: u64) -> Self {
-        self.reuse.push(line_size);
+    pub fn with_reuse(mut self, line_size: u64, sample_log2: u32) -> Self {
+        self.reuse.push((line_size, sample_log2));
         self
     }
 
@@ -117,8 +124,8 @@ impl BatchRequest {
     }
 }
 
-/// Results of a [`simulate_batch`] run, index-aligned with the request.
-#[derive(Debug, Clone, Default)]
+/// What a finished [`Sinks`] measured, index-aligned with its request.
+#[derive(Debug, Clone, Default, PartialEq)]
 pub struct BatchResults {
     /// Per-[`BatchRequest::plain`] statistics, in request order.
     pub plain: Vec<CacheStats>,
@@ -128,14 +135,279 @@ pub struct BatchResults {
     pub victim: Vec<VictimStats>,
     /// Per-[`BatchRequest::hierarchy`] level statistics, in request order.
     pub hierarchy: Vec<Vec<LevelStats>>,
-    /// Per-[`BatchRequest::reuse`] histograms, in request order.
+    /// Per-[`BatchRequest::reuse`] histograms, in request order. A
+    /// sampled histogram is rescaled: each sampled access counts `2^k`,
+    /// so `accesses() >> k` is the number of sampled accesses.
     pub reuse: Vec<ReuseHistogram>,
     /// Per-[`BatchRequest::heat`] reports, in request order.
     pub heat: Vec<SetHeatReport>,
 }
 
-/// Compiles `program` × `layout` and runs the trace through every sink in
-/// the request with a single walk.
+/// One reuse sink: exact, or SHARDS-sampled.
+enum ReuseSink {
+    Exact(ReuseAnalyzer),
+    Sampled(SampledReuseAnalyzer),
+}
+
+impl ReuseSink {
+    fn new(line_size: u64, sample_log2: u32) -> Self {
+        if sample_log2 == 0 {
+            ReuseSink::Exact(ReuseAnalyzer::new(line_size))
+        } else {
+            ReuseSink::Sampled(SampledReuseAnalyzer::new(line_size, sample_log2))
+        }
+    }
+
+    fn run_slice(&mut self, chunk: &[Access]) {
+        match self {
+            ReuseSink::Exact(r) => r.run_slice(chunk),
+            ReuseSink::Sampled(r) => r.run_slice(chunk),
+        }
+    }
+
+    fn histogram(&self) -> &ReuseHistogram {
+        match self {
+            ReuseSink::Exact(r) => r.histogram(),
+            ReuseSink::Sampled(r) => r.histogram(),
+        }
+    }
+
+    /// Tick compactions and whether the last-use table hashed.
+    fn stack_counters(&self) -> (u64, bool) {
+        match self {
+            ReuseSink::Exact(r) => (r.compactions(), r.is_hashed()),
+            ReuseSink::Sampled(r) => (r.compactions(), r.is_hashed()),
+        }
+    }
+
+    fn into_histogram(self) -> ReuseHistogram {
+        match self {
+            ReuseSink::Exact(r) => r.into_histogram(),
+            ReuseSink::Sampled(r) => r.into_histogram(),
+        }
+    }
+}
+
+/// The live simulators of one [`BatchRequest`].
+///
+/// Feed it an access stream in order, in chunks of any size, then
+/// [`finish`](Sinks::finish) it: chunk boundaries are invisible to the
+/// results. Memory is the simulators' state, never the stream.
+///
+/// ```
+/// use pad_cache_sim::{Access, CacheConfig};
+/// use pad_trace::{BatchRequest, Sinks};
+///
+/// let request = BatchRequest::new()
+///     .with_plain(CacheConfig::direct_mapped(1024, 32))
+///     .with_reuse(32, 0);
+/// let mut sinks = Sinks::new(&request);
+/// sinks.feed(&[Access::read(0), Access::read(1024)]);
+/// sinks.feed(&[Access::read(0)]);
+/// let results = sinks.finish();
+/// assert_eq!(results.plain[0].misses, 3);
+/// assert_eq!(results.reuse[0].misses_at(2), 2);
+/// ```
+pub struct Sinks {
+    plain: Vec<Cache>,
+    classified: Vec<ClassifyingCache>,
+    victim: Vec<VictimCache>,
+    hierarchy: Vec<Hierarchy>,
+    reuse: Vec<ReuseSink>,
+    heat: Vec<SetHeatTracker>,
+    // Cache-counter samplers, each with the index of the sink (and
+    // level) it watches. Empty unless `simulate_batch` turned sampling
+    // on, so the per-chunk sampler loops iterate zero times otherwise.
+    plain_samplers: Vec<(usize, Sampler)>,
+    classified_samplers: Vec<(usize, Sampler)>,
+    hierarchy_samplers: Vec<(usize, usize, Sampler)>,
+}
+
+impl Sinks {
+    /// Instantiates every simulator `request` names.
+    pub fn new(request: &BatchRequest) -> Self {
+        Sinks {
+            plain: request.plain.iter().map(|c| Cache::new(*c)).collect(),
+            classified: request
+                .classified
+                .iter()
+                .map(|c| ClassifyingCache::new(*c))
+                .collect(),
+            victim: request
+                .victim
+                .iter()
+                .map(|&(c, n)| VictimCache::new(c, n))
+                .collect(),
+            hierarchy: request
+                .hierarchy
+                .iter()
+                .map(|levels| Hierarchy::new(levels.clone()))
+                .collect(),
+            reuse: request
+                .reuse
+                .iter()
+                .map(|&(line_size, k)| ReuseSink::new(line_size, k))
+                .collect(),
+            heat: request
+                .heat
+                .iter()
+                .map(|c| SetHeatTracker::new(*c))
+                .collect(),
+            plain_samplers: Vec::new(),
+            classified_samplers: Vec::new(),
+            hierarchy_samplers: Vec::new(),
+        }
+    }
+
+    /// Attaches a cache-counter sampler, named `{name}/...`, to every
+    /// plain, classified and hierarchy-level cache. Victim-buffered
+    /// sinks do not expose their main cache and stay unsampled.
+    fn sample_every(&mut self, name: &str, interval: u64) {
+        self.plain_samplers = (0..self.plain.len())
+            .filter_map(|i| Sampler::new(format!("{name}/plain{i}"), interval).map(|s| (i, s)))
+            .collect();
+        self.classified_samplers = (0..self.classified.len())
+            .filter_map(|i| Sampler::new(format!("{name}/classified{i}"), interval).map(|s| (i, s)))
+            .collect();
+        self.hierarchy_samplers = self
+            .hierarchy
+            .iter()
+            .enumerate()
+            .flat_map(|(i, h)| (0..h.levels().len()).map(move |lvl| (i, lvl)))
+            .filter_map(|(i, lvl)| {
+                Sampler::new(format!("{name}/hier{i}.L{}", lvl + 1), interval).map(|s| (i, lvl, s))
+            })
+            .collect();
+    }
+
+    /// Feeds the next chunk of the stream to every simulator.
+    pub fn feed(&mut self, chunk: &[Access]) {
+        for cache in &mut self.plain {
+            cache.run_slice(chunk);
+        }
+        for cache in &mut self.classified {
+            cache.run_slice(chunk);
+        }
+        for cache in &mut self.victim {
+            cache.run_slice(chunk);
+        }
+        for h in &mut self.hierarchy {
+            h.run_slice(chunk);
+        }
+        for r in &mut self.reuse {
+            r.run_slice(chunk);
+        }
+        for h in &mut self.heat {
+            h.run_slice(chunk);
+        }
+        for (i, s) in &mut self.plain_samplers {
+            s.tick(&self.plain[*i]);
+        }
+        for (i, s) in &mut self.classified_samplers {
+            s.tick(self.classified[*i].main());
+        }
+        for (i, lvl, s) in &mut self.hierarchy_samplers {
+            s.tick(&self.hierarchy[*i].levels()[*lvl]);
+        }
+    }
+
+    /// Closes the stream and collects every simulator's results.
+    pub fn finish(self) -> BatchResults {
+        BatchResults {
+            plain: self.plain.iter().map(|c| *c.stats()).collect(),
+            classified: self.classified.iter().map(|c| *c.stats()).collect(),
+            victim: self.victim.iter().map(|c| *c.stats()).collect(),
+            hierarchy: self.hierarchy.iter().map(Hierarchy::stats).collect(),
+            reuse: self
+                .reuse
+                .into_iter()
+                .map(ReuseSink::into_histogram)
+                .collect(),
+            heat: self.heat.iter().map(SetHeatTracker::report).collect(),
+        }
+    }
+
+    /// The end-of-walk telemetry: a final sample from every sampler (so
+    /// short walks still yield one data point each), one counter per
+    /// reuse and heat sink, then the walk's `sim` throughput span.
+    fn emit_walk_events(&self, name: &str, start_us: u64, accesses: u64, chunks: u64) {
+        for (i, s) in &self.plain_samplers {
+            s.sample(&self.plain[*i]);
+        }
+        for (i, s) in &self.classified_samplers {
+            s.sample(self.classified[*i].main());
+        }
+        for (i, lvl, s) in &self.hierarchy_samplers {
+            s.sample(&self.hierarchy[*i].levels()[*lvl]);
+        }
+
+        for (i, r) in self.reuse.iter().enumerate() {
+            pad_telemetry::emit(|| {
+                let h = r.histogram();
+                let (compactions, hashed) = r.stack_counters();
+                Event::counter(
+                    "reuse",
+                    format!("{name}/reuse{i}"),
+                    vec![
+                        ("accesses", Value::U64(h.accesses())),
+                        ("distinct_lines", Value::U64(h.cold())),
+                        ("max_distance", Value::U64(h.max_distance().unwrap_or(0))),
+                        ("compactions", Value::U64(compactions)),
+                        (
+                            "table",
+                            Value::Str(if hashed { "hashed" } else { "paged" }.into()),
+                        ),
+                    ],
+                )
+            });
+        }
+
+        for (i, h) in self.heat.iter().enumerate() {
+            pad_telemetry::emit(|| {
+                let report = h.report();
+                let c = report.class_counts();
+                Event::counter(
+                    "heat",
+                    format!("{name}/heat{i}"),
+                    vec![
+                        ("very_hot_sets", Value::U64(c[0])),
+                        ("hot_sets", Value::U64(c[1])),
+                        ("cold_sets", Value::U64(c[2])),
+                        ("very_cold_sets", Value::U64(c[3])),
+                        ("evictions", Value::U64(report.total_evictions())),
+                    ],
+                )
+            });
+        }
+
+        let sinks = (self.plain.len()
+            + self.classified.len()
+            + self.victim.len()
+            + self.hierarchy.len()
+            + self.reuse.len()
+            + self.heat.len()) as u64;
+        pad_telemetry::emit(|| {
+            let busy_us = pad_telemetry::now_us().saturating_sub(start_us).max(1);
+            Event::span(
+                start_us,
+                "sim",
+                name.to_string(),
+                vec![
+                    ("accesses", Value::U64(accesses)),
+                    ("chunks", Value::U64(chunks)),
+                    ("sinks", Value::U64(sinks)),
+                    (
+                        "accesses_per_sec",
+                        Value::F64(accesses as f64 / (busy_us as f64 / 1e6)),
+                    ),
+                ],
+            )
+        });
+    }
+}
+
+/// Compiles `program` × `layout`, walks the trace once in
+/// [`BATCH_CHUNK`]-sized chunks, and feeds every sink in the request.
 ///
 /// Equivalent, sink for sink, to feeding the interpreted walk
 /// ([`crate::for_each_access`]) into each simulator one access at a time
@@ -143,6 +415,15 @@ pub struct BatchResults {
 /// reference). [`crate::simulate_program`], [`crate::simulate_classified`],
 /// [`crate::simulate_victim`] and [`crate::simulate_hierarchy`] are
 /// one-sink calls of this function.
+///
+/// With telemetry on, the walk also emits a `sim` throughput span and
+/// optional periodic cache-counter samples (`RIVERA_SIM_SAMPLE` accesses
+/// apart, checked at chunk boundaries); the sink updates are the same
+/// either way, so statistics are bit-identical. Reuse sinks have no
+/// `Cache` to sample; instead each emits one end-of-walk counter
+/// (distinct lines, max distance, tick compactions). Heat sinks likewise
+/// emit one end-of-walk counter with their class census. With metrics
+/// on, the walked accesses add to `pad_sim_accesses_total`.
 ///
 /// # Example
 ///
@@ -176,148 +457,42 @@ pub fn simulate_batch(
         static CHUNK_BUF: std::cell::RefCell<Vec<Access>> =
             const { std::cell::RefCell::new(Vec::new()) };
     }
-    let compiled = CompiledTrace::compile(program, layout);
-    CHUNK_BUF.with(|buf| {
-        let mut buf = buf.borrow_mut();
-        simulate_batch_compiled(&compiled, request, &mut buf)
-    })
-}
-
-/// [`simulate_batch`] for an already-compiled trace, reusing a
-/// caller-owned chunk buffer across calls (the experiment runner keeps
-/// one buffer per worker thread).
-///
-/// With telemetry on, the walk also emits a `sim` throughput span and
-/// optional periodic cache-counter samples (`RIVERA_SIM_SAMPLE` accesses
-/// apart, checked at chunk boundaries); the sink updates are the same
-/// either way, so statistics are bit-identical. Victim-buffered sinks are
-/// not sampled — they do not expose their main cache — but still run and
-/// report normally. Reuse sinks have no `Cache` to sample; instead each
-/// emits one end-of-walk counter (distinct lines, max distance, tick
-/// compactions). Heat sinks likewise emit one end-of-walk counter with
-/// their class census.
-pub fn simulate_batch_compiled(
-    trace: &CompiledTrace,
-    request: &BatchRequest,
-    buf: &mut Vec<Access>,
-) -> BatchResults {
     if request.is_empty() {
         return BatchResults::default();
     }
-    let mut plain: Vec<Cache> = request.plain.iter().map(|c| Cache::new(*c)).collect();
-    let mut classified: Vec<ClassifyingCache> = request
-        .classified
-        .iter()
-        .map(|c| ClassifyingCache::new(*c))
-        .collect();
-    let mut victim: Vec<VictimCache> = request
-        .victim
-        .iter()
-        .map(|&(c, n)| VictimCache::new(c, n))
-        .collect();
-    let mut hierarchy: Vec<Hierarchy> = request
-        .hierarchy
-        .iter()
-        .map(|levels| Hierarchy::new(levels.clone()))
-        .collect();
-    let mut reuse: Vec<ReuseAnalyzer> = request
-        .reuse
-        .iter()
-        .map(|&line_size| ReuseAnalyzer::new(line_size))
-        .collect();
-    let mut heat: Vec<SetHeatTracker> = request
-        .heat
-        .iter()
-        .map(|c| SetHeatTracker::new(*c))
-        .collect();
-
+    let trace = CompiledTrace::compile(program, layout);
+    let mut sinks = Sinks::new(request);
     let instrumented = pad_telemetry::enabled();
-    let (start_us, interval) = if instrumented {
-        (pad_telemetry::now_us(), pad_telemetry::sample_interval())
-    } else {
-        (0, 0)
-    };
-    // Sampler setup is hoisted fully out of the walk and skipped — name
-    // `format!`s included — unless sampling is on: only *active* samplers
-    // are materialized (paired with the index of the sink they watch), so
-    // the per-chunk sampler loops iterate zero times otherwise.
-    let mut plain_samplers: Vec<(usize, Sampler)> = Vec::new();
-    let mut classified_samplers: Vec<(usize, Sampler)> = Vec::new();
-    let mut hierarchy_samplers: Vec<(usize, usize, Sampler)> = Vec::new();
-    if interval > 0 {
-        plain_samplers = (0..plain.len())
-            .filter_map(|i| {
-                Sampler::new(format!("{}/plain{i}", trace.name()), interval).map(|s| (i, s))
-            })
-            .collect();
-        classified_samplers = (0..classified.len())
-            .filter_map(|i| {
-                Sampler::new(format!("{}/classified{i}", trace.name()), interval).map(|s| (i, s))
-            })
-            .collect();
-        hierarchy_samplers = hierarchy
-            .iter()
-            .enumerate()
-            .flat_map(|(i, h)| (0..h.levels().len()).map(move |lvl| (i, lvl)))
-            .filter_map(|(i, lvl)| {
-                Sampler::new(format!("{}/hier{i}.L{}", trace.name(), lvl + 1), interval)
-                    .map(|s| (i, lvl, s))
-            })
-            .collect();
+    let mut start_us = 0;
+    if instrumented {
+        start_us = pad_telemetry::now_us();
+        // Sampler setup — name `format!`s included — is skipped unless
+        // sampling is on.
+        let interval = pad_telemetry::sample_interval();
+        if interval > 0 {
+            sinks.sample_every(trace.name(), interval);
+        }
     }
 
     // Accesses actually walked, tallied per chunk (one add per ~4K
     // accesses) so the accounting below never needs a second walk.
     let mut walked = 0u64;
     let mut chunks = 0u64;
-    trace.for_each_chunk(BATCH_CHUNK, buf, |chunk| {
-        walked += chunk.len() as u64;
-        chunks += 1;
-        for cache in &mut plain {
-            cache.run_slice(chunk);
-        }
-        for cache in &mut classified {
-            cache.run_slice(chunk);
-        }
-        for cache in &mut victim {
-            cache.run_slice(chunk);
-        }
-        for h in &mut hierarchy {
-            h.run_slice(chunk);
-        }
-        for r in &mut reuse {
-            r.run_slice(chunk);
-        }
-        for h in &mut heat {
-            h.run_slice(chunk);
-        }
-        for (i, s) in &mut plain_samplers {
-            s.tick(&plain[*i]);
-        }
-        for (i, s) in &mut classified_samplers {
-            s.tick(classified[*i].main());
-        }
-        for (i, lvl, s) in &mut hierarchy_samplers {
-            s.tick(&hierarchy[*i].levels()[*lvl]);
-        }
+    CHUNK_BUF.with(|buf| {
+        trace.for_each_chunk(BATCH_CHUNK, &mut buf.borrow_mut(), |chunk| {
+            walked += chunk.len() as u64;
+            chunks += 1;
+            sinks.feed(chunk);
+        });
     });
 
     if instrumented {
-        // End-of-walk flush so short walks still yield one data point each.
-        for (i, s) in &plain_samplers {
-            s.sample(&plain[*i]);
-        }
-        for (i, s) in &classified_samplers {
-            s.sample(classified[*i].main());
-        }
-        for (i, lvl, s) in &hierarchy_samplers {
-            s.sample(&hierarchy[*i].levels()[*lvl]);
-        }
-        emit_walk_events(trace, start_us, walked, chunks, &reuse, &heat, request);
+        sinks.emit_walk_events(trace.name(), start_us, walked, chunks);
     }
 
-    // Live-metrics accounting happens once per batch, after the walk:
-    // the per-access hot loops above stay untouched in every mode.
+    // Live-metrics accounting happens once per walk, after it: the
+    // per-access hot loops above stay untouched in every mode. Trace
+    // file replays feed `Sinks` directly and are not counted here.
     if walked > 0 && pad_telemetry::metrics_enabled() {
         use std::sync::OnceLock;
         static ACCESSES: OnceLock<std::sync::Arc<pad_telemetry::Counter>> = OnceLock::new();
@@ -331,91 +506,7 @@ pub fn simulate_batch_compiled(
             .add(walked);
     }
 
-    BatchResults {
-        plain: plain.iter().map(|c| *c.stats()).collect(),
-        classified: classified.iter().map(|c| *c.stats()).collect(),
-        victim: victim.iter().map(|c| *c.stats()).collect(),
-        hierarchy: hierarchy.iter().map(Hierarchy::stats).collect(),
-        reuse: reuse
-            .into_iter()
-            .map(ReuseAnalyzer::into_histogram)
-            .collect(),
-        heat: heat.iter().map(SetHeatTracker::report).collect(),
-    }
-}
-
-/// The end-of-walk telemetry: one counter per reuse and heat sink, then
-/// the walk's `sim` throughput span.
-fn emit_walk_events(
-    trace: &CompiledTrace,
-    start_us: u64,
-    accesses: u64,
-    chunks: u64,
-    reuse: &[ReuseAnalyzer],
-    heat: &[SetHeatTracker],
-    request: &BatchRequest,
-) {
-    for (i, r) in reuse.iter().enumerate() {
-        pad_telemetry::emit(|| {
-            let h = r.histogram();
-            Event::counter(
-                "reuse",
-                format!("{}/reuse{i}", trace.name()),
-                vec![
-                    ("accesses", Value::U64(h.accesses())),
-                    ("distinct_lines", Value::U64(h.cold())),
-                    ("max_distance", Value::U64(h.max_distance().unwrap_or(0))),
-                    ("compactions", Value::U64(r.compactions())),
-                    (
-                        "table",
-                        Value::Str(if r.is_hashed() { "hashed" } else { "paged" }.into()),
-                    ),
-                ],
-            )
-        });
-    }
-
-    for (i, h) in heat.iter().enumerate() {
-        pad_telemetry::emit(|| {
-            let report = h.report();
-            let c = report.class_counts();
-            Event::counter(
-                "heat",
-                format!("{}/heat{i}", trace.name()),
-                vec![
-                    ("very_hot_sets", Value::U64(c[0])),
-                    ("hot_sets", Value::U64(c[1])),
-                    ("cold_sets", Value::U64(c[2])),
-                    ("very_cold_sets", Value::U64(c[3])),
-                    ("evictions", Value::U64(report.total_evictions())),
-                ],
-            )
-        });
-    }
-
-    let sinks = (request.plain.len()
-        + request.classified.len()
-        + request.victim.len()
-        + request.hierarchy.len()
-        + request.reuse.len()
-        + request.heat.len()) as u64;
-    pad_telemetry::emit(|| {
-        let busy_us = pad_telemetry::now_us().saturating_sub(start_us).max(1);
-        Event::span(
-            start_us,
-            "sim",
-            trace.name().to_string(),
-            vec![
-                ("accesses", Value::U64(accesses)),
-                ("chunks", Value::U64(chunks)),
-                ("sinks", Value::U64(sinks)),
-                (
-                    "accesses_per_sec",
-                    Value::F64(accesses as f64 / (busy_us as f64 / 1e6)),
-                ),
-            ],
-        )
-    });
+    sinks.finish()
 }
 
 #[cfg(test)]
@@ -573,7 +664,7 @@ mod tests {
         let results = simulate_batch(
             &program,
             &layout,
-            &BatchRequest::new().with_reuse(32).with_reuse(64),
+            &BatchRequest::new().with_reuse(32, 0).with_reuse(64, 0),
         );
 
         let compiled = CompiledTrace::compile(&program, &layout);
@@ -609,7 +700,7 @@ mod tests {
             .with_classified(dm)
             .with_victim(dm, 4)
             .with_hierarchy([dm, l2])
-            .with_reuse(32);
+            .with_reuse(32, 0);
 
         let baseline = simulate_batch(&program, &layout, &request);
         let recorder = pad_telemetry::install_recorder(pad_telemetry::Mode::Events);
@@ -656,6 +747,49 @@ mod tests {
                 .and_then(pad_telemetry::Value::as_u64),
             Some(baseline.reuse[0].cold())
         );
+    }
+
+    #[test]
+    fn chunk_boundaries_do_not_change_results() {
+        // Any split of the same stream feeds every sink kind to the same
+        // results as one whole-stream chunk.
+        use pad_cache_sim::XorShift64Star;
+
+        let mut rng = XorShift64Star::new(3);
+        let trace: Vec<Access> = (0..10_000)
+            .map(|_| {
+                let addr = rng.below(1 << 13);
+                if rng.below(4) == 0 {
+                    Access::write(addr)
+                } else {
+                    Access::read(addr)
+                }
+            })
+            .collect();
+        let dm = CacheConfig::direct_mapped(1024, 32);
+        let request = BatchRequest::new()
+            .with_plain(dm)
+            .with_classified(dm)
+            .with_victim(dm, 8)
+            .with_hierarchy([dm, CacheConfig::set_associative(4096, 64, 4)])
+            .with_reuse(32, 0)
+            .with_reuse(32, 2)
+            .with_heat(CacheConfig::set_associative(1024, 32, 2));
+
+        let mut whole = Sinks::new(&request);
+        whole.feed(&trace);
+        let whole = whole.finish();
+        let mut split = Sinks::new(&request);
+        for chunk in trace.chunks(997) {
+            split.feed(chunk);
+        }
+        assert_eq!(whole, split.finish());
+        assert_eq!(whole.plain[0].accesses, trace.len() as u64);
+        assert_eq!(whole.reuse[1].accesses() >> 2, {
+            let mut sampled = pad_cache_sim::SampledReuseAnalyzer::new(32, 2);
+            sampled.run_slice(&trace);
+            sampled.sampled_accesses()
+        });
     }
 
     #[test]

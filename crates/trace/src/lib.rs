@@ -51,7 +51,7 @@ mod record;
 mod reference;
 mod run;
 
-pub use batch::{simulate_batch, simulate_batch_compiled, BatchRequest, BatchResults, BATCH_CHUNK};
+pub use batch::{simulate_batch, BatchRequest, BatchResults, Sinks, BATCH_CHUNK};
 pub use compiled::CompiledTrace;
 pub use generate::{count_accesses, for_each_access};
 pub use record::collect_trace;

@@ -51,6 +51,16 @@ skip_gate() {
 "
 }
 
+# Binaries that write `results/` (bench history, Prometheus snapshot,
+# figure CSVs and journals) run with their working directory in the
+# untracked VERIFY_OUT, so a run leaves the tracked results/ untouched.
+# Cargo still finds the workspace, and its target dir, from there.
+VERIFY_OUT=target/verify
+mkdir -p "$VERIFY_OUT"
+in_verify_out() {
+    (cd "$VERIFY_OUT" && "$@")
+}
+
 if [ "${VERIFY_SKIP_BUILD:-0}" != "1" ]; then
     run_gate build cargo build --workspace --release
 else
@@ -104,17 +114,19 @@ run_gate cli-roundtrip cargo test -q -p pad-cli --test cli
 run_gate determinism cargo test -q -p pad-bench --test determinism
 
 # Engine agreement + throughput gates (quick smoke workload).
-run_gate throughput cargo run --release -q -p pad-bench --bin bench_simulator -- --quick
+run_gate throughput in_verify_out \
+    cargo run --release -q -p pad-bench --bin bench_simulator -- --quick
 
 # Instrumentation: in the same interleaved rounds, the engine with
 # telemetry and metrics off within 2% of a hand-rolled loop and with
 # metrics on within 2% of off; miss counts equal and tables byte-identical
 # in events mode and with metrics on; Prometheus exposition byte-stable
-# (written to results/metrics.prom for the CI artifact).
+# (written to $VERIFY_OUT/results/metrics.prom for the CI artifact).
 gate_telemetry() {
     PAD_QUICK=1 cargo test -q -p pad-bench --test telemetry &&
-        PAD_QUICK=1 cargo run --release -q -p pad-bench --bin bench_telemetry &&
-        test -s results/metrics.prom
+        in_verify_out env PAD_QUICK=1 \
+            cargo run --release -q -p pad-bench --bin bench_telemetry &&
+        test -s "$VERIFY_OUT/results/metrics.prom"
 }
 run_gate telemetry gate_telemetry
 
@@ -162,13 +174,13 @@ run_gate fig-search-golden cargo test -q -p pad-search --test search_golden
 telemetry_tmp="$(mktemp -d)"
 trap 'rm -rf "$telemetry_tmp"' EXIT
 gate_telemetry_csv() {
-    PAD_QUICK=1 RIVERA_TELEMETRY=off \
+    in_verify_out env PAD_QUICK=1 RIVERA_TELEMETRY=off \
         cargo run --release -q -p pad-bench --bin fig08 &&
-        cp results/fig08.csv "$telemetry_tmp/fig08.off.csv" &&
-        PAD_QUICK=1 RIVERA_TELEMETRY=events \
+        cp "$VERIFY_OUT/results/fig08.csv" "$telemetry_tmp/fig08.off.csv" &&
+        in_verify_out env PAD_QUICK=1 RIVERA_TELEMETRY=events \
             RIVERA_TRACE_OUT="$telemetry_tmp/trace.json" \
             cargo run --release -q -p pad-bench --bin fig08 &&
-        cmp results/fig08.csv "$telemetry_tmp/fig08.off.csv" &&
+        cmp "$VERIFY_OUT/results/fig08.csv" "$telemetry_tmp/fig08.off.csv" &&
         test -s "$telemetry_tmp/trace.json" &&
         test -s "$telemetry_tmp/trace.ndjson"
 }
