@@ -17,8 +17,8 @@
 //!   estimate instead of simulating. Costs microseconds, marked
 //!   `degraded` when it stands in for an exact answer.
 //!
-//! The server picks the rung (deadline budget, retry attempt, request
-//! mode); the engine only guarantees that for a fixed request and rung
+//! The server picks the rung (deadline budget, a blown exact rung,
+//! request mode); the engine only guarantees that for a fixed request and rung
 //! the produced JSON is byte-identical across runs and processes — the
 //! property the persistent answer cache replays rely on.
 

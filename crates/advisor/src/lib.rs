@@ -14,7 +14,8 @@
 //! * **Fault isolation** ([`server`]): each analysis runs in its own
 //!   isolation cell (the bench pool's `catch_unwind` + deadline
 //!   watchdog). A panicking handler answers `internal`; a deadline
-//!   blowout retries once on the fast rung or answers `timeout`.
+//!   blowout answers `timeout`, or, when the exact rung blew it in
+//!   `auto` mode, falls back to the fast rung in a second cell.
 //! * **Bounded admission**: a full queue sheds new work with an
 //!   explicit `overloaded` response instead of buffering unboundedly.
 //! * **Graceful degradation** ([`engine`]): exact simulation-backed

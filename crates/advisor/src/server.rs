@@ -12,13 +12,13 @@
 //! `overloaded` response — the server never buffers unboundedly and
 //! never blocks its intake on slow analyses.
 //!
-//! Each analysis runs fault-isolated through the bench pool's
-//! single-cell outcome runner: a panicking handler is caught and
-//! answered as a typed `internal` error; a deadline blowout is caught
-//! by the pool's watchdog and — in `auto` mode — retried once on the
-//! *fast* rung (`degraded: true`). The same virtual-clock machinery the
-//! sweep harness uses makes deadline behavior testable without
-//! sleeping: an injected `FaultPlan` delay trips the watchdog
+//! Each analysis runs fault-isolated in one bench-pool cell: a
+//! panicking handler is caught and answered as a typed `internal` error;
+//! a deadline blowout is caught by the pool's watchdog and — when the
+//! exact rung blew it in `auto` mode — answered from the *fast* rung
+//! (`degraded: true`), run in a second cell. The same virtual-clock
+//! machinery the sweep harness uses makes deadline behavior testable
+//! without sleeping: an injected `FaultPlan` delay trips the watchdog
 //! deterministically.
 //!
 //! Exact answers are cached in a crash-safe persistent [`Store`]; a
@@ -36,7 +36,7 @@ use std::sync::Mutex;
 use std::time::Duration;
 
 use pad_bench::faults::FaultPlan;
-use pad_bench::pool::{self, CellCtx, CellOutcome, RunPolicy};
+use pad_bench::pool::{self, CellOutcome};
 use pad_telemetry as telemetry;
 
 use crate::engine::{self, Advice};
@@ -158,9 +158,11 @@ impl Server {
     }
 
     /// Injects a deterministic fault plan, keyed by request frame index:
-    /// frame `i`'s analysis runs as if the plan's cell `i` faults were
-    /// its own. Frame-level faults ([`FaultPlan::frame_fault`]) are
-    /// applied by test harnesses to the input stream, not here.
+    /// frame `i`'s first rung runs as if the plan's cell `i` faults were
+    /// its own. The `auto` fallback to the fast rung runs clean, as a
+    /// real fallback to a microsecond analysis would. Frame-level faults
+    /// ([`FaultPlan::frame_fault`]) are applied by test harnesses to the
+    /// input stream, not here.
     pub fn with_faults(mut self, faults: FaultPlan) -> Server {
         self.faults = faults;
         self
@@ -406,9 +408,7 @@ impl Server {
         // Budget: `exact` mode always tries exact; `auto` tries exact
         // only when the deadline budget can afford the simulation, and
         // otherwise takes the fast rung immediately — marked degraded,
-        // because the client wanted exact and got the fallback. A
-        // deadline blowout in `auto` retries once, and the retry
-        // attempt takes the fast rung (also degraded).
+        // because the client wanted exact and got the fallback.
         let affordable = match (&resolved, self.config.deadline) {
             (None, _) | (_, None) => true, // custom handler / no deadline: no cost model
             (Some(program), Some(deadline)) => {
@@ -421,38 +421,34 @@ impl Server {
             Mode::Exact => true,
             Mode::Auto => affordable,
         };
-        // Trace replay has no fast fallback rung, so `auto` gets no
-        // second attempt: a deadline blowout answers as an error.
-        let policy = RunPolicy {
-            deadline: self.config.deadline,
-            max_attempts: if request.mode == Mode::Auto && !is_trace {
-                2
-            } else {
-                1
-            },
-            backoff: Duration::ZERO,
-        };
-
-        let faults = &self.faults;
-        let outcomes = pool::run_cells_outcome_on(1, 1, &policy, |cell: CellCtx| {
-            faults.inject(CellCtx {
-                index: frame,
-                attempt: cell.attempt,
-            });
-            let exact_now = exact_first && cell.attempt == 1;
-            // Degraded = the fast rung standing in where `auto` ideally
-            // answers exact (budget shortfall or a failed first attempt).
-            let degraded = request.mode == Mode::Auto && !exact_now;
+        // Degraded = the fast rung standing in where `auto` ideally
+        // answers exact (budget shortfall or a blown exact rung).
+        let rung = |exact: bool| {
+            let degraded = request.mode == Mode::Auto && !exact;
             match (&self.handler, &resolved) {
                 (Some(handler), _) => handler(frame, &request),
-                (None, Some(program)) => Ok(engine::advise(program, &request, exact_now, degraded)),
+                (None, Some(program)) => Ok(engine::advise(program, &request, exact, degraded)),
                 (None, None) => {
                     debug_assert!(is_trace, "resolution errors returned above");
                     engine::advise_trace(&request)
                 }
             }
+        };
+        let deadline = self.config.deadline;
+        let mut outcome = pool::run_cell(deadline, || {
+            self.faults.inject(frame);
+            rung(exact_first)
         });
-        let outcome = outcomes.into_iter().next().expect("one cell requested");
+        // An exact rung that blew its deadline in `auto` mode falls back
+        // to the fast rung. A trace replay has no fast rung, so it
+        // answers `timeout`.
+        if exact_first
+            && request.mode == Mode::Auto
+            && !is_trace
+            && matches!(outcome, CellOutcome::TimedOut { .. })
+        {
+            outcome = pool::run_cell(deadline, || rung(false));
+        }
         self.finish(&id, fingerprint, outcome, received, out);
     }
 
@@ -538,7 +534,6 @@ fn flatten_outcome(outcome: CellOutcome<Result<Advice, RequestError>>) -> Flat {
     match outcome {
         CellOutcome::Ok(Ok(advice)) => Flat::Answer(advice),
         CellOutcome::Ok(Err(e)) => Flat::Refused(e),
-        CellOutcome::Retried { outcome, .. } => flatten_outcome(*outcome),
         CellOutcome::TimedOut { .. } => Flat::TimedOut,
         CellOutcome::Panicked { message, .. } => {
             Flat::Panicked(format!("handler panicked: {message}"))

@@ -96,8 +96,8 @@ fn concurrent_servers_each_tally_only_their_own_traffic() {
         // requests ok errors shed cache_hits simulations degraded timeouts panics
         stats: [3, 3, 1, 0, 1, 2, 0, 0, 0],
     };
-    // B: a deadline blowout, a hard panic, a transient panic whose retry
-    // answers on the fast rung (degraded), and an oversized frame.
+    // B: a deadline blowout, a hard panic, a blown exact rung that `auto`
+    // answers from the fast rung (degraded), and an oversized frame.
     let b = Session {
         name: "B",
         server: Server::new(ServerConfig {
@@ -109,7 +109,7 @@ fn concurrent_servers_each_tally_only_their_own_traffic() {
             FaultPlan::none()
                 .delay_at(0, Duration::from_secs(60))
                 .panic_at(1)
-                .flaky_at(2, 1),
+                .delay_at(2, Duration::from_secs(60)),
         ),
         frames: vec![
             (advise(0, "DOT256K", 128, "exact"), "error"),

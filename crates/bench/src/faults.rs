@@ -1,19 +1,16 @@
 //! Deterministic fault injection for the experiment pool.
 //!
-//! A [`FaultPlan`] describes which cells fail and how: hard panics,
+//! A [`FaultPlan`] describes which cells fail and how: hard panics, and
 //! virtual delays (which trip the deadline watchdog without any real
-//! sleeping), and *flaky* cells that panic with the pool's transient
-//! marker for their first `n` attempts and then succeed — exercising the
-//! retry path with exact attempt accounting. Plans are either built
-//! explicitly (`panic_at`, `delay_at`, `flaky_at`) or drawn from the
-//! workspace's seeded xorshift generator ([`FaultPlan::from_seed`]), so
-//! every injection schedule is reproducible: no wall clock, no OS
-//! randomness, no sleeps.
+//! sleeping). Plans are either built explicitly (`panic_at`, `delay_at`)
+//! or drawn from the workspace's seeded xorshift generator
+//! ([`FaultPlan::from_seed`]), so every injection schedule is
+//! reproducible: no wall clock, no OS randomness, no sleeps.
 //!
 //! The integration suite (`tests/fault_injection.rs`) uses these plans to
 //! prove the reliability layer's contracts: a faulted cell never disturbs
-//! a sibling cell's bytes, retries are counted exactly, and a journaled
-//! sweep resumed after a kill renders byte-identical tables.
+//! a sibling cell's bytes, and a journaled sweep resumed after a kill
+//! renders byte-identical tables.
 //!
 //! The advisor server's fault suite builds on the same plans: cell
 //! faults are raised per *request* through [`FaultPlan::inject`], and
@@ -26,17 +23,13 @@ use std::time::Duration;
 
 use pad_cache_sim::XorShift64Star;
 
-use crate::pool::{self, CellCtx, TRANSIENT_MARKER};
+use crate::pool;
 
 /// How many cells of each fault kind [`FaultPlan::from_seed`] injects.
 #[derive(Debug, Clone, Copy, Default)]
 pub struct FaultSpec {
-    /// Cells that panic hard on every attempt.
+    /// Cells that panic hard.
     pub panics: usize,
-    /// Cells that fail transiently for `flaky_failures` attempts.
-    pub flaky: usize,
-    /// Attempts each flaky cell fails before succeeding.
-    pub flaky_failures: u32,
     /// Cells charged a virtual delay.
     pub delays: usize,
     /// The virtual delay charged to each delayed cell.
@@ -62,7 +55,6 @@ pub enum FrameFault {
 #[derive(Debug, Clone, Default)]
 pub struct FaultPlan {
     panics: BTreeSet<usize>,
-    flaky: BTreeMap<usize, u32>,
     delays: BTreeMap<usize, Duration>,
     frames: BTreeMap<usize, FrameFault>,
 }
@@ -79,15 +71,8 @@ impl FaultPlan {
         self
     }
 
-    /// Makes cell `index` fail its first `failures` attempts with a
-    /// transient-classified panic, then succeed.
-    pub fn flaky_at(mut self, index: usize, failures: u32) -> Self {
-        self.flaky.insert(index, failures);
-        self
-    }
-
-    /// Charges `delay` of virtual time to every attempt of cell `index`
-    /// (trips a configured deadline without sleeping).
+    /// Charges `delay` of virtual time to cell `index` (trips a
+    /// configured deadline without sleeping).
     pub fn delay_at(mut self, index: usize, delay: Duration) -> Self {
         self.delays.insert(index, delay);
         self
@@ -115,34 +100,19 @@ impl FaultPlan {
         self.delays.get(&index).copied()
     }
 
-    /// How many leading attempts of cell `index` fail transiently.
-    pub fn flaky_failures(&self, index: usize) -> Option<u32> {
-        self.flaky.get(&index).copied()
-    }
-
-    /// Raises this plan's cell faults for one execution attempt: charges
-    /// any virtual delay, then panics for hard-faulted cells and for the
-    /// leading attempts of flaky ones.
+    /// Raises this plan's cell faults for cell `index`: charges any
+    /// virtual delay, then panics for hard-faulted cells.
     ///
-    /// [`FaultPlan::wrap`] delegates here with the pool's own
-    /// [`CellCtx`]; executors whose unit of work is *not* a pool cell —
-    /// the advisor server injects faults per *request*, every one of
-    /// which runs as cell 0 of its own single-cell isolation run — call
-    /// this directly with a `CellCtx` they key however they like.
-    pub fn inject(&self, cell: CellCtx) {
-        if let Some(delay) = self.delays.get(&cell.index) {
+    /// [`FaultPlan::wrap`] delegates here with the pool's own cell index;
+    /// executors whose unit of work is *not* a pool cell — the advisor
+    /// server injects faults per *request*, keyed by frame index — call
+    /// this directly with an index they key however they like.
+    pub fn inject(&self, index: usize) {
+        if let Some(delay) = self.delays.get(&index) {
             pool::charge_virtual(*delay);
         }
-        if self.panics.contains(&cell.index) {
-            panic!("injected fault: cell {} panicked", cell.index);
-        }
-        if let Some(&failures) = self.flaky.get(&cell.index) {
-            if cell.attempt <= failures {
-                panic!(
-                    "{TRANSIENT_MARKER} injected flaky fault: cell {} attempt {}",
-                    cell.index, cell.attempt
-                );
-            }
+        if self.panics.contains(&index) {
+            panic!("injected fault: cell {index} panicked");
         }
     }
 
@@ -174,12 +144,6 @@ impl FaultPlan {
             };
             plan.panics.insert(index);
         }
-        for _ in 0..spec.flaky {
-            let Some(index) = draw(&mut rng, &mut taken) else {
-                break;
-            };
-            plan.flaky.insert(index, spec.flaky_failures.max(1));
-        }
         for _ in 0..spec.delays {
             let Some(index) = draw(&mut rng, &mut taken) else {
                 break;
@@ -189,34 +153,32 @@ impl FaultPlan {
         plan
     }
 
-    /// Cell indices this plan makes fail on first attempt (hard panics,
-    /// flaky cells, and — under a deadline shorter than the injected
-    /// delay — delayed cells).
+    /// Cell indices this plan makes fail (hard panics, and — under a
+    /// deadline shorter than the injected delay — delayed cells).
     pub fn faulted_cells(&self) -> BTreeSet<usize> {
         self.panics
             .iter()
-            .chain(self.flaky.keys())
             .chain(self.delays.keys())
             .copied()
             .collect()
     }
 
     /// Cell indices that never produce a value under this plan (hard
-    /// panics only; flaky and delayed cells may still succeed).
+    /// panics only; delayed cells succeed under a long enough deadline).
     pub fn doomed_cells(&self) -> &BTreeSet<usize> {
         &self.panics
     }
 
     /// Wraps a cell function with this plan's injections: the returned
-    /// closure charges delays, raises injected panics, and fails flaky
-    /// attempts before delegating to `f`.
+    /// closure charges delays and raises injected panics before
+    /// delegating to `f`.
     pub fn wrap<'a, T>(
         &'a self,
-        f: impl Fn(CellCtx) -> T + Sync + 'a,
-    ) -> impl Fn(CellCtx) -> T + Sync + 'a {
-        move |cell: CellCtx| {
-            self.inject(cell);
-            f(cell)
+        f: impl Fn(usize) -> T + Sync + 'a,
+    ) -> impl Fn(usize) -> T + Sync + 'a {
+        move |index| {
+            self.inject(index);
+            f(index)
         }
     }
 }
@@ -224,25 +186,22 @@ impl FaultPlan {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::pool::{run_cells_outcome_on, RunPolicy};
+    use crate::pool::run_cells_outcome_on;
 
     #[test]
     fn seeded_plans_are_reproducible_and_disjoint() {
         let spec = FaultSpec {
             panics: 3,
-            flaky: 2,
-            flaky_failures: 1,
             delays: 2,
             delay: Duration::from_secs(100),
         };
         let a = FaultPlan::from_seed(42, 50, &spec);
         let b = FaultPlan::from_seed(42, 50, &spec);
         assert_eq!(a.panics, b.panics);
-        assert_eq!(a.flaky, b.flaky);
         assert_eq!(a.delays, b.delays);
         assert_eq!(
             a.faulted_cells().len(),
-            7,
+            5,
             "fault kinds target distinct cells"
         );
         let c = FaultPlan::from_seed(43, 50, &spec);
@@ -253,12 +212,10 @@ mod tests {
     fn accessors_report_the_schedule_and_frames_stay_out_of_cell_faults() {
         let plan = FaultPlan::none()
             .panic_at(1)
-            .flaky_at(2, 3)
             .delay_at(3, Duration::from_secs(5))
             .frame_at(4, FrameFault::Garbage)
             .frame_at(5, FrameFault::Oversized);
         assert!(plan.panics_at(1) && !plan.panics_at(0));
-        assert_eq!(plan.flaky_failures(2), Some(3));
         assert_eq!(plan.delay_for(3), Some(Duration::from_secs(5)));
         assert_eq!(plan.frame_fault(4), Some(FrameFault::Garbage));
         assert_eq!(plan.frame_fault(5), Some(FrameFault::Oversized));
@@ -270,57 +227,22 @@ mod tests {
 
     #[test]
     fn inject_is_callable_outside_the_pool() {
-        let plan = FaultPlan::none().panic_at(7).flaky_at(8, 1);
-        plan.inject(CellCtx {
-            index: 0,
-            attempt: 1,
-        }); // clean cell: no-op
-        let caught = std::panic::catch_unwind(|| {
-            plan.inject(CellCtx {
-                index: 7,
-                attempt: 1,
-            });
-        });
+        let plan = FaultPlan::none().panic_at(7);
+        plan.inject(0); // clean cell: no-op
+        let caught = std::panic::catch_unwind(|| plan.inject(7));
         assert!(caught.is_err(), "hard fault must raise");
-        let caught = std::panic::catch_unwind(|| {
-            plan.inject(CellCtx {
-                index: 8,
-                attempt: 1,
-            });
-        });
-        assert!(caught.is_err(), "flaky first attempt must raise");
-        plan.inject(CellCtx {
-            index: 8,
-            attempt: 2,
-        }); // recovered attempt
     }
 
     #[test]
     fn wrapped_injections_reach_the_pool() {
         let plan = FaultPlan::none()
             .panic_at(1)
-            .flaky_at(2, 1)
             .delay_at(3, Duration::from_secs(100));
-        let policy = RunPolicy {
-            deadline: Some(Duration::from_secs(10)),
-            max_attempts: 2,
-            ..RunPolicy::default()
-        };
-        let outcomes = run_cells_outcome_on(1, 4, &policy, plan.wrap(|cell| cell.index as u64));
+        let deadline = Some(Duration::from_secs(10));
+        let outcomes = run_cells_outcome_on(1, 4, deadline, plan.wrap(|i| i as u64));
         assert_eq!(outcomes[0].value(), Some(&0));
         assert_eq!(outcomes[1].marker(), Some("ERR"));
-        assert_eq!(outcomes[1].attempts(), 1, "hard panics are not transient");
-        assert_eq!(
-            outcomes[2].value(),
-            Some(&2),
-            "flaky cell recovers on retry"
-        );
-        assert_eq!(outcomes[2].attempts(), 2);
+        assert_eq!(outcomes[2].value(), Some(&2));
         assert_eq!(outcomes[3].marker(), Some("TIMEOUT"));
-        assert_eq!(
-            outcomes[3].attempts(),
-            2,
-            "timeouts are transient and retried"
-        );
     }
 }

@@ -19,7 +19,7 @@ use pad_telemetry::{summarize, Event, Mode, TelemetrySummary, Value};
 use pad_trace::{padding_config_for, simulate_batch, BatchRequest};
 
 use crate::journal::{fingerprint, resume_requested, Journal, JournalPayload};
-use crate::pool::{self, CellCtx, CellOutcome, RunPolicy};
+use crate::pool::{self, CellOutcome};
 
 /// A data-layout policy under test — the paper's transformation variants
 /// plus the ablation combinations its figures compare.
@@ -294,8 +294,8 @@ impl RunStatus {
 }
 
 /// Fault-tolerant execution context for one experiment: pool width,
-/// reliability policy ([`RunPolicy`]), optional checkpoint journal, and
-/// the accumulated failure summary.
+/// per-cell deadline, optional checkpoint journal, and the accumulated
+/// failure summary.
 ///
 /// Every `*_table` builder in [`crate::experiments`] executes its cells
 /// through [`RunContext::run`], so per-cell panics and deadline misses
@@ -306,7 +306,7 @@ impl RunStatus {
 pub struct RunContext {
     experiment: String,
     threads: usize,
-    policy: RunPolicy,
+    deadline: Option<Duration>,
     journal: Option<Journal>,
     cells: AtomicUsize,
     resumed: AtomicUsize,
@@ -318,18 +318,17 @@ pub struct RunContext {
 }
 
 impl RunContext {
-    /// A bare context: explicit width, default policy, no journal. The
+    /// A bare context: explicit width, no deadline, no journal. The
     /// deterministic table tests build tables through this so they never
     /// write journal files.
     pub fn plain(threads: usize) -> Self {
-        RunContext::with("test", threads, RunPolicy::default(), None)
+        RunContext::with("test", threads, None, None)
     }
 
     /// The context the experiment binaries run under: pool width from
-    /// `RIVERA_THREADS`, policy from the `RIVERA_CELL_TIMEOUT` /
-    /// `RIVERA_CELL_RETRIES` environment, and a checkpoint journal at
-    /// `results/<experiment>.journal` (resumed when `RIVERA_RESUME=1`,
-    /// fresh otherwise). A journal that cannot be opened degrades to a
+    /// `RIVERA_THREADS`, per-cell deadline from `RIVERA_CELL_TIMEOUT`,
+    /// and a checkpoint journal at `results/<experiment>.journal`
+    /// (resumed when `RIVERA_RESUME=1`, fresh otherwise). A journal that cannot be opened degrades to a
     /// warning — reliability plumbing never aborts the science.
     pub fn for_experiment(experiment: &str) -> Self {
         pad_telemetry::init_from_env();
@@ -358,23 +357,23 @@ impl RunContext {
         RunContext::with(
             experiment,
             pool::thread_count(),
-            RunPolicy::from_env(),
+            pool::deadline_from_env(),
             journal,
         )
     }
 
     /// Fully explicit constructor (the fault-injection suite drives
-    /// this with temp-dir journals and synthetic policies).
+    /// this with temp-dir journals and synthetic deadlines).
     pub fn with(
         experiment: &str,
         threads: usize,
-        policy: RunPolicy,
+        deadline: Option<Duration>,
         journal: Option<Journal>,
     ) -> Self {
         RunContext {
             experiment: experiment.to_string(),
             threads,
-            policy,
+            deadline,
             journal,
             cells: AtomicUsize::new(0),
             resumed: AtomicUsize::new(0),
@@ -395,26 +394,13 @@ impl RunContext {
     }
 
     /// Runs one labeled cell sweep under fault isolation and returns the
-    /// per-cell outcomes in cell order. Convenience over
-    /// [`RunContext::run_attempts`] for cells that ignore the attempt
-    /// number.
+    /// per-cell outcomes in cell order: each cell runs once, its panic
+    /// isolated and its deadline applied, journaled results are
+    /// replayed, and fresh completions checkpointed as they finish.
     pub fn run<T: JournalPayload + Send + Sync>(
         &self,
         labels: &[String],
         f: impl Fn(usize) -> T + Sync,
-    ) -> Vec<CellOutcome<T>> {
-        self.run_attempts(labels, |cell| f(cell.index))
-    }
-
-    /// Runs one labeled cell sweep with attempt-aware cells (the
-    /// fault-injection harness distinguishes attempts): per-cell panics
-    /// are isolated, deadlines and retries applied per the context's
-    /// policy, journaled results replayed, and fresh completions
-    /// checkpointed as they finish.
-    pub fn run_attempts<T: JournalPayload + Send + Sync>(
-        &self,
-        labels: &[String],
-        f: impl Fn(CellCtx) -> T + Sync,
     ) -> Vec<CellOutcome<T>> {
         let fps: Vec<u64> = labels
             .iter()
@@ -425,11 +411,11 @@ impl RunContext {
         pool::run_cells_outcome_with(
             self.threads,
             labels.len(),
-            &self.policy,
-            |cell| {
+            self.deadline,
+            |index| {
                 if let Some(journal) = &self.journal {
-                    if let Some(value) = journal.lookup::<T>(fps[cell.index]) {
-                        replayed[cell.index].store(true, Ordering::Relaxed);
+                    if let Some(value) = journal.lookup::<T>(fps[index]) {
+                        replayed[index].store(true, Ordering::Relaxed);
                         return value;
                     }
                 }
@@ -439,22 +425,21 @@ impl RunContext {
                 } else {
                     0
                 };
-                let value = f(cell);
+                let value = f(index);
                 pad_telemetry::emit(|| {
                     Event::span(
                         t0,
                         "cell",
-                        labels[cell.index].clone(),
+                        labels[index].clone(),
                         vec![
-                            ("index", Value::U64(cell.index as u64)),
-                            ("attempt", Value::U64(u64::from(cell.attempt))),
+                            ("index", Value::U64(index as u64)),
                             ("thread", Value::U64(pad_telemetry::thread_id())),
                         ],
                     )
                 });
                 eprintln!(
                     "  {} ({:.0} ms)",
-                    labels[cell.index],
+                    labels[index],
                     start.elapsed().as_secs_f64() * 1e3
                 );
                 value
@@ -464,27 +449,6 @@ impl RunContext {
                     self.resumed.fetch_add(1, Ordering::Relaxed);
                     eprintln!("  {} (resumed from journal)", labels[index]);
                     return;
-                }
-                if outcome.attempts() > 1 {
-                    pad_telemetry::emit(|| {
-                        Event::instant(
-                            "cell",
-                            "retry",
-                            vec![
-                                ("label", Value::Str(labels[index].clone())),
-                                ("index", Value::U64(index as u64)),
-                                ("attempts", Value::U64(u64::from(outcome.attempts()))),
-                                (
-                                    "cause",
-                                    Value::Str(
-                                        outcome
-                                            .failure()
-                                            .unwrap_or_else(|| "recovered".to_string()),
-                                    ),
-                                ),
-                            ],
-                        )
-                    });
                 }
                 match (outcome.value(), outcome.failure()) {
                     (Some(value), _) => {
@@ -510,7 +474,6 @@ impl RunContext {
                                 vec![
                                     ("label", Value::Str(labels[index].clone())),
                                     ("index", Value::U64(index as u64)),
-                                    ("attempts", Value::U64(u64::from(outcome.attempts()))),
                                     ("detail", Value::Str(detail.clone())),
                                 ],
                             )
@@ -519,7 +482,6 @@ impl RunContext {
                             label: labels[index].clone(),
                             marker: marker.to_string(),
                             detail,
-                            attempts: outcome.attempts(),
                             elapsed: outcome.elapsed().unwrap_or(Duration::ZERO),
                         });
                     }
@@ -598,30 +560,27 @@ fn finish_telemetry(experiment: &str, watermark: usize) {
 }
 
 /// Renders the human-readable end-of-sweep summary to stderr: slowest
-/// cells, retry/timeout/error counts, and per-kernel simulation
-/// throughput.
+/// cells, timeout/error counts, and per-kernel simulation throughput.
 fn print_telemetry_summary(experiment: &str, summary: &TelemetrySummary) {
     eprintln!();
     eprintln!("== telemetry: {experiment} ==");
     eprintln!(
-        "  cell spans {} (p50 {:.1} ms, p99 {:.1} ms) | retries {} | timeouts {} | \
+        "  cell spans {} (p50 {:.1} ms, p99 {:.1} ms) | timeouts {} | \
          errors {} | pad decisions {} | cache samples {}",
         summary.cell_durations_us.count(),
         summary.cell_durations_us.percentile(50.0) as f64 / 1e3,
         summary.cell_durations_us.percentile(99.0) as f64 / 1e3,
-        summary.retries,
         summary.timeouts,
         summary.errors,
         summary.pad_decisions,
         summary.cache_samples,
     );
     if !summary.cells.is_empty() {
-        let mut t = Table::new(["slowest cells", "total_ms", "attempts", "thread"]);
+        let mut t = Table::new(["slowest cells", "total_ms", "thread"]);
         for cell in summary.cells.iter().take(10) {
             t.row([
                 cell.label.clone(),
                 format!("{:.1}", cell.total_us as f64 / 1e3),
-                cell.attempts.to_string(),
                 cell.thread.to_string(),
             ]);
         }

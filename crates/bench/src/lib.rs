@@ -38,10 +38,9 @@
 //! # Reliability
 //!
 //! Sweeps run under fault isolation (see `EXPERIMENTS.md`, "Reliability"):
-//! a panicking cell renders as `ERR` instead of aborting its siblings,
-//! `RIVERA_CELL_TIMEOUT=secs` marks over-deadline cells `TIMEOUT`,
-//! `RIVERA_CELL_RETRIES=n` retries transient failures with deterministic
-//! backoff, and every completed cell is checkpointed to
+//! every cell runs once, a panicking cell renders as `ERR` instead of
+//! aborting its siblings, `RIVERA_CELL_TIMEOUT=secs` marks over-deadline
+//! cells `TIMEOUT`, and every completed cell is checkpointed to
 //! `results/<experiment>.journal` so a killed sweep rerun with
 //! `RIVERA_RESUME=1` replays finished cells bit-exactly. The
 //! [`faults`] module provides the seeded fault-injection plans the

@@ -18,20 +18,17 @@
 //! loop catches each cell's panic and carries on, and the lowest-indexed
 //! panic is re-raised, with its original payload, only after every cell
 //! has run. The fault-tolerant
-//! entry points ([`run_cells_outcome_on`]) additionally classify each
-//! cell's result as a [`CellOutcome`]: per-cell panics are isolated,
-//! cells exceeding the configured deadline are reported as timed out,
-//! and failures classified *transient* are retried a bounded number of
-//! times with a deterministic backoff schedule.
+//! entry points ([`run_cells_outcome_on`], [`run_cell`]) additionally
+//! classify each cell's result as a [`CellOutcome`]: per-cell panics are
+//! isolated and cells exceeding the configured deadline are reported as
+//! timed out. Every cell runs exactly once.
 //!
 //! The pool width defaults to the host's available parallelism and can be
 //! overridden with the `RIVERA_THREADS` environment variable (`1` forces
 //! the serial path). `RIVERA_CELL_TIMEOUT` (seconds, default off) arms the
-//! per-cell deadline and `RIVERA_CELL_RETRIES` (default 0) bounds how
-//! often a transient failure is retried — see [`RunPolicy::from_env`].
+//! per-cell deadline — see [`deadline_from_env`].
 
 use std::any::Any;
-use std::backtrace::Backtrace;
 use std::cell::{Cell, RefCell};
 use std::num::NonZeroUsize;
 use std::panic::{catch_unwind, resume_unwind, AssertUnwindSafe};
@@ -45,20 +42,6 @@ pub const THREADS_ENV: &str = "RIVERA_THREADS";
 /// Environment variable arming the per-cell deadline, in (possibly
 /// fractional) seconds. Unset or unparseable means no deadline.
 pub const TIMEOUT_ENV: &str = "RIVERA_CELL_TIMEOUT";
-
-/// Environment variable bounding how many times a transient cell failure
-/// is retried (0, the default, disables retry).
-pub const RETRIES_ENV: &str = "RIVERA_CELL_RETRIES";
-
-/// Environment variable setting the base backoff between retry attempts,
-/// in milliseconds (attempt `k` sleeps `k * base`; default 0 — no sleep,
-/// so test schedules stay deterministic).
-pub const BACKOFF_ENV: &str = "RIVERA_RETRY_BACKOFF_MS";
-
-/// Substring marking a panic message as a *transient* failure, eligible
-/// for retry under [`RunPolicy::max_attempts`]. The fault-injection
-/// harness uses this to force retry classifications deterministically.
-pub const TRANSIENT_MARKER: &str = "[transient]";
 
 /// The number of worker threads the pool will use: the `RIVERA_THREADS`
 /// override when set to a positive integer, otherwise the host's
@@ -92,17 +75,6 @@ pub fn thread_count_from(raw: Option<&str>) -> (usize, Option<String>) {
     }
 }
 
-/// Identifies one execution attempt of one cell: `index` is the cell's
-/// position in submission order, `attempt` counts from 1 and increases
-/// across retries of the same cell.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct CellCtx {
-    /// The cell's index in submission order.
-    pub index: usize,
-    /// The 1-based attempt number (greater than 1 only on retry).
-    pub attempt: u32,
-}
-
 /// The result of executing one cell under fault isolation.
 #[derive(Debug)]
 pub enum CellOutcome<T> {
@@ -112,9 +84,7 @@ pub enum CellOutcome<T> {
     Panicked {
         /// The panic payload (plus source location when available).
         message: String,
-        /// A backtrace captured at the panic site.
-        backtrace: String,
-        /// How long the failing attempt ran before panicking.
+        /// How long the cell ran before panicking.
         elapsed: Duration,
     },
     /// The cell completed but exceeded the configured deadline, so its
@@ -128,22 +98,13 @@ pub enum CellOutcome<T> {
         /// time charged via [`charge_virtual`]).
         elapsed: Duration,
     },
-    /// The cell was attempted more than once; `outcome` is the final
-    /// attempt's result.
-    Retried {
-        /// Total attempts executed (including the final one).
-        attempts: u32,
-        /// The final attempt's outcome (never itself `Retried`).
-        outcome: Box<CellOutcome<T>>,
-    },
 }
 
 impl<T> CellOutcome<T> {
-    /// The successful value, if any (looking through `Retried`).
+    /// The successful value, if any.
     pub fn value(&self) -> Option<&T> {
         match self {
             CellOutcome::Ok(v) => Some(v),
-            CellOutcome::Retried { outcome, .. } => outcome.value(),
             _ => None,
         }
     }
@@ -152,12 +113,11 @@ impl<T> CellOutcome<T> {
     pub fn into_value(self) -> Option<T> {
         match self {
             CellOutcome::Ok(v) => Some(v),
-            CellOutcome::Retried { outcome, .. } => outcome.into_value(),
             _ => None,
         }
     }
 
-    /// True when the cell (eventually) produced a value.
+    /// True when the cell produced a value.
     pub fn is_ok(&self) -> bool {
         self.value().is_some()
     }
@@ -169,7 +129,6 @@ impl<T> CellOutcome<T> {
             CellOutcome::Ok(_) => None,
             CellOutcome::Panicked { .. } => Some("ERR"),
             CellOutcome::TimedOut { .. } => Some("TIMEOUT"),
-            CellOutcome::Retried { outcome, .. } => outcome.marker(),
         }
     }
 
@@ -184,97 +143,45 @@ impl<T> CellOutcome<T> {
                 elapsed.as_secs_f64(),
                 deadline.as_secs_f64()
             )),
-            CellOutcome::Retried { attempts, outcome } => outcome
-                .failure()
-                .map(|f| format!("{f} (after {attempts} attempts)")),
         }
     }
 
-    /// Total attempts this outcome records (1 unless retried).
-    pub fn attempts(&self) -> u32 {
-        match self {
-            CellOutcome::Retried { attempts, .. } => *attempts,
-            _ => 1,
-        }
-    }
-
-    /// How long the (final) failing attempt ran, when known. Successful
-    /// cells report `None` — their timing is the caller's to measure.
+    /// How long a failed cell ran. Successful cells report `None` —
+    /// their timing is the caller's to measure.
     pub fn elapsed(&self) -> Option<Duration> {
         match self {
             CellOutcome::Ok(_) => None,
-            CellOutcome::Panicked { elapsed, .. } => Some(*elapsed),
-            CellOutcome::TimedOut { elapsed, .. } => Some(*elapsed),
-            CellOutcome::Retried { outcome, .. } => outcome.elapsed(),
+            CellOutcome::Panicked { elapsed, .. } | CellOutcome::TimedOut { elapsed, .. } => {
+                Some(*elapsed)
+            }
         }
     }
 }
 
-/// Fault-tolerance policy for a run: per-cell deadline, retry budget, and
-/// backoff schedule.
-#[derive(Debug, Clone)]
-pub struct RunPolicy {
-    /// Per-cell deadline; `None` (the default) disables the watchdog.
-    pub deadline: Option<Duration>,
-    /// Maximum attempts per cell (at least 1). Attempts beyond the first
-    /// happen only for failures classified transient — timeouts, and
-    /// panics whose message contains [`TRANSIENT_MARKER`].
-    pub max_attempts: u32,
-    /// Base backoff between attempts: attempt `k` (1-based) sleeps
-    /// `k * backoff` before retrying. Zero (the default) sleeps not at
-    /// all, keeping test schedules deterministic.
-    pub backoff: Duration,
-}
-
-impl Default for RunPolicy {
-    fn default() -> Self {
-        RunPolicy {
-            deadline: None,
-            max_attempts: 1,
-            backoff: Duration::ZERO,
+/// The per-cell deadline the experiment binaries run under, from
+/// `RIVERA_CELL_TIMEOUT` (seconds). Unset means no deadline; an
+/// unparseable value warns and also means no deadline.
+pub fn deadline_from_env() -> Option<Duration> {
+    let raw = std::env::var(TIMEOUT_ENV).ok()?;
+    // `try_from_secs_f64` rejects infinities and values too large for a
+    // `Duration` (say `1e30`), where `from_secs_f64` panics.
+    let secs = raw.trim().parse::<f64>().ok().filter(|&secs| secs > 0.0);
+    match secs.map(Duration::try_from_secs_f64) {
+        Some(Ok(deadline)) => Some(deadline),
+        _ => {
+            eprintln!("warning: ignoring {TIMEOUT_ENV}={raw:?} (want seconds > 0)");
+            None
         }
-    }
-}
-
-impl RunPolicy {
-    /// Builds the policy the experiment binaries run under, from
-    /// `RIVERA_CELL_TIMEOUT` (seconds), `RIVERA_CELL_RETRIES`, and
-    /// `RIVERA_RETRY_BACKOFF_MS`. Unset or unparseable variables fall
-    /// back to the defaults (no deadline, no retry, no backoff).
-    pub fn from_env() -> Self {
-        let mut policy = RunPolicy::default();
-        if let Ok(raw) = std::env::var(TIMEOUT_ENV) {
-            // `try_from_secs_f64` rejects infinities and values too large
-            // for a `Duration` (say `1e30`), where `from_secs_f64` panics.
-            let secs = raw.trim().parse::<f64>().ok().filter(|&secs| secs > 0.0);
-            match secs.map(Duration::try_from_secs_f64) {
-                Some(Ok(deadline)) => policy.deadline = Some(deadline),
-                _ => eprintln!("warning: ignoring {TIMEOUT_ENV}={raw:?} (want seconds > 0)"),
-            }
-        }
-        if let Ok(raw) = std::env::var(RETRIES_ENV) {
-            match raw.trim().parse::<u32>() {
-                Ok(n) => policy.max_attempts = n.saturating_add(1),
-                _ => eprintln!("warning: ignoring {RETRIES_ENV}={raw:?} (want an integer)"),
-            }
-        }
-        if let Ok(raw) = std::env::var(BACKOFF_ENV) {
-            match raw.trim().parse::<u64>() {
-                Ok(ms) => policy.backoff = Duration::from_millis(ms),
-                _ => eprintln!("warning: ignoring {BACKOFF_ENV}={raw:?} (want milliseconds)"),
-            }
-        }
-        policy
     }
 }
 
 thread_local! {
     static CAPTURING: Cell<bool> = const { Cell::new(false) };
-    static LAST_PANIC: RefCell<Option<(String, String)>> = const { RefCell::new(None) };
+    static LAST_PANIC: RefCell<Option<String>> = const { RefCell::new(None) };
     static VIRTUAL_NANOS: Cell<u64> = const { Cell::new(0) };
 }
 
-/// Charges virtual elapsed time to the currently running cell attempt.
+/// Charges virtual elapsed time to the currently running cell.
 ///
 /// The deadline watchdog adds virtual time to the measured wall time when
 /// classifying a cell, which lets the fault-injection harness exercise
@@ -290,16 +197,8 @@ pub fn charge_virtual(delay: Duration) {
     });
 }
 
-fn drain_virtual() -> Duration {
-    VIRTUAL_NANOS.with(|v| {
-        let nanos = v.get();
-        v.set(0);
-        Duration::from_nanos(nanos)
-    })
-}
-
 /// Installs (once, process-wide) a panic hook that captures the message
-/// and backtrace of panics raised inside isolated cells, suppressing the
+/// and location of panics raised inside isolated cells, suppressing the
 /// default stderr report for them; panics anywhere else still reach the
 /// previously installed hook untouched.
 fn install_capture_hook() {
@@ -318,8 +217,7 @@ fn install_capture_hook() {
                     Some(loc) => format!("{message} (at {loc})"),
                     None => message,
                 };
-                let backtrace = Backtrace::force_capture().to_string();
-                LAST_PANIC.with(|l| *l.borrow_mut() = Some((message, backtrace)));
+                LAST_PANIC.with(|l| *l.borrow_mut() = Some(message));
             } else {
                 previous(info);
             }
@@ -435,16 +333,15 @@ pub fn run_cells_on<T: Send>(
     run_slots(threads, count, f)
 }
 
-/// Records one finalized cell in the live metrics layer: final-attempt
-/// latency, plus retry/timeout/panic counters. Handles are registered
-/// once and cached; the call is one relaxed load when metrics are off.
-fn record_cell_metrics<T>(outcome: &CellOutcome<T>, final_elapsed: Duration) {
+/// Records one finished cell in the live metrics layer: its latency,
+/// plus timeout/panic counters. Handles are registered once and cached;
+/// the call is one relaxed load when metrics are off.
+fn record_cell_metrics<T>(outcome: &CellOutcome<T>, elapsed: Duration) {
     if !pad_telemetry::metrics_enabled() {
         return;
     }
     struct Handles {
         latency: std::sync::Arc<pad_telemetry::LatencyHistogram>,
-        retries: std::sync::Arc<pad_telemetry::Counter>,
         timeouts: std::sync::Arc<pad_telemetry::Counter>,
         panics: std::sync::Arc<pad_telemetry::Counter>,
     }
@@ -454,110 +351,75 @@ fn record_cell_metrics<T>(outcome: &CellOutcome<T>, final_elapsed: Duration) {
         Handles {
             latency: r.histogram(
                 "pad_pool_cell_latency_us",
-                "Final-attempt wall time of each isolation cell, in microseconds.",
-            ),
-            retries: r.counter(
-                "pad_pool_cell_retries_total",
-                "Extra attempts spent on transient cell failures.",
+                "Wall time of each isolation cell, in microseconds.",
             ),
             timeouts: r.counter(
                 "pad_pool_cell_timeouts_total",
-                "Cells whose final attempt blew its deadline.",
+                "Cells that blew their deadline.",
             ),
             panics: r.counter(
                 "pad_pool_cell_panics_total",
-                "Cells whose final attempt panicked (caught and isolated).",
+                "Cells that panicked (caught and isolated).",
             ),
         }
     });
-    h.latency.record(final_elapsed.as_micros() as u64);
-    let attempts = outcome.attempts();
-    if attempts > 1 {
-        h.retries.add(u64::from(attempts - 1));
-    }
-    match outcome.marker() {
-        Some("TIMEOUT") => h.timeouts.inc(),
-        Some("ERR") => h.panics.inc(),
-        _ => {}
+    h.latency.record(elapsed.as_micros() as u64);
+    match outcome {
+        CellOutcome::Ok(_) => {}
+        CellOutcome::TimedOut { .. } => h.timeouts.inc(),
+        CellOutcome::Panicked { .. } => h.panics.inc(),
     }
 }
 
-/// Runs one cell under `policy`: bounded attempts, each wrapped in
-/// `catch_unwind`, with deadline classification and deterministic
-/// backoff between retries of transient failures.
-fn run_one_cell<T>(
-    index: usize,
-    policy: &RunPolicy,
-    f: &(impl Fn(CellCtx) -> T + Sync),
-) -> CellOutcome<T> {
+/// Runs `f` once as an isolated cell on the calling thread: its panic is
+/// caught and returned as [`CellOutcome::Panicked`], and a run longer than
+/// `deadline` (measured plus virtual time) as [`CellOutcome::TimedOut`].
+///
+/// Cells nest: a cell run inside another on the same thread (a search's
+/// exact confirmations inside an advisor request) leaves the outer cell
+/// capturing its panics, and its virtual time counts toward the outer
+/// cell's clock just as its real time does.
+pub fn run_cell<T>(deadline: Option<Duration>, f: impl FnOnce() -> T) -> CellOutcome<T> {
     install_capture_hook();
-    let mut attempt = 0u32;
-    loop {
-        attempt += 1;
-        drain_virtual();
-        CAPTURING.with(|c| c.set(true));
-        let start = Instant::now();
-        let caught = catch_unwind(AssertUnwindSafe(|| f(CellCtx { index, attempt })));
-        CAPTURING.with(|c| c.set(false));
-        let elapsed = start.elapsed() + drain_virtual();
-        let outcome = match caught {
-            Ok(value) => match policy.deadline {
-                Some(deadline) if elapsed > deadline => CellOutcome::TimedOut { deadline, elapsed },
-                _ => CellOutcome::Ok(value),
-            },
-            Err(payload) => {
-                let (message, backtrace) = LAST_PANIC
-                    .with(|l| l.borrow_mut().take())
-                    .unwrap_or_else(|| {
-                        let message = payload
-                            .downcast_ref::<&str>()
-                            .map(|s| s.to_string())
-                            .or_else(|| payload.downcast_ref::<String>().cloned())
-                            .unwrap_or_else(|| "<non-string panic payload>".to_string());
-                        (message, String::new())
-                    });
-                CellOutcome::Panicked {
-                    message,
-                    backtrace,
-                    elapsed,
-                }
-            }
-        };
-        let transient = match &outcome {
-            CellOutcome::Ok(_) => false,
-            CellOutcome::TimedOut { .. } => true,
-            CellOutcome::Panicked { message, .. } => message.contains(TRANSIENT_MARKER),
-            CellOutcome::Retried { .. } => unreachable!("attempts are never nested"),
-        };
-        if !outcome.is_ok() && transient && attempt < policy.max_attempts {
-            if !policy.backoff.is_zero() {
-                std::thread::sleep(policy.backoff * attempt);
-            }
-            continue;
+    let outer_capturing = CAPTURING.replace(true);
+    let outer_nanos = VIRTUAL_NANOS.replace(0);
+    let start = Instant::now();
+    let caught = catch_unwind(AssertUnwindSafe(f));
+    let real = start.elapsed();
+    let nanos = VIRTUAL_NANOS.get();
+    CAPTURING.set(outer_capturing);
+    VIRTUAL_NANOS.set(outer_nanos.saturating_add(nanos));
+    let elapsed = real + Duration::from_nanos(nanos);
+    let outcome = match caught {
+        Ok(value) => match deadline {
+            Some(deadline) if elapsed > deadline => CellOutcome::TimedOut { deadline, elapsed },
+            _ => CellOutcome::Ok(value),
+        },
+        Err(payload) => {
+            let message = LAST_PANIC.take().unwrap_or_else(|| {
+                payload
+                    .downcast_ref::<&str>()
+                    .map(|s| s.to_string())
+                    .or_else(|| payload.downcast_ref::<String>().cloned())
+                    .unwrap_or_else(|| "<non-string panic payload>".to_string())
+            });
+            CellOutcome::Panicked { message, elapsed }
         }
-        let outcome = if attempt > 1 {
-            CellOutcome::Retried {
-                attempts: attempt,
-                outcome: Box::new(outcome),
-            }
-        } else {
-            outcome
-        };
-        record_cell_metrics(&outcome, elapsed);
-        return outcome;
-    }
+    };
+    record_cell_metrics(&outcome, elapsed);
+    outcome
 }
 
-/// Fault-isolated run: every cell's panic is caught, deadlines and
-/// retries applied per `policy`, and the per-cell [`CellOutcome`]s
-/// returned in cell order. No cell failure disturbs any sibling cell.
+/// Fault-isolated run: every cell runs once through [`run_cell`] under
+/// `deadline`, and the per-cell [`CellOutcome`]s come back in cell order.
+/// No cell failure disturbs any sibling cell.
 pub fn run_cells_outcome_on<T: Send>(
     threads: usize,
     count: usize,
-    policy: &RunPolicy,
-    f: impl Fn(CellCtx) -> T + Sync,
+    deadline: Option<Duration>,
+    f: impl Fn(usize) -> T + Sync,
 ) -> Vec<CellOutcome<T>> {
-    run_cells_outcome_with(threads, count, policy, f, |_, _| {})
+    run_cells_outcome_with(threads, count, deadline, f, |_, _| {})
 }
 
 /// [`run_cells_outcome_on`] with a completion callback: `on_complete`
@@ -568,12 +430,12 @@ pub fn run_cells_outcome_on<T: Send>(
 pub fn run_cells_outcome_with<T: Send>(
     threads: usize,
     count: usize,
-    policy: &RunPolicy,
-    f: impl Fn(CellCtx) -> T + Sync,
+    deadline: Option<Duration>,
+    f: impl Fn(usize) -> T + Sync,
     on_complete: impl Fn(usize, &CellOutcome<T>) + Sync,
 ) -> Vec<CellOutcome<T>> {
     run_slots(threads, count, |index| {
-        let outcome = run_one_cell(index, policy, &f);
+        let outcome = run_cell(deadline, || f(index));
         on_complete(index, &outcome);
         outcome
     })
@@ -690,7 +552,7 @@ mod tests {
 
     #[test]
     fn zero_cells_yield_empty_outcomes() {
-        let outcomes = run_cells_outcome_on(4, 0, &RunPolicy::default(), |cell| cell.index);
+        let outcomes = run_cells_outcome_on(4, 0, None, |i| i);
         assert!(outcomes.is_empty());
     }
 
@@ -746,11 +608,11 @@ mod tests {
     #[test]
     fn outcome_runner_isolates_panics() {
         for threads in [1, 2, 8] {
-            let outcomes = run_cells_outcome_on(threads, 10, &RunPolicy::default(), |cell| {
-                if cell.index == 4 {
+            let outcomes = run_cells_outcome_on(threads, 10, None, |i| {
+                if i == 4 {
                     panic!("injected");
                 }
-                cell.index * 3
+                i * 3
             });
             assert_eq!(outcomes.len(), 10);
             for (i, outcome) in outcomes.iter().enumerate() {
@@ -766,15 +628,12 @@ mod tests {
 
     #[test]
     fn virtual_delay_trips_the_deadline() {
-        let policy = RunPolicy {
-            deadline: Some(Duration::from_secs(60)),
-            ..RunPolicy::default()
-        };
-        let outcomes = run_cells_outcome_on(1, 2, &policy, |cell| {
-            if cell.index == 1 {
+        let deadline = Some(Duration::from_secs(60));
+        let outcomes = run_cells_outcome_on(1, 2, deadline, |i| {
+            if i == 1 {
                 charge_virtual(Duration::from_secs(3600));
             }
-            cell.index
+            i
         });
         assert_eq!(outcomes[0].value(), Some(&0));
         assert_eq!(outcomes[1].marker(), Some("TIMEOUT"));
@@ -788,66 +647,37 @@ mod tests {
     }
 
     #[test]
-    fn transient_panics_are_retried_and_accounted() {
-        let policy = RunPolicy {
-            max_attempts: 3,
-            ..RunPolicy::default()
-        };
-        let outcomes = run_cells_outcome_on(1, 1, &policy, |cell| {
-            if cell.attempt <= 2 {
-                panic!("{TRANSIENT_MARKER} flaking on attempt {}", cell.attempt);
+    fn a_nested_cell_keeps_the_outer_virtual_clock() {
+        // Cell 0 charges its delay before running a nested cell, cell 1
+        // has its nested cell charge it; both blow the outer deadline.
+        let deadline = Some(Duration::from_secs(60));
+        let outcomes = run_cells_outcome_on(1, 2, deadline, |i| {
+            if i == 0 {
+                charge_virtual(Duration::from_secs(3600));
             }
-            41 + cell.attempt
+            let nested = run_cell(None, || {
+                if i == 1 {
+                    charge_virtual(Duration::from_secs(3600));
+                }
+            });
+            assert!(nested.is_ok(), "the nested cell has no deadline");
+            i
         });
-        match &outcomes[0] {
-            CellOutcome::Retried {
-                attempts: 3,
-                outcome,
-            } => {
-                assert_eq!(outcome.value(), Some(&44));
-            }
-            other => panic!("expected Retried{{3, Ok}}, got {other:?}"),
+        for (i, outcome) in outcomes.iter().enumerate() {
+            assert_eq!(outcome.marker(), Some("TIMEOUT"), "cell {i}: {outcome:?}");
         }
-        assert_eq!(outcomes[0].attempts(), 3);
     }
 
     #[test]
-    fn non_transient_panics_are_not_retried() {
-        let policy = RunPolicy {
-            max_attempts: 5,
-            ..RunPolicy::default()
-        };
-        let outcomes = run_cells_outcome_on(1, 1, &policy, |cell| {
-            panic!("hard failure on attempt {}", cell.attempt);
-            #[allow(unreachable_code)]
-            0
+    fn a_panic_after_a_nested_cell_keeps_its_location() {
+        let outcome = run_cell(None, || -> u32 {
+            assert!(run_cell(None, || 7).is_ok());
+            panic!("outer failure")
         });
-        assert_eq!(outcomes[0].attempts(), 1);
-        assert_eq!(outcomes[0].marker(), Some("ERR"));
-    }
-
-    #[test]
-    fn retry_budget_is_bounded() {
-        let policy = RunPolicy {
-            max_attempts: 2,
-            ..RunPolicy::default()
-        };
-        let outcomes = run_cells_outcome_on(1, 1, &policy, |cell| {
-            panic!(
-                "{TRANSIENT_MARKER} always failing (attempt {})",
-                cell.attempt
-            );
-            #[allow(unreachable_code)]
-            0
-        });
-        match &outcomes[0] {
-            CellOutcome::Retried {
-                attempts: 2,
-                outcome,
-            } => {
-                assert_eq!(outcome.marker(), Some("ERR"));
-            }
-            other => panic!("expected Retried{{2, Panicked}}, got {other:?}"),
-        }
+        let failure = outcome.failure().expect("the outer cell panicked");
+        assert!(
+            failure.contains(concat!("outer failure (at ", file!(), ":")),
+            "{failure}"
+        );
     }
 }

@@ -1,10 +1,10 @@
 //! Integration suite for the reliability layer: seeded fault plans driven
 //! through the real pool, context, and journal, proving the contracts the
 //! experiment binaries depend on — no sibling-cell loss under injected
-//! faults, exact retry accounting, byte-identical resume after a kill,
-//! and deterministic rendered tables across thread widths and injection
-//! schedules. Everything here is wall-clock-free: delays are virtual,
-//! backoffs are zero, and every schedule derives from a fixed seed.
+//! faults, byte-identical resume after a kill, and deterministic rendered
+//! tables across thread widths and injection schedules. Everything here
+//! is wall-clock-free: delays are virtual and every schedule derives from
+//! a fixed seed.
 
 use std::path::PathBuf;
 use std::sync::atomic::{AtomicUsize, Ordering};
@@ -13,7 +13,6 @@ use std::time::Duration;
 use pad_bench::faults::{FaultPlan, FaultSpec};
 use pad_bench::harness::{cells_or_marker, pct, RunContext};
 use pad_bench::journal::Journal;
-use pad_bench::pool::RunPolicy;
 use pad_report::Table;
 
 /// A deterministic stand-in for a simulation cell: cheap, pure, and with
@@ -60,20 +59,15 @@ fn injected_faults_never_disturb_sibling_cells() {
         count,
         &FaultSpec {
             panics: 4,
-            flaky: 0,
-            flaky_failures: 0,
             delays: 3,
             delay: Duration::from_secs(600),
         },
     );
-    let policy = RunPolicy {
-        deadline: Some(Duration::from_secs(30)),
-        ..RunPolicy::default()
-    };
+    let deadline = Some(Duration::from_secs(30));
     let clean: Vec<f64> = (0..count).map(cell_value).collect();
     for threads in [1, 2, 8] {
-        let ctx = RunContext::with("faults", threads, policy.clone(), None);
-        let outcomes = ctx.run_attempts(&labels(count), plan.wrap(|cell| cell_value(cell.index)));
+        let ctx = RunContext::with("faults", threads, deadline, None);
+        let outcomes = ctx.run(&labels(count), plan.wrap(cell_value));
         for (i, outcome) in outcomes.iter().enumerate() {
             if plan.faulted_cells().contains(&i) {
                 assert!(!outcome.is_ok(), "cell {i} was injected");
@@ -91,43 +85,6 @@ fn injected_faults_never_disturb_sibling_cells() {
         assert_eq!(status.cells, count);
         assert_eq!(status.failed, plan.faulted_cells().len());
     }
-}
-
-#[test]
-fn retry_accounting_is_exact_through_the_context() {
-    let plan = FaultPlan::none().flaky_at(3, 2).flaky_at(5, 1).panic_at(8);
-    let policy = RunPolicy {
-        max_attempts: 3,
-        ..RunPolicy::default()
-    };
-    let attempts_seen = AtomicUsize::new(0);
-    let ctx = RunContext::with("retries", 4, policy, None);
-    let outcomes = ctx.run_attempts(
-        &labels(10),
-        plan.wrap(|cell| {
-            attempts_seen.fetch_add(1, Ordering::Relaxed);
-            cell_value(cell.index)
-        }),
-    );
-    assert_eq!(
-        outcomes[3].attempts(),
-        3,
-        "two transient failures, then success"
-    );
-    assert!(outcomes[3].is_ok());
-    assert_eq!(
-        outcomes[5].attempts(),
-        2,
-        "one transient failure, then success"
-    );
-    assert!(outcomes[5].is_ok());
-    assert_eq!(outcomes[8].attempts(), 1, "hard panics are not transient");
-    assert_eq!(outcomes[8].marker(), Some("ERR"));
-    // The wrapped closure body only runs on attempts that get past the
-    // injections: cells 3 and 5 reach it once each (their final
-    // attempts), cell 8 never does, the other 7 cells once each.
-    assert_eq!(attempts_seen.load(Ordering::Relaxed), 9);
-    assert_eq!(ctx.finish().failed, 1);
 }
 
 #[test]
@@ -150,14 +107,14 @@ fn resume_after_kill_replays_bit_exactly_and_skips_execution() {
     let ctx = RunContext::with(
         "resume",
         4,
-        RunPolicy::default(),
+        None,
         Some(Journal::create(&path).expect("create journal")),
     );
-    let first = ctx.run_attempts(
+    let first = ctx.run(
         &labels(count),
-        plan.wrap(|cell| {
+        plan.wrap(|i| {
             first_exec.fetch_add(1, Ordering::Relaxed);
-            cell_value(cell.index)
+            cell_value(i)
         }),
     );
     let status = ctx.finish();
@@ -171,12 +128,12 @@ fn resume_after_kill_replays_bit_exactly_and_skips_execution() {
     let ctx = RunContext::with(
         "resume",
         4,
-        RunPolicy::default(),
+        None,
         Some(Journal::resume(&path).expect("resume journal")),
     );
-    let second = ctx.run_attempts(&labels(count), |cell| {
+    let second = ctx.run(&labels(count), |i| {
         second_exec.fetch_add(1, Ordering::Relaxed);
-        cell_value(cell.index)
+        cell_value(i)
     });
     let status = ctx.finish();
     assert_eq!(second_exec.load(Ordering::Relaxed), doomed.len());
@@ -203,30 +160,22 @@ fn rendered_tables_are_deterministic_across_widths_and_schedules() {
     let count = 32;
     let spec = FaultSpec {
         panics: 3,
-        flaky: 2,
-        flaky_failures: 1,
         delays: 2,
         delay: Duration::from_secs(600),
     };
-    let policy = RunPolicy {
-        deadline: Some(Duration::from_secs(30)),
-        max_attempts: 2,
-        ..RunPolicy::default()
-    };
+    let deadline = Some(Duration::from_secs(30));
     for seed in [1u64, 2, 3] {
         let plan = FaultPlan::from_seed(seed, count, &spec);
         let reference = {
-            let ctx = RunContext::with("det", 1, policy.clone(), None);
-            let outcomes =
-                ctx.run_attempts(&labels(count), plan.wrap(|cell| cell_value(cell.index)));
+            let ctx = RunContext::with("det", 1, deadline, None);
+            let outcomes = ctx.run(&labels(count), plan.wrap(cell_value));
             ctx.finish();
             render(&outcomes)
         };
         // The same schedule renders the same table at every pool width.
         for threads in [2, 8] {
-            let ctx = RunContext::with("det", threads, policy.clone(), None);
-            let outcomes =
-                ctx.run_attempts(&labels(count), plan.wrap(|cell| cell_value(cell.index)));
+            let ctx = RunContext::with("det", threads, deadline, None);
+            let outcomes = ctx.run(&labels(count), plan.wrap(cell_value));
             ctx.finish();
             assert_eq!(
                 render(&outcomes),
@@ -243,8 +192,8 @@ fn rendered_tables_are_deterministic_across_widths_and_schedules() {
     let plan_a = FaultPlan::from_seed(1, count, &spec);
     let plan_b = FaultPlan::from_seed(2, count, &spec);
     let run = |plan: &FaultPlan| {
-        let ctx = RunContext::with("det", 4, policy.clone(), None);
-        let outcomes = ctx.run_attempts(&labels(count), plan.wrap(|cell| cell_value(cell.index)));
+        let ctx = RunContext::with("det", 4, deadline, None);
+        let outcomes = ctx.run(&labels(count), plan.wrap(cell_value));
         ctx.finish();
         outcomes
     };
@@ -268,12 +217,12 @@ fn a_real_table_builder_degrades_gracefully_under_injection() {
     // table2 builder's shape via a tiny custom sweep instead of the full
     // suite (the real builders are exercised nightly; here we pin the
     // rendering contract cheaply).
-    let ctx = RunContext::with("mini", 2, RunPolicy::default(), None);
-    let outcomes = ctx.run_attempts(&labels(6), |cell| {
-        if cell.index == 2 {
+    let ctx = RunContext::with("mini", 2, None, None);
+    let outcomes = ctx.run(&labels(6), |i| {
+        if i == 2 {
             panic!("injected fault: cell 2 panicked");
         }
-        vec![pct(cell_value(cell.index)), "ok".to_string()]
+        vec![pct(cell_value(i)), "ok".to_string()]
     });
     let mut t = Table::new(["cell", "value", "state"]);
     for (i, outcome) in outcomes.iter().enumerate() {

@@ -92,7 +92,7 @@ fn events_mode_leaves_results_byte_identical_to_off_mode() {
     );
 
     // And the stream is real: both instrumented modes recorded cell
-    // attempt spans and batched-walk spans for both kernels.
+    // spans and batched-walk spans for both kernels.
     assert!(after_summary > 0, "summary mode recorded nothing");
     let cell_spans: Vec<&str> = events
         .iter()

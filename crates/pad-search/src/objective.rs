@@ -13,20 +13,21 @@
 //! injection benign: a panicking exact evaluation can discard one
 //! candidate but can never steer the search.
 //!
-//! Exact confirmations fan out through `pad_bench::pool` isolation cells
-//! with retries disabled, so one poisoned candidate ends as a counted
-//! discard, not a crashed search or a hung pool. Each exact evaluation
+//! Exact confirmations fan out through `pad_bench::pool` isolation cells,
+//! each run once and without a deadline (results must not depend on the
+//! wall clock), so one poisoned candidate ends as a counted discard, not
+//! a crashed search or a hung pool. Each exact evaluation
 //! consumes one monotone sequence number whether it runs, panics, or is
 //! skipped — a faulted run and a clean run minus the same candidates
 //! therefore follow identical sequences (the fault-equivalence property
 //! the test suite pins).
 
 use std::collections::BTreeSet;
-use std::time::{Duration, Instant};
+use std::time::Instant;
 
 use pad_bench::faults::FaultPlan;
 use pad_bench::harness::exact_misses;
-use pad_bench::pool::{self, CellCtx, RunPolicy};
+use pad_bench::pool;
 use pad_cache_sim::CacheConfig;
 use pad_core::{MissModel, PaddingConfig};
 use pad_ir::Program;
@@ -41,7 +42,6 @@ pub struct Objective<'p> {
     cache: CacheConfig,
     model: MissModel,
     threads: usize,
-    policy: RunPolicy,
     faults: FaultPlan,
     skip: BTreeSet<u64>,
     budget: u64,
@@ -66,14 +66,6 @@ impl<'p> Objective<'p> {
             cache,
             model: MissModel::compile(program, &pad_config),
             threads: threads.max(1),
-            // Deterministic isolation: no deadline (results must not
-            // depend on wall-clock), no retries (a faulted candidate is
-            // a discard, not a second chance), no backoff.
-            policy: RunPolicy {
-                deadline: None,
-                max_attempts: 1,
-                backoff: Duration::ZERO,
-            },
             faults: FaultPlan::none(),
             skip: BTreeSet::new(),
             budget,
@@ -167,23 +159,19 @@ impl<'p> Objective<'p> {
         let cache = self.cache;
         let faults = &self.faults;
         let skip = &self.skip;
-        let outcomes =
-            pool::run_cells_outcome_on(self.threads, candidates.len(), &self.policy, |cell| {
-                let seq = start + cell.index as u64;
-                if skip.contains(&seq) {
-                    return None;
-                }
-                faults.inject(CellCtx {
-                    index: seq as usize,
-                    attempt: cell.attempt,
-                });
-                let t0 = metrics_enabled().then(Instant::now);
-                let misses = exact_misses(program, &candidates[cell.index].layout, &cache);
-                if let Some(t0) = t0 {
-                    record_eval_us(RUNG_EXACT, t0.elapsed().as_micros() as u64);
-                }
-                Some(misses)
-            });
+        let outcomes = pool::run_cells_outcome_on(self.threads, candidates.len(), None, |i| {
+            let seq = start + i as u64;
+            if skip.contains(&seq) {
+                return None;
+            }
+            faults.inject(seq as usize);
+            let t0 = metrics_enabled().then(Instant::now);
+            let misses = exact_misses(program, &candidates[i].layout, &cache);
+            if let Some(t0) = t0 {
+                record_eval_us(RUNG_EXACT, t0.elapsed().as_micros() as u64);
+            }
+            Some(misses)
+        });
         self.exact_evals += candidates.len() as u64;
         outcomes
             .into_iter()

@@ -182,9 +182,9 @@ mod tests {
                 ts_us: 400,
                 tid: 2,
                 category: "cell",
-                name: "retry".into(),
+                name: "err".into(),
                 kind: EventKind::Instant,
-                args: vec![("cause", Value::Str("panicked: [transient]".into()))],
+                args: vec![("detail", Value::Str("panicked: boom".into()))],
             },
             Event {
                 ts_us: 500,

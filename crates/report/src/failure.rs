@@ -4,9 +4,9 @@
 //! panic or exceed their deadline no longer abort the binary: the table
 //! renders an explicit marker in their place ([`ERR_MARKER`],
 //! [`TIMEOUT_MARKER`]) and a [`FailureSummary`] is printed after the
-//! tables so nothing fails silently. Each entry carries the cell's
-//! telemetry span — attempts made and wall time spent — so an `ERR` or
-//! `TIMEOUT` row is diagnosable from the summary alone.
+//! tables so nothing fails silently. Each entry carries the wall time the
+//! cell spent, so an `ERR` or `TIMEOUT` row is diagnosable from the
+//! summary alone.
 
 use std::fmt;
 use std::time::Duration;
@@ -18,7 +18,7 @@ pub const ERR_MARKER: &str = "ERR";
 pub const TIMEOUT_MARKER: &str = "TIMEOUT";
 
 /// One failed cell: which cell, what kind of failure, the detail line
-/// (panic message or deadline numbers), and the cell's execution span.
+/// (panic message or deadline numbers), and how long the cell ran.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct CellFailure {
     /// The cell's progress label (e.g. `fig16: EXPL n=256`).
@@ -27,9 +27,7 @@ pub struct CellFailure {
     pub marker: String,
     /// Human-readable failure detail.
     pub detail: String,
-    /// Attempts made before the cell was given up on (0 when unknown).
-    pub attempts: u32,
-    /// Wall time spent on the cell across attempts (zero when unknown).
+    /// Wall time spent on the cell (zero when unknown).
     pub elapsed: Duration,
 }
 
@@ -47,13 +45,12 @@ pub struct CellFailure {
 ///     label: "fig08: JACOBI512".into(),
 ///     marker: "ERR".into(),
 ///     detail: "panicked: injected fault".into(),
-///     attempts: 3,
 ///     elapsed: Duration::from_millis(42),
 /// });
 /// let text = summary.to_string();
 /// assert!(text.contains("1 cell(s) failed"));
 /// assert!(text.contains("JACOBI512"));
-/// assert!(text.contains("3 attempt(s)"));
+/// assert!(text.contains("[42.0 ms]"));
 /// ```
 #[derive(Debug, Clone, Default)]
 pub struct FailureSummary {
@@ -111,13 +108,8 @@ impl fmt::Display for FailureSummary {
                 "  {:7} {}: {}",
                 failure.marker, failure.label, failure.detail
             )?;
-            if failure.attempts > 0 {
-                write!(
-                    f,
-                    " [{} attempt(s), {:.1} ms]",
-                    failure.attempts,
-                    failure.elapsed.as_secs_f64() * 1e3
-                )?;
+            if !failure.elapsed.is_zero() {
+                write!(f, " [{:.1} ms]", failure.elapsed.as_secs_f64() * 1e3)?;
             }
             writeln!(f)?;
         }
@@ -144,14 +136,12 @@ mod tests {
             label: "a".into(),
             marker: TIMEOUT_MARKER.into(),
             detail: "ran 9s against a 1s deadline".into(),
-            attempts: 1,
             elapsed: Duration::from_secs(9),
         });
         summary.push(CellFailure {
             label: "b".into(),
             marker: ERR_MARKER.into(),
             detail: "panicked: boom".into(),
-            attempts: 2,
             elapsed: Duration::from_millis(5),
         });
         let text = summary.to_string();
@@ -169,11 +159,13 @@ mod tests {
             label: "slow".into(),
             marker: TIMEOUT_MARKER.into(),
             detail: "deadline exceeded".into(),
-            attempts: 3,
             elapsed: Duration::from_millis(1500),
         });
         let text = summary.to_string();
-        assert!(text.contains("[3 attempt(s), 1500.0 ms]"), "got: {text}");
+        assert!(
+            text.contains("deadline exceeded [1500.0 ms]"),
+            "got: {text}"
+        );
     }
 
     #[test]
@@ -183,10 +175,9 @@ mod tests {
             label: "legacy".into(),
             marker: ERR_MARKER.into(),
             detail: "panicked: boom".into(),
-            attempts: 0,
             elapsed: Duration::ZERO,
         });
         let text = summary.to_string();
-        assert!(!text.contains("attempt(s)"), "got: {text}");
+        assert!(!text.contains(" ms]"), "got: {text}");
     }
 }

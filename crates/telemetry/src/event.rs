@@ -58,7 +58,7 @@ pub enum EventKind {
         /// Duration in microseconds.
         dur_us: u64,
     },
-    /// A point in time (a retry firing, a pad decision). Maps to a
+    /// A point in time (a cell timing out, a pad decision). Maps to a
     /// Chrome instant (`ph:"i"`) event.
     Instant,
     /// A sampled counter snapshot (cache hit/miss counts). Maps to a

@@ -364,7 +364,7 @@ mod tests {
         assert!(enabled());
         assert_eq!(mode(), Mode::Summary);
         assert_eq!(sample_interval(), 0, "sampling is events-mode only");
-        emit(|| Event::instant("cell", "retry", vec![("index", Value::U64(3))]));
+        emit(|| Event::instant("cell", "timeout", vec![("index", Value::U64(3))]));
         assert_eq!(recorder.snapshot().len(), 1);
         let global = super::recorder().expect("recorder installed");
         assert!(Arc::ptr_eq(&recorder, &global));

@@ -7,16 +7,14 @@
 use crate::event::{Event, EventKind, Value};
 use crate::histogram::Histogram;
 
-/// Aggregate of one cell label's execution (all attempts).
+/// Aggregate of one cell label's execution (every span with that label).
 #[derive(Debug, Clone, PartialEq)]
 pub struct CellSummary {
     /// The cell's label.
     pub label: String,
-    /// Total wall time across attempts, microseconds.
+    /// Total wall time across the label's spans, microseconds.
     pub total_us: u64,
-    /// Attempt spans observed.
-    pub attempts: u64,
-    /// Thread id of the last attempt.
+    /// Thread id of the last span.
     pub thread: u64,
 }
 
@@ -49,10 +47,8 @@ impl KernelThroughput {
 pub struct TelemetrySummary {
     /// Per-cell aggregates, slowest first.
     pub cells: Vec<CellSummary>,
-    /// Distribution of per-attempt cell durations (microseconds).
+    /// Distribution of per-span cell durations (microseconds).
     pub cell_durations_us: Histogram,
-    /// `retry` instants observed.
-    pub retries: u64,
     /// `timeout` instants observed.
     pub timeouts: u64,
     /// `err` instants observed.
@@ -78,19 +74,16 @@ pub fn summarize(events: &[Event]) -> TelemetrySummary {
                 match cells.iter_mut().find(|c| c.label == event.name) {
                     Some(cell) => {
                         cell.total_us += dur_us;
-                        cell.attempts += 1;
                         cell.thread = event.tid;
                     }
                     None => cells.push(CellSummary {
                         label: event.name.clone(),
                         total_us: *dur_us,
-                        attempts: 1,
                         thread: event.tid,
                     }),
                 }
             }
             ("cell", EventKind::Instant) => match event.name.as_str() {
-                "retry" => summary.retries += 1,
                 "timeout" => summary.timeouts += 1,
                 "err" => summary.errors += 1,
                 _ => {}
@@ -141,20 +134,17 @@ mod tests {
     }
 
     #[test]
-    fn cells_aggregate_across_attempts_and_sort_by_duration() {
+    fn cells_aggregate_by_label_and_sort_by_duration() {
         let events = vec![
             span("cell", "fig: fast", 10, vec![]),
             span("cell", "fig: slow", 500, vec![]),
             span("cell", "fig: slow", 700, vec![]),
-            Event::instant("cell", "retry", vec![]),
         ];
         let s = summarize(&events);
         assert_eq!(s.cells.len(), 2);
         assert_eq!(s.cells[0].label, "fig: slow");
         assert_eq!(s.cells[0].total_us, 1200);
-        assert_eq!(s.cells[0].attempts, 2);
         assert_eq!(s.cells[1].total_us, 10);
-        assert_eq!(s.retries, 1);
         assert_eq!(s.cell_durations_us.count(), 3);
     }
 
@@ -198,7 +188,6 @@ mod tests {
         assert_eq!(s.errors, 1);
         assert_eq!(s.pad_decisions, 1);
         assert_eq!(s.cache_samples, 1);
-        assert_eq!(s.retries, 0);
     }
 
     #[test]

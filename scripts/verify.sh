@@ -71,8 +71,15 @@ run_gate test cargo test --workspace -q
 
 run_gate clippy cargo clippy --workspace --all-targets -- -D warnings
 
-# Isolation, retries, resume, determinism under injected faults.
-run_gate fault-injection cargo test -q -p pad-bench --test fault_injection
+# Isolation, resume, determinism under injected faults, plus the pool's
+# own unit tests (nested cells keep the outer clock and panic capture)
+# and the RIVERA_CELL_TIMEOUT parser.
+gate_fault_injection() {
+    cargo test -q -p pad-bench --test fault_injection &&
+        cargo test -q -p pad-bench --lib pool &&
+        cargo test -q -p pad-bench --test policy_env
+}
+run_gate fault-injection gate_fault_injection
 
 # Flat cache vs seed model, the run_slice kernels, batched vs
 # per-config, W+1-line conflict sets against analytic miss counts, and
