@@ -93,24 +93,25 @@ pub fn resolve(source: &Source) -> Result<Program, RequestError> {
 /// priced as unaffordable.
 const PRICING_TRIPS: u64 = 1 << 20;
 
-/// Trace length (accesses over both layouts) an exact answer for
-/// `program` may simulate, or `u64::MAX` when counting it would cost
-/// more than [`PRICING_TRIPS`] iterated trips. The server divides this by
-/// its calibrated simulation rate to decide whether exact fits the
-/// deadline budget; it runs before the deadline-guarded cell, so it must
-/// stay cheap on any input.
+/// Work (accesses plus loop trips, over both layouts) an exact answer
+/// for `program` may do, or `u64::MAX` when counting it would cost more
+/// than [`PRICING_TRIPS`] iterated trips. The server divides this by its
+/// calibrated simulation rate to decide whether exact fits the deadline
+/// budget; it runs before the deadline-guarded cell, so it must stay
+/// cheap on any input. Trips are priced like accesses: a nest of empty
+/// inner loops performs no accesses, yet its walk runs every outer trip.
 ///
 /// The price is the two-walk upper bound. Which layout the answer picks
 /// is only known after the pipeline or search has run, and an answer
 /// whose layout equals the original costs one walk.
 pub fn exact_cost(program: &Program) -> u64 {
     // The padded layout replays the same reference stream, so the cost
-    // is at most twice one walk. `CompiledTrace::count` is closed-form over
-    // rectangular and triangular nests and never walks the trace; only
-    // deeper dependent nests iterate an outer loop, and the trip budget
-    // bounds that.
+    // is at most twice one walk. `CompiledTrace::work_within` is
+    // closed-form over rectangular and triangular nests and never walks
+    // the trace; only deeper dependent nests iterate an outer loop, and
+    // the trip budget bounds that.
     CompiledTrace::compile(program, &DataLayout::original(program))
-        .count_within(PRICING_TRIPS)
+        .work_within(PRICING_TRIPS)
         .map_or(u64::MAX, |n| n.saturating_mul(2))
 }
 

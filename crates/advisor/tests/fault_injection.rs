@@ -326,7 +326,9 @@ fn auto_mode_budgets_astronomic_loops_without_walking_them() {
     // trace: these nests run 10^12, 10^18, ~5·10^17 (triangular) and
     // ~7·10^26 (LU-shaped) accesses. The triangle is summed in closed
     // form; the three-deep nest iterates its outer loop, so pricing gives
-    // up on it as unaffordable before iterating.
+    // up on it as unaffordable before iterating. The last nest performs
+    // no access at all, but its walk runs 2^32 outer trips: pricing
+    // counts trips, so it is unaffordable too.
     let config = ServerConfig::default();
     let deadline = config.deadline.expect("the default config has a deadline");
     let server = Server::new(config);
@@ -358,6 +360,13 @@ fn auto_mode_budgets_astronomic_loops_without_walking_them() {
              do j = k+1, 1000000000\n\
                A(1, 2) = A(2, 1)\n\
              end\n\
+           end\n\
+         end\n",
+        "program EMPTY\n\
+         array A(10)\n\
+         do j = 1, 4294967296\n\
+           do k = 1, 0\n\
+             A(k) = 0\n\
            end\n\
          end\n",
     ];

@@ -1,9 +1,10 @@
 //! The original pointer-chasing cache model, kept as a reference.
 //!
-//! [`crate::Cache`] now stores its lines in a single contiguous
-//! `sets × ways` array with a same-line fast path. This module preserves
-//! the original `Vec<Vec<Line>>` implementation verbatim so that the
-//! equivalence suite can assert, access for access, that the optimized
+//! [`crate::Cache`] packs each set into one `u64` word per way and keeps
+//! the words in replacement order, so recency is a position rather than
+//! a timestamp. This module preserves the original `Vec<Vec<Line>>`
+//! implementation, with a timestamp on every line, verbatim so that the
+//! equivalence suites can assert, access for access, that the optimized
 //! model produces identical [`AccessOutcome`] sequences and statistics
 //! under every replacement policy, write policy, and index function. It
 //! is also the "seed serial path" baseline the simulator-throughput

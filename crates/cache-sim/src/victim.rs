@@ -116,15 +116,16 @@ impl VictimCache {
     /// going to memory.
     pub fn access(&mut self, access: Access) -> bool {
         self.stats.accesses += 1;
-        let line = self.main.config().line_addr(access.addr);
         let outcome = self.main.access(access);
         if outcome.hit {
+            // A line enters the buffer only when the main cache evicts it
+            // and leaves it on that line's next main miss — the only time
+            // the main cache can allocate it again — so a main hit has no
+            // buffered copy to drop, and it evicts nothing.
             self.stats.main_hits += 1;
-            // A main hit invalidates any stale copy in the buffer.
-            self.buffer.retain(|&l| l != line);
-            self.absorb_eviction(outcome.evicted);
             return true;
         }
+        let line = self.main.config().line_addr(access.addr);
         let rescued = if let Some(pos) = self.buffer.iter().position(|&l| l == line) {
             self.buffer.remove(pos);
             self.stats.victim_hits += 1;
@@ -167,6 +168,7 @@ impl VictimCache {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::{WritePolicy, XorShift64Star};
 
     #[test]
     fn rescues_pingpong_pairs() {
@@ -205,6 +207,39 @@ mod tests {
         let s = *vc.stats();
         assert_eq!(s.accesses, s.main_hits + s.victim_hits + s.misses);
         assert!(vc.buffer.len() <= 3);
+    }
+
+    #[test]
+    fn buffered_lines_are_never_resident_in_the_main_cache() {
+        for write_policy in [
+            WritePolicy::WriteBackAllocate,
+            WritePolicy::WriteThroughNoAllocate,
+        ] {
+            let config = CacheConfig::set_associative(256, 32, 2).with_write_policy(write_policy);
+            let mut vc = VictimCache::new(config, 3);
+            let mut rng = XorShift64Star::new(0x71C7);
+            for i in 0..4000u64 {
+                // Unit-stride runs for main hits, random jumps for
+                // evictions and buffer rescues.
+                let addr = if rng.below(3) == 0 {
+                    rng.below(2048)
+                } else {
+                    (i * 8) % 2048
+                };
+                vc.access(Access {
+                    addr,
+                    is_write: rng.below(4) == 0,
+                });
+                for &line in &vc.buffer {
+                    assert!(
+                        !vc.main.contains(line),
+                        "{write_policy:?}: buffered line {line:#x} is resident after access {i}"
+                    );
+                }
+            }
+            let s = vc.stats();
+            assert!(s.main_hits > 0 && s.victim_hits > 0 && s.misses > 0, "{s}");
+        }
     }
 
     #[test]

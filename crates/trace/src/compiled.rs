@@ -147,9 +147,24 @@ impl CompiledTrace {
     /// paths use this to bound their own cost on nests that cannot be
     /// counted in closed form.
     pub fn count_within(&self, max_trips: u64) -> Option<u64> {
+        self.cost_within(0, max_trips)
+    }
+
+    /// The work a walk of the compiled program does: its accesses plus
+    /// one for every loop trip, counted with the closed forms of
+    /// [`CompiledTrace::count_within`] and under the same `max_trips`
+    /// bound. A loop whose body is an empty loop performs no accesses,
+    /// yet a walk still runs every one of its trips, so a price in
+    /// accesses alone would call it free.
+    pub fn work_within(&self, max_trips: u64) -> Option<u64> {
+        self.cost_within(1, max_trips)
+    }
+
+    /// Accesses plus `trip` for every loop trip.
+    fn cost_within(&self, trip: u64, max_trips: u64) -> Option<u64> {
         let mut slots = vec![0i64; self.num_slots];
         let mut trips_left = max_trips;
-        count_nodes(&self.roots, &mut slots, &mut trips_left)
+        count_nodes(&self.roots, &mut slots, trip, &mut trips_left)
     }
 
     /// Invokes `f` with consecutive chunks of the access stream, in
@@ -467,13 +482,15 @@ fn saturate(n: u128) -> u64 {
     u64::try_from(n).unwrap_or(u64::MAX)
 }
 
-fn count_nodes(nodes: &[Node], slots: &mut [i64], trips_left: &mut u64) -> Option<u64> {
+/// Accesses under `nodes` plus `trip` for every loop trip, iterating at
+/// most `trips_left` outer-loop trips.
+fn count_nodes(nodes: &[Node], slots: &mut [i64], trip: u64, trips_left: &mut u64) -> Option<u64> {
     nodes.iter().try_fold(0u64, |n, node| {
-        Some(n.saturating_add(count_node(node, slots, trips_left)?))
+        Some(n.saturating_add(count_node(node, slots, trip, trips_left)?))
     })
 }
 
-fn count_node(node: &Node, slots: &mut [i64], trips_left: &mut u64) -> Option<u64> {
+fn count_node(node: &Node, slots: &mut [i64], trip: u64, trips_left: &mut u64) -> Option<u64> {
     match node {
         Node::Ref { .. } => Some(1),
         Node::InnerLoop {
@@ -484,7 +501,7 @@ fn count_node(node: &Node, slots: &mut [i64], trips_left: &mut u64) -> Option<u6
             ..
         } => Some(
             saturate(trips(lower.eval(slots), upper.eval(slots), *step))
-                .saturating_mul(refs.len() as u64),
+                .saturating_mul((refs.len() as u64).saturating_add(trip)),
         ),
         Node::Loop {
             slot,
@@ -496,16 +513,18 @@ fn count_node(node: &Node, slots: &mut [i64], trips_left: &mut u64) -> Option<u6
             let lo = lower.eval(slots);
             let n = trips(lo, upper.eval(slots), *step);
             if !body.iter().any(|child| bounds_read(child, *slot)) {
-                return Some(count_nodes(body, slots, trips_left)?.saturating_mul(saturate(n)));
+                let per_trip = count_nodes(body, slots, trip, trips_left)?.saturating_add(trip);
+                return Some(per_trip.saturating_mul(saturate(n)));
             }
             if let [child] = body.as_slice() {
                 if let Some(child_trips) = summed_trips(child, *slot, lo, n, *step, slots) {
                     let per_trip = match child {
                         Node::InnerLoop { refs, .. } => refs.len() as u64,
-                        Node::Loop { body, .. } => count_nodes(body, slots, trips_left)?,
+                        Node::Loop { body, .. } => count_nodes(body, slots, trip, trips_left)?,
                         Node::Ref { .. } => unreachable!("summed_trips takes loops only"),
                     };
-                    return Some(saturate(child_trips).saturating_mul(per_trip));
+                    let inner = saturate(child_trips).saturating_mul(per_trip.saturating_add(trip));
+                    return Some(inner.saturating_add(saturate(n).saturating_mul(trip)));
                 }
             }
             *trips_left = trips_left.checked_sub(u64::try_from(n).ok()?)?;
@@ -513,7 +532,8 @@ fn count_node(node: &Node, slots: &mut [i64], trips_left: &mut u64) -> Option<u6
             let mut value = lo;
             for _ in 0..n {
                 slots[*slot] = value;
-                total = total.saturating_add(count_nodes(body, slots, trips_left)?);
+                let per_trip = count_nodes(body, slots, trip, trips_left)?.saturating_add(trip);
+                total = total.saturating_add(per_trip);
                 value = value.wrapping_add(*step);
             }
             Some(total)
@@ -741,13 +761,48 @@ mod tests {
         assert_eq!(walked, 8);
     }
 
+    /// Pins the closed-form access count against the interpreter, and
+    /// the priced work against a direct iteration of every loop.
     fn assert_count_matches_interpreter(p: &Program, layout: &DataLayout) {
+        let compiled = CompiledTrace::compile(p, layout);
         assert_eq!(
-            CompiledTrace::compile(p, layout).count(),
+            compiled.count(),
             crate::count_accesses(p, layout),
             "{}",
             p.name()
         );
+        assert_eq!(
+            compiled.work_within(u64::MAX),
+            Some(iterated_work(p.body(), &mut Vec::new())),
+            "{}",
+            p.name()
+        );
+    }
+
+    /// Accesses plus loop trips, found by running every loop of the IR.
+    fn iterated_work(stmts: &[Stmt], env: &mut Vec<(IndexVar, i64)>) -> u64 {
+        let mut work = 0;
+        for stmt in stmts {
+            match stmt {
+                Stmt::Refs(refs) => work += refs.len() as u64,
+                Stmt::Loop { header, body } => {
+                    let eval = |e: &AffineExpr, env: &[(IndexVar, i64)]| {
+                        e.eval_with(|var| env.iter().rev().find(|(v, _)| v == var).map(|b| b.1))
+                            .expect("validated programs bind every variable")
+                    };
+                    let hi = eval(header.upper(), env);
+                    let step = header.step();
+                    let mut value = eval(header.lower(), env);
+                    while (step > 0 && value <= hi) || (step < 0 && value >= hi) {
+                        env.push((header.var().clone(), value));
+                        work += 1 + iterated_work(body, env);
+                        env.pop();
+                        value += step;
+                    }
+                }
+            }
+        }
+        work
     }
 
     #[test]

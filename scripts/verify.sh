@@ -179,7 +179,8 @@ run_gate fig-search-golden cargo test -q -p pad-search --test search_golden
 
 # Telemetry events mode must leave the fig08 CSV byte-identical.
 telemetry_tmp="$(mktemp -d)"
-trap 'rm -rf "$telemetry_tmp"' EXIT
+figures_tmp="$(mktemp -d)"
+trap 'rm -rf "$telemetry_tmp" "$figures_tmp"' EXIT
 gate_telemetry_csv() {
     in_verify_out env PAD_QUICK=1 RIVERA_TELEMETRY=off \
         cargo run --release -q -p pad-bench --bin fig08 &&
@@ -192,6 +193,33 @@ gate_telemetry_csv() {
         test -s "$telemetry_tmp/trace.ndjson"
 }
 run_gate telemetry-csv gate_telemetry_csv
+
+# The paper's tables, byte for byte: `all` and `fig_search` at full size
+# (PAD_QUICK unset, even in a quick run) in a fresh directory, then every
+# tracked results/*.csv compared with its regenerated copy — all but the
+# wall-clock tables fig15.csv and bench_search.csv.
+repo_root="$(pwd)"
+gate_figures() {
+    (
+        unset PAD_QUICK
+        cd "$figures_tmp" &&
+            cargo run --release -q --manifest-path "$repo_root/Cargo.toml" \
+                -p pad-bench --bin all >all.out &&
+            cargo run --release -q --manifest-path "$repo_root/Cargo.toml" \
+                -p pad-search --bin fig_search >fig_search.out
+    ) && compare_figures
+}
+compare_figures() {
+    figures_status=0
+    for csv in $(git ls-files 'results/*.csv'); do
+        case "$csv" in
+        results/fig15.csv | results/bench_search.csv) ;;
+        *) cmp "$csv" "$figures_tmp/$csv" || figures_status=1 ;;
+        esac
+    done
+    return $figures_status
+}
+run_gate figures gate_figures
 
 # Benchmark smoke: perfbench builds against this checkout's APIs and
 # passes its own output checks (oracle re-simulation, repeat
