@@ -610,6 +610,11 @@ mod tests {
                 r#"{"op": "advise", "kernel": "dot", "cache": {"size": 32, "line": 64}}"#,
                 ErrorKind::Invalid,
             ),
+            // Fully associative with 1-byte lines: each way holds 1 byte.
+            (
+                r#"{"op": "advise", "kernel": "dot", "cache": {"size": 64, "line": 1, "ways": 64}}"#,
+                ErrorKind::Invalid,
+            ),
         ];
         for (text, kind) in cases {
             match req(text) {

@@ -1,9 +1,9 @@
 //! The core set-associative cache model.
 //!
-//! A cache whose ways hold at least 4 bytes keeps one `u64` word per way:
-//! `tag << 1 | dirty`, or [`INVALID`] while the way is empty. A set's
-//! words sit side by side and stay in replacement order, so recency is a
-//! word's position rather than a timestamp:
+//! A cache keeps one `u64` word per way: `tag << 1 | dirty`, or
+//! [`INVALID`] while the way is empty. A set's words sit side by side and
+//! stay in replacement order, so recency is a word's position rather than
+//! a timestamp:
 //!
 //! - LRU: most recent first. A hit moves its word to the front. A miss
 //!   drops the last word — the least recent line, or an empty way — and
@@ -17,10 +17,9 @@
 //! is dropped before any line is evicted, and it needs no validity test:
 //! its word matches no tag and has its dirty bit clear.
 //!
-//! Ways of 1 or 2 bytes occur only with 1- or 2-byte lines, and their
-//! tags can fill all 64 bits, leaving no room for the dirty bit. Those
-//! caches keep per-line tags, dirty bits and LRU/FIFO timestamps, and run
-//! every access through [`Cache::access`].
+//! [`CacheConfig::try_new`] refuses ways of fewer than 4 bytes, whose
+//! tags could fill all 64 bits and leave no room for the dirty bit, so
+//! every cache fits this one store.
 //!
 //! Set index and tag are shifts and masks of the address (the geometry
 //! is always a power of two), computed inline per access.
@@ -89,10 +88,10 @@ const MISS: AccessOutcome = AccessOutcome {
     evicted: None,
 };
 
-/// An empty way's word in a packed set. A cache whose ways hold
-/// `2^k ≥ 4` bytes has tags below `2^(64 - k) ≤ 2^62`, so no valid word
-/// `tag << 1 | dirty` reaches it; and its dirty bit is clear, so
-/// dropping it writes nothing back.
+/// An empty way's word. [`CacheConfig::try_new`] accepts only ways of
+/// `2^k ≥ 4` bytes, whose tags stay below `2^(64 - k) ≤ 2^62`, so no
+/// valid word `tag << 1 | dirty` reaches it; and its dirty bit is clear,
+/// so dropping it writes nothing back.
 const INVALID: u64 = !1;
 
 /// The seed of the random-replacement xorshift state.
@@ -140,6 +139,19 @@ impl Geometry {
     fn tag(self, line: u64) -> u64 {
         line >> self.set_shift
     }
+
+    /// The byte address of the line with `tag` in `set`: the inverse of
+    /// [`Geometry::set`] and [`Geometry::tag`], which unfolds the XOR of
+    /// the tag's low bits into the set.
+    #[inline(always)]
+    fn line_addr(self, set: usize, tag: u64) -> u64 {
+        let low = if self.xor_index {
+            set as u64 ^ (tag & self.set_mask)
+        } else {
+            set as u64
+        };
+        (tag << self.set_shift | low) << self.line_shift
+    }
 }
 
 /// A single-level set-associative cache.
@@ -152,28 +164,10 @@ pub struct Cache {
     ways: usize,
     lru: bool,
     write_allocate: bool,
-    /// Ways of at least 4 bytes (see [`INVALID`] for why 4): the sets
-    /// live in `words`, and the timestamped store stays empty.
-    packed: bool,
     /// `sets × ways` words in replacement order; set `s` owns
-    /// `words[s * ways .. (s + 1) * ways]`. Empty unless `packed`.
+    /// `words[s * ways .. (s + 1) * ways]`.
     words: Vec<u64>,
-    /// The timestamped store of caches with 1- or 2-byte ways, `sets ×
-    /// ways` slots laid out like `words`. Each set keeps its valid lines
-    /// in a prefix of length `set_len[set]`: allocation appends and
-    /// eviction swap-removes, mirroring [`crate::BaselineCache`]'s `Vec`
-    /// push and `swap_remove`, so random victims match it by index.
-    tags: Vec<u64>,
-    /// Per-line dirty bits, parallel to `tags`.
-    dirty: Vec<bool>,
-    /// Per-line LRU timestamp or FIFO insertion order, parallel to
-    /// `tags`.
-    order: Vec<u64>,
-    /// Number of valid lines in each set's prefix.
-    set_len: Vec<u32>,
     stats: CacheStats,
-    /// The timestamped store's access clock.
-    tick: u64,
     /// Deterministic xorshift state for random replacement.
     rng_state: u64,
 }
@@ -181,24 +175,15 @@ pub struct Cache {
 impl Cache {
     /// Creates an empty (cold) cache.
     pub fn new(config: CacheConfig) -> Self {
-        let sets = config.num_sets() as usize;
         let ways = config.ways() as usize;
-        let packed = config.size() / u64::from(config.ways()) >= 4;
-        let slots = if packed { 0 } else { sets * ways };
         Cache {
             config,
             geometry: Geometry::new(&config),
             ways,
             lru: config.replacement() == ReplacementPolicy::Lru,
             write_allocate: config.write_policy() == WritePolicy::WriteBackAllocate,
-            packed,
-            words: vec![INVALID; if packed { sets * ways } else { 0 }],
-            tags: vec![0; slots],
-            dirty: vec![false; slots],
-            order: vec![0; slots],
-            set_len: vec![0; if packed { 0 } else { sets }],
+            words: vec![INVALID; config.num_sets() as usize * ways],
             stats: CacheStats::default(),
-            tick: 0,
             rng_state: RNG_SEED,
         }
     }
@@ -231,9 +216,7 @@ impl Cache {
     /// rerun picks the same victims as a new cache.
     pub fn reset(&mut self) {
         self.words.fill(INVALID);
-        self.set_len.fill(0);
         self.stats = CacheStats::default();
-        self.tick = 0;
         self.rng_state = RNG_SEED;
     }
 
@@ -242,21 +225,19 @@ impl Cache {
     pub fn access(&mut self, access: Access) -> AccessOutcome {
         self.stats.record_access(access.is_write);
         let line_no = self.geometry.line(access.addr);
-        if !self.packed {
-            self.access_timestamped(access, line_no)
-        } else if self.ways == 1 {
+        if self.ways == 1 {
             self.access_direct_mapped(access, line_no)
         } else {
-            self.access_packed(access, line_no)
+            self.access_multi_way(access, line_no)
         }
     }
 
-    /// [`Cache::access`] on a packed one-way set: one word read, at most
-    /// one written. The set's sole line is the victim under every
-    /// policy, so the random state is never drawn. The classifier,
-    /// victim, heat and hierarchy sinks run the paper's base cache
-    /// through here, and the multi-way path's scan and shifts cost them
-    /// about a fifth of this path's rate.
+    /// [`Cache::access`] on a one-way set: one word read, at most one
+    /// written. The set's sole line is the victim under every policy, so
+    /// the random state is never drawn. The classifier, victim, heat and
+    /// hierarchy sinks run the paper's base cache through here, and the
+    /// multi-way path's scan and shifts cost them about a fifth of this
+    /// path's rate.
     #[inline]
     fn access_direct_mapped(&mut self, access: Access, line_no: u64) -> AccessOutcome {
         let set = self.geometry.set(line_no);
@@ -277,10 +258,10 @@ impl Cache {
         self.evict(set, word)
     }
 
-    /// [`Cache::access`] on a packed multi-way set: a scan for the tag,
-    /// then at most one shift of the set's words.
+    /// [`Cache::access`] on a multi-way set: a scan for the tag, then at
+    /// most one shift of the set's words.
     #[inline]
-    fn access_packed(&mut self, access: Access, line_no: u64) -> AccessOutcome {
+    fn access_multi_way(&mut self, access: Access, line_no: u64) -> AccessOutcome {
         let set = self.geometry.set(line_no);
         let tag = self.geometry.tag(line_no);
         let words = &mut self.words[set * self.ways..(set + 1) * self.ways];
@@ -331,56 +312,8 @@ impl Cache {
         AccessOutcome {
             hit: false,
             writeback,
-            evicted: Some(self.config.line_addr_from(set as u64, dropped >> 1)),
+            evicted: Some(self.geometry.line_addr(set, dropped >> 1)),
         }
-    }
-
-    /// [`Cache::access`] on the timestamped store of a cache with 1- or
-    /// 2-byte ways.
-    fn access_timestamped(&mut self, access: Access, line_no: u64) -> AccessOutcome {
-        self.tick += 1;
-        let dirties = access.is_write && self.write_allocate;
-        let set = self.geometry.set(line_no);
-        let tag = self.geometry.tag(line_no);
-        let base = set * self.ways;
-        let len = self.set_len[set] as usize;
-        if let Some(way) = self.tags[base..base + len].iter().position(|&t| t == tag) {
-            let slot = base + way;
-            if self.lru {
-                self.order[slot] = self.tick;
-            }
-            self.dirty[slot] |= dirties;
-            self.stats.record_hit(access.is_write);
-            return HIT;
-        }
-
-        // Miss.
-        self.stats.record_miss(access.is_write);
-        if access.is_write && !self.write_allocate {
-            // Store miss without allocation: memory is updated directly
-            // and the cache is untouched.
-            return MISS;
-        }
-
-        let mut outcome = MISS;
-        let mut len = len;
-        if len == self.ways {
-            let victim = base + self.pick_victim(base, len);
-            outcome.writeback = self.dirty[victim];
-            outcome.evicted = Some(self.config.line_addr_from(set as u64, self.tags[victim]));
-            self.stats.writebacks += u64::from(outcome.writeback);
-            // swap_remove: the prefix stays packed.
-            self.tags[victim] = self.tags[base + len - 1];
-            self.dirty[victim] = self.dirty[base + len - 1];
-            self.order[victim] = self.order[base + len - 1];
-            len -= 1;
-        }
-        let slot = base + len;
-        self.tags[slot] = tag;
-        self.dirty[slot] = dirties;
-        self.order[slot] = self.tick;
-        self.set_len[set] = (len + 1) as u32;
-        outcome
     }
 
     /// Runs a whole trace through the cache.
@@ -393,16 +326,15 @@ impl Cache {
     /// Runs a contiguous batch of accesses — the tight loop the batched
     /// simulation engine feeds with chunks of the compiled trace.
     ///
-    /// Packed direct-mapped and LRU caches that allocate on writes — the
+    /// Direct-mapped and LRU caches that allocate on writes — the
     /// shapes of the paper's sweeps — dispatch once per slice to a
     /// specialized loop; every other configuration takes the general
     /// [`Cache::access`] path. Both produce identical statistics and
     /// contents.
     pub fn run_slice(&mut self, trace: &[Access]) {
-        let kernel = self.packed && self.write_allocate;
-        if kernel && self.ways == 1 {
+        if self.write_allocate && self.ways == 1 {
             self.run_slice_dm_write_allocate(trace);
-        } else if kernel && self.lru {
+        } else if self.write_allocate && self.lru {
             // Monomorphize the common associativities so each set is a
             // fixed-width array (`W = 0` keeps a dynamic width for every
             // other associativity, e.g. fully associative organizations).
@@ -420,8 +352,8 @@ impl Cache {
         }
     }
 
-    /// Slice loop for packed direct-mapped write-allocate caches: one
-    /// word load and one word store per access, and no branch.
+    /// Slice loop for direct-mapped write-allocate caches: one word load
+    /// and one word store per access, and no branch.
     ///
     /// Hit, miss and writeback are 0/1 masks feeding the counters, and
     /// the set's word is stored unconditionally — after any
@@ -454,9 +386,9 @@ impl Cache {
         tally.flush(&mut self.stats, trace.len() as u64);
     }
 
-    /// Slice loop for packed multi-way LRU write-allocate caches: the
-    /// same set updates as [`Cache::access`], with statistics kept in
-    /// locals and flushed once per slice.
+    /// Slice loop for multi-way LRU write-allocate caches: the same set
+    /// updates as [`Cache::access`], with statistics kept in locals and
+    /// flushed once per slice.
     ///
     /// A hit on the set's front word — the most recent line — costs one
     /// compare and one store. A deeper hit rotates its word to the front;
@@ -506,25 +438,18 @@ impl Cache {
         let set = self.geometry.set(line_no);
         let tag = self.geometry.tag(line_no);
         let base = set * self.ways;
-        if self.packed {
-            return self.words[base..base + self.ways]
-                .iter()
-                .any(|&word| word >> 1 == tag);
-        }
-        self.tags[base..base + self.set_len[set] as usize].contains(&tag)
+        self.words[base..base + self.ways]
+            .iter()
+            .any(|&word| word >> 1 == tag)
     }
 
     /// Valid lines in `set`.
     fn occupancy(&self, set: usize) -> usize {
-        if self.packed {
-            let base = set * self.ways;
-            self.words[base..base + self.ways]
-                .iter()
-                .filter(|&&word| word != INVALID)
-                .count()
-        } else {
-            self.set_len[set] as usize
-        }
+        let base = set * self.ways;
+        self.words[base..base + self.ways]
+            .iter()
+            .filter(|&&word| word != INVALID)
+            .count()
     }
 
     /// Number of currently valid lines.
@@ -559,19 +484,6 @@ impl Cache {
             self.stats.read_misses
         };
         allocations.saturating_sub(self.resident_lines() as u64)
-    }
-
-    /// The timestamped store's victim in the full set at `base`.
-    fn pick_victim(&mut self, base: usize, len: usize) -> usize {
-        match self.config.replacement() {
-            // For LRU `order` is the last-use tick; for FIFO it is the
-            // allocation tick. Either way the minimum is the victim
-            // (ticks are unique, so there are no ties).
-            ReplacementPolicy::Lru | ReplacementPolicy::Fifo => (0..len)
-                .min_by_key(|&way| self.order[base + way])
-                .expect("victim selection only runs on full sets"),
-            ReplacementPolicy::Random => random_way(&mut self.rng_state, len),
-        }
     }
 }
 

@@ -12,15 +12,13 @@
 //! hits exactly when the line was seen before and its stack distance is
 //! `< C` (the LRU inclusion property), so one engine replaces the
 //! per-capacity shadow simulations this module used to run — and its
-//! never-evicting line map doubles as the first-touch set. The histogram
-//! it accumulates additionally yields the full miss-ratio curve of the
-//! same walk for free ([`ClassifyingCache::reuse_histogram`]).
+//! never-evicting line map doubles as the first-touch set.
 
 use std::collections::HashMap;
 
 use crate::cache::{Access, Cache};
 use crate::config::CacheConfig;
-use crate::reuse::{ReuseHistogram, ReuseStack};
+use crate::reuse::ReuseStack;
 use crate::stats::CacheStats;
 
 /// A fully-associative LRU reference model: hash-indexed lines so hits
@@ -178,12 +176,13 @@ pub struct ClassifyingCache {
     /// `k >= capacity` ⇒ the equal-capacity fully-associative LRU cache
     /// misses too (capacity miss).
     reuse: ReuseStack,
-    hist: ReuseHistogram,
     /// Log2 of the line size: the stack is fed line numbers, which pack
     /// its last-use table densely.
     line_shift: u32,
     capacity_lines: u64,
-    stats: ClassifiedStats,
+    /// The three-C counts; `cache` stays default, since [`Self::stats`]
+    /// reads the main cache's counters.
+    classes: ClassifiedStats,
 }
 
 impl ClassifyingCache {
@@ -193,19 +192,16 @@ impl ClassifyingCache {
         ClassifyingCache {
             main: Cache::new(config),
             reuse: ReuseStack::new(),
-            hist: ReuseHistogram::new(),
             line_shift: config.line_size().trailing_zeros(),
             capacity_lines: config.size() / config.line_size(),
-            stats: ClassifiedStats::default(),
+            classes: ClassifiedStats::default(),
         }
     }
 
     /// Performs one access; returns the miss class, or `None` on a hit.
     pub fn access(&mut self, access: Access) -> Option<MissClass> {
         let distance = self.reuse.access(access.addr >> self.line_shift);
-        self.hist.record(distance);
         let outcome = self.main.access(access);
-        self.stats.cache = *self.main.stats();
         if outcome.hit {
             return None;
         }
@@ -215,9 +211,9 @@ impl ClassifyingCache {
             Some(_) => MissClass::Conflict,
         };
         match class {
-            MissClass::Compulsory => self.stats.compulsory += 1,
-            MissClass::Capacity => self.stats.capacity += 1,
-            MissClass::Conflict => self.stats.conflict += 1,
+            MissClass::Compulsory => self.classes.compulsory += 1,
+            MissClass::Capacity => self.classes.capacity += 1,
+            MissClass::Conflict => self.classes.conflict += 1,
         }
         Some(class)
     }
@@ -238,20 +234,16 @@ impl ClassifyingCache {
     }
 
     /// The accumulated classified statistics.
-    pub fn stats(&self) -> &ClassifiedStats {
-        &self.stats
+    pub fn stats(&self) -> ClassifiedStats {
+        ClassifiedStats {
+            cache: *self.main.stats(),
+            ..self.classes
+        }
     }
 
     /// The main (set-associative) cache.
     pub fn main(&self) -> &Cache {
         &self.main
-    }
-
-    /// The reuse-distance histogram of the walk so far — the full
-    /// fully-associative miss-ratio curve, accumulated as a side effect
-    /// of classification.
-    pub fn reuse_histogram(&self) -> &ReuseHistogram {
-        &self.hist
     }
 
     /// Whether the reuse engine's last-use table went to the hash map

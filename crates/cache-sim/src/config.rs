@@ -54,6 +54,13 @@ pub enum ConfigError {
         /// Total number of lines in the cache.
         lines: u64,
     },
+    /// A way holds fewer than 4 bytes (`size / ways < 4`), which takes a
+    /// 1- or 2-byte line. Such a way's tags can fill all 64 bits of the
+    /// word a cache keeps per way, leaving no bit for its dirty flag.
+    WayTooSmall {
+        /// Bytes one way holds.
+        way_bytes: u64,
+    },
 }
 
 impl fmt::Display for ConfigError {
@@ -70,6 +77,9 @@ impl fmt::Display for ConfigError {
                     f,
                     "associativity {ways} invalid for a cache of {lines} lines"
                 )
+            }
+            ConfigError::WayTooSmall { way_bytes } => {
+                write!(f, "way size {way_bytes} B is below the 4-byte minimum")
             }
         }
     }
@@ -136,8 +146,8 @@ impl CacheConfig {
     /// # Errors
     ///
     /// Returns a [`ConfigError`] if sizes are not nonzero powers of two,
-    /// the line is larger than the cache, or `ways` does not evenly divide
-    /// the line count.
+    /// the line is larger than the cache, `ways` does not evenly divide
+    /// the line count, or a way would hold fewer than 4 bytes.
     pub fn try_new(size: u64, line_size: u64, ways: u32) -> Result<Self, ConfigError> {
         if size == 0 || !size.is_power_of_two() {
             return Err(ConfigError::NotPowerOfTwo {
@@ -160,6 +170,10 @@ impl CacheConfig {
         let lines = size / line_size;
         if ways == 0 || u64::from(ways) > lines || !lines.is_multiple_of(u64::from(ways)) {
             return Err(ConfigError::BadAssociativity { ways, lines });
+        }
+        let way_bytes = size / u64::from(ways);
+        if way_bytes < 4 {
+            return Err(ConfigError::WayTooSmall { way_bytes });
         }
         Ok(CacheConfig {
             size,
@@ -355,6 +369,25 @@ mod tests {
             CacheConfig::try_new(1024, 32, 64),
             Err(ConfigError::BadAssociativity { .. })
         ));
+        // Ways of 1 and 2 bytes: direct-mapped, set-associative and fully
+        // associative, at 1- and 2-byte lines.
+        for (size, line, ways, way_bytes) in [
+            (1, 1, 1, 1),
+            (2, 1, 1, 2),
+            (2, 2, 1, 2),
+            (8, 1, 4, 2),
+            (64, 1, 64, 1),
+            (64, 2, 32, 2),
+        ] {
+            assert_eq!(
+                CacheConfig::try_new(size, line, ways),
+                Err(ConfigError::WayTooSmall { way_bytes }),
+                "{size} B, {line} B lines, {ways} ways"
+            );
+        }
+        // Ways of 4 bytes are the smallest accepted.
+        assert!(CacheConfig::try_new(4, 1, 1).is_ok());
+        assert!(CacheConfig::try_new(64, 2, 16).is_ok());
     }
 
     #[test]

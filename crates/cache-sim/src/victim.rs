@@ -10,7 +10,7 @@
 use std::fmt;
 
 use crate::cache::{Access, Cache};
-use crate::config::CacheConfig;
+use crate::config::{CacheConfig, WritePolicy};
 
 /// Statistics of a [`VictimCache`].
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
@@ -60,7 +60,12 @@ impl fmt::Display for VictimStats {
 /// On a main-cache miss the victim buffer is probed; a buffer hit swaps
 /// the line back into the main cache (and the main cache's evictee into
 /// the buffer), costing no memory access. Evicted main-cache lines always
-/// enter the buffer, displacing its LRU entry.
+/// enter the buffer, displacing the entry that entered first.
+///
+/// Under [`WritePolicy::WriteThroughNoAllocate`] a store that misses the
+/// main cache allocates nothing there. If the buffer holds its line, the
+/// store is a victim hit that writes the buffered line in place: the line
+/// stays in the buffer at its position, and nothing else moves.
 ///
 /// # Example
 ///
@@ -119,23 +124,29 @@ impl VictimCache {
         let outcome = self.main.access(access);
         if outcome.hit {
             // A line enters the buffer only when the main cache evicts it
-            // and leaves it on that line's next main miss — the only time
-            // the main cache can allocate it again — so a main hit has no
-            // buffered copy to drop, and it evicts nothing.
+            // and leaves it on that line's next allocating main miss — the
+            // only time the main cache can hold it again — so a main hit
+            // has no buffered copy to drop, and it evicts nothing.
             self.stats.main_hits += 1;
             return true;
         }
-        let line = self.main.config().line_addr(access.addr);
+        let config = self.main.config();
+        let line = config.line_addr(access.addr);
+        let allocated = !access.is_write || config.write_policy() == WritePolicy::WriteBackAllocate;
         let rescued = if let Some(pos) = self.buffer.iter().position(|&l| l == line) {
-            self.buffer.remove(pos);
+            // Unless the main cache just allocated the line, the buffer
+            // keeps the only cached copy.
+            if allocated {
+                self.buffer.remove(pos);
+            }
             self.stats.victim_hits += 1;
             true
         } else {
             self.stats.misses += 1;
             false
         };
-        // The main cache already allocated the line; its evictee (if any)
-        // moves into the buffer.
+        // An allocating miss may have evicted a line from the main cache;
+        // it moves into the buffer. A no-allocate store evicted nothing.
         self.absorb_eviction(outcome.evicted);
         rescued
     }
@@ -240,6 +251,28 @@ mod tests {
             let s = vc.stats();
             assert!(s.main_hits > 0 && s.victim_hits > 0 && s.misses > 0, "{s}");
         }
+    }
+
+    #[test]
+    fn a_no_allocate_store_keeps_its_buffered_line() {
+        // 128 evicts line 0 into the buffer. The store to 0 misses the
+        // main cache and does not allocate there, so the buffer keeps the
+        // line and the next read of it is rescued too.
+        let config = CacheConfig::direct_mapped(128, 32)
+            .with_write_policy(WritePolicy::WriteThroughNoAllocate);
+        let mut vc = VictimCache::new(config, 2);
+        let served: Vec<bool> = [
+            Access::read(0),
+            Access::read(128),
+            Access::write(0),
+            Access::read(0),
+        ]
+        .into_iter()
+        .map(|a| vc.access(a))
+        .collect();
+        assert_eq!(served, [false, false, true, true]);
+        assert_eq!(vc.stats().victim_hits, 2);
+        assert_eq!(vc.stats().misses, 2);
     }
 
     #[test]

@@ -1,12 +1,11 @@
 //! Differential verification of the packed cache.
 //!
 //! `Cache` (one `tag << 1 | dirty` word per way, each set's words kept in
-//! replacement order instead of timestamped, a timestamped store for
-//! ways of 1 or 2 bytes, shift-based indexing) must be *bit-identical*
-//! to `BaselineCache` (the original `Vec<Vec<Line>>` model): the same
-//! `AccessOutcome` on every access and the same final `CacheStats`,
-//! across every replacement policy, write policy, index function, and
-//! associativity. The classifier, which is built on `Cache`, is
+//! replacement order instead of timestamped, shift-based indexing) must
+//! be *bit-identical* to `BaselineCache` (the original `Vec<Vec<Line>>`
+//! model): the same `AccessOutcome` on every access and the same final
+//! `CacheStats`, across every replacement policy, write policy, index
+//! function, and associativity. The classifier, which is built on `Cache`, is
 //! additionally checked against a reference classifier assembled from
 //! `BaselineCache` parts.
 
@@ -163,7 +162,7 @@ fn classifier_matches_baseline_composition() {
             classifier.access(a);
         }
         assert_eq!(
-            *classifier.stats(),
+            classifier.stats(),
             baseline_classified(config, &trace),
             "classified stats diverged under {config}"
         );

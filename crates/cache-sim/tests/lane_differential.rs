@@ -1,18 +1,19 @@
 //! Differential verification of the `run_slice` kernels.
 //!
-//! `Cache::run_slice` routes packed direct-mapped and LRU write-allocate
+//! `Cache::run_slice` routes direct-mapped and LRU write-allocate
 //! configurations through specialized slice loops over one word per
-//! way, for caches whose ways hold at least 4 bytes: a branch-free
-//! direct-mapped loop, and an LRU loop with fixed-width sets at 2, 4, 8
-//! and 16 ways and a dynamic width (`W = 0`) for every other
-//! associativity. Those kernels must be *bit-identical* to the seed's
-//! per-access `BaselineCache` model on any trace, at any slice length,
-//! cut at any slice boundary, and interleaved with `Cache::access`.
+//! way: a branch-free direct-mapped loop, and an LRU loop with
+//! fixed-width sets at 2, 4, 8 and 16 ways and a dynamic width (`W = 0`)
+//! for every other associativity. Those kernels must be *bit-identical*
+//! to the seed's per-access `BaselineCache` model on any trace, at any
+//! slice length, cut at any slice boundary, and interleaved with
+//! `Cache::access`.
 //! This suite drives seeded-random traces through every specialized
 //! shape and checks the full `CacheStats` — not just misses — so a
 //! divergence in writeback or write-miss accounting can't hide behind an
-//! agreeing miss count. Addresses at the top of `u64` probe the packed
-//! word's boundary, where a tag fills all but one bit of it.
+//! agreeing miss count. Addresses at the top of `u64` probe the word's
+//! boundary: with the smallest ways `CacheConfig::try_new` accepts, 4
+//! bytes, a tag fills all but two bits of it.
 
 use pad_cache_sim::{
     Access, BaselineCache, Cache, CacheConfig, CacheStats, IndexFunction, ReplacementPolicy,
@@ -288,14 +289,11 @@ fn access_and_run_slice_interleave() {
 
 #[test]
 fn addresses_at_the_top_of_u64_match_baseline() {
-    // Within 2^12 of `u64::MAX`, a 4-byte cache's tags fill 62 bits —
-    // the packed word's limit — and 1- and 2-byte caches need tags the
-    // word cannot hold, so they must keep the multi-way representation.
+    // Within 2^12 of `u64::MAX`, a 4-byte cache's tags fill 62 bits and
+    // an 8-byte cache's 61: the largest tags a word must hold, since
+    // `CacheConfig::try_new` refuses caches of 1 and 2 bytes.
     for line in [1u64, 2] {
-        for size in [1u64, 2, 4, 8] {
-            if line > size {
-                continue;
-            }
+        for size in [4u64, 8] {
             for index in [IndexFunction::Modulo, IndexFunction::Xor] {
                 let config = CacheConfig::direct_mapped(size, line).with_index_function(index);
                 // Cold reads of the top lines first — the largest tags
@@ -337,16 +335,12 @@ fn addresses_at_the_top_of_u64_match_baseline() {
 
 #[test]
 fn multi_way_caches_at_the_top_of_u64_match_baseline() {
-    // Whether a cache packs its sets depends on the bytes one way holds,
-    // not on the cache's size: 2- and 4-way caches of 4 to 32 bytes whose
-    // ways hold 1 or 2 bytes need tags that fill all 64 bits, and ways of
-    // 4 and 8 bytes hold tags of 62 and 61 bits — the packed word's limit.
+    // A tag's width depends on the bytes one way holds, not on the
+    // cache's size: 2- and 4-way caches of 8 to 32 bytes whose ways hold
+    // 4 and 8 bytes hold tags of 62 and 61 bits, the word's limit.
     for ways in [2u32, 4] {
-        for way_bytes in [1u64, 2, 4, 8] {
+        for way_bytes in [4u64, 8] {
             for line in [1u64, 2] {
-                if line > way_bytes {
-                    continue;
-                }
                 for replacement in [
                     ReplacementPolicy::Lru,
                     ReplacementPolicy::Fifo,

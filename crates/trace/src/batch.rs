@@ -315,7 +315,7 @@ impl Sinks {
     pub fn finish(self) -> BatchResults {
         BatchResults {
             plain: self.plain.iter().map(|c| *c.stats()).collect(),
-            classified: self.classified.iter().map(|c| *c.stats()).collect(),
+            classified: self.classified.iter().map(|c| c.stats()).collect(),
             victim: self.victim.iter().map(|c| *c.stats()).collect(),
             hierarchy: self.hierarchy.iter().map(Hierarchy::stats).collect(),
             reuse: self

@@ -33,7 +33,7 @@ pub(crate) fn simulate_classified(
     for_each_access(program, layout, |a| {
         cache.access(a);
     });
-    *cache.stats()
+    cache.stats()
 }
 
 pub(crate) fn simulate_victim(

@@ -82,13 +82,15 @@ gate_fault_injection() {
 run_gate fault-injection gate_fault_injection
 
 # Flat cache vs seed model, the run_slice kernels, batched vs
-# per-config, W+1-line conflict sets against analytic miss counts, and
-# the compiled walker against the interpreter (streams and counts).
+# per-config, W+1-line conflict sets against analytic miss counts, every
+# sink against a naive model over seeded geometries and streams, and the
+# compiled walker against the interpreter (streams and counts).
 gate_engine_equivalence() {
     cargo test -q -p pad-cache-sim --test flat_equivalence &&
         cargo test -q -p pad-cache-sim --test lane_differential &&
         cargo test -q -p pad-cache-sim --test geometry_conformance &&
         cargo test -q -p pad-trace batch &&
+        cargo test -q -p pad-trace --test sink_differential &&
         cargo test -q -p pad-trace compiled
 }
 run_gate engine-equivalence gate_engine_equivalence
