@@ -127,11 +127,12 @@ fn component_rates(t: &mut Table) {
     ]);
 }
 
-/// The classification-engine guardrail: the legacy per-capacity
-/// `ShadowLru` shadow simulation vs the single-pass reuse-distance
-/// classifier now inside [`ClassifyingCache`]. Three-C counts are
-/// asserted identical before timing; the speedup is recorded into
-/// `BENCH_simulator.json`.
+/// The classification-engine guardrail: the legacy `ShadowLru` shadow
+/// simulation (an O(capacity) scan per eviction) vs the O(1) recency-list
+/// shadow inside [`ClassifyingCache`]. Three-C counts are asserted
+/// identical before timing; the speedup is recorded into
+/// `BENCH_simulator.json` (under the `reuse_best_secs` key the earlier
+/// reuse-distance classifier used).
 fn classify_rates(t: &mut Table) -> (Timing, Timing) {
     let trace = strided_trace(200_000);
     let n = trace.len() as f64;
@@ -169,7 +170,7 @@ fn classify_rates(t: &mut Table) -> (Timing, Timing) {
     assert_eq!(
         legacy_run(),
         reuse_run(),
-        "single-pass classifier diverged from the shadow-simulation classifier"
+        "the classifier diverged from the shadow-simulation classifier"
     );
     let legacy = time_it(WARMUP, MEASURE, || {
         std::hint::black_box(legacy_run());
@@ -178,7 +179,7 @@ fn classify_rates(t: &mut Table) -> (Timing, Timing) {
         std::hint::black_box(reuse_run());
     });
     t.row([
-        "classify/shadow_vs_reuse".to_string(),
+        "classify/legacy_vs_shadow".to_string(),
         mps(n, legacy),
         mps(n, reuse),
         format!("{:.2}x", legacy.best_secs / reuse.best_secs),

@@ -7,105 +7,121 @@
 //! a fully-associative LRU cache of equal capacity would also miss, and
 //! **conflict** otherwise.
 //!
-//! The capacity test is answered by the single-pass reuse-distance engine
-//! ([`crate::ReuseStack`]): a fully-associative LRU cache of `C` lines
-//! hits exactly when the line was seen before and its stack distance is
-//! `< C` (the LRU inclusion property), so one engine replaces the
-//! per-capacity shadow simulations this module used to run — and its
-//! never-evicting line map doubles as the first-touch set.
-
-use std::collections::HashMap;
+//! The capacity test asks one question per access, "would a
+//! fully-associative LRU cache of `C` lines miss?", and the classifier
+//! answers it by simulating that one cache: a `C`-line recency list over
+//! the reuse engine's paged (or hashed) line table, O(1) per access. Each
+//! line it evicts keeps a "seen" mark in the table, so the same lookup
+//! also answers "first touch?".
 
 use crate::cache::{Access, Cache};
 use crate::config::CacheConfig;
-use crate::reuse::ReuseStack;
+use crate::reuse::LastUse;
 use crate::stats::CacheStats;
 
-/// A fully-associative LRU reference model: hash-indexed lines so hits
-/// are O(1), with each miss paying an O(capacity) eviction scan.
-/// Behaviourally identical to
-/// `Cache::new(CacheConfig::fully_associative(..))`, which the tests
-/// verify.
-///
-/// This is the *legacy* shadow the classifier ran once per capacity; the
-/// classifier now derives the same answer from [`ReuseStack`] in a single
-/// pass, and the differential suite pins the two paths against each
-/// other. It remains public only as a reference oracle: the independent
-/// model the tests compare against, and the baseline the
-/// `bench_simulator` classification-speedup measurement times against.
-///
-/// # Example
-///
-/// ```
-/// use pad_cache_sim::ShadowLru;
-///
-/// let mut s = ShadowLru::new(2);
-/// assert!(!s.access(0)); // cold
-/// assert!(!s.access(1)); // cold
-/// assert!(s.access(0)); // still resident
-/// assert!(!s.access(2)); // evicts line 1 (the LRU)
-/// assert!(!s.access(1)); // line 1 was evicted
-/// ```
-#[derive(Debug, Clone)]
-pub struct ShadowLru {
-    lines: HashMap<u64, u64>, // line address -> last-use tick
-    capacity: usize,
-    tick: u64,
+/// Table word of a line that was seen and is not resident; a resident
+/// line's word is its node id plus 2, a line never seen has 0.
+const SEEN: u64 = 1;
+
+/// One resident line of the [`Shadow`], linked in recency order.
+#[derive(Debug, Clone, Copy)]
+struct Node {
+    line: u64,
+    /// The next more recent node; the head's `prev` is the tail.
+    prev: u32,
+    /// The next less recent node; the tail's `next` is the head.
+    next: u32,
 }
 
-impl ShadowLru {
-    /// Creates a shadow holding `capacity` lines.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `capacity` is zero (a zero-line cache cannot allocate).
-    pub fn new(capacity: usize) -> Self {
-        assert!(capacity > 0, "ShadowLru capacity must be nonzero");
-        ShadowLru {
-            lines: HashMap::with_capacity(capacity + 1),
+/// A fully-associative LRU cache of `capacity` lines that remembers every
+/// line it has seen: a circular doubly linked list of resident lines,
+/// most recent at `head`, over a [`LastUse`] table holding each line's
+/// node (or [`SEEN`]). Nodes are grown on demand, up to
+/// `min(capacity, distinct lines)`.
+#[derive(Debug, Clone)]
+struct Shadow {
+    table: LastUse,
+    /// Distinct lines seen, which bounds how far a paged table may grow.
+    distinct: u64,
+    nodes: Vec<Node>,
+    head: u32,
+    capacity: u64,
+}
+
+impl Shadow {
+    fn new(capacity: u64) -> Self {
+        Shadow {
+            table: LastUse::default(),
+            distinct: 0,
+            nodes: Vec::new(),
+            head: 0,
             capacity,
-            tick: 0,
         }
     }
 
-    /// Returns `true` on hit; allocates (evicting the LRU line) on miss.
-    ///
-    /// Cost: O(1) on hit, O(capacity) on a miss that evicts. The tick
-    /// counter is guarded against wraparound: at `u64::MAX` accesses the
-    /// ticks are renumbered by recency rank, preserving LRU order, so
-    /// recency comparisons never see a wrapped counter.
-    pub fn access(&mut self, line: u64) -> bool {
-        if self.tick == u64::MAX {
-            self.renumber_ticks();
+    /// Accesses `line`: `None` if the cache holds it, otherwise the class
+    /// of its miss here — compulsory for a first touch, capacity for a
+    /// line seen and since evicted.
+    #[inline]
+    fn access(&mut self, line: u64) -> Option<MissClass> {
+        let head = self.head as usize;
+        if self.nodes.get(head).is_some_and(|n| n.line == line) {
+            return None;
         }
-        self.tick += 1;
-        let tick = self.tick;
-        if let Some(last) = self.lines.get_mut(&line) {
-            *last = tick;
-            return true;
+        let slot = self.table.slot(line, self.distinct);
+        let word = *slot;
+        if word > SEEN {
+            self.move_to_front((word - 2) as u32);
+            return None;
         }
-        if self.lines.len() == self.capacity {
-            let victim = self
-                .lines
-                .iter()
-                .min_by_key(|&(_, &t)| t)
-                .map(|(&l, _)| l)
-                .expect("capacity > 0");
-            self.lines.remove(&victim);
+        // The node the miss fills: a new one while there is room, else
+        // the least recent, the head's predecessor.
+        let grow = (self.nodes.len() as u64) < self.capacity;
+        let fill = if grow {
+            u32::try_from(self.nodes.len()).expect("shadow node ids fit in u32")
+        } else {
+            self.nodes[head].prev
+        };
+        *slot = u64::from(fill) + 2;
+        if grow {
+            self.nodes.push(Node {
+                line,
+                prev: fill,
+                next: fill,
+            });
+            if fill > 0 {
+                self.link_at_front(fill);
+            }
+        } else {
+            let evicted = std::mem::replace(&mut self.nodes[fill as usize].line, line);
+            *self.table.slot(evicted, self.distinct) = SEEN;
         }
-        self.lines.insert(line, tick);
-        false
+        self.head = fill;
+        if word == 0 {
+            self.distinct += 1;
+            Some(MissClass::Compulsory)
+        } else {
+            Some(MissClass::Capacity)
+        }
     }
 
-    /// Reassigns ticks densely by recency rank. Order-preserving, so the
-    /// LRU victim choice is unchanged; afterwards `tick <= capacity`.
-    fn renumber_ticks(&mut self) {
-        let mut by_recency: Vec<(u64, u64)> = self.lines.iter().map(|(&l, &t)| (t, l)).collect();
-        by_recency.sort_unstable();
-        for (rank, &(_, line)) in by_recency.iter().enumerate() {
-            self.lines.insert(line, rank as u64 + 1);
-        }
-        self.tick = by_recency.len() as u64;
+    /// Unlinks resident node `n` (not the head) and makes it the head.
+    fn move_to_front(&mut self, n: u32) {
+        let Node { prev, next, .. } = self.nodes[n as usize];
+        self.nodes[prev as usize].next = next;
+        self.nodes[next as usize].prev = prev;
+        self.link_at_front(n);
+        self.head = n;
+    }
+
+    /// Links unlinked node `n` between the tail and the head.
+    fn link_at_front(&mut self, n: u32) {
+        let head = self.head;
+        let tail = self.nodes[head as usize].prev;
+        self.nodes[n as usize].prev = tail;
+        self.nodes[n as usize].next = head;
+        self.nodes[tail as usize].next = n;
+        self.nodes[head as usize].prev = n;
     }
 }
 
@@ -153,8 +169,8 @@ impl ClassifiedStats {
     }
 }
 
-/// A cache paired with a single-pass reuse-distance engine for miss
-/// classification.
+/// A cache paired with a fully-associative LRU shadow of equal capacity
+/// for miss classification.
 ///
 /// # Example
 ///
@@ -171,15 +187,12 @@ impl ClassifiedStats {
 #[derive(Debug, Clone)]
 pub struct ClassifyingCache {
     main: Cache,
-    /// One stack-distance engine answers both classifier questions:
-    /// `None` ⇒ first touch (compulsory), and `Some(k)` with
-    /// `k >= capacity` ⇒ the equal-capacity fully-associative LRU cache
-    /// misses too (capacity miss).
-    reuse: ReuseStack,
-    /// Log2 of the line size: the stack is fed line numbers, which pack
-    /// its last-use table densely.
+    /// Answers both classifier questions: a first touch is compulsory,
+    /// a line it does not hold is a capacity miss.
+    shadow: Shadow,
+    /// Log2 of the line size: the shadow is fed line numbers, which pack
+    /// its table densely.
     line_shift: u32,
-    capacity_lines: u64,
     /// The three-C counts; `cache` stays default, since [`Self::stats`]
     /// reads the main cache's counters.
     classes: ClassifiedStats,
@@ -191,25 +204,19 @@ impl ClassifyingCache {
     pub fn new(config: CacheConfig) -> Self {
         ClassifyingCache {
             main: Cache::new(config),
-            reuse: ReuseStack::new(),
+            shadow: Shadow::new(config.size() / config.line_size()),
             line_shift: config.line_size().trailing_zeros(),
-            capacity_lines: config.size() / config.line_size(),
             classes: ClassifiedStats::default(),
         }
     }
 
     /// Performs one access; returns the miss class, or `None` on a hit.
     pub fn access(&mut self, access: Access) -> Option<MissClass> {
-        let distance = self.reuse.access(access.addr >> self.line_shift);
-        let outcome = self.main.access(access);
-        if outcome.hit {
+        let shadow = self.shadow.access(access.addr >> self.line_shift);
+        if self.main.access(access).hit {
             return None;
         }
-        let class = match distance {
-            None => MissClass::Compulsory,
-            Some(k) if k >= self.capacity_lines => MissClass::Capacity,
-            Some(_) => MissClass::Conflict,
-        };
+        let class = shadow.unwrap_or(MissClass::Conflict);
         match class {
             MissClass::Compulsory => self.classes.compulsory += 1,
             MissClass::Capacity => self.classes.capacity += 1,
@@ -246,16 +253,18 @@ impl ClassifyingCache {
         &self.main
     }
 
-    /// Whether the reuse engine's last-use table went to the hash map
-    /// ([`ReuseStack::is_hashed`]).
+    /// Whether the shadow's line table went to the hash map, as
+    /// [`crate::ReuseStack::is_hashed`] does for the same lines.
     pub fn is_hashed(&self) -> bool {
-        self.reuse.is_hashed()
+        self.shadow.table.is_hashed()
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::reference::ShadowLru;
+    use crate::reuse::ReuseStack;
 
     #[test]
     fn classes_partition_misses() {
@@ -334,7 +343,7 @@ mod tests {
 
     #[test]
     fn reuse_stack_matches_shadow_lru_hit_for_hit() {
-        // The inclusion-property equivalence the classifier now relies
+        // The inclusion property the reuse histogram's miss counts rely
         // on: shadow hit ⟺ seen before ∧ distance < capacity.
         let capacity = 64u64;
         let mut shadow = ShadowLru::new(capacity as usize);
@@ -347,6 +356,40 @@ mod tests {
                 shadow_hit, stack_hit,
                 "diverged at access {i} (line {line})"
             );
+        }
+    }
+
+    #[test]
+    fn the_shadow_grows_its_nodes_with_the_lines_it_holds() {
+        // A 2^40-line shadow: nodes for the lines seen, never the
+        // capacity, and a reuse at any depth hits.
+        let mut s = Shadow::new(1 << 40);
+        for line in 0..1000u64 {
+            assert_eq!(s.access(line * 3), Some(MissClass::Compulsory));
+        }
+        assert_eq!(s.nodes.len(), 1000);
+        for line in (0..1000u64).rev() {
+            assert_eq!(s.access(line * 3), None, "line {line}");
+        }
+        assert_eq!(s.nodes.len(), 1000);
+    }
+
+    #[test]
+    fn the_shadow_matches_shadow_lru_at_every_small_capacity() {
+        for capacity in 1..=9u64 {
+            let mut shadow = Shadow::new(capacity);
+            let mut reference = ShadowLru::new(capacity as usize);
+            let mut seen = std::collections::HashSet::new();
+            for i in 0..4_000u64 {
+                let line = (i.wrapping_mul(2654435761) >> 3) % 13;
+                let hit = reference.access(line);
+                let want = if seen.insert(line) {
+                    Some(MissClass::Compulsory)
+                } else {
+                    (!hit).then_some(MissClass::Capacity)
+                };
+                assert_eq!(shadow.access(line), want, "capacity {capacity}, access {i}");
+            }
         }
     }
 

@@ -40,6 +40,12 @@ pub struct LevelStats {
 #[derive(Debug, Clone)]
 pub struct Hierarchy {
     levels: Vec<Cache>,
+    /// The accesses pending at the current level and those it passes to
+    /// the next, kept between accesses so that none allocates once they
+    /// have grown: a miss and a writeback can each miss and write back
+    /// below, so the list can double at every level.
+    current: Vec<Access>,
+    next: Vec<Access>,
 }
 
 impl Hierarchy {
@@ -52,6 +58,8 @@ impl Hierarchy {
         assert!(!configs.is_empty(), "a hierarchy needs at least one level");
         Hierarchy {
             levels: configs.into_iter().map(Cache::new).collect(),
+            current: Vec::new(),
+            next: Vec::new(),
         }
     }
 
@@ -63,22 +71,23 @@ impl Hierarchy {
     /// Performs an access; misses propagate downward, and dirty evictions
     /// propagate as writes to the next level.
     pub fn access(&mut self, access: Access) {
-        let mut current: Vec<Access> = vec![access];
+        self.current.clear();
+        self.current.push(access);
         for level in &mut self.levels {
-            let mut next: Vec<Access> = Vec::new();
-            for a in current {
+            self.next.clear();
+            for &a in &self.current {
                 let outcome = level.access(a);
                 if !outcome.hit {
-                    next.push(a);
+                    self.next.push(a);
                 }
                 if let (true, Some(victim)) = (outcome.writeback, outcome.evicted) {
-                    next.push(Access::write(victim));
+                    self.next.push(Access::write(victim));
                 }
             }
-            if next.is_empty() {
+            if self.next.is_empty() {
                 return;
             }
-            current = next;
+            std::mem::swap(&mut self.current, &mut self.next);
         }
     }
 

@@ -35,6 +35,7 @@ mod config;
 mod heat;
 mod hierarchy;
 mod index;
+pub mod reference;
 mod replacement;
 mod reuse;
 mod rng;
@@ -45,11 +46,12 @@ mod victim;
 
 pub use baseline::BaselineCache;
 pub use cache::{Access, AccessOutcome, Cache};
-pub use classify::{ClassifiedStats, ClassifyingCache, MissClass, ShadowLru};
+pub use classify::{ClassifiedStats, ClassifyingCache, MissClass};
 pub use config::{CacheConfig, ConfigError, WritePolicy};
 pub use heat::{HeatClass, SetHeatReport, SetHeatRow, SetHeatTracker};
 pub use hierarchy::{Hierarchy, LevelStats};
 pub use index::IndexFunction;
+pub use reference::ShadowLru;
 pub use replacement::ReplacementPolicy;
 pub use reuse::{ReuseAnalyzer, ReuseHistogram, ReuseStack};
 pub use rng::{splitmix64, SplitMix64, XorShift64Star};

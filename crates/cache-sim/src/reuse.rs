@@ -4,17 +4,19 @@
 //! *distinct other lines* touched since that line's previous access — its
 //! LRU stack distance. By the LRU inclusion property, a fully-associative
 //! LRU cache of capacity `C` lines hits exactly when the line has been
-//! seen before **and** its stack distance is `< C`. Recording the
-//! distances in a histogram therefore yields the *exact* miss count of
-//! every fully-associative capacity at once:
+//! seen before **and** its stack distance is `< C`. Every miss-ratio
+//! query asks a power-of-two capacity `C = 2^k`, and the distances
+//! `≥ 2^k` are whole power-of-two buckets, so a log2 histogram of the
+//! distances ([`ReuseHistogram`], at most 65 counts) yields the *exact*
+//! miss count of every such capacity at once:
 //!
 //! ```text
-//! misses(C) = cold_misses + Σ_{d ≥ C} histogram[d]
+//! misses(2^k) = cold_misses + Σ_{b ≥ k+1} bucket[b],   bucket b ≥ 1 = [2^(b−1), 2^b)
 //! ```
 //!
 //! This replaces the one-shadow-per-capacity approach (`ShadowLru`) with a
 //! single engine, and is what powers the miss-ratio-curve experiment
-//! (`fig_mrc`) and the three-C classifier's capacity test.
+//! (`fig_mrc`), the advisor's curve and `padtool ingest --mrc`.
 //!
 //! The engine numbers accesses with *ticks* and keeps two structures:
 //!
@@ -78,9 +80,11 @@ const PAGE: usize = 1 << PAGE_SHIFT;
 /// One page of the last-use table: the slots of `PAGE` consecutive lines.
 type Page = Box<[u64; PAGE]>;
 
-/// Line id → tick of its latest access, 0 for a line never seen.
+/// Line id → a nonzero word per line seen, 0 for a line never seen: the
+/// tick of its latest access here, the shadow's node or "seen" mark in
+/// [`crate::ClassifyingCache`].
 #[derive(Debug, Clone)]
-enum LastUse {
+pub(crate) enum LastUse {
     /// `dir[i]`, once allocated, holds the slots of lines
     /// `base + i * PAGE ..` (mod 2^64); `base` is a multiple of `PAGE`.
     Paged {
@@ -106,7 +110,7 @@ impl LastUse {
     /// The slot of `line` (0 if the line is new). `distinct` lines are in
     /// the table, which sets how far a paged table may grow.
     #[inline]
-    fn slot(&mut self, line: u64, distinct: u64) -> &mut u64 {
+    pub(crate) fn slot(&mut self, line: u64, distinct: u64) -> &mut u64 {
         // The hit path checks, then indexes, with no call in between, so
         // the compiler folds the two lookups into one.
         if !self.has_page(line) {
@@ -191,6 +195,11 @@ impl LastUse {
         let i = (line.wrapping_sub(*base) >> PAGE_SHIFT) as usize;
         dir[i] = Some(vec![0; PAGE].try_into().expect("PAGE slots"));
         *pages += 1;
+    }
+
+    /// Whether the table has left its pages for the hash map.
+    pub(crate) fn is_hashed(&self) -> bool {
+        matches!(self, LastUse::Hashed(_))
     }
 
     /// Applies `f` to every seen line's tick.
@@ -435,7 +444,7 @@ impl ReuseStack {
     /// which it does once and for good when the lines seen are too
     /// sparse to page (telemetry/diagnostics).
     pub fn is_hashed(&self) -> bool {
-        matches!(self.last, LastUse::Hashed(_))
+        self.last.is_hashed()
     }
 
     /// Renumbers each live tick to its rank once ticks reach 4x the live
@@ -464,8 +473,26 @@ impl ReuseStack {
     }
 }
 
-/// A reuse-distance histogram: cold (first-touch) count plus a count per
-/// stack distance.
+/// Buckets of a [`ReuseHistogram`]: bucket 0 holds distance 0 and bucket
+/// `b ≥ 1` distances `[2^(b−1), 2^b)`, so 65 cover every `u64`.
+const BUCKETS: usize = 65;
+
+/// The bucket of stack distance `d`, which is also the first bucket a
+/// `d`-line fully-associative LRU cache misses on when `d` is a power of
+/// two (or zero).
+fn bucket(d: u64) -> usize {
+    (u64::BITS - d.leading_zeros()) as usize
+}
+
+/// A log2 reuse-distance histogram: the cold (first-touch) count plus a
+/// count per power-of-two bucket of stack distance — bucket 0 is distance
+/// 0, bucket `b ≥ 1` is `[2^(b−1), 2^b)`.
+///
+/// A fully-associative LRU cache of `C = 2^k` lines misses on exactly the
+/// distances `≥ 2^k`, which are whole buckets `k + 1` and up, so every
+/// power-of-two capacity (and 0) is answered exactly from at most 65
+/// counts. Any other capacity is answered at the largest power of two
+/// below it: an upper bound on its misses.
 ///
 /// Merging two histograms is element-wise addition, so chunk-local
 /// histograms from parallel workers combine into exactly the histogram a
@@ -486,14 +513,23 @@ impl ReuseStack {
 /// assert_eq!(h.accesses(), 6);
 /// assert_eq!(h.misses_at(2), 4); // line 0's last reuse (distance 2) misses
 /// assert_eq!(h.misses_at(4), 3); // everything warm hits
+/// assert_eq!(h.misses_at(3), h.misses_at(2)); // answered at 2 lines
 /// ```
-#[derive(Debug, Clone, Default, PartialEq, Eq)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct ReuseHistogram {
     cold: u64,
-    /// `counts[d]` = number of accesses with stack distance exactly `d`.
-    /// Invariant: the last element, if any, is nonzero — so structural
-    /// equality is semantic equality.
-    counts: Vec<u64>,
+    /// `counts[b]` = number of accesses with a stack distance in bucket
+    /// `b`.
+    counts: [u64; BUCKETS],
+}
+
+impl Default for ReuseHistogram {
+    fn default() -> Self {
+        ReuseHistogram {
+            cold: 0,
+            counts: [0; BUCKETS],
+        }
+    }
 }
 
 impl ReuseHistogram {
@@ -510,21 +546,12 @@ impl ReuseHistogram {
     /// Records one access outcome carrying `weight` accesses' worth of
     /// evidence — the primitive the SHARDS-style sampled analyzer
     /// ([`crate::SampledReuseAnalyzer`]) scales its observations with.
-    /// `weight == 0` records nothing (the element-wise merge and the
-    /// trailing-nonzero invariant both stay intact).
+    /// The distance lands in its power-of-two bucket; `weight == 0`
+    /// records nothing.
     pub fn record_weighted(&mut self, distance: Option<u64>, weight: u64) {
-        if weight == 0 {
-            return;
-        }
         match distance {
             None => self.cold += weight,
-            Some(d) => {
-                let d = d as usize;
-                if d >= self.counts.len() {
-                    self.counts.resize(d + 1, 0);
-                }
-                self.counts[d] += weight;
-            }
+            Some(d) => self.counts[bucket(d)] += weight,
         }
     }
 
@@ -539,48 +566,53 @@ impl ReuseHistogram {
         self.cold + self.counts.iter().sum::<u64>()
     }
 
-    /// The per-distance counts (index = stack distance).
+    /// The per-bucket counts (index = bucket: 0 is distance 0, `b ≥ 1` is
+    /// `[2^(b−1), 2^b)`), up to the last nonzero one.
     pub fn counts(&self) -> &[u64] {
-        &self.counts
+        let len = self
+            .counts
+            .iter()
+            .rposition(|&c| c != 0)
+            .map_or(0, |b| b + 1);
+        &self.counts[..len]
     }
 
-    /// Largest stack distance observed, or `None` if every access was
-    /// cold (or none were recorded).
+    /// The largest distance of the top nonzero bucket, `2^b − 1` for
+    /// bucket `b`: a bound on the largest stack distance observed, exact
+    /// at a power of two minus one. `None` if every access was cold (or
+    /// none were recorded).
     pub fn max_distance(&self) -> Option<u64> {
-        self.counts.len().checked_sub(1).map(|d| d as u64)
+        let b = self.counts().len().checked_sub(1)? as u32;
+        Some(u64::MAX.checked_shr(u64::BITS - b).unwrap_or(0))
     }
 
     /// Adds `other` into `self` element-wise.
     pub fn merge(&mut self, other: &ReuseHistogram) {
         self.cold += other.cold;
-        if other.counts.len() > self.counts.len() {
-            self.counts.resize(other.counts.len(), 0);
-        }
         for (acc, &c) in self.counts.iter_mut().zip(&other.counts) {
             *acc += c;
         }
     }
 
     /// Exact miss count of a fully-associative LRU cache holding
-    /// `capacity_lines` lines: every cold access misses, plus every reuse
-    /// at distance ≥ capacity.
+    /// `capacity_lines` lines, for a power of two or 0: every cold access
+    /// misses, plus every reuse at distance ≥ capacity. Any other
+    /// capacity is answered at the largest power of two below it, an
+    /// upper bound on its misses.
     pub fn misses_at(&self, capacity_lines: u64) -> u64 {
-        self.cold
-            + self.counts[self.index_of(capacity_lines)..]
-                .iter()
-                .sum::<u64>()
+        self.cold + self.counts[bucket(capacity_lines)..].iter().sum::<u64>()
     }
 
     /// Miss ratio (in `[0, 1]`) of a fully-associative LRU cache of
-    /// `capacity_lines` lines; 0 when no accesses were recorded.
+    /// `capacity_lines` lines; 0 when no accesses were recorded. Exact at
+    /// a power of two or 0, and rounded down to a power of two otherwise,
+    /// as in [`misses_at`](Self::misses_at).
     pub fn miss_ratio_at(&self, capacity_lines: u64) -> f64 {
         ratio(self.misses_at(capacity_lines), self.accesses())
     }
 
     /// [`miss_ratio_at`](Self::miss_ratio_at) at each of `capacities`
-    /// (in lines, ascending), bit for bit, in one backward pass over the
-    /// counts: a whole miss-ratio curve for the price of one
-    /// [`accesses`](Self::accesses).
+    /// (in lines, ascending): a whole miss-ratio curve.
     ///
     /// # Panics
     ///
@@ -604,42 +636,15 @@ impl ReuseHistogram {
             capacities.is_sorted(),
             "capacities must be in ascending order"
         );
-        // Misses at each capacity, largest first: the cold count plus a
-        // running sum of the counts from that capacity's index up.
-        let (mut misses, mut end) = (self.cold, self.counts.len());
-        let tails: Vec<u64> = capacities
-            .iter()
-            .rev()
-            .map(|&c| {
-                let from = self.index_of(c);
-                misses += self.counts[from..end].iter().sum::<u64>();
-                end = from;
-                misses
-            })
-            .collect();
-        let accesses = misses + self.counts[..end].iter().sum::<u64>();
-        tails
-            .into_iter()
-            .rev()
-            .map(|m| ratio(m, accesses))
-            .collect()
-    }
-
-    /// The first count a `capacity_lines`-line cache misses on.
-    fn index_of(&self, capacity_lines: u64) -> usize {
-        usize::try_from(capacity_lines).map_or(self.counts.len(), |c| c.min(self.counts.len()))
+        capacities.iter().map(|&c| self.miss_ratio_at(c)).collect()
     }
 
     /// The power-of-two capacities worth querying: 1, 2, 4, ... up to and
-    /// including the first capacity at which only cold misses remain.
+    /// including the first capacity at which only cold misses remain
+    /// (2^63 at most).
     pub fn pow2_capacities(&self) -> Vec<u64> {
-        let mut caps = vec![1u64];
-        let max = self.max_distance().unwrap_or(0);
-        while *caps.last().expect("non-empty") <= max {
-            let next = caps.last().expect("non-empty") * 2;
-            caps.push(next);
-        }
-        caps
+        let top = self.counts().len().saturating_sub(1).min(63);
+        (0..=top).map(|b| 1u64 << b).collect()
     }
 }
 
@@ -741,24 +746,8 @@ impl ReuseAnalyzer {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::reference::NaiveStack;
     use crate::rng::XorShift64Star;
-
-    /// O(n²) reference: explicit LRU stack with move-to-front.
-    #[derive(Default)]
-    struct NaiveStack {
-        stack: Vec<u64>, // most recent first
-    }
-
-    impl NaiveStack {
-        fn access(&mut self, line: u64) -> Option<u64> {
-            let pos = self.stack.iter().position(|&l| l == line);
-            if let Some(p) = pos {
-                self.stack.remove(p);
-            }
-            self.stack.insert(0, line);
-            pos.map(|p| p as u64)
-        }
-    }
 
     #[test]
     fn basic_distances() {
@@ -1074,6 +1063,32 @@ mod tests {
     }
 
     #[test]
+    fn histogram_buckets_span_every_u64_distance() {
+        let mut h = ReuseHistogram::new();
+        for d in [0, 1, 2, 3, 4, 7, 8, u64::MAX >> 1, u64::MAX] {
+            h.record(Some(d));
+        }
+        // Buckets 0, 1, 2, 2, 3, 3, 4, 63, 64.
+        assert_eq!(h.counts().len(), BUCKETS);
+        assert_eq!(h.counts()[2], 2);
+        assert_eq!(h.counts()[3], 2);
+        assert_eq!(h.max_distance(), Some(u64::MAX));
+        assert_eq!(h.misses_at(0), 9);
+        assert_eq!(h.misses_at(4), 5); // 4 and up: 4, 7, 8, 2^63 - 1, u64::MAX
+        assert_eq!(h.misses_at(5), h.misses_at(4)); // answered at 4 lines
+        assert_eq!(h.misses_at(1 << 63), 1);
+        assert_eq!(h.misses_at(u64::MAX), 1);
+        let caps = h.pow2_capacities();
+        assert_eq!(caps.len(), 64);
+        assert_eq!(caps.last(), Some(&(1 << 63)));
+        let mut empty = ReuseHistogram::new();
+        assert_eq!(empty.max_distance(), None);
+        empty.record(Some(0));
+        assert_eq!(empty.max_distance(), Some(0));
+        assert_eq!(empty.pow2_capacities(), vec![1]);
+    }
+
+    #[test]
     fn histogram_merge_is_elementwise() {
         let mut a = ReuseHistogram::new();
         a.record(None);
@@ -1087,7 +1102,8 @@ mod tests {
         assert_eq!(merged.cold(), 1);
         assert_eq!(merged.accesses(), 5);
         assert_eq!(merged.counts()[2], 2);
-        assert_eq!(merged.counts()[5], 1);
+        // Distance 5 is in bucket 3, [4, 8).
+        assert_eq!(merged.counts()[3], 1);
         // Merging in the other order gives the identical value.
         let mut other = b.clone();
         other.merge(&a);

@@ -1,29 +1,35 @@
-//! Differential suite for the single-pass reuse-distance engine.
+//! Differential suite for the single-pass reuse-distance engine and the
+//! classifier's fully-associative shadow.
 //!
 //! Two independent implementations answer the same question:
 //!
 //! 1. The reuse histogram's `misses_at(C)` — derived from one stack-
 //!    distance walk — must equal a full fully-associative LRU simulation
 //!    (`Cache::new(CacheConfig::fully_associative(..))`) at *every*
-//!    power-of-two capacity, on dozens of randomized traces.
-//! 2. The post-refactor `ClassifyingCache` (reuse-stack capacity test)
-//!    must produce byte-identical per-access classes and final stats to
-//!    the pre-refactor shadow-simulation classifier, reconstructed here
-//!    from the public `ShadowLru` reference model.
+//!    power-of-two capacity, on dozens of randomized traces, and equal
+//!    `ShadowLru`'s miss count for reuses either side of every bucket
+//!    boundary up to 2^12 lines.
+//! 2. `ClassifyingCache` must produce byte-identical per-access classes
+//!    and final stats to the shadow-simulation classifier, built here
+//!    from the public `ShadowLru` reference model: on random traces, on
+//!    cyclic sweeps of `C − 1`, `C` and `C + 1` lines, and with `C` above
+//!    the lines touched.
 //! 3. On traces shaped to reach every internal path of the engine —
 //!    long enough to compact, sparse enough to leave the paged last-use
 //!    table for a hash map (from the start or mid-trace), lines arriving
 //!    below the table's base, addresses wrapped near `u64::MAX` —
 //!    `ReuseAnalyzer` and `SampledReuseAnalyzer` at rate 1 produce
-//!    exactly the histogram of a naive move-to-front stack, whose miss
-//!    counts match `ShadowLru`'s, and `ClassifyingCache` matches the
-//!    shadow-simulation classifier access by access.
+//!    exactly the histogram of a naive move-to-front stack
+//!    (`reference::NaiveStack`), whose miss counts match `ShadowLru`'s,
+//!    and `ClassifyingCache` matches the shadow-simulation classifier
+//!    access by access.
 
 use std::collections::HashSet;
 
+use pad_cache_sim::reference::NaiveStack;
 use pad_cache_sim::{
     Access, Cache, CacheConfig, ClassifiedStats, ClassifyingCache, MissClass, ReuseAnalyzer,
-    ReuseHistogram, SampledReuseAnalyzer, ShadowLru, XorShift64Star,
+    ReuseHistogram, ReuseStack, SampledReuseAnalyzer, ShadowLru, XorShift64Star,
 };
 
 const LINE: u64 = 32;
@@ -186,22 +192,6 @@ fn classifier_is_bit_identical_to_the_shadow_simulation_classifier() {
 /// engine compacts every ~4096 ticks at these footprints).
 const LONG_LEN: u64 = 24_000;
 
-/// The O(n · depth) reference: an explicit LRU stack with move-to-front.
-fn naive_histogram(trace: &[Access], line_size: u64) -> ReuseHistogram {
-    let mut stack: Vec<u64> = Vec::new(); // most recent first
-    let mut hist = ReuseHistogram::new();
-    for a in trace {
-        let line = a.addr / line_size;
-        let pos = stack.iter().position(|&l| l == line);
-        if let Some(p) = pos {
-            stack.remove(p);
-        }
-        stack.insert(0, line);
-        hist.record(pos.map(|p| p as u64));
-    }
-    hist
-}
-
 /// Reads of line `line(i, rng)` at access `i`, with in-line byte offsets.
 fn line_trace(
     seed: u64,
@@ -222,7 +212,7 @@ fn line_trace(
 /// the shadow-simulation classifier, access by access. `hashed` is
 /// whether the trace is sparse enough to leave the paged table.
 fn assert_engines_match_naive(trace: &[Access], line_size: u64, label: &str, hashed: bool) {
-    let expected = naive_histogram(trace, line_size);
+    let expected = NaiveStack::histogram(trace, line_size);
     let mut exact = ReuseAnalyzer::new(line_size);
     exact.run_slice(trace);
     assert_eq!(exact.histogram(), &expected, "{label}: ReuseAnalyzer");
@@ -324,5 +314,153 @@ fn addresses_wrapped_near_u64_max_stay_exact() {
             &format!("wrapped, line {line_size}"),
             line_size == LINE,
         );
+    }
+}
+
+#[test]
+fn reuses_either_side_of_each_bucket_boundary_match_shadow_lru() {
+    // Lines 0..=d, then line 0 again at stack distance exactly d, for d
+    // at 2^k − 1, 2^k and 2^k + 1: the first and last of one bucket and
+    // the first of the next, at 1 line and at the three capacities around
+    // the boundary. `ShadowLru` scans its lines on each eviction, so k
+    // stops at 12.
+    for k in 0..=12u32 {
+        for d in [(1u64 << k) - 1, 1 << k, (1 << k) + 1] {
+            let lines: Vec<u64> = (0..=d).chain([0]).collect();
+            let mut stack = ReuseStack::new();
+            let mut hist = ReuseHistogram::new();
+            for &line in &lines {
+                hist.record(stack.access(line));
+            }
+            for capacity in [1, 1 << k.saturating_sub(1), 1 << k, 2 << k] {
+                let mut shadow = ShadowLru::new(capacity as usize);
+                let misses = lines.iter().filter(|&&l| !shadow.access(l)).count();
+                assert_eq!(
+                    hist.misses_at(capacity),
+                    misses as u64,
+                    "distance {d}, capacity {capacity} lines"
+                );
+            }
+        }
+    }
+}
+
+#[test]
+fn capacities_between_powers_of_two_are_answered_at_the_power_below() {
+    for seed in 1..=SEEDS {
+        let trace = random_trace(seed);
+        let mut analyzer = ReuseAnalyzer::new(LINE);
+        analyzer.run_slice(&trace);
+        let hist = analyzer.histogram();
+        assert_eq!(hist.misses_at(0), trace.len() as u64, "seed {seed}");
+        assert_eq!(hist.misses_at(3), hist.misses_at(2), "seed {seed}");
+        for k in 0..10 {
+            let at_power = hist.misses_at(1 << k);
+            for capacity in (1 << k) + 1..2 << k {
+                assert_eq!(hist.misses_at(capacity), at_power, "seed {seed}");
+            }
+        }
+    }
+}
+
+/// `ClassifyingCache` against the shadow-simulation classifier, access by
+/// access and in final stats; returns the finished classifier.
+fn assert_classifier_matches_legacy(
+    config: CacheConfig,
+    trace: &[Access],
+    label: &str,
+) -> ClassifyingCache {
+    let mut legacy = LegacyClassifier::new(config);
+    let mut current = ClassifyingCache::new(config);
+    for (i, &access) in trace.iter().enumerate() {
+        assert_eq!(
+            current.access(access),
+            legacy.access(access),
+            "{label}, {config:?}: class diverged at access {i}"
+        );
+    }
+    assert_eq!(current.stats(), legacy.stats, "{label}, {config:?}");
+    current
+}
+
+#[test]
+fn cyclic_sweeps_around_the_capacity_match_the_shadow_simulation_classifier() {
+    // Sweeps of C − 1 and C lines fit the fully-associative shadow (every
+    // warm miss is a conflict); C + 1 lines thrash it (every warm miss is
+    // a capacity miss). C = 1 is the single-node list.
+    for capacity in [1u64, 2, 4, 8, 64, 512] {
+        let bytes = capacity * LINE;
+        let mut configs = vec![
+            CacheConfig::direct_mapped(bytes, LINE),
+            CacheConfig::fully_associative(bytes, LINE),
+        ];
+        if capacity >= 2 {
+            configs.push(CacheConfig::set_associative(bytes, LINE, 2));
+        }
+        for lines in [capacity - 1, capacity, capacity + 1] {
+            if lines == 0 {
+                continue;
+            }
+            // Sweeps with a random line now and then, so reuses come at
+            // depths other than the sweep's.
+            let mut rng = XorShift64Star::new(capacity * 3 + lines);
+            let trace: Vec<Access> = (0..6 * lines + 64)
+                .map(|i| {
+                    let line = if rng.below(8) == 0 {
+                        rng.below(lines)
+                    } else {
+                        i % lines
+                    };
+                    Access::read(line * LINE + rng.below(LINE))
+                })
+                .collect();
+            for config in &configs {
+                let label = format!("{lines}-line sweep, capacity {capacity}");
+                let stats = assert_classifier_matches_legacy(*config, &trace, &label).stats();
+                if lines <= capacity {
+                    assert_eq!(stats.capacity, 0, "{label}");
+                }
+            }
+        }
+    }
+}
+
+#[test]
+fn a_capacity_above_the_lines_touched_never_takes_a_capacity_miss() {
+    for seed in 1..=SEEDS {
+        let trace = random_trace(seed);
+        for config in [
+            CacheConfig::direct_mapped(4096 * LINE, LINE),
+            CacheConfig::set_associative(1024 * LINE, LINE, 4),
+        ] {
+            let stats =
+                assert_classifier_matches_legacy(config, &trace, &format!("seed {seed}")).stats();
+            assert_eq!(stats.capacity, 0, "seed {seed}");
+        }
+    }
+}
+
+#[test]
+fn evictions_from_a_hashed_shadow_table_match_the_shadow_simulation_classifier() {
+    // Sweeps of 65 lines 2^24 apart through a 64-line cache: the table is
+    // hashed, and every warm access evicts and re-misses there.
+    let mut rng = XorShift64Star::new(31);
+    let trace: Vec<Access> = (0..LONG_LEN)
+        .map(|i| {
+            let line = if rng.below(8) == 0 {
+                rng.below(65)
+            } else {
+                i % 65
+            };
+            Access::read((line << 24) * LINE)
+        })
+        .collect();
+    for config in [
+        CacheConfig::direct_mapped(64 * LINE, LINE),
+        CacheConfig::fully_associative(64 * LINE, LINE),
+    ] {
+        let current = assert_classifier_matches_legacy(config, &trace, "sparse sweep");
+        assert!(current.is_hashed(), "{config:?}: the sparse lines hash");
+        assert!(current.stats().capacity > 0, "{config:?}");
     }
 }

@@ -330,6 +330,12 @@ impl Sinks {
     /// The end-of-walk telemetry: a final sample from every sampler (so
     /// short walks still yield one data point each), one counter per
     /// reuse and heat sink, then the walk's `sim` throughput span.
+    ///
+    /// A `reuse` counter carries `accesses`, `distinct_lines`,
+    /// `compactions`, `table` (`paged`/`hashed`) and `max_distance`, the
+    /// bound of the histogram's top power-of-two bucket
+    /// ([`ReuseHistogram::max_distance`]): `2^b − 1` when the largest
+    /// distance lies in `[2^(b−1), 2^b)`.
     fn emit_walk_events(&self, name: &str, start_us: u64, accesses: u64, chunks: u64) {
         for (i, s) in &self.plain_samplers {
             s.sample(&self.plain[*i]);

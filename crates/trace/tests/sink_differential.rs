@@ -27,14 +27,16 @@
 //!   `CacheConfig::set_of`, classified on the documented ladder.
 //! - a classifier is a `BaselineCache`, a fully-associative LRU list of
 //!   equal capacity and a set of the lines seen.
-//! - reuse distances come from a move-to-front stack.
+//! - reuse distances come from a move-to-front stack,
+//!   `pad_cache_sim::reference::NaiveStack`.
 
 use std::collections::HashSet;
 
+use pad_cache_sim::reference::NaiveStack;
 use pad_cache_sim::{
     Access, BaselineCache, Cache, CacheConfig, ClassifiedStats, ClassifyingCache, HeatClass,
-    IndexFunction, LevelStats, MissClass, ReplacementPolicy, ReuseHistogram, SetHeatRow,
-    SplitMix64, VictimCache, VictimStats, WritePolicy,
+    IndexFunction, LevelStats, MissClass, ReplacementPolicy, SetHeatRow, SplitMix64, VictimCache,
+    VictimStats, WritePolicy,
 };
 use pad_trace::{BatchRequest, Sinks};
 
@@ -346,22 +348,6 @@ impl RefClassifier {
     }
 }
 
-/// Stack distances from a move-to-front list of line ids.
-fn naive_histogram(stream: &[Access], line_size: u64) -> ReuseHistogram {
-    let mut stack: Vec<u64> = Vec::new();
-    let mut histogram = ReuseHistogram::new();
-    for access in stream {
-        let line = access.addr / line_size;
-        let depth = stack.iter().position(|&l| l == line);
-        if let Some(depth) = depth {
-            stack.remove(depth);
-        }
-        stack.insert(0, line);
-        histogram.record(depth.map(|d| d as u64));
-    }
-    histogram
-}
-
 /// One case: every sink on `config` (the hierarchy's first level) and
 /// `lower` (its lower levels) over `stream`, against the references.
 fn check_case(
@@ -439,7 +425,7 @@ fn check_case(
     assert_eq!(results.hierarchy, [want], "{label}: hierarchy stats");
     assert_eq!(
         results.reuse,
-        [naive_histogram(stream, config.line_size())],
+        [NaiveStack::histogram(stream, config.line_size())],
         "{label}: reuse histogram"
     );
     let report = &results.heat[0];

@@ -96,9 +96,12 @@ gate_engine_equivalence() {
 run_gate engine-equivalence gate_engine_equivalence
 
 # Reuse engine: unit tests (sparse input, table switching, compaction,
-# the hot window), differential vs fully-assoc sim and a naive stack, 3C
-# bit-identity, MRC goldens, and every suite kernel's walk keeping a
-# paged last-use table.
+# the hot window, log2 buckets, the 3C shadow), differential vs
+# fully-assoc sim and a naive stack (reuses either side of every bucket
+# boundary to 2^12 lines), 3C bit-identity of the one-boundary shadow
+# (sweeps of C-1/C/C+1 lines, C above the lines touched, a hashed
+# table), MRC goldens, and every suite kernel's walk keeping a paged
+# last-use table.
 gate_reuse() {
     cargo test -q -p pad-cache-sim --lib &&
         cargo test -q -p pad-cache-sim --test reuse_differential &&
