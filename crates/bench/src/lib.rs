@@ -25,9 +25,9 @@
 //!
 //! Timing benches (no figure of their own) live alongside them:
 //! `bench_simulator` (engine throughput + `BENCH_simulator.json`),
-//! `bench_native` (native kernels, original vs PAD), `bench_heuristics`
-//! (PAD/PADLITE analysis cost), `bench_ablations` (replacement and
-//! write-policy design checks).
+//! `bench_heuristics` (PAD/PADLITE analysis cost), `bench_ablations`
+//! (replacement and write-policy design checks). Figure 15's native
+//! kernel timings are `fig15`'s.
 //!
 //! Each figure binary prints aligned text and writes a CSV under
 //! `results/`. Simulation cells execute on the deterministic

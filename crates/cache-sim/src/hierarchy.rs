@@ -40,10 +40,10 @@ pub struct LevelStats {
 #[derive(Debug, Clone)]
 pub struct Hierarchy {
     levels: Vec<Cache>,
-    /// The accesses pending at the current level and those it passes to
-    /// the next, kept between accesses so that none allocates once they
-    /// have grown: a miss and a writeback can each miss and write back
-    /// below, so the list can double at every level.
+    /// The stream reaching the current level and the one it passes to
+    /// the next, kept between chunks so that neither allocates once they
+    /// have grown: each access can pass down a miss and a writeback, so
+    /// a stream can double at every level.
     current: Vec<Access>,
     next: Vec<Access>,
 }
@@ -71,24 +71,7 @@ impl Hierarchy {
     /// Performs an access; misses propagate downward, and dirty evictions
     /// propagate as writes to the next level.
     pub fn access(&mut self, access: Access) {
-        self.current.clear();
-        self.current.push(access);
-        for level in &mut self.levels {
-            self.next.clear();
-            for &a in &self.current {
-                let outcome = level.access(a);
-                if !outcome.hit {
-                    self.next.push(a);
-                }
-                if let (true, Some(victim)) = (outcome.writeback, outcome.evicted) {
-                    self.next.push(Access::write(victim));
-                }
-            }
-            if self.next.is_empty() {
-                return;
-            }
-            std::mem::swap(&mut self.current, &mut self.next);
-        }
+        self.run_slice(std::slice::from_ref(&access));
     }
 
     /// Runs a whole trace.
@@ -99,11 +82,33 @@ impl Hierarchy {
     }
 
     /// Runs a contiguous batch of accesses (the batched engine's chunk
-    /// hand-off).
+    /// hand-off) level by level: no level's state depends on the levels
+    /// below it, so each level but the last takes the whole stream the
+    /// level above passed down, in order, and passes on its own; the last
+    /// takes its stream through [`Cache::run_slice`].
     pub fn run_slice(&mut self, trace: &[Access]) {
-        for &access in trace {
-            self.access(access);
+        let Hierarchy {
+            levels,
+            current,
+            next,
+        } = self;
+        let (last, above) = levels.split_last_mut().expect("levels nonempty");
+        let mut stream = trace;
+        for level in above {
+            next.clear();
+            for &a in stream {
+                let outcome = level.access(a);
+                if !outcome.hit {
+                    next.push(a);
+                }
+                if let (true, Some(victim)) = (outcome.writeback, outcome.evicted) {
+                    next.push(Access::write(victim));
+                }
+            }
+            std::mem::swap(current, next);
+            stream = current;
         }
+        last.run_slice(stream);
     }
 
     /// Snapshots per-level statistics.

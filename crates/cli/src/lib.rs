@@ -22,11 +22,11 @@
 //!   --algorithm A   pad | padlite (default pad)
 //!   --n N           problem size for bundled kernels (default: kernel's)
 //!
-//! search options (defaults from RIVERA_SEARCH_* where set):
-//!   --strategy S    beam | anneal
-//!   --budget N      fast-evaluation candidate budget
-//!   --seed N        annealer RNG seed
-//!   --beam N        beam width
+//! search options:
+//!   --strategy S    beam | anneal (default beam)
+//!   --budget N      fast-evaluation candidate budget (default 800)
+//!   --seed N        annealer RNG seed (default 0x5EED)
+//!   --beam N        beam width (default 6)
 //!
 //! top options:
 //!   --once          print one snapshot and exit (no screen clearing)
@@ -332,8 +332,10 @@ fn cmd_search(program: &Program, opts: &Options) -> Result<(), String> {
     };
 
     let cache = opts.cache_config()?;
-    let mut cfg = SearchConfig::from_env();
-    cfg.threads = 1;
+    let mut cfg = SearchConfig {
+        threads: 1,
+        ..Default::default()
+    };
     if let Some(s) = opts.strategy {
         cfg.strategy = s;
     }

@@ -253,3 +253,29 @@ fn record_and_ingest_work_as_real_processes() {
     );
     std::fs::remove_dir_all(&dir).ok();
 }
+
+#[test]
+fn search_reads_no_harness_knobs() {
+    use std::process::Command;
+
+    // `padtool search` answers like the service does: from its flags
+    // alone, whatever the figure harness's environment says.
+    let search = |env: &[(&str, &str)]| {
+        let out = Command::new(env!("CARGO_BIN_EXE_padtool"))
+            .args(["search", "JACOBI512", "--n", "24"])
+            .env_remove("PAD_QUICK")
+            .env_remove("RIVERA_SEARCH_BEAM")
+            .envs(env.iter().copied())
+            .output()
+            .expect("spawn padtool search");
+        assert!(out.status.success(), "search failed: {out:?}");
+        String::from_utf8(out.stdout).expect("UTF-8 output")
+    };
+    let plain = search(&[]);
+    assert_eq!(search(&[("PAD_QUICK", "1")]), plain, "under PAD_QUICK=1");
+    assert_eq!(
+        search(&[("RIVERA_SEARCH_BEAM", "1")]),
+        plain,
+        "under RIVERA_SEARCH_BEAM=1"
+    );
+}

@@ -22,6 +22,7 @@ use crate::config::PaddingConfig;
 use crate::inter::{assign_bases, InterMode};
 use crate::intra::{pad_intra, LinAlgMode, StencilMode};
 use crate::layout::DataLayout;
+use crate::nest::Nest;
 use crate::stats::PaddingStats;
 
 /// Intra-variable (stencil) heuristic selection.
@@ -212,6 +213,7 @@ impl PaddingPipeline {
     /// affected array and record a failure event.
     pub fn run(&self, program: &Program) -> PaddingOutcome {
         let mut layout = DataLayout::original(program);
+        let mut nest = Nest::compile(program);
         let mut events = Vec::new();
 
         let stencil = match self.intra {
@@ -232,30 +234,25 @@ impl PaddingPipeline {
                 &self.config,
                 stencil,
                 linalg,
+                &mut nest,
                 &mut events,
             );
         }
 
-        match self.inter {
-            InterHeuristic::None => {}
-            InterHeuristic::Lite => {
-                assign_bases(
-                    program,
-                    &mut layout,
-                    &self.config,
-                    InterMode::Lite,
-                    &mut events,
-                );
-            }
-            InterHeuristic::Analyzed => {
-                assign_bases(
-                    program,
-                    &mut layout,
-                    &self.config,
-                    InterMode::Analyzed,
-                    &mut events,
-                );
-            }
+        let inter = match self.inter {
+            InterHeuristic::None => None,
+            InterHeuristic::Lite => Some(InterMode::Lite),
+            InterHeuristic::Analyzed => Some(InterMode::Analyzed),
+        };
+        if let Some(mode) = inter {
+            assign_bases(
+                program,
+                &mut layout,
+                &self.config,
+                mode,
+                &mut nest,
+                &mut events,
+            );
         }
 
         let stats = PaddingStats::compute(program, &layout, &events);

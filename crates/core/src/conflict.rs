@@ -12,7 +12,7 @@ use pad_ir::{ArrayId, Program};
 
 use crate::config::PaddingConfig;
 use crate::layout::DataLayout;
-use crate::linearize::{constant_difference, linearize};
+use crate::nest::Nest;
 
 /// The circular distance between two addresses `diff` bytes apart on a
 /// cache of `cs` bytes: `min(d, cs - d)` where `d = diff mod cs`.
@@ -90,18 +90,19 @@ pub fn find_severe_conflicts(
     layout: &DataLayout,
     config: &PaddingConfig,
 ) -> Vec<ConflictReport> {
+    let mut nest = Nest::compile(program);
+    nest.bind(layout);
     let mut reports = Vec::new();
     let primary = config.primary();
-    for group in program.ref_groups() {
+    for (group, g) in program.ref_groups().iter().zip(nest.groups()) {
         for (i, &ra) in group.refs.iter().enumerate() {
-            for &rb in &group.refs[i + 1..] {
-                let la = linearize(ra, layout.dims(ra.array()), layout.elem_size(ra.array()));
-                let lb = linearize(rb, layout.dims(rb.array()), layout.elem_size(rb.array()));
-                let Some(rel) = constant_difference(&la, &lb) else {
-                    continue;
-                };
-                let diff =
-                    rel + layout.base_addr(ra.array()) as i64 - layout.base_addr(rb.array()) as i64;
+            for (j, &rb) in group.refs.iter().enumerate().skip(i + 1) {
+                let (a, b) = (g.refs.start + i, g.refs.start + j);
+                if nest.coeffs(a) != nest.coeffs(b) {
+                    continue; // distance varies per iteration
+                }
+                let diff = nest.offset(a) - nest.offset(b) + layout.base_addr(ra.array()) as i64
+                    - layout.base_addr(rb.array()) as i64;
                 if config
                     .levels()
                     .iter()

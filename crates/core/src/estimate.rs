@@ -21,24 +21,22 @@
 //! way the simulator does, in a fraction of the time.
 //!
 //! The model is *compiled* once per program and padding configuration
-//! into a [`MissModel`]: the midpoint walk of the loop tree that weights
-//! each reference group runs at compile time, and every reference becomes
-//! dense per-dimension rows over its group's loop slots. Only array shapes
-//! and base addresses vary between layouts, so [`MissModel::score`]
-//! computes strides, linearizes each reference once into a reused buffer,
-//! and makes one pass over each group's reference pairs — no maps, no
-//! variable names. The same pass grades the pairs into the
-//! [conflict pressure](ModelScore::pressure) the layout search breaks
-//! ties with. [`estimate_miss_rate`] is compile-then-score; a search
+//! into a [`MissModel`]: the midpoint walk over the program's compiled
+//! [`Nest`] that weights each reference group runs at compile time. Only
+//! array shapes and base addresses vary between layouts, so
+//! [`MissModel::score`] binds the nest to the layout (strides, then one
+//! linearization per reference) and makes one pass over each group's
+//! reference pairs — no maps, no variable names. The same pass grades
+//! the pairs into the [conflict pressure](ModelScore::pressure) the
+//! layout search breaks ties with. [`estimate_miss_rate`] is compile-then-score; a search
 //! compiles once and scores every candidate.
 
-use std::ops::Range;
-
-use pad_ir::{AffineExpr, ArrayId, IndexVar, Program, Stmt};
+use pad_ir::{ArrayId, Program};
 
 use crate::config::{CacheParams, PaddingConfig};
 use crate::conflict::{circular_distance, is_severe_conflict};
 use crate::layout::DataLayout;
+use crate::nest::{Nest, SlotExpr};
 
 /// Predicted access and miss totals.
 #[derive(Debug, Clone, Copy, Default, PartialEq)]
@@ -123,29 +121,6 @@ pub struct ModelScore {
     pub pressure: f64,
 }
 
-/// The references directly inside one loop body, which execute together
-/// on every iteration of that loop (`Program::ref_groups` order).
-#[derive(Debug, Clone)]
-struct Group {
-    /// Iterations of the group's loop over the whole nest, from the
-    /// midpoint trip-count model.
-    weight: f64,
-    /// The group's references, as a range of `MissModel::refs`.
-    refs: Range<usize>,
-    /// Loop-variable slots: one per enclosing loop, outermost first, so
-    /// the group's own loop is the last.
-    width: usize,
-}
-
-/// One reference compiled against its group's slots.
-#[derive(Debug, Clone, Copy)]
-struct CompiledRef {
-    array: usize,
-    /// Start of the reference's rows in `MissModel::rows`: per dimension,
-    /// the subscript's constant, then one coefficient per group slot.
-    rows: usize,
-}
-
 /// The analytic miss model compiled for one program and padding
 /// configuration; [`MissModel::score`] evaluates it on any layout of that
 /// program.
@@ -161,21 +136,11 @@ pub struct MissModel {
     primary: CacheParams,
     /// Access total, independent of the layout.
     accesses: f64,
-    groups: Vec<Group>,
-    refs: Vec<CompiledRef>,
-    rows: Vec<i64>,
-    /// Array `a`'s dimensions are `dim_terms[dim_start[a]..dim_start[a + 1]]`.
-    dim_start: Vec<usize>,
-    // Scratch reused across scores.
-    /// Per array dimension: byte stride and lower bound under the layout
-    /// being scored.
-    dim_terms: Vec<(i64, i64)>,
-    /// Per array: base address under the layout being scored.
-    bases: Vec<i64>,
-    /// Per reference of the current group: linearized byte offset, then
-    /// one coefficient per slot.
-    lin: Vec<i64>,
-    /// Per reference of the current group: miss probability.
+    nest: Nest,
+    /// Per reference group: iterations of its loop over the whole nest,
+    /// from the midpoint trip-count model.
+    weights: Vec<f64>,
+    /// Per reference: miss probability (scratch reused across scores).
     prob: Vec<f64>,
 }
 
@@ -188,90 +153,35 @@ impl MissModel {
     /// (programs are validated at construction, so this indicates a
     /// caller bug).
     pub fn compile(program: &Program, config: &PaddingConfig) -> Self {
-        let mut dim_start = vec![0];
-        for spec in program.arrays() {
-            dim_start.push(dim_start[dim_start.len() - 1] + spec.rank());
+        let nest = Nest::compile(program);
+        // The midpoint walk, over the loops in pre-order: a loop runs
+        // `(hi - lo) / step + 1` times with its bounds evaluated at the
+        // enclosing loops' midpoints, and contributes its midpoint to the
+        // loops inside it. `mid` and `outer` are indexed by slot.
+        let (mut weights, mut accesses) = (Vec::new(), 0.0);
+        let (mut mid, mut outer) = (Vec::new(), Vec::new());
+        for l in nest.loops() {
+            mid.truncate(l.slot);
+            outer.truncate(l.slot);
+            let lo = eval_mid(&l.lower, &mid);
+            let hi = eval_mid(&l.upper, &mid);
+            let trip = (((hi - lo) / l.step as f64) + 1.0).max(0.0);
+            let iterations = outer.last().copied().unwrap_or(1.0) * trip;
+            if !l.refs.is_empty() {
+                weights.push(iterations);
+                accesses += iterations * l.refs.len() as f64;
+            }
+            outer.push(iterations);
+            mid.push((lo + hi) / 2.0);
         }
-        let mut model = MissModel {
+        MissModel {
             levels: config.levels().to_vec(),
             primary: config.primary(),
-            accesses: 0.0,
-            groups: Vec::new(),
-            refs: Vec::new(),
-            rows: Vec::new(),
-            dim_terms: vec![(0, 0); dim_start[program.arrays().len()]],
-            dim_start,
-            bases: vec![0; program.arrays().len()],
-            lin: Vec::new(),
-            prob: Vec::new(),
-        };
-        let mut scope = Vec::new();
-        let mut mid = Vec::new();
-        for stmt in program.body() {
-            model.compile_stmt(stmt, 1.0, &mut scope, &mut mid);
+            accesses,
+            prob: vec![0.0; nest.refs().len()],
+            nest,
+            weights,
         }
-        model
-    }
-
-    /// The midpoint walk: a loop runs `(hi - lo) / step + 1` times with
-    /// its bounds evaluated at the enclosing loops' midpoints, and
-    /// contributes its midpoint to the loops inside it.
-    fn compile_stmt<'p>(
-        &mut self,
-        stmt: &'p Stmt,
-        iterations: f64,
-        scope: &mut Vec<&'p IndexVar>,
-        mid: &mut Vec<f64>,
-    ) {
-        let Stmt::Loop { header, body } = stmt else {
-            return; // references are grouped by their enclosing loop
-        };
-        let lo = eval_mid(header.lower(), scope, mid);
-        let hi = eval_mid(header.upper(), scope, mid);
-        let step = header.step() as f64;
-        let trip = (((hi - lo) / step) + 1.0).max(0.0);
-        let inner_iterations = iterations * trip;
-        scope.push(header.var());
-        mid.push((lo + hi) / 2.0);
-
-        let first = self.refs.len();
-        let width = scope.len();
-        for refs in body.iter().filter_map(|s| match s {
-            Stmt::Refs(refs) => Some(refs),
-            Stmt::Loop { .. } => None,
-        }) {
-            for r in refs {
-                let rows = self.rows.len();
-                for sub in r.subscripts() {
-                    let row = self.rows.len();
-                    self.rows.push(sub.offset());
-                    self.rows.resize(row + 1 + width, 0);
-                    for (var, coeff) in sub.terms() {
-                        self.rows[row + 1 + slot_of(var, scope)] += coeff;
-                    }
-                }
-                self.refs.push(CompiledRef {
-                    array: r.array().index(),
-                    rows,
-                });
-            }
-        }
-        let n = self.refs.len() - first;
-        if n > 0 {
-            self.accesses += inner_iterations * n as f64;
-            self.groups.push(Group {
-                weight: inner_iterations,
-                refs: first..self.refs.len(),
-                width,
-            });
-            self.lin.resize(self.lin.len().max(n * (1 + width)), 0);
-            self.prob.resize(self.prob.len().max(n), 0.0);
-        }
-        for s in body {
-            self.compile_stmt(s, inner_iterations, scope, mid);
-        }
-        scope.pop();
-        mid.pop();
     }
 
     /// Scores `layout`, which must be a layout of the compiled program.
@@ -281,53 +191,20 @@ impl MissModel {
     /// Panics if `layout` disagrees with the compiled program on the
     /// number of arrays or an array's rank.
     pub fn score(&mut self, layout: &DataLayout) -> ModelScore {
-        assert_eq!(
-            layout.len(),
-            self.bases.len(),
-            "layout and compiled program disagree on the array count"
-        );
-        // Column-major strides; lower bounds come from the layout, exactly
-        // as `linearize` reads them.
-        for (a, base) in self.bases.iter_mut().enumerate() {
-            let id = ArrayId::from_index(a);
-            let dims = layout.dims(id);
-            let terms = &mut self.dim_terms[self.dim_start[a]..self.dim_start[a + 1]];
-            assert_eq!(dims.len(), terms.len(), "layout changed an array's rank");
-            let mut stride = i64::from(layout.elem_size(id));
-            for (term, dim) in terms.iter_mut().zip(dims) {
-                *term = (stride, dim.lower);
-                stride *= dim.size;
-            }
-            *base = layout.base_addr(id) as i64;
-        }
+        self.nest.bind(layout);
+        let nest = &self.nest;
 
         let ls = self.primary.line as f64;
         let cs = self.primary.size.max(2);
         let half = (cs / 2) as f64;
         let mut misses = 0.0;
         let mut pressure = 0.0;
-        for g in &self.groups {
-            let cols = 1 + g.width;
-            let refs = &self.refs[g.refs.clone()];
-            let lin = &mut self.lin[..refs.len() * cols];
-            let prob = &mut self.prob[..refs.len()];
-            for ((r, out), p) in refs
-                .iter()
-                .zip(lin.chunks_exact_mut(cols))
-                .zip(prob.iter_mut())
-            {
-                out.fill(0);
-                let terms = &self.dim_terms[self.dim_start[r.array]..self.dim_start[r.array + 1]];
-                let rows = &self.rows[r.rows..r.rows + terms.len() * cols];
-                for (&(stride, lower), row) in terms.iter().zip(rows.chunks_exact(cols)) {
-                    out[0] += (row[0] - lower) * stride;
-                    for (c, &k) in out[1..].iter_mut().zip(&row[1..]) {
-                        *c += k * stride;
-                    }
-                }
+        for (g, &weight) in nest.groups().zip(&self.weights) {
+            let prob = &mut self.prob;
+            for (r, p) in g.refs.clone().zip(&mut prob[g.refs.clone()]) {
                 // Baseline per-iteration miss probability from the stride
                 // along the group's own (innermost) loop.
-                let stride = out[g.width].unsigned_abs() as f64;
+                let stride = nest.coeffs(r).last().map_or(0, |c| c.unsigned_abs()) as f64;
                 *p = if stride == 0.0 {
                     0.0
                 } else if stride < ls {
@@ -336,16 +213,15 @@ impl MissModel {
                     1.0
                 };
             }
-            for i in 0..refs.len() {
-                let li = &lin[i * cols..(i + 1) * cols];
-                for j in i + 1..refs.len() {
-                    let lj = &lin[j * cols..(j + 1) * cols];
-                    if li[1..] != lj[1..] {
+            for i in g.refs.clone() {
+                for j in i + 1..g.refs.end {
+                    if nest.coeffs(i) != nest.coeffs(j) {
                         pressure += 0.5;
                         continue;
                     }
-                    let diff =
-                        li[0] - lj[0] + self.bases[refs[i].array] - self.bases[refs[j].array];
+                    let (ai, aj) = (nest.refs()[i].array, nest.refs()[j].array);
+                    let diff = nest.offset(i) - nest.offset(j) + layout.base_addr(ai) as i64
+                        - layout.base_addr(aj) as i64;
                     // Severe constant-distance pairs force both references
                     // to miss every iteration.
                     if self
@@ -363,17 +239,18 @@ impl MissModel {
                     }
                 }
             }
-            misses += g.weight * prob.iter().sum::<f64>();
+            misses += weight * prob[g.refs.clone()].iter().sum::<f64>();
         }
 
         let line = self.primary.line.max(1) as i64;
-        for (a, &base) in self.bases.iter().enumerate() {
-            let dims = layout.dims(ArrayId::from_index(a));
-            let strides = &self.dim_terms[self.dim_start[a]..self.dim_start[a + 1]];
-            if let Some(d) = (1..dims.len()).find(|&d| strides[d].0.rem_euclid(line) != 0) {
+        for a in 0..layout.len() {
+            let id = ArrayId::from_index(a);
+            let dims = layout.dims(id);
+            let strides = nest.strides(id);
+            if let Some(d) = (1..dims.len()).find(|&d| strides[d].rem_euclid(line) != 0) {
                 let walks: i64 = dims[d..].iter().map(|m| m.size).product();
                 pressure += walks as f64;
-            } else if base.rem_euclid(line) != 0 {
+            } else if (layout.base_addr(id) as i64).rem_euclid(line) != 0 {
                 let walks: i64 = dims.iter().skip(1).map(|m| m.size).product();
                 pressure += walks as f64;
             }
@@ -389,18 +266,10 @@ impl MissModel {
     }
 }
 
-/// The slot of `var` in `scope` (innermost binding wins).
-fn slot_of(var: &IndexVar, scope: &[&IndexVar]) -> usize {
-    scope
-        .iter()
-        .rposition(|v| *v == var)
-        .expect("validated programs bind every variable")
-}
-
-fn eval_mid(expr: &AffineExpr, scope: &[&IndexVar], mid: &[f64]) -> f64 {
-    let mut acc = expr.offset() as f64;
-    for (var, coeff) in expr.terms() {
-        acc += *coeff as f64 * mid[slot_of(var, scope)];
+fn eval_mid(expr: &SlotExpr, mid: &[f64]) -> f64 {
+    let mut acc = expr.constant as f64;
+    for &(slot, coeff) in &expr.terms {
+        acc += coeff as f64 * mid[slot];
     }
     acc
 }
@@ -408,7 +277,7 @@ fn eval_mid(expr: &AffineExpr, scope: &[&IndexVar], mid: &[f64]) -> f64 {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use pad_ir::{ArrayBuilder, Loop, Subscript};
+    use pad_ir::{ArrayBuilder, Loop, Stmt, Subscript};
 
     fn dot(n: i64, collide: bool) -> (Program, DataLayout) {
         let mut b = Program::builder("dot");

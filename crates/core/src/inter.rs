@@ -18,14 +18,14 @@
 //! falls back to the original tentative location — exactly the paper's
 //! failure rule.
 
-use pad_ir::{ArrayId, ArrayRef, Program};
+use pad_ir::{ArrayId, Program};
 use pad_telemetry::{Event, Value};
 
 use crate::combined::PadEvent;
 use crate::config::PaddingConfig;
 use crate::conflict::increment_to_clear;
 use crate::layout::{align_up, DataLayout};
-use crate::linearize::{linearize, LinearizedRef};
+use crate::nest::Nest;
 
 /// Which inter-variable pad condition to apply during placement.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -36,12 +36,6 @@ pub(crate) enum InterMode {
     Analyzed,
 }
 
-/// One reference with its linearization, grouped by loop.
-struct LinRef {
-    array: ArrayId,
-    lin: LinearizedRef,
-}
-
 /// Places all arrays, mutating the layout's base addresses in declaration
 /// order. Records gap/failure events.
 pub(crate) fn assign_bases(
@@ -49,26 +43,15 @@ pub(crate) fn assign_bases(
     layout: &mut DataLayout,
     config: &PaddingConfig,
     mode: InterMode,
+    nest: &mut Nest,
     events: &mut Vec<PadEvent>,
 ) {
-    // Linearize every grouped reference once, against the (already
-    // intra-padded) shapes. Only needed for the analyzed mode.
-    let groups: Vec<Vec<LinRef>> = match mode {
-        InterMode::Lite => Vec::new(),
-        InterMode::Analyzed => program
-            .ref_groups()
-            .iter()
-            .map(|g| {
-                g.refs
-                    .iter()
-                    .map(|r| LinRef {
-                        array: r.array(),
-                        lin: lin_of(r, layout),
-                    })
-                    .collect()
-            })
-            .collect(),
-    };
+    // Reference offsets from their arrays' bases depend only on the
+    // (already intra-padded) shapes, so one binding serves every
+    // tentative address.
+    if mode == InterMode::Analyzed {
+        nest.bind(layout);
+    }
 
     let max_travel: u64 = config
         .levels()
@@ -100,9 +83,7 @@ pub(crate) fn assign_bases(
         loop {
             let pad = match mode {
                 InterMode::Lite => needed_pad_lite(id, addr, layout, config, &placed),
-                InterMode::Analyzed => {
-                    needed_pad_analyzed(id, addr, layout, config, &placed, &groups)
-                }
+                InterMode::Analyzed => needed_pad_analyzed(id, addr, layout, config, &placed, nest),
             };
             if first_round {
                 initial_need = pad;
@@ -163,10 +144,6 @@ pub(crate) fn assign_bases(
     layout.set_total_bytes(next_free);
 }
 
-fn lin_of(r: &ArrayRef, layout: &DataLayout) -> LinearizedRef {
-    linearize(r, layout.dims(r.array()), layout.elem_size(r.array()))
-}
-
 /// `INTERPADLITE`'s `neededPad`: the largest increment required to move
 /// `addr` at least `M` (circularly) from every placed equal-size
 /// variable's base, on every cache level.
@@ -204,21 +181,23 @@ fn needed_pad_analyzed(
     layout: &DataLayout,
     config: &PaddingConfig,
     placed: &[ArrayId],
-    groups: &[Vec<LinRef>],
+    nest: &Nest,
 ) -> u64 {
+    let array = |r: usize| nest.refs()[r].array;
     let mut pad = 0u64;
-    for group in groups {
-        for ra in group.iter().filter(|r| r.array == id) {
-            for rb in group
-                .iter()
-                .filter(|r| r.array != id && placed.contains(&r.array))
+    for g in nest.groups() {
+        for ra in g.refs.clone().filter(|&r| array(r) == id) {
+            for rb in g
+                .refs
+                .clone()
+                .filter(|&r| array(r) != id && placed.contains(&array(r)))
             {
-                if ra.lin.coeffs() != rb.lin.coeffs() {
+                if nest.coeffs(ra) != nest.coeffs(rb) {
                     continue; // distance varies per iteration: no severe conflict
                 }
-                let diff = addr as i64 + ra.lin.offset()
-                    - layout.base_addr(rb.array) as i64
-                    - rb.lin.offset();
+                let diff = addr as i64 + nest.offset(ra)
+                    - layout.base_addr(array(rb)) as i64
+                    - nest.offset(rb);
                 for level in config.levels() {
                     if diff.unsigned_abs() < level.line {
                         continue; // same or adjacent line: spatial reuse, not conflict
@@ -261,7 +240,14 @@ mod tests {
         let p = dot_program(1024);
         let mut layout = DataLayout::original(&p);
         let mut events = Vec::new();
-        assign_bases(&p, &mut layout, &config_1k(), InterMode::Lite, &mut events);
+        assign_bases(
+            &p,
+            &mut layout,
+            &config_1k(),
+            InterMode::Lite,
+            &mut Nest::compile(&p),
+            &mut events,
+        );
         let ids: Vec<ArrayId> = p.arrays_with_ids().map(|(id, _)| id).collect();
         let d = layout.base_addr(ids[1]) as i64 - layout.base_addr(ids[0]) as i64;
         assert!(
@@ -286,7 +272,14 @@ mod tests {
         let p = b.build().expect("valid");
         let mut layout = DataLayout::original(&p);
         let mut events = Vec::new();
-        assign_bases(&p, &mut layout, &config_1k(), InterMode::Lite, &mut events);
+        assign_bases(
+            &p,
+            &mut layout,
+            &config_1k(),
+            InterMode::Lite,
+            &mut Nest::compile(&p),
+            &mut events,
+        );
         // Sizes differ, so LITE leaves the packing dense even though the
         // bases collide mod the cache size.
         assert_eq!(layout.base_addr(c), 1024);
@@ -313,6 +306,7 @@ mod tests {
             &mut layout,
             &config_1k(),
             InterMode::Analyzed,
+            &mut Nest::compile(&p),
             &mut events,
         );
         let d = layout.base_addr(c) as i64 - layout.base_addr(a) as i64;
@@ -341,6 +335,7 @@ mod tests {
             &mut layout,
             &config_1k(),
             InterMode::Analyzed,
+            &mut Nest::compile(&p),
             &mut events,
         );
         // Reference distance, not base distance, must clear a line.
@@ -372,6 +367,7 @@ mod tests {
             &mut layout,
             &config_1k(),
             InterMode::Analyzed,
+            &mut Nest::compile(&p),
             &mut events,
         );
         assert_eq!(layout.base_addr(bb), 1024, "B stays at its natural address");
@@ -388,6 +384,7 @@ mod tests {
             &mut layout,
             &config_1k(),
             InterMode::Analyzed,
+            &mut Nest::compile(&p),
             &mut events,
         );
         let first = p.arrays_with_ids().next().expect("nonempty").0;
@@ -414,6 +411,7 @@ mod tests {
             &mut layout,
             &config_1k(),
             InterMode::Analyzed,
+            &mut Nest::compile(&p),
             &mut events,
         );
         assert_eq!(layout.base_addr(c) % 8, 0);
@@ -445,7 +443,14 @@ mod tests {
         let config = PaddingConfig::new(64, 32).expect("valid");
         let mut layout = DataLayout::original(&p);
         let mut events = Vec::new();
-        assign_bases(&p, &mut layout, &config, InterMode::Analyzed, &mut events);
+        assign_bases(
+            &p,
+            &mut layout,
+            &config,
+            InterMode::Analyzed,
+            &mut Nest::compile(&p),
+            &mut events,
+        );
         // 96-byte variables: natural bases 0, 96 (= 32 mod 64), 192
         // (= 0 mod 64). V1 clears V0 (distance 32). V2 conflicts with V0
         // at every offset that clears V1 and vice versa -> failure event,
@@ -477,7 +482,14 @@ mod tests {
         let p = b.build().expect("valid");
         let mut layout = DataLayout::original(&p);
         let mut events = Vec::new();
-        assign_bases(&p, &mut layout, &config_1k(), InterMode::Lite, &mut events);
+        assign_bases(
+            &p,
+            &mut layout,
+            &config_1k(),
+            InterMode::Lite,
+            &mut Nest::compile(&p),
+            &mut events,
+        );
         assert!(
             !events
                 .iter()

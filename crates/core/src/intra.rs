@@ -18,7 +18,7 @@ use crate::conflict::is_severe_conflict;
 use crate::euclid::{first_conflict, j_star};
 use crate::layout::DataLayout;
 use crate::linalg::is_linear_algebra_array;
-use crate::linearize::{constant_difference, linearize};
+use crate::nest::Nest;
 
 /// Which stencil-oriented pad condition to apply.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -58,6 +58,7 @@ pub(crate) fn pad_intra(
     config: &PaddingConfig,
     stencil: StencilMode,
     linalg: LinAlgMode,
+    nest: &mut Nest,
     events: &mut Vec<PadEvent>,
 ) {
     for (id, spec) in program.arrays_with_ids() {
@@ -77,7 +78,7 @@ pub(crate) fn pad_intra(
             let stencil_dim = match stencil {
                 StencilMode::None => None,
                 StencilMode::Lite => lite_violated_dim(id, layout, config),
-                StencilMode::Analyzed => analyzed_violated(program, id, layout, config),
+                StencilMode::Analyzed => analyzed_violated(nest, id, layout, config),
             };
             let linalg_dim = if linalg_applies {
                 linalg_violated(id, layout, config, linalg)
@@ -195,23 +196,24 @@ fn lite_violated_dim(id: ArrayId, layout: &DataLayout, config: &PaddingConfig) -
 
 /// `INTRAPAD`: true (as dimension 0) when any two constant-distance
 /// references to this array in the same loop conflict severely on some
-/// level. Reference pairs are re-linearized against the *current* padded
-/// shape each round, so each pad is re-evaluated.
+/// level. The nest is re-bound to the *current* padded shape each round,
+/// so each pad is re-evaluated.
 fn analyzed_violated(
-    program: &Program,
+    nest: &mut Nest,
     id: ArrayId,
     layout: &DataLayout,
     config: &PaddingConfig,
 ) -> Option<usize> {
-    for group in program.ref_groups() {
-        let refs: Vec<_> = group.refs.iter().filter(|r| r.array() == id).collect();
-        for (i, ra) in refs.iter().enumerate() {
-            let la = linearize(ra, layout.dims(id), layout.elem_size(id));
-            for rb in &refs[i + 1..] {
-                let lb = linearize(rb, layout.dims(id), layout.elem_size(id));
-                let Some(diff) = constant_difference(&la, &lb) else {
+    nest.bind(layout);
+    let nest = &*nest;
+    let mine = |r: &usize| nest.refs()[*r].array == id;
+    for g in nest.groups() {
+        for a in g.refs.clone().filter(mine) {
+            for b in (a + 1..g.refs.end).filter(mine) {
+                if nest.coeffs(a) != nest.coeffs(b) {
                     continue;
-                };
+                }
+                let diff = nest.offset(a) - nest.offset(b);
                 if config
                     .levels()
                     .iter()
@@ -281,7 +283,16 @@ mod tests {
     ) -> (DataLayout, Vec<PadEvent>) {
         let mut layout = DataLayout::original(p);
         let mut events = Vec::new();
-        pad_intra(p, &mut layout, config, stencil, linalg, &mut events);
+        let mut nest = Nest::compile(p);
+        pad_intra(
+            p,
+            &mut layout,
+            config,
+            stencil,
+            linalg,
+            &mut nest,
+            &mut events,
+        );
         (layout, events)
     }
 

@@ -14,10 +14,10 @@
 //!   dimension sizes. It combines `INTRAPADLITE` and `LINPAD1` for
 //!   intra-variable padding, then applies `INTERPADLITE`.
 //! * [`PaddingPipeline::pad`] — **PAD** analyzes array subscripts. It
-//!   detects conflicts by linearizing references and computing *conflict
-//!   distances* between uniformly generated references (`INTRAPAD` /
-//!   `INTERPAD`), and pads linear-algebra arrays using the Euclidean
-//!   `FirstConflict` algorithm (`LINPAD2`).
+//!   detects conflicts by linearizing references ([`Nest`]) and computing
+//!   *conflict distances* between uniformly generated references
+//!   (`INTRAPAD` / `INTERPAD`), and pads linear-algebra arrays using the
+//!   Euclidean `FirstConflict` algorithm (`LINPAD2`).
 //!
 //! The transformations never rewrite the program: they produce a new
 //! [`DataLayout`] — base addresses plus (possibly padded) dimension sizes —
@@ -71,7 +71,8 @@ mod inter;
 mod intra;
 mod layout;
 mod linalg;
-mod linearize;
+mod nest;
+pub mod reference;
 mod stats;
 mod tiling;
 mod uniform;
@@ -88,7 +89,7 @@ pub use estimate::{estimate_miss_rate, MissEstimate, MissModel, ModelScore};
 pub use euclid::{first_conflict, j_star};
 pub use layout::DataLayout;
 pub use linalg::is_linear_algebra_array;
-pub use linearize::{constant_difference, linearize, LinearizedRef};
+pub use nest::{Nest, NestItem, NestLoop, NestRef, SlotExpr};
 pub use stats::PaddingStats;
 pub use tiling::{select_tile, width_bound, TileSize};
 pub use uniform::{conforming, is_uniform_ref, uniform_ref_fraction, uniformly_generated_pair};

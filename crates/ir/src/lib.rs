@@ -55,7 +55,6 @@ mod loops;
 mod parse;
 mod program;
 mod reference;
-mod transform;
 mod validate;
 
 pub use affine::{AffineExpr, IndexVar};
@@ -66,7 +65,6 @@ pub use loops::{Loop, Stmt};
 pub use parse::{parse, ParseError};
 pub use program::{Program, RefGroup, RefInContext};
 pub use reference::{AccessKind, ArrayRef, Subscript};
-pub use transform::{interchange, strip_mine, TransformError};
 
 /// Largest byte size accepted for one array, and for all of a program's
 /// arrays together: half the `i64` range. Layouts place arrays and grow

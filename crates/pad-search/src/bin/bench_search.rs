@@ -18,7 +18,11 @@ fn main() {
     let cache = CacheConfig::paper_base();
     let pad_config = padding_config_for(&cache);
     let n: i64 = if quick_mode() { 64 } else { 256 };
-    let cfg = SearchConfig::from_env();
+    let cfg = SearchConfig {
+        budget: if quick_mode() { 150 } else { 800 },
+        threads: pad_bench::pool::thread_count(),
+        ..SearchConfig::default()
+    };
     let kernels = [
         (
             "JACOBI",

@@ -12,14 +12,15 @@
 //!   through `pad_report::pareto_indices`. These two are byte-stable and
 //!   pinned by the `search_golden` integration test.
 //!
-//! The suite sweep honors `RIVERA_SEARCH_*` and the `PAD_QUICK=1`
-//! reduced candidate budget (via [`SearchConfig::from_env`]); the golden
-//! frontiers deliberately do not — their whole point is that every run,
-//! quick or full, produces identical bytes.
+//! The suite sweep runs a budget of 800 fast evaluations, or 150 under
+//! `PAD_QUICK=1`; the golden frontiers deliberately do not shrink — their
+//! whole point is that every run, quick or full, produces identical
+//! bytes.
 
 use pad_bench::harness::{
-    cells_or_marker, emit, exact_misses, pct, suite_programs, RunContext, RunStatus,
+    cells_or_marker, emit, exact_misses, pct, quick_mode, suite_programs, RunContext, RunStatus,
 };
+use pad_bench::pool;
 use pad_cache_sim::CacheConfig;
 use pad_core::{DataLayout, PaddingPipeline};
 use pad_ir::Program;
@@ -200,7 +201,11 @@ pub fn fig_search_suite_ctx(ctx: &RunContext, cfg: &SearchConfig) -> (Table, u64
 /// frontier CSVs.
 pub fn fig_search() -> RunStatus {
     let ctx = RunContext::for_experiment("fig_search");
-    let cfg = SearchConfig::from_env();
+    let cfg = SearchConfig {
+        budget: if quick_mode() { 150 } else { 800 },
+        threads: pool::thread_count(),
+        ..SearchConfig::default()
+    };
     let (table, wins) = fig_search_suite_ctx(&ctx, &cfg);
     emit(
         "Search vs heuristics: exact misses across the suite",

@@ -39,7 +39,6 @@ pub mod space;
 use std::collections::BTreeSet;
 
 use pad_bench::faults::FaultPlan;
-use pad_bench::pool;
 use pad_cache_sim::CacheConfig;
 use pad_core::{DataLayout, PaddingPipeline};
 use pad_ir::Program;
@@ -49,15 +48,6 @@ pub use anneal::Annealing;
 pub use beam::BeamSearch;
 pub use objective::Objective;
 pub use space::{cmp_candidates, set_signature, Candidate, Move, PadVector, SearchSpace};
-
-/// Environment knob naming the strategy (`beam` or `anneal`).
-pub const STRATEGY_ENV: &str = "RIVERA_SEARCH_STRATEGY";
-/// Environment knob for the fast-evaluation candidate budget.
-pub const BUDGET_ENV: &str = "RIVERA_SEARCH_BUDGET";
-/// Environment knob for the annealer's RNG seed.
-pub const SEED_ENV: &str = "RIVERA_SEARCH_SEED";
-/// Environment knob for the beam width.
-pub const BEAM_ENV: &str = "RIVERA_SEARCH_BEAM";
 
 /// Which search strategy to run.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -78,9 +68,9 @@ impl StrategyKind {
     }
 }
 
-/// A complete search parameterization. Library code never reads the
-/// environment — entry points (CLI, bins, advisor) call
-/// [`SearchConfig::from_env`] once and pass the result down.
+/// A complete search parameterization. Nothing reads it from the
+/// environment: each entry point (CLI, bins, advisor) builds its own and
+/// passes it down.
 #[derive(Debug, Clone, Copy)]
 pub struct SearchConfig {
     /// Strategy to run.
@@ -109,41 +99,6 @@ impl Default for SearchConfig {
             confirm_exact: true,
         }
     }
-}
-
-impl SearchConfig {
-    /// Reads `RIVERA_SEARCH_{STRATEGY,BUDGET,SEED,BEAM}`, honoring
-    /// `PAD_QUICK=1` with a reduced default budget, and sizing the exact
-    /// fan-out from the shared pool width (`RIVERA_THREADS`).
-    pub fn from_env() -> Self {
-        let mut cfg = SearchConfig {
-            threads: pool::thread_count(),
-            ..SearchConfig::default()
-        };
-        if pad_bench::harness::quick_mode() {
-            cfg.budget = 150;
-        }
-        if let Ok(v) = std::env::var(STRATEGY_ENV) {
-            match v.to_ascii_lowercase().as_str() {
-                "anneal" | "annealing" | "sa" => cfg.strategy = StrategyKind::Anneal,
-                _ => cfg.strategy = StrategyKind::Beam,
-            }
-        }
-        if let Some(v) = env_u64(BUDGET_ENV) {
-            cfg.budget = v.max(1);
-        }
-        if let Some(v) = env_u64(SEED_ENV) {
-            cfg.seed = v;
-        }
-        if let Some(v) = env_u64(BEAM_ENV) {
-            cfg.beam_width = (v as usize).max(1);
-        }
-        cfg
-    }
-}
-
-fn env_u64(name: &str) -> Option<u64> {
-    std::env::var(name).ok().and_then(|v| v.trim().parse().ok())
 }
 
 /// A pluggable search strategy. Strategies explore with *fast* scores

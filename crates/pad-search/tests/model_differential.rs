@@ -10,6 +10,12 @@
 //! estimate and the conflict pressure. Bit equality is what keeps every
 //! search decision, frontier and golden unchanged.
 //!
+//! The same layouts pin the nest the model reads: every reference's
+//! bound offset and slot coefficients (`pad_core::Nest`) must equal
+//! `reference::linearize`'s offset and name-keyed coefficients, mapped
+//! through the reference's enclosing loops, and the nest's groups must
+//! be `Program::ref_groups()`.
+//!
 //! Programs: every suite kernel at two sizes, the generated cases of the
 //! property suite, and hand-built nests covering loop shapes (triangular,
 //! negative-step, empty), subscript shapes (unused loop variables, one
@@ -20,12 +26,13 @@
 
 mod common;
 
-use std::collections::HashMap;
+use std::collections::{BTreeMap, HashMap};
 
 use pad_cache_sim::{CacheConfig, SplitMix64};
+use pad_core::reference::{constant_difference, linearize};
 use pad_core::{
-    circular_distance, constant_difference, estimate_miss_rate, is_severe_conflict, linearize,
-    CacheParams, DataLayout, MissEstimate, MissModel, PaddingConfig, PaddingPipeline,
+    circular_distance, estimate_miss_rate, is_severe_conflict, CacheParams, DataLayout,
+    MissEstimate, MissModel, Nest, PaddingConfig, PaddingPipeline,
 };
 use pad_ir::{ArrayBuilder, ArrayRef, Dim, IndexVar, Loop, Program, Stmt, Subscript};
 use pad_search::{PadVector, SearchSpace};
@@ -222,10 +229,66 @@ fn assert_identical(
     );
 }
 
+/// Binds `nest` to `layout` and requires every group and bound reference
+/// to match `Program::ref_groups` and `linearize`.
+fn assert_nest_matches_linearize(
+    nest: &mut Nest,
+    program: &Program,
+    layout: &DataLayout,
+    label: &str,
+) {
+    nest.bind(layout);
+    let groups = program.ref_groups();
+    let name = program.name();
+    assert_eq!(
+        nest.groups().count(),
+        groups.len(),
+        "{name} [{label}]: groups"
+    );
+    for (g, group) in nest.groups().zip(&groups) {
+        assert_eq!(g.slot + 1, group.loops.len(), "{name} [{label}]: depth");
+        assert_eq!(g.step, group.innermost().step(), "{name} [{label}]: step");
+        assert_eq!(
+            g.refs.len(),
+            group.refs.len(),
+            "{name} [{label}]: group size"
+        );
+        for (r, &array_ref) in g.refs.clone().zip(&group.refs) {
+            let bound = &nest.refs()[r];
+            assert_eq!(bound.array, array_ref.array(), "{name} [{label}]: array");
+            assert_eq!(bound.depth, group.loops.len(), "{name} [{label}]: depth");
+            let lin = linearize(
+                array_ref,
+                layout.dims(array_ref.array()),
+                layout.elem_size(array_ref.array()),
+            );
+            assert_eq!(
+                nest.offset(r),
+                lin.offset(),
+                "{name} [{label}]: {array_ref}"
+            );
+            // Slot coefficients by name: a slot an inner loop rebinds
+            // must read zero, since the name means the inner loop.
+            let mut named = BTreeMap::new();
+            for (slot, &c) in nest.coeffs(r).iter().enumerate() {
+                let var = group.loops[slot].var();
+                if group.loops[slot + 1..].iter().any(|l| l.var() == var) {
+                    assert_eq!(c, 0, "{name} [{label}]: shadowed {var} in {array_ref}");
+                } else if c != 0 {
+                    named.insert(var.clone(), c);
+                }
+            }
+            assert_eq!(&named, lin.coeffs(), "{name} [{label}]: {array_ref}");
+        }
+    }
+}
+
 /// Scores the original, PADLITE and PAD layouts plus a seeded walk of
-/// search moves through one compiled model. Returns the layouts scored.
+/// search moves through one compiled model, and checks the nest bound to
+/// each. Returns the layouts scored.
 fn check_program(program: &Program, config: &PaddingConfig, seed: u64) -> usize {
     let mut model = MissModel::compile(program, config);
+    let mut nest = Nest::compile(program);
     let seeds = [
         ("original", DataLayout::original(program)),
         (
@@ -239,6 +302,7 @@ fn check_program(program: &Program, config: &PaddingConfig, seed: u64) -> usize 
     ];
     for (label, layout) in &seeds {
         assert_identical(&mut model, program, layout, config, label);
+        assert_nest_matches_linearize(&mut nest, program, layout, label);
         // The one-shot entry point is compile-then-score.
         assert_eq!(
             estimate_miss_rate(program, layout, config),
@@ -256,13 +320,9 @@ fn check_program(program: &Program, config: &PaddingConfig, seed: u64) -> usize 
             v = next;
         }
         let layout = v.materialize(program);
-        assert_identical(
-            &mut model,
-            program,
-            &layout,
-            config,
-            &format!("walk {step}"),
-        );
+        let label = format!("walk {step}");
+        assert_identical(&mut model, program, &layout, config, &label);
+        assert_nest_matches_linearize(&mut nest, program, &layout, &label);
         scored += 1;
     }
     scored

@@ -3,33 +3,17 @@
 //! [`crate::for_each_access`] interprets the IR directly: every subscript
 //! evaluation walks a name-keyed environment. For the experiment harness —
 //! billions of accesses across the figure sweeps — that overhead
-//! dominates. This module *compiles* a program × layout pair once:
-//! loop variables become integer slots, subscripts become pre-linearized
-//! `base + Σ coeff·slot` forms (folding in element sizes, lower bounds,
-//! and the layout's base addresses), and the walk touches no strings or
-//! maps. The compiled walker is verified access-for-access against the
-//! interpreter by `equivalence` tests and property tests.
+//! dominates. This module *compiles* a program × layout pair once from
+//! the program's [`Nest`] bound to the layout: loop variables are integer
+//! slots, and every reference is a pre-linearized `base + Σ coeff·slot`
+//! form (folding in element sizes, lower bounds, and the layout's base
+//! addresses), so the walk touches no strings or maps. The compiled
+//! walker is verified access-for-access against the interpreter by
+//! `equivalence` tests and property tests.
 
 use pad_cache_sim::Access;
-use pad_core::DataLayout;
-use pad_ir::{AccessKind, AffineExpr, IndexVar, Program, Stmt};
-
-/// A pre-resolved affine expression over loop slots.
-#[derive(Debug, Clone)]
-struct SlotExpr {
-    constant: i64,
-    terms: Vec<(usize, i64)>,
-}
-
-impl SlotExpr {
-    fn eval(&self, slots: &[i64]) -> i64 {
-        let mut acc = self.constant;
-        for &(slot, coeff) in &self.terms {
-            acc += coeff * slots[slot];
-        }
-        acc
-    }
-}
+use pad_core::{DataLayout, Nest, NestItem, SlotExpr};
+use pad_ir::Program;
 
 #[derive(Debug, Clone)]
 enum Node {
@@ -95,26 +79,16 @@ impl CompiledTrace {
     /// value of its address parameters; later changes to it do not affect
     /// the compiled trace.
     pub fn compile(program: &Program, layout: &DataLayout) -> Self {
-        let mut scope: Vec<IndexVar> = Vec::new();
-        let mut num_slots = 0usize;
-        let mut roots = Vec::new();
-        for stmt in program.body() {
-            match stmt {
-                Stmt::Refs(refs) => {
-                    // Top-level straight-line accesses (rare but legal).
-                    for r in refs {
-                        roots.push(compile_ref(r, layout, &scope));
-                    }
-                }
-                nested @ Stmt::Loop { .. } => {
-                    roots.push(compile_stmt(nested, layout, &mut scope, &mut num_slots));
-                }
-            }
-        }
+        let mut nest = Nest::compile(program);
+        nest.bind(layout);
         CompiledTrace {
             name: program.name().to_string(),
-            roots,
-            num_slots,
+            roots: nest
+                .roots()
+                .iter()
+                .map(|&item| node(&nest, layout, item))
+                .collect(),
+            num_slots: nest.loops().iter().map(|l| l.slot + 1).max().unwrap_or(0),
         }
     }
 
@@ -350,114 +324,62 @@ fn fill_trips(block: &mut [Access], cursors: &mut [Cursor]) {
     }
 }
 
-fn resolve(expr: &AffineExpr, scope: &[IndexVar], scale: i64, constant: i64) -> SlotExpr {
-    let mut out = SlotExpr {
-        constant: constant + expr.offset() * scale,
-        terms: Vec::new(),
+/// The walker's form of one item of a bound nest. A reference's address
+/// is its array's base plus its offset, over its nonzero slot
+/// coefficients. A loop whose body is all references gets the incremental
+/// form: per-iteration address deltas replace full re-evaluation.
+fn node(nest: &Nest, layout: &DataLayout, item: NestItem) -> Node {
+    let address = |r: usize| {
+        let x = &nest.refs()[r];
+        let terms = nest.coeffs(r).iter().enumerate().filter(|&(_, &c)| c != 0);
+        let constant = layout.base_addr(x.array) as i64 + nest.offset(r);
+        let terms = terms.map(|(s, &c)| (s, c)).collect();
+        (SlotExpr { constant, terms }, x.is_write)
     };
-    for (var, coeff) in expr.terms() {
-        // Innermost binding wins, mirroring the interpreter's scoping.
-        let slot = scope
-            .iter()
-            .rposition(|v| v == var)
-            .expect("validated programs bind every variable");
-        out.terms.push((slot, coeff * scale));
-    }
-    out
-}
-
-fn compile_stmt(
-    stmt: &Stmt,
-    layout: &DataLayout,
-    scope: &mut Vec<IndexVar>,
-    num_slots: &mut usize,
-) -> Node {
-    match stmt {
-        Stmt::Refs(_) => unreachable!("refs are flattened by the Loop arm"),
-        Stmt::Loop { header, body } => {
-            let lower = resolve(header.lower(), scope, 1, 0);
-            let upper = resolve(header.upper(), scope, 1, 0);
-            let slot = scope.len();
-            *num_slots = (*num_slots).max(slot + 1);
-            scope.push(header.var().clone());
-            let mut children = Vec::new();
-            for s in body {
-                match s {
-                    Stmt::Refs(refs) => {
-                        for r in refs {
-                            children.push(compile_ref(r, layout, scope));
-                        }
-                    }
-                    nested @ Stmt::Loop { .. } => {
-                        children.push(compile_stmt(nested, layout, scope, num_slots));
-                    }
-                }
+    let l = match item {
+        NestItem::Ref(r) => {
+            let (addr, is_write) = address(r);
+            return Node::Ref { addr, is_write };
+        }
+        NestItem::Loop(l) => &nest.loops()[l],
+    };
+    let (slot, lower, upper, step) = (l.slot, l.lower.clone(), l.upper.clone(), l.step);
+    let refs: Option<Vec<InnerRef>> = (l.body.iter())
+        .map(|&item| match item {
+            NestItem::Ref(r) => {
+                let (addr, is_write) = address(r);
+                let delta = nest.coeffs(r)[slot] * step;
+                Some(InnerRef {
+                    addr,
+                    delta,
+                    is_write,
+                })
             }
-            scope.pop();
-            let step = header.step();
-            // Innermost all-reference bodies get the incremental form:
-            // per-iteration address deltas replace full re-evaluation.
-            if !children.is_empty() && children.iter().all(|c| matches!(c, Node::Ref { .. })) {
-                let refs = children
-                    .into_iter()
-                    .map(|c| match c {
-                        Node::Ref { addr, is_write } => {
-                            let delta = addr
-                                .terms
-                                .iter()
-                                .find(|&&(s, _)| s == slot)
-                                .map_or(0, |&(_, coeff)| coeff * step);
-                            InnerRef {
-                                addr,
-                                delta,
-                                is_write,
-                            }
-                        }
-                        Node::Loop { .. } | Node::InnerLoop { .. } => unreachable!(),
-                    })
-                    .collect();
-                return Node::InnerLoop {
-                    slot,
-                    lower,
-                    upper,
-                    step,
-                    refs,
-                };
-            }
+            NestItem::Loop(_) => None,
+        })
+        .collect();
+    match refs {
+        Some(refs) if !refs.is_empty() => Node::InnerLoop {
+            slot,
+            lower,
+            upper,
+            step,
+            refs,
+        },
+        _ => {
+            let body = l
+                .body
+                .iter()
+                .map(|&item| node(nest, layout, item))
+                .collect();
             Node::Loop {
                 slot,
                 lower,
                 upper,
                 step,
-                body: children,
+                body,
             }
         }
-    }
-}
-
-fn compile_ref(r: &pad_ir::ArrayRef, layout: &DataLayout, scope: &[IndexVar]) -> Node {
-    let dims = layout.dims(r.array());
-    let elem = i64::from(layout.elem_size(r.array()));
-    let mut addr = SlotExpr {
-        constant: layout.base_addr(r.array()) as i64,
-        terms: Vec::new(),
-    };
-    let mut stride = elem;
-    for (sub, dim) in r.subscripts().iter().zip(dims) {
-        let resolved = resolve(sub, scope, stride, 0);
-        addr.constant += resolved.constant - dim.lower * stride;
-        for term in resolved.terms {
-            match addr.terms.iter_mut().find(|(s, _)| *s == term.0) {
-                Some((_, c)) => *c += term.1,
-                None => addr.terms.push(term),
-            }
-        }
-        stride *= dim.size;
-    }
-    addr.terms.retain(|&(_, c)| c != 0);
-    Node::Ref {
-        addr,
-        is_write: r.kind() == AccessKind::Write,
     }
 }
 
@@ -682,7 +604,7 @@ fn bounds_read(node: &Node, slot: usize) -> bool {
 mod tests {
     use super::*;
     use crate::for_each_access;
-    use pad_ir::{ArrayBuilder, Loop, Subscript};
+    use pad_ir::{AffineExpr, ArrayBuilder, IndexVar, Loop, Stmt, Subscript};
 
     fn interpret(program: &Program, layout: &DataLayout) -> Vec<(u64, bool)> {
         let mut out = Vec::new();

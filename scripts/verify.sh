@@ -166,12 +166,15 @@ gate_advisor_restart() {
 }
 run_gate advisor-restart gate_advisor_restart
 
-# Search optimizer: the compiled fast rung bit-identical to the
-# interpreted model, fast/exact rank-concordance differential, the
-# property suite (never-worse, seeded determinism, move-order
-# independence) and fault equivalence.
+# Search optimizer: pad-core's own tests (the heuristics, the miss
+# model and the compiled loop nest they share), the compiled fast rung
+# bit-identical to the interpreted model and the nest bound to every
+# scored layout equal to the name-keyed linearization, fast/exact
+# rank-concordance differential, the property suite (never-worse, seeded
+# determinism, move-order independence) and fault equivalence.
 gate_search_differential() {
-    cargo test -q -p pad-search --test model_differential &&
+    cargo test -q -p pad-core &&
+        cargo test -q -p pad-search --test model_differential &&
         cargo test -q -p pad-search --test search_differential &&
         cargo test -q -p pad-search --test search_properties &&
         cargo test -q -p pad-search --test search_faults
