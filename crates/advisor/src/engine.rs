@@ -34,9 +34,9 @@ use crate::protocol::{
     AdviseRequest, Algorithm, ErrorKind, RequestError, Source, MAX_PROBLEM_SIZE,
 };
 
-/// Records one finished analysis in the live metrics layer:
-/// `pad_engine_analysis_us{rung=...}` latency plus the run counter the
-/// dashboard rates. Handles are registered once and cached.
+/// Records one finished analysis in the live metrics layer: its
+/// `pad_engine_analysis_us{rung=...}` latency, whose count is the
+/// rung's analyses. Handles are registered once and cached.
 fn record_analysis(rung: &'static str, start_us: u64) {
     use std::sync::OnceLock;
     if !telemetry::metrics_enabled() {
@@ -46,11 +46,7 @@ fn record_analysis(rung: &'static str, start_us: u64) {
     const RUNGS: [&str; 3] = ["exact", "fast", "trace"];
     let hists = HISTS.get_or_init(|| {
         RUNGS.map(|rung| {
-            telemetry::registry().histogram_with(
-                "pad_engine_analysis_us",
-                "Padding-analysis latency in microseconds, per rung.",
-                &[("rung", rung)],
-            )
+            telemetry::registry().histogram_with("pad_engine_analysis_us", &[("rung", rung)])
         })
     });
     let i = RUNGS.iter().position(|&r| r == rung).unwrap_or(0);

@@ -29,7 +29,7 @@
 //! within `RIVERA_SLO_MS` ([`pad_telemetry::SLO_ENV`]); everything else
 //! that reaches a response — typed errors, sheds, timeouts, or merely
 //! slow successes — is *bad*. The burn ratio `bad / (good + bad)` is
-//! derived by consumers (`padtool top`, dashboards), not stored.
+//! derived by clients of the `metrics` op, not stored.
 
 use std::sync::Arc;
 
@@ -87,74 +87,29 @@ impl AdvisorMetrics {
         let r = MetricsRegistry::new();
         let requests = OPS
             .iter()
-            .map(|op| {
-                r.counter_with(
-                    "pad_advisor_requests_total",
-                    "Frames received, per operation.",
-                    &[("op", op)],
-                )
-            })
+            .map(|op| r.counter_with("pad_advisor_requests_total", &[("op", op)]))
             .collect();
         let latency = OPS
             .iter()
-            .map(|op| {
-                r.histogram_with(
-                    "pad_advisor_request_latency_us",
-                    "Receipt-to-response latency in microseconds.",
-                    &[("op", op)],
-                )
-            })
+            .map(|op| r.histogram_with("pad_advisor_request_latency_us", &[("op", op)]))
             .collect();
         let errors = ERROR_KINDS
             .iter()
-            .map(|kind| {
-                r.counter_with(
-                    "pad_advisor_errors_total",
-                    "Typed refusals, per error kind.",
-                    &[("kind", kind.wire())],
-                )
-            })
+            .map(|kind| r.counter_with("pad_advisor_errors_total", &[("kind", kind.wire())]))
             .collect();
         AdvisorMetrics {
             requests,
             latency,
             errors,
-            ok: r.counter(
-                "pad_advisor_ok_total",
-                "Advise requests answered ok, fresh or from the store.",
-            ),
-            shed: r.counter(
-                "pad_advisor_shed_total",
-                "Frames shed by the full admission queue.",
-            ),
-            degraded: r.counter(
-                "pad_advisor_degraded_total",
-                "Fast-rung answers to requests that wanted exact.",
-            ),
-            cache_hits: r.counter(
-                "pad_advisor_cache_hits_total",
-                "Answers served from the persistent store.",
-            ),
-            simulations: r.counter(
-                "pad_advisor_simulations_total",
-                "Exact (simulation-backed) analyses run.",
-            ),
-            queue_depth: r.gauge(
-                "pad_advisor_queue_depth",
-                "Jobs waiting in the admission queue.",
-            ),
-            inflight: r.gauge(
-                "pad_advisor_inflight",
-                "Jobs currently inside an isolation cell.",
-            ),
-            slo_good: r.counter(
-                "pad_advisor_slo_good_total",
-                "Advise answers within the RIVERA_SLO_MS threshold.",
-            ),
-            slo_bad: r.counter(
-                "pad_advisor_slo_bad_total",
-                "Advise answers beyond the threshold, errors and sheds included.",
-            ),
+            ok: r.counter("pad_advisor_ok_total"),
+            shed: r.counter("pad_advisor_shed_total"),
+            degraded: r.counter("pad_advisor_degraded_total"),
+            cache_hits: r.counter("pad_advisor_cache_hits_total"),
+            simulations: r.counter("pad_advisor_simulations_total"),
+            queue_depth: r.gauge("pad_advisor_queue_depth"),
+            inflight: r.gauge("pad_advisor_inflight"),
+            slo_good: r.counter("pad_advisor_slo_good_total"),
+            slo_bad: r.counter("pad_advisor_slo_bad_total"),
             slo_us: telemetry::slo_threshold_us(),
             registry: r,
         }

@@ -230,8 +230,8 @@ pub enum Op {
     Stats,
     /// Live metrics snapshot: every counter, gauge, and latency
     /// histogram (with p50/p95/p99) of the process registry and the
-    /// server's own, answered inline like `stats`. `padtool top` polls
-    /// this op.
+    /// server's own, answered inline like `stats`: the one way to read
+    /// live metrics.
     Metrics,
     /// Drain and exit cleanly.
     Shutdown,

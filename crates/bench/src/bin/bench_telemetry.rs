@@ -4,7 +4,7 @@
 //!
 //! Two claims, both enforced here:
 //!
-//! 1. **Near-free.** With no collector installed and metrics off, the
+//! 1. **Near-free.** With no recorder installed and metrics off, the
 //!    batched simulation engine must run within `MAX_OVERHEAD_PCT` of a
 //!    hand-rolled loop with no instrumentation branches at all; with
 //!    metrics on, within `MAX_OVERHEAD_PCT` of itself with metrics off.
@@ -16,10 +16,7 @@
 //!    `RIVERA_TELEMETRY=events` or with metrics on is byte-identical
 //!    (table text and CSV bytes) to the same sweep with both off, while
 //!    the recorder actually captures cell spans, simulation spans, and
-//!    pad-decision events. The Prometheus rendering of the populated
-//!    registry must be non-empty and byte-stable — two renders of the
-//!    unchanged registry produce identical bytes — and is written to
-//!    `results/metrics.prom` as a CI artifact.
+//!    pad-decision events.
 //!
 //! Exits nonzero if any claim fails.
 
@@ -28,7 +25,7 @@ use std::process::ExitCode;
 use pad_bench::harness::{cells_or_marker, pct, quick_mode, RunContext, Variant};
 use pad_cache_sim::{Cache, CacheConfig};
 use pad_core::DataLayout;
-use pad_report::{csv_string, render_prometheus, Table};
+use pad_report::{csv_string, Table};
 use pad_telemetry::Mode;
 use pad_trace::{simulate_batch, BatchRequest, CompiledTrace, BATCH_CHUNK};
 
@@ -91,7 +88,7 @@ fn main() -> ExitCode {
     assert_eq!(
         pad_telemetry::mode(),
         Mode::Off,
-        "bench_telemetry measures the uninstalled state; run it without a collector"
+        "bench_telemetry measures the uninstalled state; run it without a recorder"
     );
     // Below ~n=200 the walk is under a millisecond and fixed setup
     // (result vectors, cache construction) dominates the comparison, so
@@ -206,15 +203,6 @@ fn main() -> ExitCode {
     let count = |cat: &str| events.iter().filter(|e| e.category == cat).count();
     let (cell_events, sim_events, pad_events) = (count("cell"), count("sim"), count("pad"));
 
-    // The registry now holds everything the metrics-on runs recorded;
-    // its Prometheus rendering must be byte-stable and lands in results/
-    // so CI uploads a real scrape body alongside the tables.
-    let exposition = render_prometheus(&pad_telemetry::registry().snapshot());
-    let stable = exposition == render_prometheus(&pad_telemetry::registry().snapshot());
-    let populated = exposition.contains("pad_sim_accesses_total");
-    let written = std::fs::create_dir_all("results")
-        .and_then(|()| std::fs::write("results/metrics.prom", &exposition));
-
     let same_misses = misses.iter().all(|&m| m == misses[0]);
     println!("== determinism ==");
     println!(
@@ -223,7 +211,7 @@ fn main() -> ExitCode {
     );
     println!(
         "miss counts equal: {same_misses} | events-mode table/csv identical: {}/{} | \
-         metrics-on table/csv identical: {}/{} | exposition stable: {stable}",
+         metrics-on table/csv identical: {}/{}",
         off.0 == events_mode.0,
         off.1 == events_mode.1,
         off.0 == metrics_on.0,
@@ -260,18 +248,10 @@ fn main() -> ExitCode {
             "events mode captured too little (cell {cell_events}, sim {sim_events}, pad {pad_events})"
         ));
     }
-    if !stable || !populated {
-        fail(format!(
-            "Prometheus exposition unstable or empty (stable {stable}, populated {populated})"
-        ));
-    }
-    if let Err(e) = written {
-        fail(format!("could not write results/metrics.prom: {e}"));
-    }
     if ok {
         println!(
             "bench_telemetry: PASS (overhead {off_pct:+.2}% off, {on_pct:+.2}% metrics on; \
-             results byte-identical, exposition stable)"
+             results byte-identical)"
         );
         ExitCode::SUCCESS
     } else {

@@ -34,12 +34,10 @@ use std::sync::Mutex;
 /// binaries (`RIVERA_RESUME=1`).
 pub const RESUME_ENV: &str = "RIVERA_RESUME";
 
-/// Header written by format v1 (no per-record checksums; accepted on
-/// load in a tolerant legacy mode).
-const V1_HEADER: &str = "# rivera-padding cell journal v1";
-
 /// Header written by [`Journal::create`]: format v2, every `ok` record
-/// carries a trailing FNV checksum token.
+/// carries a trailing FNV checksum token. Loading ignores the header and
+/// holds every line to the checksummed format, so the unchecksummed
+/// records of a v1 journal re-execute once and are recorded again.
 const V2_HEADER: &str = "# rivera-padding cell journal v2";
 
 /// True when the caller asked for journal resume (`RIVERA_RESUME` set to
@@ -289,35 +287,24 @@ tuple_payload!(A, B, C, D);
 /// or a non-UTF-8 byte run invalidates only the line it sits on. A later
 /// record for the same fingerprint wins, matching append order.
 fn parse_records(bytes: &[u8]) -> HashMap<u64, Vec<Field>> {
-    // v1 journals predate per-record checksums; their records are
-    // accepted without one. Anything else — v2, or a header torn beyond
-    // recognition — is held to the checksummed format.
-    let legacy = bytes
-        .split(|&b| b == b'\n')
-        .next()
-        .is_some_and(|first| std::str::from_utf8(first).is_ok_and(|l| l.trim_end() == V1_HEADER));
     let mut replay = HashMap::new();
     for raw in bytes.split(|&b| b == b'\n') {
         let Ok(line) = std::str::from_utf8(raw) else {
             continue;
         };
-        let body = if legacy {
-            line
-        } else {
-            // Strip and verify the trailing ` !<16 hex>` checksum; a
-            // missing or mismatching checksum marks a torn or corrupted
-            // record, which is skipped (and re-executed by the caller).
-            let Some((body, crc)) = line.rsplit_once(" !") else {
-                continue;
-            };
-            let Ok(crc) = u64::from_str_radix(crc, 16) else {
-                continue;
-            };
-            if crc != line_checksum(body) || !crc_token_len_ok(line) {
-                continue;
-            }
-            body
+        // Strip and verify the trailing ` !<16 hex>` checksum; a missing
+        // or mismatching checksum marks a torn or corrupted record (or an
+        // unchecksummed v1 one), which is skipped and re-executed by the
+        // caller.
+        let Some((body, crc)) = line.rsplit_once(" !") else {
+            continue;
         };
+        let Ok(crc) = u64::from_str_radix(crc, 16) else {
+            continue;
+        };
+        if crc != line_checksum(body) || !crc_token_len_ok(line) {
+            continue;
+        }
         let mut tokens = body.split(' ');
         if tokens.next() != Some("ok") {
             continue;
@@ -638,14 +625,23 @@ mod tests {
     }
 
     #[test]
-    fn legacy_v1_journals_still_replay() {
+    fn v1_journals_replay_what_a_resume_appends() {
         let path = temp_path("legacy");
-        // A v1 journal has no per-record checksums; resume must accept
-        // its records unchanged.
-        let text = format!("{V1_HEADER}\nok {:016x} f{:016x}\n", 9u64, 7.5f64.to_bits());
+        // A v1 journal: the old header and a record without a checksum.
+        let text = format!(
+            "# rivera-padding cell journal v1\nok {:016x} f{:016x}\n",
+            9u64,
+            7.5f64.to_bits()
+        );
         std::fs::write(&path, text).expect("writable");
         let resumed = Journal::resume(&path).expect("resume");
-        assert_eq!(resumed.lookup::<f64>(9), Some(7.5));
+        resumed.record_ok(10, &2.5f64);
+        drop(resumed);
+        // The record this build appended carries a checksum and replays;
+        // the unchecksummed one re-executes.
+        let resumed = Journal::resume(&path).expect("resume again");
+        assert_eq!(resumed.lookup::<f64>(10), Some(2.5));
+        assert_eq!(resumed.lookup::<f64>(9), None);
         std::fs::remove_file(&path).ok();
     }
 

@@ -349,18 +349,9 @@ fn record_cell_metrics<T>(outcome: &CellOutcome<T>, elapsed: Duration) {
     let h = HANDLES.get_or_init(|| {
         let r = pad_telemetry::registry();
         Handles {
-            latency: r.histogram(
-                "pad_pool_cell_latency_us",
-                "Wall time of each isolation cell, in microseconds.",
-            ),
-            timeouts: r.counter(
-                "pad_pool_cell_timeouts_total",
-                "Cells that blew their deadline.",
-            ),
-            panics: r.counter(
-                "pad_pool_cell_panics_total",
-                "Cells that panicked (caught and isolated).",
-            ),
+            latency: r.histogram("pad_pool_cell_latency_us"),
+            timeouts: r.counter("pad_pool_cell_timeouts_total"),
+            panics: r.counter("pad_pool_cell_panics_total"),
         }
     });
     h.latency.record(elapsed.as_micros() as u64);

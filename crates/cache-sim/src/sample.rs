@@ -4,9 +4,9 @@
 //! cheaply emit a counter event per access; instead it carries a
 //! [`Sampler`] per sink and pokes it at chunk boundaries. The sampler
 //! emits a `cache`-category counter event every `interval` simulated
-//! accesses (set by `RIVERA_SIM_SAMPLE`), carrying the cumulative
-//! hit/miss/eviction counts, resident-line count, and the set-occupancy
-//! histogram of the level it watches.
+//! accesses (`pad_telemetry::sample_interval`, 2^20 in `events` mode),
+//! carrying the cumulative hit/miss/eviction counts, resident-line
+//! count, and the set-occupancy histogram of the level it watches.
 
 use pad_telemetry::{Event, Value};
 

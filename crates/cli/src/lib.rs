@@ -13,7 +13,6 @@
 //! padtool record <file|kernel> [opts]    write the reference stream as a trace file
 //! padtool ingest <trace> [opts]          replay an external trace through the simulator
 //! padtool serve                          NDJSON advisor server on stdin/stdout
-//! padtool top [opts]                     live dashboard over a spawned advisor
 //!
 //! options:
 //!   --cache BYTES   cache size (default 16384)
@@ -27,12 +26,6 @@
 //!   --budget N      fast-evaluation candidate budget (default 800)
 //!   --seed N        annealer RNG seed (default 0x5EED)
 //!   --beam N        beam width (default 6)
-//!
-//! top options:
-//!   --once          print one snapshot and exit (no screen clearing)
-//!   --interval S    seconds between polls (default 2)
-//!   --count N       stop after N refreshes (default: until interrupted)
-//!   --cmd "..."     advisor command to spawn (default: this binary + serve)
 //!
 //! trace options (record/ingest):
 //!   --out FILE      where `record` writes the trace (required)
@@ -61,7 +54,6 @@ use pad_report::Table;
 use pad_trace::simulate_classified;
 
 mod options;
-mod top;
 
 pub use options::Options;
 
@@ -80,7 +72,6 @@ pub fn run(args: &[String]) -> Result<(), String> {
     match command.as_str() {
         "suite" => cmd_suite(),
         "serve" => cmd_serve(),
-        "top" => top::cmd_top(&args[1..]),
         "parse" | "analyze" | "layout" | "simulate" | "estimate" | "tile" | "search" | "record" => {
             let target = args
                 .get(1)
@@ -115,7 +106,7 @@ pub fn run(args: &[String]) -> Result<(), String> {
 }
 
 fn usage() -> String {
-    "usage: padtool <suite|parse|analyze|layout|simulate|search|record|ingest|serve|top> [target] [options]\n\
+    "usage: padtool <suite|parse|analyze|layout|simulate|search|record|ingest|serve> [target] [options]\n\
      run `padtool help` for details"
         .to_string()
 }

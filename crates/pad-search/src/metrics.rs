@@ -28,21 +28,13 @@ fn strategy_slot(strategy: &str) -> usize {
     usize::from(strategy != STRATEGIES[0])
 }
 
-fn counters(name: &'static str, help: &'static str) -> [Arc<Counter>; 2] {
-    STRATEGIES.map(|s| registry().counter_with(name, help, &[("strategy", s)]))
+fn counters(name: &'static str) -> [Arc<Counter>; 2] {
+    STRATEGIES.map(|s| registry().counter_with(name, &[("strategy", s)]))
 }
 
 fn eval_histograms() -> &'static [Arc<LatencyHistogram>; 2] {
     static H: OnceLock<[Arc<LatencyHistogram>; 2]> = OnceLock::new();
-    H.get_or_init(|| {
-        RUNGS.map(|r| {
-            registry().histogram_with(
-                "pad_search_eval_us",
-                "candidate evaluation latency by objective rung (microseconds)",
-                &[("rung", r)],
-            )
-        })
-    })
+    H.get_or_init(|| RUNGS.map(|r| registry().histogram_with("pad_search_eval_us", &[("rung", r)])))
 }
 
 /// Records one evaluation's latency on the given rung slot.
@@ -65,18 +57,9 @@ pub(crate) fn record_run(strategy: &str, candidates: u64, promoted: u64, discard
     }
     static H: OnceLock<Handles> = OnceLock::new();
     let h = H.get_or_init(|| Handles {
-        candidates: counters(
-            "pad_search_candidates_total",
-            "candidate layouts scored on the fast rung",
-        ),
-        promoted: counters(
-            "pad_search_promoted_total",
-            "frontier candidates promoted to exact confirmation",
-        ),
-        discarded: counters(
-            "pad_search_discarded_total",
-            "promoted candidates discarded (panicked or skipped confirmation)",
-        ),
+        candidates: counters("pad_search_candidates_total"),
+        promoted: counters("pad_search_promoted_total"),
+        discarded: counters("pad_search_discarded_total"),
     });
     let slot = strategy_slot(strategy);
     h.candidates[slot].add(candidates);

@@ -26,7 +26,6 @@ mod chrome_trace;
 mod csv;
 mod failure;
 mod pareto;
-mod prometheus;
 mod table;
 
 pub use ascii_chart::AsciiChart;
@@ -34,5 +33,4 @@ pub use chrome_trace::{chrome_trace_json, ndjson, write_chrome_trace, write_ndjs
 pub use csv::{csv_string, write_csv};
 pub use failure::{CellFailure, FailureSummary, ERR_MARKER, TIMEOUT_MARKER};
 pub use pareto::pareto_indices;
-pub use prometheus::{render_prometheus, MAX_BUCKET_POW2};
 pub use table::Table;

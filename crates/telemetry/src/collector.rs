@@ -1,32 +1,12 @@
-//! The collector trait and the default in-memory recorder.
+//! The in-memory event recorder.
 
 use std::sync::Mutex;
 
 use crate::event::Event;
 
-/// Receives every emitted [`Event`]. Implementations must be cheap and
-/// must never panic — collectors run inside worker threads of the
-/// experiment pool, inside the same `catch_unwind` scope as the science.
-///
-/// The no-op default is simply *no collector installed*: the global
-/// dispatch in [`crate::emit`] checks [`crate::enabled`] first, so the
-/// uninstalled state needs no trait object at all (and costs one relaxed
-/// atomic load).
-pub trait Collector: Send + Sync {
-    /// Records one event.
-    fn record(&self, event: Event);
-}
-
-/// A collector that drops everything — useful as an explicit stand-in
-/// where an `Arc<dyn Collector>` is required but output is unwanted.
-#[derive(Debug, Default, Clone, Copy)]
-pub struct NoopCollector;
-
-impl Collector for NoopCollector {
-    fn record(&self, _event: Event) {}
-}
-
-/// The default collector: an append-only in-memory event buffer.
+/// The one event sink: an append-only in-memory event buffer. Everything
+/// [`crate::emit`] records lands here; `pad-report` exports it and
+/// [`crate::summarize`] folds it.
 ///
 /// One mutex push per event is deliberate — events are emitted at cell /
 /// chunk / decision granularity (tens to thousands per sweep), never per
@@ -72,10 +52,11 @@ impl Recorder {
             .unwrap_or_else(std::sync::PoisonError::into_inner)
             .clear();
     }
-}
 
-impl Collector for Recorder {
-    fn record(&self, event: Event) {
+    /// Appends one event. Never panics: recording runs inside worker
+    /// threads of the experiment pool, in the same `catch_unwind` scope
+    /// as the science.
+    pub fn record(&self, event: Event) {
         self.events
             .lock()
             .unwrap_or_else(std::sync::PoisonError::into_inner)
@@ -100,11 +81,6 @@ mod tests {
         assert_eq!(events[1].name, "b");
         r.clear();
         assert_eq!(r.len(), 0);
-    }
-
-    #[test]
-    fn noop_collector_drops_events() {
-        NoopCollector.record(Event::instant("cell", "ignored", vec![]));
     }
 
     #[test]

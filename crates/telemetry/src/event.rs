@@ -68,7 +68,7 @@ pub enum EventKind {
 
 /// One structured telemetry event.
 ///
-/// Events are plain data: the collector receives them fully built, and
+/// Events are plain data: the recorder receives them fully built, and
 /// exporters (`pad-report`) render them to NDJSON or Chrome trace format
 /// without needing this crate's globals.
 #[derive(Debug, Clone, PartialEq)]

@@ -70,11 +70,6 @@ impl Histogram {
         Self::bucket_index(value)
     }
 
-    /// The raw bucket counts.
-    pub fn buckets(&self) -> &[u64; Self::BUCKETS] {
-        &self.buckets
-    }
-
     /// Records one sample.
     pub fn record(&mut self, value: u64) {
         self.buckets[Self::bucket_of(value)] += 1;
@@ -211,7 +206,7 @@ mod tests {
         for v in [0u64, 1, 5, 100, 70_000] {
             h.record(v);
         }
-        let rebuilt = Histogram::from_buckets(*h.buckets(), h.max());
+        let rebuilt = Histogram::from_buckets(h.buckets, h.max());
         assert_eq!(rebuilt, h);
         assert_eq!(rebuilt.count(), 5);
         assert_eq!(rebuilt.percentile(100.0), 70_000);

@@ -2,8 +2,8 @@
 //!
 //! Every layer of the system — the work-stealing experiment pool, the
 //! batched trace engine, the cache simulator, and the padding heuristics —
-//! emits structured [`Event`]s (timing spans, instants, counters) through
-//! one process-global [`Collector`]. The layer is engineered so that the
+//! emits structured [`Event`]s (timing spans, instants, counters) into
+//! one process-global [`Recorder`]. The layer is engineered so that the
 //! *disabled* state costs a single relaxed atomic load per instrumentation
 //! site and nothing else:
 //!
@@ -27,21 +27,20 @@
 //!
 //! | value     | effect                                                    |
 //! |-----------|-----------------------------------------------------------|
-//! | `off`     | (default) no collector installed, no events, no output    |
+//! | `off`     | (default) no recorder installed, no events, no output     |
 //! | `summary` | events collected in memory; end-of-sweep summary table    |
 //! | `events`  | additionally: cache-counter sampling, NDJSON + Chrome     |
 //! |           | trace-event export (`RIVERA_TRACE_OUT`, Perfetto-loadable)|
 //!
 //! Sink selection and rendering live downstream (`pad-report` renders the
 //! Chrome trace and NDJSON streams; `pad-bench` renders the summary
-//! table) — this crate owns only the event model, the global collector,
+//! table) — this crate owns only the event model, the global recorder,
 //! and the summary aggregation, and has zero dependencies.
 //!
 //! # Example
 //!
 //! ```
-//! use std::sync::Arc;
-//! use pad_telemetry::{self as telemetry, Event, Mode, Recorder, Value};
+//! use pad_telemetry::{self as telemetry, Event, Mode, Value};
 //!
 //! let recorder = telemetry::install_recorder(Mode::Events);
 //! let t0 = telemetry::now_us();
@@ -63,7 +62,7 @@ mod histogram;
 pub mod metrics;
 mod summary;
 
-pub use collector::{Collector, NoopCollector, Recorder};
+pub use collector::Recorder;
 pub use event::{Event, EventKind, Value};
 pub use histogram::Histogram;
 pub use metrics::{
@@ -86,20 +85,15 @@ pub const TELEMETRY_ENV: &str = "RIVERA_TELEMETRY";
 /// beside it with an `.ndjson` extension).
 pub const TRACE_OUT_ENV: &str = "RIVERA_TRACE_OUT";
 
-/// Environment variable setting the cache-counter sampling interval in
-/// simulated accesses (`events` mode only; `0` disables sampling;
-/// default [`DEFAULT_SAMPLE_INTERVAL`]).
-pub const SIM_SAMPLE_ENV: &str = "RIVERA_SIM_SAMPLE";
-
-/// Default cache-counter sampling interval: one sample per 2^20 simulated
-/// accesses. Coarse enough that even full sweeps generate kilobytes, not
-/// gigabytes, of counter events.
+/// The cache-counter sampling interval in `events` mode: one sample per
+/// 2^20 simulated accesses. Coarse enough that even full sweeps generate
+/// kilobytes, not gigabytes, of counter events.
 pub const DEFAULT_SAMPLE_INTERVAL: u64 = 1 << 20;
 
 /// Telemetry operating mode (see [`TELEMETRY_ENV`]).
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub enum Mode {
-    /// No collector installed; every instrumentation site reduces to one
+    /// No recorder installed; every instrumentation site reduces to one
     /// relaxed atomic load.
     #[default]
     Off,
@@ -149,23 +143,19 @@ impl Mode {
 }
 
 /// The single branch every instrumentation site takes while telemetry is
-/// off. Kept separate from the collector lock so the disabled fast path
+/// off. Kept separate from the recorder lock so the disabled fast path
 /// never touches an `RwLock`.
 static ENABLED: AtomicBool = AtomicBool::new(false);
 
-/// Current mode, encoded as `u8` (0 off / 1 summary / 2 events).
+/// Current mode, encoded as `Mode as u8` (0 off / 1 summary / 2 events).
 static MODE: AtomicU8 = AtomicU8::new(0);
 
-/// The installed collector. An `RwLock` (not a `OnceLock`) so tests and
-/// the overhead benchmark can install, exercise, and uninstall collectors
-/// within one process.
-static COLLECTOR: RwLock<Option<Arc<dyn Collector>>> = RwLock::new(None);
-
-/// The default in-memory recorder, kept typed so the harness can
-/// snapshot it at sweep end ([`recorder`]).
+/// The installed recorder, read only after [`enabled`] says one exists.
+/// An `RwLock` (not a `OnceLock`) so tests and the overhead benchmark can
+/// install, exercise, and uninstall recorders within one process.
 static RECORDER: RwLock<Option<Arc<Recorder>>> = RwLock::new(None);
 
-/// True when a collector is installed. `#[inline]` + relaxed load: this
+/// True when a recorder is installed. `#[inline]` + relaxed load: this
 /// is the whole cost of a disabled instrumentation site.
 #[inline]
 pub fn enabled() -> bool {
@@ -182,54 +172,36 @@ pub fn mode() -> Mode {
     }
 }
 
-/// Installs `collector` process-wide under `mode`. Replaces any previous
-/// collector. `Mode::Off` is equivalent to [`uninstall`].
-pub fn install(mode: Mode, collector: Arc<dyn Collector>) {
-    if mode == Mode::Off {
-        uninstall();
-        return;
-    }
-    *COLLECTOR
-        .write()
-        .unwrap_or_else(std::sync::PoisonError::into_inner) = Some(collector);
-    MODE.store(
-        match mode {
-            Mode::Off => 0,
-            Mode::Summary => 1,
-            Mode::Events => 2,
-        },
-        Ordering::Relaxed,
-    );
-    ENABLED.store(true, Ordering::Relaxed);
-}
-
-/// Installs a fresh in-memory [`Recorder`] under `mode` and returns it.
-/// The harness snapshots it at sweep end; [`recorder`] retrieves it from
-/// anywhere in the process.
+/// Installs a fresh in-memory [`Recorder`] process-wide under `mode`,
+/// replacing any previous one, and returns it. The harness snapshots it
+/// at sweep end; [`recorder`] retrieves it from anywhere in the process.
+/// `Mode::Off` is [`uninstall`]: the returned recorder stays detached.
 pub fn install_recorder(mode: Mode) -> Arc<Recorder> {
     let recorder = Arc::new(Recorder::new());
+    if mode == Mode::Off {
+        uninstall();
+        return recorder;
+    }
     *RECORDER
         .write()
         .unwrap_or_else(std::sync::PoisonError::into_inner) = Some(Arc::clone(&recorder));
-    install(mode, Arc::clone(&recorder) as Arc<dyn Collector>);
+    MODE.store(mode as u8, Ordering::Relaxed);
+    ENABLED.store(true, Ordering::Relaxed);
     recorder
 }
 
-/// Removes the installed collector; every instrumentation site returns to
+/// Removes the installed recorder; every instrumentation site returns to
 /// its single-load disabled cost.
 pub fn uninstall() {
     ENABLED.store(false, Ordering::Relaxed);
     MODE.store(0, Ordering::Relaxed);
-    *COLLECTOR
-        .write()
-        .unwrap_or_else(std::sync::PoisonError::into_inner) = None;
     *RECORDER
         .write()
         .unwrap_or_else(std::sync::PoisonError::into_inner) = None;
 }
 
-/// The default recorder installed by [`install_recorder`] /
-/// [`init_from_env`], if any.
+/// The recorder installed by [`install_recorder`] / [`init_from_env`],
+/// if any.
 pub fn recorder() -> Option<Arc<Recorder>> {
     RECORDER
         .read()
@@ -238,7 +210,7 @@ pub fn recorder() -> Option<Arc<Recorder>> {
 }
 
 /// Installs a recorder according to [`TELEMETRY_ENV`] and returns the
-/// selected mode. Idempotent: if a collector is already installed the
+/// selected mode. Idempotent: if a recorder is already installed the
 /// current mode is returned unchanged, so several experiments in one
 /// binary share one recorder (and one event stream).
 pub fn init_from_env() -> Mode {
@@ -252,7 +224,7 @@ pub fn init_from_env() -> Mode {
     requested
 }
 
-/// Records one event. `build` runs only when a collector is installed, so
+/// Records one event. `build` runs only when a recorder is installed, so
 /// argument formatting and clock reads cost nothing while telemetry is
 /// off.
 #[inline]
@@ -260,12 +232,8 @@ pub fn emit(build: impl FnOnce() -> Event) {
     if !enabled() {
         return;
     }
-    let collector = COLLECTOR
-        .read()
-        .unwrap_or_else(std::sync::PoisonError::into_inner)
-        .clone();
-    if let Some(collector) = collector {
-        collector.record(build());
+    if let Some(recorder) = recorder() {
+        recorder.record(build());
     }
 }
 
@@ -289,25 +257,13 @@ pub fn thread_id() -> u64 {
     ID.with(|id| *id)
 }
 
-/// The cache-counter sampling interval for the current mode: `0` (off)
-/// unless the mode is [`Mode::Events`], in which case [`SIM_SAMPLE_ENV`]
-/// applies (default [`DEFAULT_SAMPLE_INTERVAL`]; `0` disables).
+/// The cache-counter sampling interval for the current mode:
+/// [`DEFAULT_SAMPLE_INTERVAL`] in [`Mode::Events`], `0` (off) otherwise.
 pub fn sample_interval() -> u64 {
-    if mode() != Mode::Events {
-        return 0;
-    }
-    match std::env::var(SIM_SAMPLE_ENV) {
-        Err(_) => DEFAULT_SAMPLE_INTERVAL,
-        Ok(raw) => match raw.trim().parse::<u64>() {
-            Ok(n) => n,
-            Err(_) => {
-                eprintln!(
-                    "warning: ignoring {SIM_SAMPLE_ENV}={raw:?} \
-                     (want an access count; 0 disables sampling)"
-                );
-                DEFAULT_SAMPLE_INTERVAL
-            }
-        },
+    if mode() == Mode::Events {
+        DEFAULT_SAMPLE_INTERVAL
+    } else {
+        0
     }
 }
 
@@ -324,7 +280,7 @@ pub fn trace_out_path() -> std::path::PathBuf {
 pub(crate) mod test_lock {
     use std::sync::{Mutex, MutexGuard};
 
-    /// Tests that install/uninstall the global collector serialize on
+    /// Tests that install/uninstall the global recorder serialize on
     /// this lock so they can run in one test binary without racing.
     static LOCK: Mutex<()> = Mutex::new(());
 
@@ -389,8 +345,9 @@ mod tests {
     #[test]
     fn off_mode_install_is_uninstall() {
         let _guard = test_lock::hold();
-        let recorder = Arc::new(Recorder::new());
-        install(Mode::Off, recorder as Arc<dyn Collector>);
+        install_recorder(Mode::Summary);
+        install_recorder(Mode::Off);
         assert!(!enabled());
+        assert!(super::recorder().is_none());
     }
 }

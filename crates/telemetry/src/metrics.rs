@@ -29,8 +29,7 @@
 //! Snapshots ([`MetricsRegistry::snapshot`]) are deterministic: metrics
 //! are keyed in a `BTreeMap` by (family, labels), so two snapshots of
 //! an unchanged registry render byte-identically — the property the
-//! Prometheus exposition in `pad_report` and the advisor's `metrics`
-//! op both build on.
+//! advisor's `metrics` op, the one live reader, builds on.
 
 use std::collections::BTreeMap;
 use std::sync::atomic::{AtomicBool, AtomicI64, AtomicU64, Ordering};
@@ -233,7 +232,7 @@ pub struct HistogramSnapshot {
 
 /// A metric's identity: family name plus a (sorted-at-registration,
 /// rendered-verbatim) label list. Ordering is the registry's snapshot
-/// order, hence the exposition order.
+/// order.
 #[derive(Debug, Clone, PartialEq, Eq, PartialOrd, Ord)]
 struct MetricKey {
     name: String,
@@ -269,8 +268,6 @@ pub struct SnapshotMetric {
     pub name: String,
     /// Label pairs, in registration order.
     pub labels: Vec<(String, String)>,
-    /// Help text registered with the family.
-    pub help: String,
     /// The value.
     pub value: SnapshotValue,
 }
@@ -373,7 +370,6 @@ pub struct MetricsRegistry {
     counters: Mutex<BTreeMap<MetricKey, Arc<Counter>>>,
     gauges: Mutex<BTreeMap<MetricKey, Arc<Gauge>>>,
     histograms: Mutex<BTreeMap<MetricKey, Arc<LatencyHistogram>>>,
-    help: Mutex<BTreeMap<String, String>>,
 }
 
 fn poisoned<T>(e: std::sync::PoisonError<T>) -> T {
@@ -386,22 +382,13 @@ impl MetricsRegistry {
         MetricsRegistry::default()
     }
 
-    fn note_help(&self, name: &str, help: &str) {
-        self.help
-            .lock()
-            .unwrap_or_else(poisoned)
-            .entry(name.to_string())
-            .or_insert_with(|| help.to_string());
-    }
-
     /// Gets or registers the counter `name` (no labels).
-    pub fn counter(&self, name: &str, help: &str) -> Arc<Counter> {
-        self.counter_with(name, help, &[])
+    pub fn counter(&self, name: &str) -> Arc<Counter> {
+        self.counter_with(name, &[])
     }
 
     /// Gets or registers the counter `name{labels}`.
-    pub fn counter_with(&self, name: &str, help: &str, labels: &[(&str, &str)]) -> Arc<Counter> {
-        self.note_help(name, help);
+    pub fn counter_with(&self, name: &str, labels: &[(&str, &str)]) -> Arc<Counter> {
         Arc::clone(
             self.counters
                 .lock()
@@ -412,13 +399,12 @@ impl MetricsRegistry {
     }
 
     /// Gets or registers the gauge `name` (no labels).
-    pub fn gauge(&self, name: &str, help: &str) -> Arc<Gauge> {
-        self.gauge_with(name, help, &[])
+    pub fn gauge(&self, name: &str) -> Arc<Gauge> {
+        self.gauge_with(name, &[])
     }
 
     /// Gets or registers the gauge `name{labels}`.
-    pub fn gauge_with(&self, name: &str, help: &str, labels: &[(&str, &str)]) -> Arc<Gauge> {
-        self.note_help(name, help);
+    pub fn gauge_with(&self, name: &str, labels: &[(&str, &str)]) -> Arc<Gauge> {
         Arc::clone(
             self.gauges
                 .lock()
@@ -429,18 +415,12 @@ impl MetricsRegistry {
     }
 
     /// Gets or registers the latency histogram `name` (no labels).
-    pub fn histogram(&self, name: &str, help: &str) -> Arc<LatencyHistogram> {
-        self.histogram_with(name, help, &[])
+    pub fn histogram(&self, name: &str) -> Arc<LatencyHistogram> {
+        self.histogram_with(name, &[])
     }
 
     /// Gets or registers the latency histogram `name{labels}`.
-    pub fn histogram_with(
-        &self,
-        name: &str,
-        help: &str,
-        labels: &[(&str, &str)],
-    ) -> Arc<LatencyHistogram> {
-        self.note_help(name, help);
+    pub fn histogram_with(&self, name: &str, labels: &[(&str, &str)]) -> Arc<LatencyHistogram> {
         Arc::clone(
             self.histograms
                 .lock()
@@ -452,12 +432,9 @@ impl MetricsRegistry {
 
     /// A deterministic point-in-time copy of every metric.
     pub fn snapshot(&self) -> MetricsSnapshot {
-        let help = self.help.lock().unwrap_or_else(poisoned).clone();
-        let help_of = |name: &str| help.get(name).cloned().unwrap_or_default();
         let metric = |key: &MetricKey, value: SnapshotValue| SnapshotMetric {
             name: key.name.clone(),
             labels: key.labels.clone(),
-            help: help_of(&key.name),
             value,
         };
         MetricsSnapshot {
@@ -509,14 +486,14 @@ mod tests {
     #[test]
     fn counters_and_gauges_accumulate() {
         let r = MetricsRegistry::new();
-        let c = r.counter("t_total", "a test counter");
+        let c = r.counter("t_total");
         c.inc();
         c.add(4);
         assert_eq!(c.get(), 5);
         // Re-registration returns the same underlying metric.
-        assert_eq!(r.counter("t_total", "a test counter").get(), 5);
+        assert_eq!(r.counter("t_total").get(), 5);
 
-        let g = r.gauge("t_depth", "a test gauge");
+        let g = r.gauge("t_depth");
         g.inc();
         g.inc();
         g.dec();
@@ -542,7 +519,7 @@ mod tests {
     #[test]
     fn histogram_recording_is_thread_safe_across_shards() {
         let r = MetricsRegistry::new();
-        let h = r.histogram("t_latency_us", "latency");
+        let h = r.histogram("t_latency_us");
         std::thread::scope(|scope| {
             for _ in 0..4 {
                 let h = Arc::clone(&h);
@@ -559,12 +536,10 @@ mod tests {
     #[test]
     fn snapshots_are_ordered_and_stable() {
         let r = MetricsRegistry::new();
-        r.counter("b_total", "second").inc();
-        r.counter("a_total", "first").add(2);
-        r.counter_with("c_total", "labeled", &[("op", "ping")])
-            .inc();
-        r.counter_with("c_total", "labeled", &[("op", "advise")])
-            .add(3);
+        r.counter("b_total").inc();
+        r.counter("a_total").add(2);
+        r.counter_with("c_total", &[("op", "ping")]).inc();
+        r.counter_with("c_total", &[("op", "advise")]).add(3);
         let snap = r.snapshot();
         let names: Vec<String> = snap
             .counters
@@ -598,11 +573,11 @@ mod tests {
             (&one, "a_total", &[("op", "ping")][..]),
             (&two, "b_total", &[][..]),
         ] {
-            r.counter_with(name, "help", labels).inc();
-            both.counter_with(name, "help", labels).inc();
+            r.counter_with(name, labels).inc();
+            both.counter_with(name, labels).inc();
         }
-        two.gauge("g", "gauge").set(4);
-        both.gauge("g", "gauge").set(4);
+        two.gauge("g").set(4);
+        both.gauge("g").set(4);
         assert_eq!(one.snapshot().merge(two.snapshot()), both.snapshot());
     }
 

@@ -44,27 +44,12 @@ pub fn ingest_metrics() -> &'static IngestMetrics {
     METRICS.get_or_init(|| {
         let r = pad_telemetry::registry();
         IngestMetrics {
-            records: r.counter(
-                "pad_ingest_records_total",
-                "Trace records decoded and fed to a sink.",
-            ),
-            bytes: r.counter(
-                "pad_ingest_bytes_total",
-                "Raw bytes consumed by the trace readers.",
-            ),
-            malformed: r.counter(
-                "pad_ingest_malformed_total",
-                "Reads refused as not a well-formed trace (I/O errors excluded).",
-            ),
-            replays: r.counter("pad_ingest_replays_total", "Traces read to the end."),
-            replay_us: r.histogram(
-                "pad_ingest_replay_us",
-                "Wall time of each complete trace read, in microseconds.",
-            ),
-            replay_records_per_sec: r.gauge(
-                "pad_ingest_replay_records_per_sec",
-                "Records per second of the most recent complete trace read.",
-            ),
+            records: r.counter("pad_ingest_records_total"),
+            bytes: r.counter("pad_ingest_bytes_total"),
+            malformed: r.counter("pad_ingest_malformed_total"),
+            replays: r.counter("pad_ingest_replays_total"),
+            replay_us: r.histogram("pad_ingest_replay_us"),
+            replay_records_per_sec: r.gauge("pad_ingest_replay_records_per_sec"),
         }
     })
 }

@@ -423,8 +423,8 @@ impl Sinks {
 /// one-sink calls of this function.
 ///
 /// With telemetry on, the walk also emits a `sim` throughput span and
-/// optional periodic cache-counter samples (`RIVERA_SIM_SAMPLE` accesses
-/// apart, checked at chunk boundaries); the sink updates are the same
+/// periodic cache-counter samples (2^20 accesses apart in `events` mode,
+/// checked at chunk boundaries); the sink updates are the same
 /// either way, so statistics are bit-identical. Reuse sinks have no
 /// `Cache` to sample; instead each emits one end-of-walk counter
 /// (distinct lines, max distance, tick compactions). Heat sinks likewise
@@ -503,12 +503,7 @@ pub fn simulate_batch(
         use std::sync::OnceLock;
         static ACCESSES: OnceLock<std::sync::Arc<pad_telemetry::Counter>> = OnceLock::new();
         ACCESSES
-            .get_or_init(|| {
-                pad_telemetry::registry().counter(
-                    "pad_sim_accesses_total",
-                    "Accesses walked by the batched simulation engine.",
-                )
-            })
+            .get_or_init(|| pad_telemetry::registry().counter("pad_sim_accesses_total"))
             .add(walked);
     }
 

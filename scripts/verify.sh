@@ -51,9 +51,9 @@ skip_gate() {
 "
 }
 
-# Binaries that write `results/` (bench history, Prometheus snapshot,
-# figure CSVs and journals) run with their working directory in the
-# untracked VERIFY_OUT, so a run leaves the tracked results/ untouched.
+# Binaries that write `results/` (bench history, figure CSVs and
+# journals) run with their working directory in the untracked
+# VERIFY_OUT, so a run leaves the tracked results/ untouched.
 # Cargo still finds the workspace, and its target dir, from there.
 VERIFY_OUT=target/verify
 mkdir -p "$VERIFY_OUT"
@@ -132,13 +132,14 @@ run_gate throughput in_verify_out \
 # Instrumentation: in the same interleaved rounds, the engine with
 # telemetry and metrics off within 2% of a hand-rolled loop and with
 # metrics on within 2% of off; miss counts equal and tables byte-identical
-# in events mode and with metrics on; Prometheus exposition byte-stable
-# (written to $VERIFY_OUT/results/metrics.prom for the CI artifact).
+# in events mode and with metrics on; and the walk, engine, search,
+# ingest and pool families of a real advisor session read back exactly
+# through the `metrics` op.
 gate_telemetry() {
     PAD_QUICK=1 cargo test -q -p pad-bench --test telemetry &&
         in_verify_out env PAD_QUICK=1 \
             cargo run --release -q -p pad-bench --bin bench_telemetry &&
-        test -s "$VERIFY_OUT/results/metrics.prom"
+        timeout 300 cargo test -q -p pad-advisor --test metrics_families
 }
 run_gate telemetry gate_telemetry
 
