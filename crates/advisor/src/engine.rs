@@ -12,7 +12,10 @@
 //!   search may keep the original, so the answer's layout often *is*
 //!   the original one; a (program, layout) pair always simulates to the
 //!   same result, so such a layout is walked once and both answer
-//!   sections come from that walk.
+//!   sections come from that walk. A search's exact confirmations have
+//!   already counted both layouts' misses on the request's cache (the
+//!   original layout is always promoted first, and the winner's count
+//!   is its `best_exact`), so its walks feed the reuse sink alone.
 //! * **Fast** — run the same pipeline but report the analytic miss-rate
 //!   estimate instead of simulating. Costs microseconds, marked
 //!   `degraded` when it stands in for an exact answer.
@@ -22,11 +25,14 @@
 //! the produced JSON is byte-identical across runs and processes — the
 //! property the persistent answer cache replays rely on.
 
+use pad_cache_sim::{CacheConfig, CacheStats, ReuseHistogram};
 use pad_core::{DataLayout, PaddingPipeline};
 use pad_ir::Program;
 use pad_kernels::suite;
 use pad_telemetry as telemetry;
-use pad_trace::{padding_config_for, simulate_batch, BatchRequest, CompiledTrace, Sinks};
+use pad_trace::{
+    padding_config_for, simulate_batch, BatchRequest, BatchResults, CompiledTrace, Sinks,
+};
 use pad_trace_ingest::IngestError;
 
 use crate::json::Json;
@@ -91,10 +97,10 @@ const PRICING_TRIPS: u64 = 1 << 20;
 
 /// Work (accesses plus loop trips, over both layouts) an exact answer
 /// for `program` may do, or `u64::MAX` when counting it would cost more
-/// than [`PRICING_TRIPS`] iterated trips. The server divides this by its
-/// calibrated simulation rate to decide whether exact fits the deadline
-/// budget; it runs before the deadline-guarded cell, so it must stay
-/// cheap on any input. Trips are priced like accesses: a nest of empty
+/// than 2^20 iterated outer-loop trips (about 12 ms). The server divides
+/// this by its calibrated simulation rate to decide whether exact fits
+/// the deadline budget; it runs before the deadline-guarded cell, so it
+/// must stay cheap on any input. Trips are priced like accesses: a nest of empty
 /// inner loops performs no accesses, yet its walk runs every outer trip.
 ///
 /// The price is the two-walk upper bound. Which layout the answer picks
@@ -164,14 +170,14 @@ pub fn advise(program: &Program, request: &AdviseRequest, exact: bool, degraded:
     let config = padding_config_for(cache);
     // The search algorithm produces its layout (and an extra response
     // section) through `pad-search`; the heuristics run their pipeline.
-    let (layout, events, search_section) = match request.algorithm {
+    let (layout, events, search_section, confirmed) = match request.algorithm {
         Algorithm::Pad => {
             let outcome = PaddingPipeline::pad(config.clone()).run(program);
-            (outcome.layout, outcome.events, None)
+            (outcome.layout, outcome.events, None, None)
         }
         Algorithm::PadLite => {
             let outcome = PaddingPipeline::padlite(config.clone()).run(program);
-            (outcome.layout, outcome.events, None)
+            (outcome.layout, outcome.events, None, None)
         }
         Algorithm::Search => {
             let (result, cfg) = run_search(program, request, exact);
@@ -190,7 +196,8 @@ pub fn advise(program: &Program, request: &AdviseRequest, exact: bool, degraded:
                         .map_or(Json::Null, |m| Json::Int(m as i64)),
                 ),
             ]);
-            (result.best.layout, events, Some(section))
+            let confirmed = search_misses(&result);
+            (result.best.layout, events, Some(section), confirmed)
         }
     };
     let original = DataLayout::original(program);
@@ -216,21 +223,7 @@ pub fn advise(program: &Program, request: &AdviseRequest, exact: bool, degraded:
     ];
 
     if exact {
-        let request_batch = BatchRequest::new()
-            .with_plain(*cache)
-            .with_reuse(cache.line_size(), 0);
-        let before = simulate_batch(program, &original, &request_batch);
-        // An unchanged layout would walk to the same results again.
-        let padded = (layout != original).then(|| simulate_batch(program, &layout, &request_batch));
-        let after = padded.as_ref().unwrap_or(&before);
-        let (bs, as_) = (&before.plain[0], &after.plain[0]);
-        fields.push(("original".into(), stats_json(bs.accesses, bs.misses)));
-        fields.push(("padded".into(), stats_json(as_.accesses, as_.misses)));
-        fields.push((
-            "improvement_points".into(),
-            Json::Num(bs.miss_rate_percent() - as_.miss_rate_percent()),
-        ));
-        fields.push(("mrc".into(), mrc_json(cache.line_size(), &before, after)));
+        fields.extend(exact_fields(program, &original, &layout, cache, confirmed));
     } else {
         let before = pad_core::estimate_miss_rate(program, &original, &config);
         let after = pad_core::estimate_miss_rate(program, &layout, &config);
@@ -270,6 +263,59 @@ pub fn advise(program: &Program, request: &AdviseRequest, exact: bool, degraded:
         degraded,
         simulated: exact,
     }
+}
+
+/// A search answer's plain-cache misses `(original, padded)` on the
+/// request's cache, from its exact confirmations: `None` in fast-only
+/// mode, or when the original layout's confirmation (or every one) was
+/// discarded.
+fn search_misses(result: &pad_search::SearchResult) -> Option<(u64, u64)> {
+    result.original_exact().zip(result.best_exact)
+}
+
+/// The exact rung's answer sections — `original`, `padded`,
+/// `improvement_points` and `mrc` — from walks of the original layout and
+/// of `layout` (not walked again when it equals the original). When
+/// `confirmed` already holds both layouts' plain-cache misses the walks
+/// feed only the reuse sink, for the miss-ratio curve; otherwise a plain
+/// sink counts them.
+fn exact_fields(
+    program: &Program,
+    original: &DataLayout,
+    layout: &DataLayout,
+    cache: &CacheConfig,
+    confirmed: Option<(u64, u64)>,
+) -> Vec<(String, Json)> {
+    let sinks = match confirmed {
+        Some(_) => BatchRequest::new(),
+        None => BatchRequest::new().with_plain(*cache),
+    }
+    .with_reuse(cache.line_size(), 0);
+    let before = simulate_batch(program, original, &sinks);
+    let padded = (layout != original).then(|| simulate_batch(program, layout, &sinks));
+    let after = padded.as_ref().unwrap_or(&before);
+    let stats = |walk: &BatchResults, misses: Option<u64>| match misses {
+        Some(misses) => CacheStats {
+            accesses: walk.reuse[0].accesses(),
+            misses,
+            ..CacheStats::default()
+        },
+        None => walk.plain[0],
+    };
+    let (original_misses, padded_misses) = confirmed.unzip();
+    let (bs, as_) = (stats(&before, original_misses), stats(after, padded_misses));
+    vec![
+        ("original".into(), stats_json(bs.accesses, bs.misses)),
+        ("padded".into(), stats_json(as_.accesses, as_.misses)),
+        (
+            "improvement_points".into(),
+            Json::Num(bs.miss_rate_percent() - as_.miss_rate_percent()),
+        ),
+        (
+            "mrc".into(),
+            mrc_json(cache.line_size(), &before.reuse[0], &after.reuse[0]),
+        ),
+    ]
 }
 
 /// Diagnoses an on-disk address trace: one streaming pass through the
@@ -448,12 +494,7 @@ fn stats_json(accesses: u64, misses: u64) -> Json {
 
 /// Miss-ratio curve points for both layouts over the union of their
 /// power-of-two capacity grids, in bytes.
-fn mrc_json(
-    line_size: u64,
-    before: &pad_trace::BatchResults,
-    after: &pad_trace::BatchResults,
-) -> Json {
-    let (hb, ha) = (&before.reuse[0], &after.reuse[0]);
+fn mrc_json(line_size: u64, hb: &ReuseHistogram, ha: &ReuseHistogram) -> Json {
     let mut capacities: Vec<u64> = hb
         .pow2_capacities()
         .into_iter()
@@ -500,7 +541,6 @@ fn arrays_json(program: &Program, layout: &DataLayout) -> Json {
 mod tests {
     use super::*;
     use crate::protocol::{Mode, SearchParams};
-    use pad_cache_sim::CacheConfig;
 
     fn request(source: Source) -> AdviseRequest {
         AdviseRequest {
@@ -613,6 +653,60 @@ mod tests {
         let fast = advise(&program, &req, false, true);
         assert!(!fast.simulated && fast.degraded);
         assert!(fast.body.get("search").is_some());
+    }
+
+    #[test]
+    fn search_answers_walk_the_plain_sink_without_the_original_confirmation() {
+        let program = resolve(&Source::Kernel {
+            name: "JACOBI512".into(),
+            n: Some(32),
+        })
+        .expect("resolves");
+        let cache = CacheConfig::direct_mapped(4096, 32);
+        let cfg = pad_search::SearchConfig {
+            budget: 60,
+            ..pad_search::SearchConfig::default()
+        };
+        let original = DataLayout::original(&program);
+        let sections = |layout: &DataLayout, confirmed| {
+            Json::Obj(exact_fields(&program, &original, layout, &cache, confirmed))
+        };
+
+        // The original layout's confirmation is exact sequence number 0.
+        let hooks = pad_search::SearchHooks {
+            skip: [0].into_iter().collect(),
+            ..pad_search::SearchHooks::default()
+        };
+        let skipped = pad_search::search_with(&program, &cache, &cfg, hooks);
+        assert!(skipped.best_exact.is_some());
+        assert_eq!(search_misses(&skipped), None);
+        let layout = &skipped.best.layout;
+        let fields = sections(layout, search_misses(&skipped));
+        let walk = |layout: &DataLayout| {
+            let sinks = BatchRequest::new().with_plain(cache);
+            simulate_batch(&program, layout, &sinks).plain[0]
+        };
+        let (before, after) = (walk(&original), walk(layout));
+        for (key, stats) in [("original", before), ("padded", after)] {
+            let section = fields.get(key).expect("section present");
+            assert_eq!(
+                section.get("accesses").and_then(Json::as_u64),
+                Some(stats.accesses)
+            );
+            assert_eq!(
+                section.get("misses").and_then(Json::as_u64),
+                Some(stats.misses)
+            );
+        }
+
+        // With both confirmations the sections are the same bytes.
+        let clean = pad_search::search(&program, &cache, &cfg);
+        let confirmed = search_misses(&clean);
+        assert!(confirmed.is_some());
+        assert_eq!(
+            sections(&clean.best.layout, confirmed).to_string(),
+            sections(&clean.best.layout, None).to_string()
+        );
     }
 
     #[test]

@@ -14,6 +14,18 @@ use crate::config::PaddingConfig;
 use crate::layout::DataLayout;
 use crate::nest::Nest;
 
+/// The byte distance `(base_a + offset_a) − (base_b + offset_b)` between
+/// two references, each an offset from its array's base.
+///
+/// Exact in `i128`. Validated offsets reach ±(2^62 − 1) and bases are
+/// `u64`, so the difference can leave `i64`: two 2^60-byte arrays
+/// referenced near ±2^62 from their bases sit 2^63 + 2^60 apart. Its
+/// residue modulo a power-of-two cache size would survive a wrap, but
+/// its magnitude, which decides whether the two share a line, would not.
+pub(crate) fn pair_distance(base_a: u64, offset_a: i64, base_b: u64, offset_b: i64) -> i128 {
+    i128::from(base_a) + i128::from(offset_a) - i128::from(base_b) - i128::from(offset_b)
+}
+
 /// The circular distance between two addresses `diff` bytes apart on a
 /// cache of `cs` bytes: `min(d, cs - d)` where `d = diff mod cs`.
 ///
@@ -23,9 +35,9 @@ use crate::nest::Nest;
 /// # Panics
 ///
 /// Panics if `cs == 0`.
-pub fn circular_distance(diff: i64, cs: u64) -> u64 {
+pub fn circular_distance(diff: impl Into<i128>, cs: u64) -> u64 {
     assert!(cs > 0, "cache size must be nonzero");
-    let d = diff.rem_euclid(cs as i64) as u64;
+    let d = diff.into().rem_euclid(i128::from(cs)) as u64;
     d.min(cs - d)
 }
 
@@ -37,8 +49,9 @@ pub fn circular_distance(diff: i64, cs: u64) -> u64 {
 /// The second condition is what keeps a stencil's `A(j-1,i)` / `A(j+1,i)`
 /// pair — two elements apart, same line, pure spatial reuse — from being
 /// misdiagnosed as a conflict.
-pub fn is_severe_conflict(diff: i64, cs: u64, ls: u64, threshold: u64) -> bool {
-    diff.unsigned_abs() >= ls && circular_distance(diff, cs) < threshold
+pub fn is_severe_conflict(diff: impl Into<i128>, cs: u64, ls: u64, threshold: u64) -> bool {
+    let diff = diff.into();
+    diff.unsigned_abs() >= u128::from(ls) && circular_distance(diff, cs) < threshold
 }
 
 /// The smallest base-address increment that moves a pair currently `diff`
@@ -52,12 +65,12 @@ pub fn is_severe_conflict(diff: i64, cs: u64, ls: u64, threshold: u64) -> bool {
 ///
 /// Panics if `2 * threshold > cs` (no address could then be clear of an
 /// occupied location, and the greedy loop would not terminate).
-pub fn increment_to_clear(diff: i64, cs: u64, threshold: u64) -> u64 {
+pub fn increment_to_clear(diff: impl Into<i128>, cs: u64, threshold: u64) -> u64 {
     assert!(
         2 * threshold <= cs,
         "separation threshold {threshold} too large for cache of {cs} bytes"
     );
-    let d = diff.rem_euclid(cs as i64) as u64;
+    let d = diff.into().rem_euclid(i128::from(cs)) as u64;
     if d >= threshold && d <= cs - threshold {
         0
     } else if d < threshold {
@@ -73,8 +86,9 @@ pub fn increment_to_clear(diff: i64, cs: u64, threshold: u64) -> u64 {
 pub struct ConflictReport {
     /// The two arrays involved (equal for intra-array conflicts).
     pub arrays: (ArrayId, ArrayId),
-    /// Constant byte distance between the references.
-    pub distance_bytes: i64,
+    /// Constant byte distance between the references, exact (it can
+    /// leave `i64`).
+    pub distance_bytes: i128,
     /// Circular distance on the primary cache level.
     pub circular_distance: u64,
     /// Rendered forms of the two references.
@@ -101,8 +115,12 @@ pub fn find_severe_conflicts(
                 if nest.coeffs(a) != nest.coeffs(b) {
                     continue; // distance varies per iteration
                 }
-                let diff = nest.offset(a) - nest.offset(b) + layout.base_addr(ra.array()) as i64
-                    - layout.base_addr(rb.array()) as i64;
+                let diff = pair_distance(
+                    layout.base_addr(ra.array()),
+                    nest.offset(a),
+                    layout.base_addr(rb.array()),
+                    nest.offset(b),
+                );
                 if config
                     .levels()
                     .iter()

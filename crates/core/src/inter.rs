@@ -23,7 +23,7 @@ use pad_telemetry::{Event, Value};
 
 use crate::combined::PadEvent;
 use crate::config::PaddingConfig;
-use crate::conflict::increment_to_clear;
+use crate::conflict::{increment_to_clear, pair_distance};
 use crate::layout::{align_up, DataLayout};
 use crate::nest::Nest;
 
@@ -160,7 +160,7 @@ fn needed_pad_lite(
         if b == id || layout.array_bytes(b) != my_size {
             continue;
         }
-        let diff = addr as i64 - layout.base_addr(b) as i64;
+        let diff = pair_distance(addr, 0, layout.base_addr(b), 0);
         for level in config.levels() {
             let m = config.m_bytes(*level);
             if 2 * m > level.size {
@@ -195,11 +195,14 @@ fn needed_pad_analyzed(
                 if nest.coeffs(ra) != nest.coeffs(rb) {
                     continue; // distance varies per iteration: no severe conflict
                 }
-                let diff = addr as i64 + nest.offset(ra)
-                    - layout.base_addr(array(rb)) as i64
-                    - nest.offset(rb);
+                let diff = pair_distance(
+                    addr,
+                    nest.offset(ra),
+                    layout.base_addr(array(rb)),
+                    nest.offset(rb),
+                );
                 for level in config.levels() {
-                    if diff.unsigned_abs() < level.line {
+                    if diff.unsigned_abs() < u128::from(level.line) {
                         continue; // same or adjacent line: spatial reuse, not conflict
                     }
                     pad = pad.max(increment_to_clear(diff, level.size, level.line));

@@ -14,7 +14,7 @@ use pad_telemetry::{Event, Value};
 
 use crate::combined::PadEvent;
 use crate::config::PaddingConfig;
-use crate::conflict::is_severe_conflict;
+use crate::conflict::{is_severe_conflict, pair_distance};
 use crate::euclid::{first_conflict, j_star};
 use crate::layout::DataLayout;
 use crate::linalg::is_linear_algebra_array;
@@ -213,7 +213,7 @@ fn analyzed_violated(
                 if nest.coeffs(a) != nest.coeffs(b) {
                     continue;
                 }
-                let diff = nest.offset(a) - nest.offset(b);
+                let diff = pair_distance(0, nest.offset(a), 0, nest.offset(b));
                 if config
                     .levels()
                     .iter()

@@ -140,6 +140,11 @@ impl DataLayout {
         self.base_addrs[id.index()]
     }
 
+    /// Every array's base address, in declaration order.
+    pub(crate) fn base_addrs(&self) -> &[u64] {
+        &self.base_addrs
+    }
+
     /// The array's current (possibly padded) shape.
     pub fn dims(&self, id: ArrayId) -> &[Dim] {
         &self.dims[id.index()]

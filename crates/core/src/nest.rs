@@ -12,7 +12,7 @@
 
 use std::ops::Range;
 
-use pad_ir::{AccessKind, AffineExpr, ArrayId, ArrayRef, IndexVar, Program, Stmt};
+use pad_ir::{AccessKind, AffineExpr, ArrayId, ArrayRef, Dim, IndexVar, Program, Stmt};
 
 use crate::layout::DataLayout;
 
@@ -91,6 +91,9 @@ pub struct Nest {
     /// Array `a`'s dimensions are `dim_start[a]..dim_start[a + 1]` of
     /// `strides`.
     dim_start: Vec<usize>,
+    /// Array `a`'s references are `by_array[ref_start[a]..ref_start[a + 1]]`.
+    ref_start: Vec<usize>,
+    by_array: Vec<usize>,
     strides: Vec<i64>,
     /// Per reference: byte offset from its array's base, then one byte
     /// coefficient per slot.
@@ -116,6 +119,15 @@ impl Nest {
             ..Nest::default()
         };
         nest.roots = nest.compile_body(program.body(), &mut Vec::new()).1;
+        let arrays = program.arrays().len();
+        nest.by_array = (0..nest.refs.len()).collect();
+        nest.by_array.sort_by_key(|&r| nest.refs[r].array.index());
+        nest.ref_start = (0..=arrays)
+            .map(|a| {
+                nest.by_array
+                    .partition_point(|&r| nest.refs[r].array.index() < a)
+            })
+            .collect();
         nest
     }
 
@@ -200,18 +212,31 @@ impl Nest {
         );
         for a in 0..layout.len() {
             let id = ArrayId::from_index(a);
-            let (dims, span) = (layout.dims(id), self.dim_start[a]..self.dim_start[a + 1]);
-            assert_eq!(dims.len(), span.len(), "layout changed an array's rank");
-            let mut stride = i64::from(layout.elem_size(id));
-            for (d, dim) in span.zip(dims) {
-                self.strides[d] = stride;
-                stride *= dim.size;
-            }
+            self.bind_array(id, layout.elem_size(id), layout.dims(id));
         }
-        for r in &self.refs {
+    }
+
+    /// Binds one array's shape: `dims` (lower bounds and sizes) of
+    /// `elem_size`-byte elements, folded into the strides and into the
+    /// offset and coefficients of every reference to the array. The other
+    /// arrays keep their binding.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `dims` changes the array's rank.
+    pub(crate) fn bind_array(&mut self, array: ArrayId, elem_size: u32, dims: &[Dim]) {
+        let a = array.index();
+        let span = self.dim_start[a]..self.dim_start[a + 1];
+        assert_eq!(dims.len(), span.len(), "layout changed an array's rank");
+        let mut stride = i64::from(elem_size);
+        for (d, dim) in span.zip(dims) {
+            self.strides[d] = stride;
+            stride *= dim.size;
+        }
+        let strides = &self.strides[self.dim_start[a]..self.dim_start[a + 1]];
+        for &r in &self.by_array[self.ref_start[a]..self.ref_start[a + 1]] {
+            let r = &self.refs[r];
             let cols = 1 + r.depth;
-            let dims = layout.dims(r.array);
-            let strides = &self.strides[self.dim_start[r.array.index()]..];
             let rows = &self.rows[r.rows..r.rows + dims.len() * cols];
             let out = &mut self.lin[r.lin..r.lin + cols];
             out.fill(0);
@@ -255,6 +280,11 @@ impl Nest {
     pub fn coeffs(&self, r: usize) -> &[i64] {
         let x = &self.refs[r];
         &self.lin[x.lin + 1..x.lin + 1 + x.depth]
+    }
+
+    /// The references to `array`, in program order.
+    pub(crate) fn array_refs(&self, array: ArrayId) -> &[usize] {
+        &self.by_array[self.ref_start[array.index()]..self.ref_start[array.index() + 1]]
     }
 
     /// `array`'s byte stride per dimension.

@@ -84,12 +84,12 @@ impl SearchStrategy for BeamSearch {
                     let Some(vector) = space.apply(&member.vector, m) else {
                         continue;
                     };
-                    let Some(cand) = objective.evaluate(vector) else {
+                    let Some(scored) = objective.evaluate_unseen(vector, &seen) else {
                         break;
                     };
-                    if seen.contains(&cand.signature) {
+                    let Some(cand) = scored else {
                         continue;
-                    }
+                    };
                     match round.entry(cand.signature) {
                         Entry::Vacant(slot) => {
                             slot.insert(cand);

@@ -37,11 +37,13 @@ pub mod objective;
 pub mod space;
 
 use std::collections::BTreeSet;
+use std::time::Instant;
 
 use pad_bench::faults::FaultPlan;
 use pad_cache_sim::CacheConfig;
 use pad_core::{DataLayout, PaddingPipeline};
 use pad_ir::Program;
+use pad_telemetry::metrics_enabled;
 use pad_trace::padding_config_for;
 
 pub use anneal::Annealing;
@@ -139,11 +141,12 @@ pub struct SearchResult {
     /// Strategy label (`"beam"` or `"anneal"`).
     pub strategy: &'static str,
     /// The winning candidate (exact-confirmed minimum when
-    /// `confirm_exact`, fast-rung minimum otherwise).
-    pub best: Candidate,
+    /// `confirm_exact`, fast-rung minimum otherwise), with its layout.
+    pub best: Candidate<DataLayout>,
     /// The winner's exact miss count (`None` in fast-only mode).
     pub best_exact: Option<u64>,
-    /// Every promoted candidate in promotion order (seeds first).
+    /// Every promoted candidate in promotion order: seeds first, and the
+    /// first seed is the original layout (the zero vector).
     pub promotions: Vec<Promotion>,
     /// Improvement points of the exact-confirmed frontier:
     /// `(analysis cost in fast evaluations, exact misses)`.
@@ -160,6 +163,13 @@ impl SearchResult {
     /// The winning layout.
     pub fn best_layout(&self) -> &DataLayout {
         &self.best.layout
+    }
+
+    /// The original layout's exact miss count, from its confirmation
+    /// (`None` in fast-only mode, or when that confirmation was
+    /// discarded).
+    pub fn original_exact(&self) -> Option<u64> {
+        self.promotions.first().and_then(|p| p.exact)
     }
 }
 
@@ -224,6 +234,8 @@ pub fn search_with(
             &PaddingPipeline::pad(pad_config).run(program).layout,
         ),
     ];
+    // The fast rung's clock: read twice per search, its mean recorded.
+    let clock = metrics_enabled().then(Instant::now);
     let mut seeds: Vec<Candidate> = Vec::with_capacity(seed_vectors.len());
     for vector in seed_vectors {
         let cand = objective.force_evaluate(vector);
@@ -239,52 +251,38 @@ pub fn search_with(
         StrategyKind::Anneal => Box::new(Annealing { seed: cfg.seed }),
     };
     let chain = strategy.run(&space, &mut objective, &seeds);
+    if let Some(t0) = clock {
+        metrics::record_fast_mean(t0.elapsed(), objective.fast_evals());
+    }
 
     let mut promoted = seeds;
     promoted.extend(chain);
-    let exacts: Vec<Option<u64>> = if cfg.confirm_exact {
-        let refs: Vec<&Candidate> = promoted.iter().collect();
-        objective.confirm_batch(&refs)
-    } else {
-        vec![None; promoted.len()]
-    };
-
-    let promotions: Vec<Promotion> = promoted
+    let mut promotions: Vec<Promotion> = promoted
         .iter()
-        .zip(&exacts)
-        .map(|(c, &exact)| Promotion {
+        .map(|c| Promotion {
             fast: c.fast,
-            exact,
+            exact: None,
             cost: c.found_at,
             signature: c.signature,
         })
         .collect();
 
-    // The winner: exact-confirmed minimum (ties broken by the total
-    // candidate order); in fast-only mode, the fast minimum.
-    let best_index = if cfg.confirm_exact {
-        let mut best: Option<usize> = None;
-        for (i, exact) in exacts.iter().enumerate() {
-            let Some(exact) = exact else { continue };
-            let better = match best {
-                None => true,
-                Some(j) => {
-                    let prev = exacts[j].expect("best always confirmed");
-                    exact
-                        .cmp(&prev)
-                        .then_with(|| cmp_candidates(&promoted[i], &promoted[j]))
-                        .is_lt()
-                }
-            };
-            if better {
-                best = Some(i);
-            }
+    // Only promoted candidates get a layout: every one when the exact
+    // rung confirms them, else the fast-rung winner alone.
+    let (best, best_exact) = if cfg.confirm_exact {
+        let mut confirmed: Vec<Candidate<DataLayout>> =
+            promoted.into_iter().map(|c| c.promote(program)).collect();
+        let exacts = objective.confirm_batch(&confirmed);
+        for (p, &exact) in promotions.iter_mut().zip(&exacts) {
+            p.exact = exact;
         }
         // Every promotion discarded (pathological fault plan): fall back
         // to the fast order so the search still answers.
-        best.unwrap_or_else(|| best_fast_index(&promoted))
+        let i = best_confirmed(&confirmed, &exacts).unwrap_or_else(|| best_fast_index(&confirmed));
+        (confirmed.swap_remove(i), exacts[i])
     } else {
-        best_fast_index(&promoted)
+        let i = best_fast_index(&promoted);
+        (promoted.swap_remove(i).promote(program), None)
     };
 
     let mut frontier = Vec::new();
@@ -300,8 +298,8 @@ pub fn search_with(
 
     let result = SearchResult {
         strategy: strategy.name(),
-        best: promoted[best_index].clone(),
-        best_exact: exacts[best_index],
+        best,
+        best_exact,
         promotions,
         frontier,
         fast_evals: objective.fast_evals(),
@@ -317,7 +315,30 @@ pub fn search_with(
     result
 }
 
-fn best_fast_index(promoted: &[Candidate]) -> usize {
+/// The exact-confirmed minimum, ties broken by the total candidate order;
+/// `None` when every confirmation was discarded.
+fn best_confirmed<L>(promoted: &[Candidate<L>], exacts: &[Option<u64>]) -> Option<usize> {
+    let mut best: Option<usize> = None;
+    for (i, exact) in exacts.iter().enumerate() {
+        let Some(exact) = exact else { continue };
+        let better = match best {
+            None => true,
+            Some(j) => {
+                let prev = exacts[j].expect("best always confirmed");
+                exact
+                    .cmp(&prev)
+                    .then_with(|| cmp_candidates(&promoted[i], &promoted[j]))
+                    .is_lt()
+            }
+        };
+        if better {
+            best = Some(i);
+        }
+    }
+    best
+}
+
+fn best_fast_index<L>(promoted: &[Candidate<L>]) -> usize {
     let mut best = 0;
     for i in 1..promoted.len() {
         if cmp_candidates(&promoted[i], &promoted[best]).is_lt() {

@@ -9,9 +9,13 @@
 //!   promoted to exact confirmation;
 //! * `pad_search_discarded_total{strategy=...}` — promoted candidates
 //!   whose exact confirmation panicked or was skipped;
-//! * `pad_search_eval_us{rung=fast|exact}` — evaluation latency.
+//! * `pad_search_eval_us{rung=fast|exact}` — evaluation latency: one
+//!   `fast` sample per search, its mean fast-rung evaluation time (the
+//!   search reads the clock twice, not twice per candidate), and one
+//!   `exact` sample per exact confirmation.
 
 use std::sync::{Arc, OnceLock};
+use std::time::Duration;
 
 use pad_telemetry::{metrics_enabled, registry, Counter, LatencyHistogram};
 
@@ -19,7 +23,7 @@ use pad_telemetry::{metrics_enabled, registry, Counter, LatencyHistogram};
 const STRATEGIES: [&str; 2] = ["beam", "anneal"];
 
 /// Label slot of the fast rung in [`eval_histograms`].
-pub(crate) const RUNG_FAST: usize = 0;
+const RUNG_FAST: usize = 0;
 /// Label slot of the exact rung in [`eval_histograms`].
 pub(crate) const RUNG_EXACT: usize = 1;
 const RUNGS: [&str; 2] = ["fast", "exact"];
@@ -43,6 +47,17 @@ pub(crate) fn record_eval_us(rung: usize, us: u64) {
         return;
     }
     eval_histograms()[rung].record(us);
+}
+
+/// Records one search's mean fast-rung evaluation time: `spent` over
+/// its `evals` evaluations, rounded to the microsecond.
+pub(crate) fn record_fast_mean(spent: Duration, evals: u64) {
+    if evals > 0 {
+        record_eval_us(
+            RUNG_FAST,
+            (spent.as_secs_f64() * 1e6 / evals as f64).round() as u64,
+        );
+    }
 }
 
 /// Records a finished search run's candidate/promotion/discard totals.

@@ -5,13 +5,18 @@
 //! graded [near-conflict pressure](pad_core::ModelScore::pressure)
 //! tie-breaker — and only frontier candidates are **promoted** to the
 //! exact rung, a full `simulate_batch` trace walk. The analytic model is
-//! compiled once per search ([`pad_core::MissModel`]), so a fast
-//! evaluation only materializes the candidate's layout and scores it:
-//! a few microseconds, against milliseconds for an exact walk. Search
-//! *decisions* consume only fast scores; exact counts confirm and rank
-//! the promoted frontier afterwards. That split is what makes fault
-//! injection benign: a panicking exact evaluation can discard one
-//! candidate but can never steer the search.
+//! compiled once per search ([`pad_core::MissModel`]) and a fast
+//! evaluation builds no layout: it places the arrays from the pad vector
+//! ([`PadVector::place`]), fingerprints the placement, binds the model
+//! to the vector's shapes (relinearizing only the arrays whose intra
+//! pads changed) and scores it at the vector's bases — a microsecond or
+//! two, against milliseconds for an exact walk. A candidate's layout is
+//! materialized only when it is promoted ([`Candidate::promote`]), and
+//! only a promoted candidate can be confirmed. Search *decisions*
+//! consume only fast scores; exact counts confirm and rank the promoted
+//! frontier afterwards. That split is what makes fault injection benign:
+//! a panicking exact evaluation can discard one candidate but can never
+//! steer the search.
 //!
 //! Exact confirmations fan out through `pad_bench::pool` isolation cells,
 //! each run once and without a deadline (results must not depend on the
@@ -29,18 +34,24 @@ use pad_bench::faults::FaultPlan;
 use pad_bench::harness::exact_misses;
 use pad_bench::pool;
 use pad_cache_sim::CacheConfig;
-use pad_core::{MissModel, PaddingConfig};
+use pad_core::{DataLayout, MissModel, PaddingConfig};
 use pad_ir::Program;
 use pad_telemetry::metrics_enabled;
 
-use crate::metrics::{record_eval_us, RUNG_EXACT, RUNG_FAST};
-use crate::space::{set_signature, Candidate, PadVector};
+use crate::metrics::{record_eval_us, RUNG_EXACT};
+use crate::space::{Candidate, PadVector, Signer};
 
 /// The budgeted evaluator shared by every strategy.
 pub struct Objective<'p> {
     program: &'p Program,
     cache: CacheConfig,
     model: MissModel,
+    /// The scored vector's base addresses (scratch).
+    bases: Vec<u64>,
+    signer: Signer,
+    /// The original layout's footprint, below which no materialized
+    /// layout's total falls.
+    original_bytes: u64,
     threads: usize,
     faults: FaultPlan,
     skip: BTreeSet<u64>,
@@ -65,6 +76,9 @@ impl<'p> Objective<'p> {
             program,
             cache,
             model: MissModel::compile(program, &pad_config),
+            bases: Vec::with_capacity(program.arrays().len()),
+            signer: Signer::new(program, cache.size()),
+            original_bytes: PadVector::zero(program).place(program, &mut Vec::new()),
             threads: threads.max(1),
             faults: FaultPlan::none(),
             skip: BTreeSet::new(),
@@ -124,33 +138,56 @@ impl<'p> Objective<'p> {
         Some(self.force_evaluate(vector))
     }
 
+    /// [`Objective::evaluate`] for a vector whose set signature may be in
+    /// `seen`: such a vector consumes its unit of budget but is not
+    /// graded (`Some(None)`), since its score could not be used.
+    pub fn evaluate_unseen(
+        &mut self,
+        vector: PadVector,
+        seen: &BTreeSet<u64>,
+    ) -> Option<Option<Candidate>> {
+        if !self.budget_left() {
+            return None;
+        }
+        Some(self.score(vector, Some(seen)))
+    }
+
     /// Scores `vector` on the fast rung regardless of budget (used for
     /// the PADLITE/PAD/original seeds, which must always be present for
     /// the never-worse-than-the-heuristics guarantee).
     pub fn force_evaluate(&mut self, vector: PadVector) -> Candidate {
-        let t0 = metrics_enabled().then(Instant::now);
-        let layout = vector.materialize(self.program);
-        let score = self.model.score(&layout);
-        self.fast_evals += 1;
-        if let Some(t0) = t0 {
-            record_eval_us(RUNG_FAST, t0.elapsed().as_micros() as u64);
-        }
-        Candidate {
-            fast: score.estimate.misses + score.pressure,
-            signature: set_signature(&layout, self.cache.size()),
-            total_bytes: layout.total_bytes(),
-            found_at: self.fast_evals,
-            vector,
-            layout,
-        }
+        self.score(vector, None)
+            .expect("a vector is only left ungraded when its signature was seen")
     }
 
-    /// Promotes `candidates` to the exact rung in one fanned batch.
-    /// Returns the exact plain-cache miss count per candidate in input
-    /// order, `None` for candidates whose cell panicked (fault injection)
-    /// or whose sequence number was in the skip set — both are counted as
-    /// discards. Results are in submission order at any thread width.
-    pub fn confirm_batch(&mut self, candidates: &[&Candidate]) -> Vec<Option<u64>> {
+    /// Places `vector`, fingerprints it, and unless `seen` holds the
+    /// fingerprint, binds the model to its shapes and grades it.
+    fn score(&mut self, vector: PadVector, seen: Option<&BTreeSet<u64>>) -> Option<Candidate> {
+        self.fast_evals += 1;
+        let end = vector.place(self.program, &mut self.bases);
+        let signature = self.signer.sign(self.program, &vector, &self.bases);
+        if seen.is_some_and(|seen| seen.contains(&signature)) {
+            return None;
+        }
+        self.model.bind_pads(&vector.intra);
+        let score = self.model.score_at(&self.bases);
+        Some(Candidate {
+            fast: score.estimate.misses + score.pressure,
+            signature,
+            total_bytes: end.max(self.original_bytes),
+            found_at: self.fast_evals,
+            vector,
+            layout: (),
+        })
+    }
+
+    /// Confirms promoted `candidates` on the exact rung in one fanned
+    /// batch. Returns the exact plain-cache miss count per candidate in
+    /// input order, `None` for candidates whose cell panicked (fault
+    /// injection) or whose sequence number was in the skip set — both are
+    /// counted as discards. Results are in submission order at any thread
+    /// width.
+    pub fn confirm_batch(&mut self, candidates: &[Candidate<DataLayout>]) -> Vec<Option<u64>> {
         if candidates.is_empty() {
             return Vec::new();
         }
@@ -215,23 +252,60 @@ mod tests {
         let p = pad_kernels::jacobi::spec(16);
         let cache = CacheConfig::direct_mapped(2048, 32);
         let mut obj = objective(&p, 10);
-        let c = obj.force_evaluate(PadVector::zero(&p));
+        let c = obj.force_evaluate(PadVector::zero(&p)).promote(&p);
         let direct = exact_misses(&p, &c.layout, &cache);
-        assert_eq!(obj.confirm_batch(&[&c]), vec![Some(direct)]);
+        assert_eq!(obj.confirm_batch(&[c]), vec![Some(direct)]);
 
         // Sequence numbers advance across batches; a fault at the next
         // sequence number discards exactly that evaluation.
         let mut faulted = objective(&p, 10).with_faults(FaultPlan::none().panic_at(1));
-        let c2 = faulted.force_evaluate(PadVector::zero(&p));
-        assert_eq!(faulted.confirm_batch(&[&c2, &c2]), vec![Some(direct), None]);
+        let c2 = faulted.force_evaluate(PadVector::zero(&p)).promote(&p);
+        assert_eq!(
+            faulted.confirm_batch(&[c2.clone(), c2]),
+            vec![Some(direct), None]
+        );
         assert_eq!(faulted.discarded(), 1);
 
         // Skipping the same sequence number gives the same observable
         // result as the fault.
         let mut skipped =
             objective(&p, 10).with_skip([1u64].into_iter().collect::<BTreeSet<u64>>());
-        let c3 = skipped.force_evaluate(PadVector::zero(&p));
-        assert_eq!(skipped.confirm_batch(&[&c3, &c3]), vec![Some(direct), None]);
+        let c3 = skipped.force_evaluate(PadVector::zero(&p)).promote(&p);
+        assert_eq!(
+            skipped.confirm_batch(&[c3.clone(), c3]),
+            vec![Some(direct), None]
+        );
         assert_eq!(skipped.discarded(), 1);
+    }
+
+    #[test]
+    fn vector_scores_equal_materialized_layout_scores() {
+        let p = pad_kernels::shal::spec(24);
+        let cache = CacheConfig::direct_mapped(2048, 32);
+        let space = crate::SearchSpace::new(&p, &padding_config_for(&cache));
+        let mut obj = objective(&p, 1000);
+        let mut model = MissModel::compile(&p, &padding_config_for(&cache));
+        let mut rng = pad_cache_sim::SplitMix64::new(7);
+        let mut v = PadVector::zero(&p);
+        let mut seen = BTreeSet::new();
+        for _ in 0..60 {
+            if let Some(next) = space.random_step(&v, &mut rng) {
+                v = next;
+            }
+            let layout = v.materialize(&p);
+            let score = model.score(&layout);
+            let c = obj.force_evaluate(v.clone());
+            assert_eq!(
+                c.fast.to_bits(),
+                (score.estimate.misses + score.pressure).to_bits()
+            );
+            assert_eq!(c.signature, crate::set_signature(&layout, cache.size()));
+            assert_eq!(c.total_bytes, layout.total_bytes());
+            // A seen signature consumes budget without a grade.
+            seen.insert(c.signature);
+            let before = obj.fast_evals();
+            assert!(matches!(obj.evaluate_unseen(v.clone(), &seen), Some(None)));
+            assert_eq!(obj.fast_evals(), before + 1);
+        }
     }
 }

@@ -26,17 +26,31 @@ use pad_ir::{ArrayId, Program};
 /// the same rule the inter-placement phase of `pad_core` applies.
 fn align_up(addr: u64, align: u64) -> u64 {
     debug_assert!(align > 0);
-    addr.div_ceil(align) * align
+    if align.is_power_of_two() {
+        (addr + align - 1) & !(align - 1)
+    } else {
+        addr.div_ceil(align) * align
+    }
+}
+
+/// `addr mod cache_size`, and 0 for a zero cache size.
+fn residue(addr: u64, cache_size: u64) -> u64 {
+    if cache_size.is_power_of_two() {
+        addr & (cache_size - 1)
+    } else {
+        addr % cache_size.max(1)
+    }
 }
 
 /// One joint layout decision: per-array intra pads (elements, by
 /// dimension) plus per-array inter gaps (bytes inserted before the
-/// array's aligned base address). Both vectors are indexed by
-/// `ArrayId::index()` in declaration order.
+/// array's aligned base address). Arrays are in declaration order.
 #[derive(Debug, Clone, PartialEq, Eq, PartialOrd, Ord, Hash)]
 pub struct PadVector {
-    /// Extra elements added to each dimension of each array.
-    pub intra: Vec<Vec<i64>>,
+    /// Extra elements added to each dimension of each array: every
+    /// array's dimensions in turn, so two vectors of one program order
+    /// as their per-array lists would.
+    pub intra: Vec<i64>,
     /// Extra bytes inserted before each array's base address.
     pub gap_bytes: Vec<u64>,
 }
@@ -45,9 +59,19 @@ impl PadVector {
     /// The identity transformation (the original sequential layout).
     pub fn zero(program: &Program) -> Self {
         PadVector {
-            intra: program.arrays().iter().map(|a| vec![0; a.rank()]).collect(),
+            intra: vec![0; program.arrays().iter().map(|a| a.rank()).sum()],
             gap_bytes: vec![0; program.arrays().len()],
         }
+    }
+
+    /// Each array's intra pads, in declaration order.
+    fn pads<'v>(&'v self, program: &'v Program) -> impl Iterator<Item = &'v [i64]> {
+        let mut rest = &self.intra[..];
+        program.arrays().iter().map(move |a| {
+            let (pads, tail) = rest.split_at(a.rank());
+            rest = tail;
+            pads
+        })
     }
 
     /// Reads the pad vector back out of a layout produced by sequential
@@ -57,18 +81,13 @@ impl PadVector {
     /// previous array. Lossless for pipeline layouts — materializing the
     /// result reproduces the layout bit for bit.
     pub fn from_layout(program: &Program, layout: &DataLayout) -> Self {
-        let mut intra = Vec::with_capacity(program.arrays().len());
+        let mut intra = Vec::new();
         let mut gap_bytes = Vec::with_capacity(program.arrays().len());
         let mut expected = 0u64;
         for (id, spec) in program.arrays_with_ids() {
             let dims = layout.dims(id);
             let orig = layout.original_dims(id);
-            intra.push(
-                dims.iter()
-                    .zip(orig.iter())
-                    .map(|(d, o)| d.size - o.size)
-                    .collect(),
-            );
+            intra.extend(dims.iter().zip(orig.iter()).map(|(d, o)| d.size - o.size));
             expected = align_up(expected, u64::from(spec.elem_size()));
             let base = layout.base_addr(id);
             gap_bytes.push(base.saturating_sub(expected));
@@ -82,21 +101,103 @@ impl PadVector {
     /// order with the requested gap inserted before each aligned base.
     pub fn materialize(&self, program: &Program) -> DataLayout {
         let mut layout = DataLayout::original(program);
-        for (id, _spec) in program.arrays_with_ids() {
-            for (d, &pad) in self.intra[id.index()].iter().enumerate() {
+        for ((id, _spec), pads) in program.arrays_with_ids().zip(self.pads(program)) {
+            for (d, &pad) in pads.iter().enumerate() {
                 if pad != 0 {
                     layout.pad_dim(id, d, pad);
                 }
             }
         }
-        let mut addr = 0u64;
-        for (id, spec) in program.arrays_with_ids() {
-            addr = align_up(addr, u64::from(spec.elem_size()));
-            addr += self.gap_bytes[id.index()];
-            layout.set_base_addr(id, addr);
-            addr += layout.array_bytes(id);
+        let mut bases = Vec::with_capacity(layout.len());
+        self.place(program, &mut bases);
+        for ((id, _), base) in program.arrays_with_ids().zip(bases) {
+            layout.set_base_addr(id, base);
         }
         layout
+    }
+
+    /// The base addresses of the vector's layout, written to `bases`
+    /// without building it: arrays in declaration order, each at the
+    /// previous one's end aligned to its element size plus its gap.
+    /// Returns the end of the last array.
+    pub fn place(&self, program: &Program, bases: &mut Vec<u64>) -> u64 {
+        bases.clear();
+        let mut addr = 0u64;
+        for ((spec, pads), &gap) in program
+            .arrays()
+            .iter()
+            .zip(self.pads(program))
+            .zip(&self.gap_bytes)
+        {
+            let elems: i64 = spec
+                .dims()
+                .iter()
+                .zip(pads)
+                .map(|(d, p)| d.size + p)
+                .product();
+            addr = align_up(addr, u64::from(spec.elem_size())) + gap;
+            bases.push(addr);
+            addr += elems as u64 * u64::from(spec.elem_size());
+        }
+        addr
+    }
+}
+
+/// Fingerprints pad vectors one after another: [`set_signature`] of each
+/// one's materialized layout, from the vector and the bases
+/// [`PadVector::place`] wrote. FNV-1a is sequential, so the state before
+/// every array is kept, and a vector's pass resumes at its first array
+/// whose base residue or pads differ from the previous vector's.
+#[derive(Debug, Clone)]
+pub(crate) struct Signer {
+    cache_size: u64,
+    /// Per array: the state before it, and the residue and pads it ate
+    /// (no residue reads `u64::MAX` before the first vector); then the
+    /// final state.
+    states: Vec<u64>,
+    residues: Vec<u64>,
+    pads: Vec<i64>,
+}
+
+impl Signer {
+    pub(crate) fn new(program: &Program, cache_size: u64) -> Self {
+        let arrays = program.arrays().len();
+        Signer {
+            cache_size,
+            states: vec![Fnv::new().0; arrays + 1],
+            residues: vec![u64::MAX; arrays],
+            pads: PadVector::zero(program).intra,
+        }
+    }
+
+    pub(crate) fn sign(&mut self, program: &Program, vector: &PadVector, bases: &[u64]) -> u64 {
+        let (mut start, mut first) = (0, bases.len());
+        for (a, (spec, &base)) in program.arrays().iter().zip(bases).enumerate() {
+            let pads = start..start + spec.rank();
+            if residue(base, self.cache_size) != self.residues[a]
+                || vector.intra[pads.clone()] != self.pads[pads.clone()]
+            {
+                first = a;
+                break;
+            }
+            start = pads.end;
+        }
+        let mut h = Fnv(self.states[first]);
+        for (a, (spec, &base)) in program.arrays().iter().zip(bases).enumerate().skip(first) {
+            let pads = start..start + spec.rank();
+            self.states[a] = h.0;
+            self.residues[a] = residue(base, self.cache_size);
+            self.pads[pads.clone()].copy_from_slice(&vector.intra[pads.clone()]);
+            let sizes = spec.dims().iter().zip(&vector.intra[pads.clone()]);
+            h.array(
+                self.residues[a],
+                sizes.map(|(d, p)| d.size + p),
+                spec.elem_size(),
+            );
+            start = pads.end;
+        }
+        self.states[bases.len()] = h.0;
+        h.0
     }
 }
 
@@ -106,23 +207,40 @@ impl PadVector {
 /// index every access into the same cache set, so they are equivalent to
 /// any set-indexed cache of that size and the search keeps only one.
 pub fn set_signature(layout: &DataLayout, cache_size: u64) -> u64 {
-    fn eat(h: &mut u64, x: u64) {
-        for b in x.to_le_bytes() {
-            *h ^= u64::from(b);
-            *h = h.wrapping_mul(0x100_0000_01b3);
-        }
-    }
-    let mut h = 0xcbf2_9ce4_8422_2325u64;
+    let mut h = Fnv::new();
     for i in 0..layout.len() {
         let id = ArrayId::from_index(i);
-        eat(&mut h, layout.base_addr(id) % cache_size.max(1));
-        for d in layout.dims(id) {
-            eat(&mut h, d.size as u64);
-        }
-        eat(&mut h, u64::from(layout.elem_size(id)));
-        eat(&mut h, u64::MAX); // array separator
+        h.array(
+            residue(layout.base_addr(id), cache_size),
+            layout.dims(id).iter().map(|d| d.size),
+            layout.elem_size(id),
+        );
     }
-    h
+    h.0
+}
+
+/// The FNV-1a state of a signature.
+struct Fnv(u64);
+
+impl Fnv {
+    fn new() -> Self {
+        Fnv(0xcbf2_9ce4_8422_2325)
+    }
+
+    fn eat(&mut self, x: u64) {
+        for b in x.to_le_bytes() {
+            self.0 ^= u64::from(b);
+            self.0 = self.0.wrapping_mul(0x100_0000_01b3);
+        }
+    }
+
+    /// One array: base residue, sizes, element size, separator.
+    fn array(&mut self, residue: u64, sizes: impl Iterator<Item = i64>, elem_size: u32) {
+        self.eat(residue);
+        sizes.for_each(|size| self.eat(size as u64));
+        self.eat(u64::from(elem_size));
+        self.eat(u64::MAX);
+    }
 }
 
 /// One elementary search move. `Intra` grows a dimension by one cache
@@ -156,6 +274,9 @@ pub struct SearchSpace {
     moves: Vec<Move>,
     /// Per-array intra step in elements (one line's worth, at least 1).
     intra_step: Vec<i64>,
+    /// Per array: the index of its first dimension in
+    /// [`PadVector::intra`].
+    dim_start: Vec<usize>,
 }
 
 impl SearchSpace {
@@ -201,10 +322,19 @@ impl SearchSpace {
         }
         moves.sort_unstable();
         moves.dedup();
+        let dim_start = program
+            .arrays()
+            .iter()
+            .scan(0, |start, a| {
+                *start += a.rank();
+                Some(*start - a.rank())
+            })
+            .collect();
         SearchSpace {
             bounds,
             moves,
             intra_step,
+            dim_start,
         }
     }
 
@@ -223,12 +353,12 @@ impl SearchSpace {
     pub fn apply(&self, v: &PadVector, m: Move) -> Option<PadVector> {
         match m {
             Move::Intra { array, dim } => {
-                let step = self.intra_step[array];
-                if v.intra[array][dim] + step > self.bounds.max_intra[array][dim] {
+                let (step, at) = (self.intra_step[array], self.dim_start[array] + dim);
+                if v.intra[at] + step > self.bounds.max_intra[array][dim] {
                     return None;
                 }
                 let mut next = v.clone();
-                next.intra[array][dim] += step;
+                next.intra[at] += step;
                 Some(next)
             }
             Move::Gap { array, bytes } => {
@@ -248,12 +378,12 @@ impl SearchSpace {
     pub fn step_down(&self, v: &PadVector, m: Move) -> Option<PadVector> {
         match m {
             Move::Intra { array, dim } => {
-                let step = self.intra_step[array];
-                if v.intra[array][dim] < step {
+                let (step, at) = (self.intra_step[array], self.dim_start[array] + dim);
+                if v.intra[at] < step {
                     return None;
                 }
                 let mut next = v.clone();
-                next.intra[array][dim] -= step;
+                next.intra[at] -= step;
                 Some(next)
             }
             Move::Gap { array, bytes } => {
@@ -297,14 +427,17 @@ impl SearchSpace {
     }
 }
 
-/// A fast-rung-evaluated point: the vector, its materialized layout, the
-/// analytic miss score, and the bookkeeping the strategies order by.
+/// A fast-rung-evaluated point: the vector, the analytic miss score,
+/// and the bookkeeping the strategies order by. `L` is `()` while the
+/// candidate lives on the fast rung, and its materialized
+/// [`DataLayout`] once [`Candidate::promote`] sends it to exact
+/// confirmation, so only a promoted candidate can be confirmed.
 #[derive(Debug, Clone)]
-pub struct Candidate {
+pub struct Candidate<L = ()> {
     /// The pad vector.
     pub vector: PadVector,
-    /// The materialized layout (shapes + bases).
-    pub layout: DataLayout,
+    /// The materialized layout (shapes + bases) of a promoted candidate.
+    pub layout: L,
     /// Fast-rung score: the analytic miss estimate plus the graded
     /// conflict pressure ([`pad_core::ModelScore`]), as
     /// [`Objective::force_evaluate`](crate::Objective::force_evaluate)
@@ -319,11 +452,26 @@ pub struct Candidate {
     pub found_at: u64,
 }
 
+impl Candidate {
+    /// Promotes the candidate to exact confirmation, materializing its
+    /// layout for `program`.
+    pub fn promote(self, program: &Program) -> Candidate<DataLayout> {
+        Candidate {
+            layout: self.vector.materialize(program),
+            vector: self.vector,
+            fast: self.fast,
+            signature: self.signature,
+            total_bytes: self.total_bytes,
+            found_at: self.found_at,
+        }
+    }
+}
+
 /// The total preference order used everywhere a candidate is selected:
 /// lower fast score first, then smaller footprint, then signature, then
 /// the vector itself lexicographically. Total, so sorting and min-taking
 /// are independent of enumeration order.
-pub fn cmp_candidates(a: &Candidate, b: &Candidate) -> std::cmp::Ordering {
+pub fn cmp_candidates<L>(a: &Candidate<L>, b: &Candidate<L>) -> std::cmp::Ordering {
     a.fast
         .total_cmp(&b.fast)
         .then(a.total_bytes.cmp(&b.total_bytes))

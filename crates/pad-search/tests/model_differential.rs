@@ -16,6 +16,13 @@
 //! through the reference's enclosing loops, and the nest's groups must
 //! be `Program::ref_groups()`.
 //!
+//! The search scores pad vectors without building layouts: it binds a
+//! compiled model to a vector's padded shapes and scores it at the
+//! vector's bases. Every layout below is also scored that way, through a
+//! second model that only ever sees vectors, and must match by
+//! `to_bits()` as well. Real caches sum the pressure in integer units;
+//! the 2^50-byte configuration must add it in pair order instead.
+//!
 //! Programs: every suite kernel at two sizes, the generated cases of the
 //! property suite, and hand-built nests covering loop shapes (triangular,
 //! negative-step, empty), subscript shapes (unused loop variables, one
@@ -32,7 +39,7 @@ use pad_cache_sim::{CacheConfig, SplitMix64};
 use pad_core::reference::{constant_difference, linearize};
 use pad_core::{
     circular_distance, estimate_miss_rate, is_severe_conflict, CacheParams, DataLayout,
-    MissEstimate, MissModel, Nest, PaddingConfig, PaddingPipeline,
+    MissEstimate, MissModel, ModelScore, Nest, PaddingConfig, PaddingPipeline,
 };
 use pad_ir::{ArrayBuilder, ArrayRef, Dim, IndexVar, Loop, Program, Stmt, Subscript};
 use pad_search::{PadVector, SearchSpace};
@@ -203,14 +210,68 @@ fn oracle_pressure(program: &Program, layout: &DataLayout, cs: u64, line: u64) -
 // The comparison.
 // ---------------------------------------------------------------------
 
-/// Scores `layout` both ways and requires bit equality.
+/// Scores `vector` through `model`'s vector-bound path and requires bit
+/// equality with the layout path's `score`, and the pressure sum the
+/// configuration calls for.
+fn assert_vector_identical(
+    model: &mut MissModel,
+    program: &Program,
+    vector: &PadVector,
+    config: &PaddingConfig,
+    score: ModelScore,
+    label: &str,
+) {
+    let mut bases = Vec::new();
+    model.bind_pads(&vector.intra);
+    vector.place(program, &mut bases);
+    let bound = model.score_at(&bases);
+    let got = [
+        bound.estimate.accesses,
+        bound.estimate.misses,
+        bound.pressure,
+    ];
+    let want = [
+        score.estimate.accesses,
+        score.estimate.misses,
+        score.pressure,
+    ];
+    assert_eq!(
+        got.map(f64::to_bits),
+        want.map(f64::to_bits),
+        "{} [{label}]: vector-bound (accesses, misses, pressure) {got:?} vs layout {want:?}",
+        program.name()
+    );
+    // At 2^50 bytes a pair term spans 2^49 units, so 16 pairs already
+    // leave the 53 bits an exact sum needs.
+    let pairs: usize = program
+        .ref_groups()
+        .iter()
+        .map(|g| g.refs.len() * (g.refs.len() - 1) / 2)
+        .sum();
+    if config.primary().size < 1 << 50 {
+        assert!(
+            model.exact_pressure_sum(),
+            "{} [{label}]: a real cache sums the pressure in units",
+            program.name()
+        );
+    } else if pairs >= 16 {
+        assert!(
+            !model.exact_pressure_sum(),
+            "{} [{label}]: the 2^50-byte cache sums {pairs} pairs in pair order",
+            program.name()
+        );
+    }
+}
+
+/// Scores `layout` both ways and requires bit equality; returns the
+/// compiled score.
 fn assert_identical(
     model: &mut MissModel,
     program: &Program,
     layout: &DataLayout,
     config: &PaddingConfig,
     label: &str,
-) {
+) -> ModelScore {
     let score = model.score(layout);
     let est = oracle_estimate(program, layout, config);
     let primary = config.primary();
@@ -227,6 +288,7 @@ fn assert_identical(
         "{} [{label}]: compiled (accesses, misses, pressure) {got:?} vs interpreted {want:?}",
         program.name()
     );
+    score
 }
 
 /// Binds `nest` to `layout` and requires every group and bound reference
@@ -288,6 +350,7 @@ fn assert_nest_matches_linearize(
 /// each. Returns the layouts scored.
 fn check_program(program: &Program, config: &PaddingConfig, seed: u64) -> usize {
     let mut model = MissModel::compile(program, config);
+    let mut vector_model = MissModel::compile(program, config);
     let mut nest = Nest::compile(program);
     let seeds = [
         ("original", DataLayout::original(program)),
@@ -301,7 +364,9 @@ fn check_program(program: &Program, config: &PaddingConfig, seed: u64) -> usize 
         ),
     ];
     for (label, layout) in &seeds {
-        assert_identical(&mut model, program, layout, config, label);
+        let score = assert_identical(&mut model, program, layout, config, label);
+        let vector = PadVector::from_layout(program, layout);
+        assert_vector_identical(&mut vector_model, program, &vector, config, score, label);
         assert_nest_matches_linearize(&mut nest, program, layout, label);
         // The one-shot entry point is compile-then-score.
         assert_eq!(
@@ -321,7 +386,8 @@ fn check_program(program: &Program, config: &PaddingConfig, seed: u64) -> usize 
         }
         let layout = v.materialize(program);
         let label = format!("walk {step}");
-        assert_identical(&mut model, program, &layout, config, &label);
+        let score = assert_identical(&mut model, program, &layout, config, &label);
+        assert_vector_identical(&mut vector_model, program, &v, config, score, &label);
         assert_nest_matches_linearize(&mut nest, program, &layout, &label);
         scored += 1;
     }

@@ -71,6 +71,13 @@ run_gate test cargo test --workspace -q
 
 run_gate clippy cargo clippy --workspace --all-targets -- -D warnings
 
+# API docs: every rustdoc warning, such as a broken intra-doc link or one
+# that points at a private item, fails the gate.
+gate_docs() {
+    RUSTDOCFLAGS="-D warnings" cargo doc --no-deps --workspace
+}
+run_gate docs gate_docs
+
 # Isolation, resume, determinism under injected faults, plus the pool's
 # own unit tests (nested cells keep the outer clock and panic capture)
 # and the RIVERA_CELL_TIMEOUT parser.
@@ -146,13 +153,15 @@ run_gate telemetry gate_telemetry
 # Advisor: fault-injection matrix (panics, deadlines, wire corruption,
 # degradation, pricing astronomic rectangular/triangular/LU nests inside
 # a quarter deadline), admission control, exact answers equal to direct
-# walks of both layouts (an unchanged layout walked once), each of two
-# concurrent servers tallying exactly its own traffic, and programs whose
-# addresses would wrap 64 bits refused as `parse` errors.
+# walks of both layouts (an unchanged layout walked once; a search's
+# counts, taken from its confirmations, equal to plain walks), each of
+# two concurrent servers tallying exactly its own traffic, and programs
+# whose addresses would wrap 64 bits refused as `parse` errors.
 gate_advisor_faults() {
     timeout 300 cargo test -q -p pad-advisor --test fault_injection &&
         timeout 300 cargo test -q -p pad-advisor --test admission &&
         timeout 300 cargo test -q -p pad-advisor --test answer_equivalence &&
+        timeout 300 cargo test -q -p pad-advisor --test search_answers &&
         timeout 300 cargo test -q -p pad-advisor --test walk_count &&
         timeout 300 cargo test -q -p pad-advisor --test server_tally &&
         timeout 300 cargo test -q -p pad-advisor --test address_bounds
@@ -169,13 +178,16 @@ run_gate advisor-restart gate_advisor_restart
 
 # Search optimizer: pad-core's own tests (the heuristics, the miss
 # model and the compiled loop nest they share), the compiled fast rung
-# bit-identical to the interpreted model and the nest bound to every
-# scored layout equal to the name-keyed linearization, fast/exact
-# rank-concordance differential, the property suite (never-worse, seeded
-# determinism, move-order independence) and fault equivalence.
+# (from layouts and from pad vectors) bit-identical to the interpreted
+# model and the nest bound to every scored layout equal to the
+# name-keyed linearization, pair distances past i64 taken exactly,
+# fast/exact rank-concordance differential, the property suite
+# (never-worse, seeded determinism, move-order independence) and fault
+# equivalence.
 gate_search_differential() {
     cargo test -q -p pad-core &&
         cargo test -q -p pad-search --test model_differential &&
+        cargo test -q -p pad-search --test pair_overflow &&
         cargo test -q -p pad-search --test search_differential &&
         cargo test -q -p pad-search --test search_properties &&
         cargo test -q -p pad-search --test search_faults
