@@ -57,3 +57,57 @@ fn wrapping_addresses_answer_parse_under_every_algorithm() {
     }
     assert_eq!(status(by_id(&responses, 12)), "ok");
 }
+
+/// A 2^61-byte array that any pad would grow past the IR's footprint
+/// limit: PADLITE's first pad fails it, so it keeps its declared shape.
+const BIG: &str = "program BIG\narray A(1, 144115188075855872, 2)\n\
+                   do i = 1, 2\n  A(1, i, 1) = A(1, i, 1)\nend\n";
+
+#[test]
+fn pads_past_the_limits_answer_the_declared_shape() {
+    let mut frames = String::new();
+    for (id, algorithm) in ["pad", "padlite", "search"].into_iter().enumerate() {
+        let program = Json::Str(BIG.to_string());
+        frames.push_str(&format!(
+            r#"{{"id": {id}, "op": "advise", "algorithm": "{algorithm}", "program": {program}}}"#
+        ));
+        frames.push('\n');
+    }
+
+    let server = Server::new(ServerConfig::default());
+    let mut out: Vec<u8> = Vec::new();
+    server
+        .serve(BufReader::new(Cursor::new(frames)), &mut out)
+        .expect("in-memory serve cannot fail");
+    let responses: Vec<Json> = String::from_utf8(out)
+        .expect("responses are UTF-8")
+        .lines()
+        .map(|line| json::parse(line).unwrap_or_else(|e| panic!("bad response {line:?}: {e}")))
+        .collect();
+
+    let declared = [1, 144_115_188_075_855_872, 2];
+    for id in 0..3 {
+        let r = by_id(&responses, id);
+        assert_eq!(status(r), "ok", "{r}");
+        let result = r.get("result").expect("an ok answer has a result");
+        let Some(Json::Arr(arrays)) = result.get("arrays") else {
+            panic!("no arrays in {r}");
+        };
+        let dims = |key: &str| -> Vec<i64> {
+            let Some(Json::Arr(dims)) = arrays[0].get(key) else {
+                panic!("no {key} in {r}");
+            };
+            dims.iter()
+                .map(|d| d.as_i64().expect("integer dims"))
+                .collect()
+        };
+        assert_eq!(dims("dims"), declared, "{r}");
+        assert_eq!(dims("original_dims"), declared, "{r}");
+    }
+    let padlite = by_id(&responses, 1).get("result").expect("result");
+    let Some(Json::Arr(events)) = padlite.get("events") else {
+        panic!("no events in {padlite}");
+    };
+    let events: Vec<&str> = events.iter().filter_map(Json::as_str).collect();
+    assert_eq!(events, ["intra-pad of A failed; reverted"]);
+}

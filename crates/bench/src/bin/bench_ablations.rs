@@ -12,7 +12,7 @@ use std::time::Duration;
 
 use pad_bench::harness::time_it;
 use pad_cache_sim::{Cache, CacheConfig, ReplacementPolicy, WritePolicy};
-use pad_core::{DataLayout, Pad};
+use pad_core::{DataLayout, PaddingPipeline};
 use pad_report::Table;
 use pad_trace::{collect_trace, padding_config_for};
 
@@ -20,7 +20,9 @@ fn main() {
     let program = pad_kernels::jacobi::spec(256);
     let cache = CacheConfig::paper_base();
     let orig = collect_trace(&program, &DataLayout::original(&program));
-    let padded_layout = Pad::new(padding_config_for(&cache)).run(&program).layout;
+    let padded_layout = PaddingPipeline::pad(padding_config_for(&cache))
+        .run(&program)
+        .layout;
     let padded = collect_trace(&program, &padded_layout);
 
     let misses = |cfg: CacheConfig, trace: &[pad_cache_sim::Access]| {

@@ -10,7 +10,7 @@
 use std::time::Duration;
 
 use pad_bench::harness::time_it;
-use pad_core::{Pad, PadLite, PaddingConfig};
+use pad_core::{PaddingConfig, PaddingPipeline};
 use pad_kernels::suite;
 use pad_report::Table;
 
@@ -20,7 +20,7 @@ fn main() {
     for k in suite() {
         eprintln!("  bench_heuristics: {}", k.name);
         let program = (k.spec)(k.default_n);
-        let pad = Pad::new(config.clone());
+        let pad = PaddingPipeline::pad(config.clone());
         let pad_timing = time_it(
             Duration::from_millis(100),
             Duration::from_millis(500),
@@ -28,7 +28,7 @@ fn main() {
                 std::hint::black_box(pad.run(&program).layout.total_bytes());
             },
         );
-        let lite = PadLite::new(config.clone());
+        let lite = PaddingPipeline::padlite(config.clone());
         let lite_timing = time_it(
             Duration::from_millis(100),
             Duration::from_millis(500),

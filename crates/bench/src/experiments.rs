@@ -23,7 +23,7 @@
 use std::time::Instant;
 
 use pad_cache_sim::CacheConfig;
-use pad_core::{DataLayout, InterHeuristic, IntraHeuristic, LinAlgHeuristic, Pad, PaddingPipeline};
+use pad_core::{DataLayout, InterHeuristic, IntraHeuristic, LinAlgHeuristic, PaddingPipeline};
 use pad_report::{AsciiChart, Table};
 use pad_trace::{padding_config_for, simulate_batch, simulate_hierarchy, BatchRequest};
 
@@ -63,7 +63,7 @@ pub fn table2_table_ctx(ctx: &RunContext) -> Table {
     let programs = suite_programs();
     let rows = ctx.run(&suite_labels("table2", &programs), |i| {
         let (k, p) = &programs[i];
-        let outcome = Pad::new(padding_config_for(&base_cache())).run(p);
+        let outcome = PaddingPipeline::pad(padding_config_for(&base_cache())).run(p);
         let s = &outcome.stats;
         vec![
             k.name.to_string(),
@@ -384,7 +384,9 @@ pub fn fig15() -> RunStatus {
         let native = k.native.expect("filtered to native kernels");
         let layouts = [
             DataLayout::original(p),
-            Pad::new(padding_config_for(&cache)).run(p).layout,
+            PaddingPipeline::pad(padding_config_for(&cache))
+                .run(p)
+                .layout,
         ];
         let mut times = [f64::INFINITY; 2];
         for (which, layout) in layouts.into_iter().enumerate() {

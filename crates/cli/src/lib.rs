@@ -365,7 +365,7 @@ fn cmd_search(program: &Program, opts: &Options) -> Result<(), String> {
         ("original", &original),
         ("padlite", &padlite),
         ("pad", &pad),
-        (result.strategy, result.best_layout()),
+        (result.strategy, &result.best.layout),
     ] {
         let misses = exact_misses(program, layout, &cache);
         t.row([label.to_string(), misses.to_string(), reduction(misses)]);
@@ -380,7 +380,7 @@ fn cmd_search(program: &Program, opts: &Options) -> Result<(), String> {
         result.promotions.len(),
         result.discarded
     );
-    println!("{}", result.best_layout());
+    println!("{}", result.best.layout);
     Ok(())
 }
 

@@ -6,10 +6,12 @@
 //! bounds from the same analysis the greedy heuristics act on:
 //!
 //! * **intra ranges** come from the per-dimension budget the paper found
-//!   sufficient (`PaddingConfig::max_intra_pad_per_dim`), restricted to
+//!   sufficient (the intra driver's 16 elements), restricted to
 //!   arrays that are safe to reshape (`Safety::can_pad_intra`, rank ≥ 2)
 //!   and to the lower dimensions `0..rank-1` — exactly the dimensions
-//!   `INTRAPAD` is allowed to grow;
+//!   `INTRAPAD` is allowed to grow — and to arrays whose largest padded
+//!   shape keeps the IR's address limits ([`AddressLimits`]) while every
+//!   other array takes its own largest shape;
 //! * **inter ranges** are capped at the largest cache level, the paper's
 //!   maximum-travel failure rule for `INTERPAD` (any base-address gap of
 //!   one full cache size revisits every alignment); and
@@ -21,11 +23,13 @@
 //!
 //! [`find_severe_conflicts`]: crate::find_severe_conflicts
 //! [`increment_to_clear`]: crate::increment_to_clear
+//! [`AddressLimits`]: pad_ir::AddressLimits
 
-use pad_ir::Program;
+use pad_ir::{AddressLimits, ArrayId, Program};
 
 use crate::config::PaddingConfig;
 use crate::conflict::{find_severe_conflicts, increment_to_clear};
+use crate::intra::MAX_INTRA_PAD_PER_DIM;
 use crate::layout::DataLayout;
 
 /// Per-variable pad ranges bounding the global search space. All vectors
@@ -73,7 +77,7 @@ pub fn search_bounds(program: &Program, config: &PaddingConfig) -> SearchBounds 
         let per_dim: Vec<i64> = (0..rank)
             .map(|d| {
                 if spec.safety().can_pad_intra() && rank >= 2 && d < rank - 1 {
-                    config.max_intra_pad_per_dim
+                    MAX_INTRA_PAD_PER_DIM
                 } else {
                     0
                 }
@@ -85,6 +89,33 @@ pub fn search_bounds(program: &Program, config: &PaddingConfig) -> SearchBounds 
         } else {
             0
         });
+    }
+
+    // A search may pad every array to its largest shape at once, and its
+    // seeds pad within the same ranges, so each range must keep the
+    // limits with every other array at its largest shape too.
+    let limits = AddressLimits::new(program);
+    let largest: Vec<Vec<i64>> = program
+        .arrays()
+        .iter()
+        .zip(&max_intra)
+        .map(|(spec, pads)| {
+            spec.dims()
+                .iter()
+                .zip(pads)
+                .map(|(d, p)| d.size + p)
+                .collect()
+        })
+        .collect();
+    let bytes: Vec<i128> = (0..largest.len())
+        .map(|a| limits.bytes(ArrayId::from_index(a), &largest[a]))
+        .collect();
+    let total = bytes.iter().fold(0i128, |acc, &b| acc.saturating_add(b));
+    for (a, per_dim) in max_intra.iter_mut().enumerate() {
+        let id = ArrayId::from_index(a);
+        if per_dim.iter().any(|&m| m > 0) && !limits.admits(id, &largest[a], total - bytes[a]) {
+            per_dim.fill(0);
+        }
     }
 
     // Targeted gap increments: for every severe conflict, the smallest

@@ -19,8 +19,8 @@ use std::fmt;
 use pad_ir::{ArrayId, Program};
 
 use crate::config::PaddingConfig;
-use crate::inter::{assign_bases, InterMode};
-use crate::intra::{pad_intra, LinAlgMode, StencilMode};
+use crate::inter::assign_bases;
+use crate::intra::pad_intra;
 use crate::layout::DataLayout;
 use crate::nest::Nest;
 use crate::stats::PaddingStats;
@@ -202,11 +202,6 @@ impl PaddingPipeline {
         }
     }
 
-    /// The configuration in use.
-    pub fn config(&self) -> &PaddingConfig {
-        &self.config
-    }
-
     /// Runs the pipeline: intra-variable padding first, then
     /// inter-variable placement. Never fails — heuristics that cannot
     /// satisfy their pad condition fall back to the natural layout for the
@@ -215,97 +210,29 @@ impl PaddingPipeline {
         let mut layout = DataLayout::original(program);
         let mut nest = Nest::compile(program);
         let mut events = Vec::new();
-
-        let stencil = match self.intra {
-            IntraHeuristic::None => StencilMode::None,
-            IntraHeuristic::Lite => StencilMode::Lite,
-            IntraHeuristic::Analyzed => StencilMode::Analyzed,
-        };
-        let linalg = match self.linalg {
-            LinAlgHeuristic::None => LinAlgMode::None,
-            LinAlgHeuristic::LinPad1 => LinAlgMode::LinPad1,
-            LinAlgHeuristic::LinPad2 => LinAlgMode::LinPad2 { gated: false },
-            LinAlgHeuristic::GatedLinPad2 => LinAlgMode::LinPad2 { gated: true },
-        };
-        if stencil != StencilMode::None || linalg != LinAlgMode::None {
-            pad_intra(
-                program,
-                &mut layout,
-                &self.config,
-                stencil,
-                linalg,
-                &mut nest,
-                &mut events,
-            );
-        }
-
-        let inter = match self.inter {
-            InterHeuristic::None => None,
-            InterHeuristic::Lite => Some(InterMode::Lite),
-            InterHeuristic::Analyzed => Some(InterMode::Analyzed),
-        };
-        if let Some(mode) = inter {
-            assign_bases(
-                program,
-                &mut layout,
-                &self.config,
-                mode,
-                &mut nest,
-                &mut events,
-            );
-        }
-
+        pad_intra(
+            program,
+            &mut layout,
+            &self.config,
+            self.intra,
+            self.linalg,
+            &mut nest,
+            &mut events,
+        );
+        assign_bases(
+            program,
+            &mut layout,
+            &self.config,
+            self.inter,
+            &mut nest,
+            &mut events,
+        );
         let stats = PaddingStats::compute(program, &layout, &events);
         PaddingOutcome {
             layout,
             stats,
             events,
         }
-    }
-}
-
-/// Convenience wrapper for the full-precision PAD algorithm.
-///
-/// Equivalent to [`PaddingPipeline::pad`]; exists so call sites read like
-/// the paper: `Pad::new(config).run(&program)`.
-#[derive(Debug, Clone)]
-pub struct Pad {
-    pipeline: PaddingPipeline,
-}
-
-impl Pad {
-    /// Creates the PAD transformation with the given parameters.
-    pub fn new(config: PaddingConfig) -> Self {
-        Pad {
-            pipeline: PaddingPipeline::pad(config),
-        }
-    }
-
-    /// Runs PAD on a program.
-    pub fn run(&self, program: &Program) -> PaddingOutcome {
-        self.pipeline.run(program)
-    }
-}
-
-/// Convenience wrapper for the PADLITE algorithm.
-///
-/// Equivalent to [`PaddingPipeline::padlite`].
-#[derive(Debug, Clone)]
-pub struct PadLite {
-    pipeline: PaddingPipeline,
-}
-
-impl PadLite {
-    /// Creates the PADLITE transformation with the given parameters.
-    pub fn new(config: PaddingConfig) -> Self {
-        PadLite {
-            pipeline: PaddingPipeline::padlite(config),
-        }
-    }
-
-    /// Runs PADLITE on a program.
-    pub fn run(&self, program: &Program) -> PaddingOutcome {
-        self.pipeline.run(program)
     }
 }
 
@@ -345,7 +272,7 @@ mod tests {
         for (n, cs) in [(512i64, 2048u64), (512, 1024), (934, 1024), (256, 2048)] {
             let (p, _, _) = jacobi(n);
             let config = PaddingConfig::new(cs, 4).unwrap();
-            let outcome = Pad::new(config.clone()).run(&p);
+            let outcome = PaddingPipeline::pad(config.clone()).run(&p);
             let remaining = find_severe_conflicts(&p, &outcome.layout, &config);
             assert!(
                 remaining.is_empty(),
@@ -360,7 +287,7 @@ mod tests {
         // PAD: no intra padding; B padded by 5 (INTERPAD).
         let (p, a, bb) = jacobi(512);
         let config = PaddingConfig::new(2048, 4).unwrap();
-        let outcome = Pad::new(config).run(&p);
+        let outcome = PaddingPipeline::pad(config).run(&p);
         assert_eq!(outcome.layout.column_size(a), 512);
         assert_eq!(outcome.layout.base_addr(bb), 512 * 512 + 5);
     }
@@ -370,7 +297,7 @@ mod tests {
         // PAD: A's column padded to 514; B placed immediately after A.
         let (p, a, bb) = jacobi(512);
         let config = PaddingConfig::new(1024, 4).unwrap();
-        let outcome = Pad::new(config).run(&p);
+        let outcome = PaddingPipeline::pad(config).run(&p);
         assert_eq!(outcome.layout.column_size(a), 514);
         assert_eq!(outcome.layout.column_size(bb), 512);
         assert_eq!(outcome.layout.base_addr(bb), 514 * 512);
@@ -398,7 +325,7 @@ mod tests {
             "PADLITE leaves the severe conflict in place"
         );
 
-        let pad = Pad::new(config.clone()).run(&p);
+        let pad = PaddingPipeline::pad(config.clone()).run(&p);
         assert_eq!(pad.layout.base_addr(bb), 934 * 934 + 6);
         assert!(find_severe_conflicts(&p, &pad.layout, &config).is_empty());
     }
@@ -407,7 +334,7 @@ mod tests {
     fn outcome_stats_reflect_events() {
         let (p, _, _) = jacobi(512);
         let config = PaddingConfig::new(1024, 4).unwrap();
-        let outcome = Pad::new(config).run(&p);
+        let outcome = PaddingPipeline::pad(config).run(&p);
         assert_eq!(outcome.stats.global_arrays, 2);
         assert_eq!(outcome.stats.arrays_intra_padded, 1);
         assert_eq!(outcome.stats.max_intra_increment, 2);
@@ -432,7 +359,7 @@ mod tests {
     #[test]
     fn empty_program_is_a_noop() {
         let p = Program::builder("empty").build().expect("valid");
-        let outcome = Pad::new(PaddingConfig::paper_base()).run(&p);
+        let outcome = PaddingPipeline::pad(PaddingConfig::paper_base()).run(&p);
         assert_eq!(outcome.layout.len(), 0);
         assert!(outcome.events.is_empty());
     }

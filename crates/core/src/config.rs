@@ -81,19 +81,14 @@ impl Error for ConfigError {}
 /// Parameters shared by all padding heuristics.
 ///
 /// The defaults are the paper's: minimum inter-variable separation
-/// `M = 4` cache lines (justified by Figure 13), `LINPAD2`'s `j*` capped at
-/// 129 (Section 2.3.2), and a small per-dimension bound on intra-variable
-/// pads to guarantee termination (Section 2.2.2 notes pads of at most 3
-/// elements sufficed on a 16 KB cache).
+/// `M = 4` cache lines (justified by Figure 13) and `LINPAD2`'s `j*`
+/// capped at 129 (Section 2.3.2).
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct PaddingConfig {
     levels: Vec<CacheParams>,
     /// Minimum separation `M` between equally-sized variables, in cache
     /// lines.
     pub min_separation_lines: u64,
-    /// Maximum number of elements added to any single dimension before the
-    /// intra-variable heuristic gives up on an array.
-    pub max_intra_pad_per_dim: i64,
     /// Cap on `LINPAD2`'s `j*` (129 in the paper).
     pub linpad2_j_cap: u64,
 }
@@ -125,7 +120,6 @@ impl PaddingConfig {
         Ok(PaddingConfig {
             levels,
             min_separation_lines: 4,
-            max_intra_pad_per_dim: 16,
             linpad2_j_cap: 129,
         })
     }
@@ -140,14 +134,6 @@ impl PaddingConfig {
     #[must_use]
     pub fn with_min_separation_lines(mut self, m: u64) -> Self {
         self.min_separation_lines = m;
-        self
-    }
-
-    /// Returns this configuration with a different per-dimension
-    /// intra-pad bound.
-    #[must_use]
-    pub fn with_max_intra_pad_per_dim(mut self, max: i64) -> Self {
-        self.max_intra_pad_per_dim = max;
         self
     }
 
@@ -219,10 +205,8 @@ mod tests {
     fn builders_override_fields() {
         let c = PaddingConfig::paper_base()
             .with_min_separation_lines(8)
-            .with_max_intra_pad_per_dim(4)
             .with_linpad2_j_cap(64);
         assert_eq!(c.min_separation_lines, 8);
-        assert_eq!(c.max_intra_pad_per_dim, 4);
         assert_eq!(c.linpad2_j_cap, 64);
     }
 

@@ -685,7 +685,7 @@ mod tests {
 
     #[test]
     fn estimator_ranks_layouts_like_the_pad_condition() {
-        use crate::combined::Pad;
+        use crate::combined::PaddingPipeline;
         // JACOBI at the paper's N=512/Cs=1024 element-unit parameters.
         let n = 512;
         let mut b = Program::builder("jacobi");
@@ -704,7 +704,7 @@ mod tests {
         let p = b.build().expect("valid");
         let cfg = PaddingConfig::new(1024, 4).expect("valid");
         let before = estimate_miss_rate(&p, &DataLayout::original(&p), &cfg);
-        let after = estimate_miss_rate(&p, &Pad::new(cfg.clone()).run(&p).layout, &cfg);
+        let after = estimate_miss_rate(&p, &PaddingPipeline::pad(cfg.clone()).run(&p).layout, &cfg);
         assert!(
             after.miss_rate() < before.miss_rate(),
             "before {} after {}",

@@ -21,35 +21,32 @@
 use pad_ir::{ArrayId, Program};
 use pad_telemetry::{Event, Value};
 
-use crate::combined::PadEvent;
+use crate::combined::{InterHeuristic, PadEvent};
 use crate::config::PaddingConfig;
 use crate::conflict::{increment_to_clear, pair_distance};
 use crate::layout::{align_up, DataLayout};
 use crate::nest::Nest;
 
-/// Which inter-variable pad condition to apply during placement.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub(crate) enum InterMode {
-    /// `INTERPADLITE`: equal-size variables, base-address distance < `M`.
-    Lite,
-    /// `INTERPAD`: constant-distance reference pairs, distance < `L_s`.
-    Analyzed,
-}
-
 /// Places all arrays, mutating the layout's base addresses in declaration
-/// order. Records gap/failure events.
+/// order, unless `mode` is [`InterHeuristic::None`]. Records gap/failure
+/// events.
 pub(crate) fn assign_bases(
     program: &Program,
     layout: &mut DataLayout,
     config: &PaddingConfig,
-    mode: InterMode,
+    mode: InterHeuristic,
     nest: &mut Nest,
     events: &mut Vec<PadEvent>,
 ) {
+    let analyzed = match mode {
+        InterHeuristic::None => return,
+        InterHeuristic::Lite => false,
+        InterHeuristic::Analyzed => true,
+    };
     // Reference offsets from their arrays' bases depend only on the
     // (already intra-padded) shapes, so one binding serves every
     // tentative address.
-    if mode == InterMode::Analyzed {
+    if analyzed {
         nest.bind(layout);
     }
 
@@ -81,9 +78,10 @@ pub(crate) fn assign_bases(
         let mut initial_need = 0u64;
         let mut first_round = true;
         loop {
-            let pad = match mode {
-                InterMode::Lite => needed_pad_lite(id, addr, layout, config, &placed),
-                InterMode::Analyzed => needed_pad_analyzed(id, addr, layout, config, &placed, nest),
+            let pad = if analyzed {
+                needed_pad_analyzed(id, addr, layout, config, &placed, nest)
+            } else {
+                needed_pad_lite(id, addr, layout, config, &placed)
             };
             if first_round {
                 initial_need = pad;
@@ -102,10 +100,7 @@ pub(crate) fn assign_bases(
 
         layout.set_base_addr(id, addr);
         pad_telemetry::emit(|| {
-            let heuristic = match mode {
-                InterMode::Lite => "INTERPADLITE",
-                InterMode::Analyzed => "INTERPAD",
-            };
+            let heuristic = if analyzed { "INTERPAD" } else { "INTERPADLITE" };
             let outcome = if failed {
                 "failed"
             } else if addr > original_tentative {
@@ -247,7 +242,7 @@ mod tests {
             &p,
             &mut layout,
             &config_1k(),
-            InterMode::Lite,
+            InterHeuristic::Lite,
             &mut Nest::compile(&p),
             &mut events,
         );
@@ -279,7 +274,7 @@ mod tests {
             &p,
             &mut layout,
             &config_1k(),
-            InterMode::Lite,
+            InterHeuristic::Lite,
             &mut Nest::compile(&p),
             &mut events,
         );
@@ -308,7 +303,7 @@ mod tests {
             &p,
             &mut layout,
             &config_1k(),
-            InterMode::Analyzed,
+            InterHeuristic::Analyzed,
             &mut Nest::compile(&p),
             &mut events,
         );
@@ -337,7 +332,7 @@ mod tests {
             &p,
             &mut layout,
             &config_1k(),
-            InterMode::Analyzed,
+            InterHeuristic::Analyzed,
             &mut Nest::compile(&p),
             &mut events,
         );
@@ -369,7 +364,7 @@ mod tests {
             &p,
             &mut layout,
             &config_1k(),
-            InterMode::Analyzed,
+            InterHeuristic::Analyzed,
             &mut Nest::compile(&p),
             &mut events,
         );
@@ -386,7 +381,7 @@ mod tests {
             &p,
             &mut layout,
             &config_1k(),
-            InterMode::Analyzed,
+            InterHeuristic::Analyzed,
             &mut Nest::compile(&p),
             &mut events,
         );
@@ -413,7 +408,7 @@ mod tests {
             &p,
             &mut layout,
             &config_1k(),
-            InterMode::Analyzed,
+            InterHeuristic::Analyzed,
             &mut Nest::compile(&p),
             &mut events,
         );
@@ -450,7 +445,7 @@ mod tests {
             &p,
             &mut layout,
             &config,
-            InterMode::Analyzed,
+            InterHeuristic::Analyzed,
             &mut Nest::compile(&p),
             &mut events,
         );
@@ -489,7 +484,7 @@ mod tests {
             &p,
             &mut layout,
             &config_1k(),
-            InterMode::Lite,
+            InterHeuristic::Lite,
             &mut Nest::compile(&p),
             &mut events,
         );

@@ -6,13 +6,14 @@
 //! condition and the active *linear-algebra* condition; while either holds
 //! it grows a lower dimension by one element, bounded per dimension so the
 //! search terminates (the paper notes pads of ≤ 3 elements sufficed on a
-//! 16 KB cache). If the budget runs out the array reverts to its original
-//! shape.
+//! 16 KB cache). A pad that would break the IR's address limits
+//! ([`AddressLimits`]) runs the budget out too. If the budget runs out
+//! the array reverts to its original shape.
 
-use pad_ir::{ArrayId, Program};
+use pad_ir::{AddressLimits, ArrayId, Program};
 use pad_telemetry::{Event, Value};
 
-use crate::combined::PadEvent;
+use crate::combined::{IntraHeuristic, LinAlgHeuristic, PadEvent};
 use crate::config::PaddingConfig;
 use crate::conflict::{is_severe_conflict, pair_distance};
 use crate::euclid::{first_conflict, j_star};
@@ -20,34 +21,10 @@ use crate::layout::DataLayout;
 use crate::linalg::is_linear_algebra_array;
 use crate::nest::Nest;
 
-/// Which stencil-oriented pad condition to apply.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub(crate) enum StencilMode {
-    /// Apply no stencil condition.
-    None,
-    /// `INTRAPADLITE`: `Col_s` or `2·Col_s` (and higher subarray sizes)
-    /// within `M` of a multiple of `C_s`.
-    Lite,
-    /// `INTRAPAD`: same-array constant-distance reference pairs with a
-    /// conflict distance below the line size.
-    Analyzed,
-}
-
-/// Which linear-algebra pad condition to apply.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub(crate) enum LinAlgMode {
-    /// Apply no linear-algebra condition.
-    None,
-    /// `LINPAD1`: reject column sizes divisible by `2·L_s`.
-    LinPad1,
-    /// `LINPAD2`: reject column sizes whose `FirstConflict` is below `j*`.
-    /// When `gated` is set (as in PAD), the condition only applies to
-    /// arrays detected in Figure-3-style linear-algebra computations.
-    LinPad2 {
-        /// Restrict to linear-algebra arrays, as PAD does.
-        gated: bool,
-    },
-}
+/// Elements the driver may add to any one dimension before it gives up
+/// on an array: enough to guarantee termination, where Section 2.2.2
+/// notes pads of at most 3 elements sufficed on a 16 KB cache.
+pub(crate) const MAX_INTRA_PAD_PER_DIM: i64 = 16;
 
 /// Pads every eligible array in place, then reassigns sequential base
 /// addresses (intra-variable padding changes sizes, so bases must be
@@ -56,29 +33,44 @@ pub(crate) fn pad_intra(
     program: &Program,
     layout: &mut DataLayout,
     config: &PaddingConfig,
-    stencil: StencilMode,
-    linalg: LinAlgMode,
+    stencil: IntraHeuristic,
+    linalg: LinAlgHeuristic,
     nest: &mut Nest,
     events: &mut Vec<PadEvent>,
 ) {
+    if stencil == IntraHeuristic::None && linalg == LinAlgHeuristic::None {
+        return;
+    }
+    // Read the first time an array would grow.
+    let mut limits: Option<AddressLimits> = None;
+    // Every array's bytes at its current shape.
+    let mut footprint: i128 = program
+        .arrays_with_ids()
+        .map(|(id, _)| i128::from(layout.array_bytes(id)))
+        .sum();
+    // The shape a pad would give the array being padded.
+    let mut sizes: Vec<i64> = Vec::new();
     for (id, spec) in program.arrays_with_ids() {
         if !spec.safety().can_pad_intra() || spec.rank() < 2 {
             continue;
         }
         let linalg_applies = match linalg {
-            LinAlgMode::None => false,
-            LinAlgMode::LinPad1 | LinAlgMode::LinPad2 { gated: false } => true,
-            LinAlgMode::LinPad2 { gated: true } => is_linear_algebra_array(program, id),
+            LinAlgHeuristic::None => false,
+            LinAlgHeuristic::LinPad1 | LinAlgHeuristic::LinPad2 => true,
+            LinAlgHeuristic::GatedLinPad2 => is_linear_algebra_array(program, id),
         };
 
         let lower_dims = spec.rank() - 1;
         let mut pads = vec![0i64; lower_dims];
+        sizes.clear();
+        sizes.extend(layout.dims(id).iter().map(|d| d.size));
+        let others = footprint - i128::from(layout.array_bytes(id));
         let mut failed = false;
         loop {
             let stencil_dim = match stencil {
-                StencilMode::None => None,
-                StencilMode::Lite => lite_violated_dim(id, layout, config),
-                StencilMode::Analyzed => analyzed_violated(nest, id, layout, config),
+                IntraHeuristic::None => None,
+                IntraHeuristic::Lite => lite_violated_dim(id, layout, config),
+                IntraHeuristic::Analyzed => analyzed_violated(nest, id, layout, config),
             };
             let linalg_dim = if linalg_applies {
                 linalg_violated(id, layout, config, linalg)
@@ -90,11 +82,16 @@ pub(crate) fn pad_intra(
             };
             // Pad the lowest dimension at or above the violated one that
             // still has budget.
-            let Some(target) = (dim..lower_dims).find(|&d| pads[d] < config.max_intra_pad_per_dim)
-            else {
+            let Some(target) = (dim..lower_dims).find(|&d| pads[d] < MAX_INTRA_PAD_PER_DIM) else {
                 failed = true;
                 break;
             };
+            sizes[target] += 1;
+            let limits = limits.get_or_insert_with(|| AddressLimits::new(program));
+            if !limits.admits(id, &sizes, others) {
+                failed = true;
+                break;
+            }
             layout.pad_dim(id, target, 1);
             pads[target] += 1;
         }
@@ -102,17 +99,18 @@ pub(crate) fn pad_intra(
         if failed {
             layout.restore_original_dims(id);
         }
+        footprint = others + i128::from(layout.array_bytes(id));
         pad_telemetry::emit(|| {
             let stencil_label = match stencil {
-                StencilMode::None => None,
-                StencilMode::Lite => Some("INTRAPADLITE"),
-                StencilMode::Analyzed => Some("INTRAPAD"),
+                IntraHeuristic::None => None,
+                IntraHeuristic::Lite => Some("INTRAPADLITE"),
+                IntraHeuristic::Analyzed => Some("INTRAPAD"),
             };
             let linalg_label = match linalg {
-                LinAlgMode::None => None,
+                LinAlgHeuristic::None => None,
                 _ if !linalg_applies => None,
-                LinAlgMode::LinPad1 => Some("LINPAD1"),
-                LinAlgMode::LinPad2 { .. } => Some("LINPAD2"),
+                LinAlgHeuristic::LinPad1 => Some("LINPAD1"),
+                LinAlgHeuristic::LinPad2 | LinAlgHeuristic::GatedLinPad2 => Some("LINPAD2"),
             };
             let heuristic = [stencil_label, linalg_label]
                 .into_iter()
@@ -177,13 +175,12 @@ fn min_opt(a: Option<usize>, b: Option<usize>) -> Option<usize> {
 /// the whole array, whose spacing inter-variable padding owns.
 fn lite_violated_dim(id: ArrayId, layout: &DataLayout, config: &PaddingConfig) -> Option<usize> {
     let dims = layout.dims(id);
-    let elem = i64::from(layout.elem_size(id));
-    let mut sub_bytes = elem;
+    let mut sub_bytes = i128::from(layout.elem_size(id));
     for (d, dim) in dims[..dims.len() - 1].iter().enumerate() {
-        sub_bytes *= dim.size;
+        sub_bytes *= i128::from(dim.size);
         for level in config.levels() {
             let m = config.m_bytes(*level);
-            for k in 1..=2i64 {
+            for k in 1..=2i128 {
                 let dist = crate::conflict::circular_distance(k * sub_bytes, level.size);
                 if dist < m {
                     return Some(d);
@@ -232,15 +229,15 @@ fn linalg_violated(
     id: ArrayId,
     layout: &DataLayout,
     config: &PaddingConfig,
-    mode: LinAlgMode,
+    mode: LinAlgHeuristic,
 ) -> Option<usize> {
     let col_bytes = layout.column_size(id) as u64 * u64::from(layout.elem_size(id));
     let row_size = layout.dims(id).get(1).map_or(1, |d| d.size) as u64;
     for level in config.levels() {
         let violated = match mode {
-            LinAlgMode::None => false,
-            LinAlgMode::LinPad1 => col_bytes.is_multiple_of(2 * level.line),
-            LinAlgMode::LinPad2 { .. } => {
+            LinAlgHeuristic::None => false,
+            LinAlgHeuristic::LinPad1 => col_bytes.is_multiple_of(2 * level.line),
+            LinAlgHeuristic::LinPad2 | LinAlgHeuristic::GatedLinPad2 => {
                 let j = first_conflict(level.size, col_bytes, level.line);
                 j < j_star(config.linpad2_j_cap, row_size, level.size, level.line)
             }
@@ -278,8 +275,8 @@ mod tests {
     fn run(
         p: &Program,
         config: &PaddingConfig,
-        stencil: StencilMode,
-        linalg: LinAlgMode,
+        stencil: IntraHeuristic,
+        linalg: LinAlgHeuristic,
     ) -> (DataLayout, Vec<PadEvent>) {
         let mut layout = DataLayout::original(p);
         let mut events = Vec::new();
@@ -302,7 +299,7 @@ mod tests {
         // column to 520 because 2N mod Cs = 0 and M = 16.
         let (p, a, bb) = jacobi(512);
         let config = PaddingConfig::new(1024, 4).unwrap();
-        let (layout, _) = run(&p, &config, StencilMode::Lite, LinAlgMode::None);
+        let (layout, _) = run(&p, &config, IntraHeuristic::Lite, LinAlgHeuristic::None);
         assert_eq!(layout.column_size(a), 520);
         assert_eq!(
             layout.column_size(bb),
@@ -318,7 +315,7 @@ mod tests {
         // and is untouched.
         let (p, a, bb) = jacobi(512);
         let config = PaddingConfig::new(1024, 4).unwrap();
-        let (layout, events) = run(&p, &config, StencilMode::Analyzed, LinAlgMode::None);
+        let (layout, events) = run(&p, &config, IntraHeuristic::Analyzed, LinAlgHeuristic::None);
         assert_eq!(layout.column_size(a), 514);
         assert_eq!(layout.column_size(bb), 512);
         assert_eq!(events.len(), 1);
@@ -340,8 +337,8 @@ mod tests {
         // N=512, Cs=2048: neither heuristic pads.
         let (p, a, _) = jacobi(512);
         let config = PaddingConfig::new(2048, 4).unwrap();
-        for mode in [StencilMode::Lite, StencilMode::Analyzed] {
-            let (layout, events) = run(&p, &config, mode, LinAlgMode::None);
+        for mode in [IntraHeuristic::Lite, IntraHeuristic::Analyzed] {
+            let (layout, events) = run(&p, &config, mode, LinAlgHeuristic::None);
             assert_eq!(layout.column_size(a), 512, "{mode:?}");
             assert!(events.is_empty());
         }
@@ -351,8 +348,8 @@ mod tests {
     fn paper_example_n934_needs_no_intra_padding() {
         let (p, a, _) = jacobi(934);
         let config = PaddingConfig::new(1024, 4).unwrap();
-        for mode in [StencilMode::Lite, StencilMode::Analyzed] {
-            let (layout, _) = run(&p, &config, mode, LinAlgMode::None);
+        for mode in [IntraHeuristic::Lite, IntraHeuristic::Analyzed] {
+            let (layout, _) = run(&p, &config, mode, LinAlgHeuristic::None);
             assert_eq!(layout.column_size(a), 934, "{mode:?}");
         }
     }
@@ -361,7 +358,7 @@ mod tests {
     fn linpad1_avoids_multiples_of_two_lines() {
         let (p, a, _) = jacobi(512);
         let config = PaddingConfig::new(1024, 4).unwrap();
-        let (layout, _) = run(&p, &config, StencilMode::None, LinAlgMode::LinPad1);
+        let (layout, _) = run(&p, &config, IntraHeuristic::None, LinAlgHeuristic::LinPad1);
         // 512 % 8 == 0 is rejected; 513 is the first acceptable size.
         assert_eq!(layout.column_size(a), 513);
     }
@@ -370,12 +367,7 @@ mod tests {
     fn linpad2_finds_non_conflicting_column() {
         let (p, a, _) = jacobi(512);
         let config = PaddingConfig::new(1024, 4).unwrap();
-        let (layout, _) = run(
-            &p,
-            &config,
-            StencilMode::None,
-            LinAlgMode::LinPad2 { gated: false },
-        );
+        let (layout, _) = run(&p, &config, IntraHeuristic::None, LinAlgHeuristic::LinPad2);
         let col = layout.column_size(a) as u64;
         let js = j_star(129, layout.dims(a)[1].size as u64, 1024, 4);
         assert!(
@@ -393,8 +385,8 @@ mod tests {
         let (layout, _) = run(
             &p,
             &config,
-            StencilMode::None,
-            LinAlgMode::LinPad2 { gated: true },
+            IntraHeuristic::None,
+            LinAlgHeuristic::GatedLinPad2,
         );
         assert_eq!(layout.column_size(a), 512, "JACOBI is not linear algebra");
     }
@@ -419,8 +411,8 @@ mod tests {
         let (layout, _) = run(
             &p,
             &config,
-            StencilMode::None,
-            LinAlgMode::LinPad2 { gated: true },
+            IntraHeuristic::None,
+            LinAlgHeuristic::GatedLinPad2,
         );
         assert!(layout.column_size(a) > 256, "256 = Cs/4 conflicts at j = 4");
     }
@@ -443,7 +435,7 @@ mod tests {
         ));
         let p = b.build().expect("valid");
         let config = PaddingConfig::new(1024, 4).unwrap();
-        let (layout, events) = run(&p, &config, StencilMode::Analyzed, LinAlgMode::None);
+        let (layout, events) = run(&p, &config, IntraHeuristic::Analyzed, LinAlgHeuristic::None);
         assert_eq!(layout.column_size(a), 512);
         assert!(events.is_empty());
     }
@@ -458,7 +450,7 @@ mod tests {
         ));
         let p = b.build().expect("valid");
         let config = PaddingConfig::new(1024, 4).unwrap();
-        let (layout, _) = run(&p, &config, StencilMode::Lite, LinAlgMode::LinPad1);
+        let (layout, _) = run(&p, &config, IntraHeuristic::Lite, LinAlgHeuristic::LinPad1);
         assert_eq!(layout.dims(a)[0].size, 1024);
     }
 
@@ -483,7 +475,7 @@ mod tests {
         let p = b.build().expect("valid");
         // Cs = 1024; plane = 100*256 = 25600 = 25 * 1024 -> violated.
         let config = PaddingConfig::new(1024, 4).unwrap();
-        let (layout, _) = run(&p, &config, StencilMode::Lite, LinAlgMode::None);
+        let (layout, _) = run(&p, &config, IntraHeuristic::Lite, LinAlgHeuristic::None);
         assert_eq!(layout.dims(a)[0].size, 100, "column untouched");
         assert!(layout.dims(a)[1].size > 256, "middle dimension padded");
         let plane = (layout.dims(a)[0].size * layout.dims(a)[1].size) as u64;
@@ -507,7 +499,7 @@ mod tests {
         ));
         let p = b.build().expect("valid");
         let config = PaddingConfig::new(32, 4).unwrap();
-        let (layout, events) = run(&p, &config, StencilMode::Lite, LinAlgMode::None);
+        let (layout, events) = run(&p, &config, IntraHeuristic::Lite, LinAlgHeuristic::None);
         assert_eq!(layout.column_size(a), 32, "reverted to original");
         assert!(matches!(events.as_slice(), [PadEvent::IntraFailed { .. }]));
     }

@@ -79,7 +79,7 @@ mod uniform;
 
 pub use bounds::{search_bounds, SearchBounds};
 pub use combined::{InterHeuristic, IntraHeuristic, LinAlgHeuristic};
-pub use combined::{Pad, PadEvent, PadLite, PaddingOutcome, PaddingPipeline};
+pub use combined::{PadEvent, PaddingOutcome, PaddingPipeline};
 pub use config::{CacheParams, ConfigError, PaddingConfig};
 pub use conflict::{
     circular_distance, find_severe_conflicts, increment_to_clear, is_severe_conflict,
@@ -92,4 +92,4 @@ pub use linalg::is_linear_algebra_array;
 pub use nest::{Nest, NestItem, NestLoop, NestRef, SlotExpr};
 pub use stats::PaddingStats;
 pub use tiling::{select_tile, width_bound, TileSize};
-pub use uniform::{conforming, is_uniform_ref, uniform_ref_fraction, uniformly_generated_pair};
+pub use uniform::uniform_ref_fraction;

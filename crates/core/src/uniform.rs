@@ -1,52 +1,22 @@
-//! Uniformly generated references and conforming arrays.
+//! The `% UNIF. REFS` column of Table 2: the share of references in
+//! uniform form.
 //!
 //! Gannon, Jalby & Gallivan's *uniformly generated* references — pairs of
 //! the form `A(i1+r1, ..., id+rd)` and `B(i1+s1, ..., id+sd)` over
 //! *conforming* arrays — are the syntactic class the paper's analysis
 //! reasons about: between such references the linearized distance is a
-//! compile-time constant. This module provides the syntactic
-//! classification; `linearize` provides the equivalent semantic test.
+//! compile-time constant. The analysis itself decides "a constant
+//! distance apart" from linearized forms (equal slot coefficients in a
+//! [`Nest`](crate::Nest)); this module only counts the references whose
+//! own subscripts are in uniform form.
 
-use pad_ir::{ArrayRef, ArraySpec, Program};
-
-/// True when two arrays *conform*: equal element sizes and equal dimension
-/// sizes in every dimension except the highest (Section 2.1.2).
-///
-/// One-dimensional arrays of different lengths conform (their single
-/// dimension is the highest), which is why the paper's Figure 1 example
-/// can analyze `A(i)` against `B(i)`.
-pub fn conforming(a: &ArraySpec, b: &ArraySpec) -> bool {
-    a.elem_size() == b.elem_size()
-        && a.rank() == b.rank()
-        && a.dims()[..a.rank() - 1]
-            .iter()
-            .zip(&b.dims()[..b.rank() - 1])
-            .all(|(da, db)| da.size == db.size)
-}
+use pad_ir::{ArrayRef, Program};
 
 /// True when a single reference is in uniform form: every subscript is
 /// `i + c` for an index variable `i`, or an integer constant (the paper
 /// folds constants in as `i_j = 0`).
-pub fn is_uniform_ref(array_ref: &ArrayRef) -> bool {
+fn is_uniform_ref(array_ref: &ArrayRef) -> bool {
     array_ref.uniform_subscripts().is_some()
-}
-
-/// True when `a` and `b` are uniformly generated with respect to each
-/// other: both in uniform form, over conforming arrays, with matching
-/// index variables dimension by dimension.
-pub fn uniformly_generated_pair(a: &ArrayRef, b: &ArrayRef, program: &Program) -> bool {
-    if !conforming(program.array(a.array()), program.array(b.array())) {
-        return false;
-    }
-    let (Some(ua), Some(ub)) = (a.uniform_subscripts(), b.uniform_subscripts()) else {
-        return false;
-    };
-    ua.len() == ub.len()
-        && ua.iter().zip(&ub).all(|((va, _), (vb, _))| match (va, vb) {
-            (Some(x), Some(y)) => x == y,
-            (None, None) => true,
-            _ => false,
-        })
 }
 
 /// The fraction of references in the program (inside loops) that are in
@@ -95,42 +65,12 @@ mod tests {
     }
 
     #[test]
-    fn conforming_rules() {
-        let p = stencil_program();
-        let arrays = p.arrays();
-        assert!(conforming(&arrays[0], &arrays[1])); // A(100,100) vs B(100,100)
-        assert!(conforming(&arrays[0], &arrays[2])); // highest dim may differ
-        let mut b = Program::builder("q");
-        let _ = b.add_array(ArrayBuilder::new("X", [64, 100]));
-        let _ = b.add_array(ArrayBuilder::new("Y", [100, 100]).elem_size(4));
-        let q = b.build().expect("valid");
-        assert!(!conforming(&q.arrays()[0], &p.arrays()[0])); // column differs
-        assert!(!conforming(&q.arrays()[1], &p.arrays()[0])); // elem size differs
-    }
-
-    #[test]
     fn uniform_classification() {
         let p = stencil_program();
         let refs = p.all_refs();
         assert!(is_uniform_ref(refs[0]));
         assert!(is_uniform_ref(refs[1]));
         assert!(!is_uniform_ref(refs[4])); // 2*j coefficient
-    }
-
-    #[test]
-    fn pair_requires_matching_vars() {
-        let p = stencil_program();
-        let refs = p.all_refs();
-        // A(j,i) vs A(j-1,i): uniformly generated.
-        assert!(uniformly_generated_pair(refs[0], refs[1], &p));
-        // A(j,i) vs B(j,i): different arrays, still uniformly generated.
-        assert!(uniformly_generated_pair(refs[0], refs[2], &p));
-        // A(j,i) vs D(j,i): conforming (trailing dim differs) -> pair.
-        assert!(uniformly_generated_pair(refs[0], refs[3], &p));
-        // A(j,i) vs B(i,j): transposed index variables -> not a pair.
-        assert!(!uniformly_generated_pair(refs[0], refs[5], &p));
-        // Anything against the non-uniform ref fails.
-        assert!(!uniformly_generated_pair(refs[0], refs[4], &p));
     }
 
     #[test]

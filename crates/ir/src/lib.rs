@@ -65,6 +65,7 @@ pub use loops::{Loop, Stmt};
 pub use parse::{parse, ParseError};
 pub use program::{Program, RefGroup, RefInContext};
 pub use reference::{AccessKind, ArrayRef, Subscript};
+pub use validate::AddressLimits;
 
 /// Largest byte size accepted for one array, and for all of a program's
 /// arrays together: half the `i64` range. Layouts place arrays and grow

@@ -1,9 +1,7 @@
 //! Structural validation of programs.
 
-use std::collections::HashSet;
-
 use crate::affine::{AffineExpr, IndexVar};
-use crate::array::ArraySpec;
+use crate::array::{ArrayId, ArraySpec};
 use crate::error::IrError;
 use crate::loops::Stmt;
 use crate::program::Program;
@@ -11,8 +9,8 @@ use crate::reference::ArrayRef;
 
 /// What validation knows about one loop's index variable while checking
 /// the loop's body.
-struct Bound {
-    var: IndexVar,
+struct Bound<'p> {
+    var: &'p IndexVar,
     /// Smallest and largest value either loop bound can take.
     lo: i128,
     hi: i128,
@@ -40,22 +38,98 @@ pub(crate) fn validate(program: &Program) -> Result<(), IrError> {
     if total.is_none_or(|t| t > crate::MAX_FOOTPRINT_BYTES) {
         return Err(IrError::FootprintTooLarge { array: None });
     }
-    let mut bound: Vec<Bound> = Vec::new();
-    for stmt in program.body() {
-        validate_stmt(program, stmt, &mut bound)?;
-    }
-    Ok(())
+    walk(program, &mut |r, bound| validate_ref(program, r, bound))
 }
 
-fn validate_stmt(program: &Program, stmt: &Stmt, bound: &mut Vec<Bound>) -> Result<(), IrError> {
-    match stmt {
-        Stmt::Refs(refs) => refs
+/// The address limits a built [`Program`] keeps (see
+/// [`crate::MAX_FOOTPRINT_BYTES`]), for its arrays reshaped.
+///
+/// Padding grows dimensions, and with them an array's footprint and the
+/// byte strides its references scale by. This table holds each
+/// reference's reach in elements per dimension, which no reshaping
+/// changes, so [`AddressLimits::admits`] prices a grown shape with the
+/// validator's own rule.
+#[derive(Debug, Clone)]
+pub struct AddressLimits {
+    elem_sizes: Vec<u32>,
+    /// Per array: each reference's reach in elements, one entry per
+    /// dimension, the references back to back.
+    reach: Vec<Vec<i128>>,
+}
+
+impl AddressLimits {
+    /// The limits of a built program.
+    pub fn new(program: &Program) -> Self {
+        let mut reach = vec![Vec::new(); program.arrays().len()];
+        walk(program, &mut |r, bound| {
+            let spec = program.array(r.array());
+            reach[r.array().index()].extend(element_reach(spec, r, bound));
+            Ok(())
+        })
+        .expect("a built program walks cleanly");
+        AddressLimits {
+            elem_sizes: program.arrays().iter().map(ArraySpec::elem_size).collect(),
+            reach,
+        }
+    }
+
+    /// The byte footprint of array `id` with dimension sizes `sizes`,
+    /// saturating far above any accepted value.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `id` does not belong to the program.
+    pub fn bytes(&self, id: ArrayId, sizes: &[i64]) -> i128 {
+        sizes
             .iter()
-            .try_for_each(|r| validate_ref(program, r, bound)),
+            .fold(i128::from(self.elem_sizes[id.index()]), |acc, &size| {
+                acc.saturating_mul(i128::from(size))
+            })
+    }
+
+    /// True when array `id` reshaped to `sizes` keeps the limits a built
+    /// program keeps: its footprint plus `others` (the bytes of every
+    /// other array) within [`crate::MAX_FOOTPRINT_BYTES`], and every
+    /// reference to it within that many bytes of its base under the
+    /// reshaped strides.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `id` does not belong to the program.
+    pub fn admits(&self, id: ArrayId, sizes: &[i64], others: i128) -> bool {
+        let max = i128::from(crate::MAX_FOOTPRINT_BYTES);
+        let elem_size = self.elem_sizes[id.index()];
+        self.bytes(id, sizes).saturating_add(others) <= max
+            && self.reach[id.index()].chunks(sizes.len()).all(|elements| {
+                byte_reach(elements.iter().copied(), elem_size, sizes.iter().copied()) <= max
+            })
+    }
+}
+
+/// Checks every loop, and hands each reference to `visit` with the
+/// loops that bind it.
+fn walk<'p>(
+    program: &'p Program,
+    visit: &mut impl FnMut(&'p ArrayRef, &[Bound<'p>]) -> Result<(), IrError>,
+) -> Result<(), IrError> {
+    let mut bound: Vec<Bound> = Vec::new();
+    program
+        .body()
+        .iter()
+        .try_for_each(|stmt| walk_stmt(stmt, &mut bound, visit))
+}
+
+fn walk_stmt<'p>(
+    stmt: &'p Stmt,
+    bound: &mut Vec<Bound<'p>>,
+    visit: &mut impl FnMut(&'p ArrayRef, &[Bound<'p>]) -> Result<(), IrError>,
+) -> Result<(), IrError> {
+    match stmt {
+        Stmt::Refs(refs) => refs.iter().try_for_each(|r| visit(r, bound)),
         Stmt::Loop { header, body } => {
             check_expr(header.lower(), bound)?;
             check_expr(header.upper(), bound)?;
-            if bound.iter().any(|b| &b.var == header.var()) {
+            if bound.iter().any(|b| b.var == header.var()) {
                 return Err(IrError::ShadowedVariable {
                     var: header.var().name().into(),
                 });
@@ -67,14 +141,12 @@ fn validate_stmt(program: &Program, stmt: &Stmt, bound: &mut Vec<Bound>) -> Resu
             let upper = bound_range(header.upper(), bound).ok_or_else(overflow)?;
             let (lo, hi) = (lower.0.min(upper.0), lower.1.max(upper.1));
             bound.push(Bound {
-                var: header.var().clone(),
+                var: header.var(),
                 lo,
                 hi,
                 reach: lo.abs().max(hi.abs()).max(i128::from(header.step()).abs()),
             });
-            let result = body
-                .iter()
-                .try_for_each(|s| validate_stmt(program, s, bound));
+            let result = body.iter().try_for_each(|s| walk_stmt(s, bound, visit));
             bound.pop();
             result
         }
@@ -82,11 +154,11 @@ fn validate_stmt(program: &Program, stmt: &Stmt, bound: &mut Vec<Bound>) -> Resu
 }
 
 /// The innermost binding of `var` (checked to exist beforehand).
-fn lookup<'b>(bound: &'b [Bound], var: &IndexVar) -> &'b Bound {
+fn lookup<'b, 'p>(bound: &'b [Bound<'p>], var: &IndexVar) -> &'b Bound<'p> {
     bound
         .iter()
         .rev()
-        .find(|b| &b.var == var)
+        .find(|b| b.var == var)
         .expect("variables are checked bound first")
 }
 
@@ -122,7 +194,9 @@ fn validate_ref(program: &Program, array_ref: &ArrayRef, bound: &[Bound]) -> Res
     for sub in array_ref.subscripts() {
         check_expr(sub, bound)?;
     }
-    if offset_reach(spec, array_ref, bound) > i128::from(crate::MAX_FOOTPRINT_BYTES) {
+    let elements = element_reach(spec, array_ref, bound);
+    let sizes = spec.dims().iter().map(|d| d.size);
+    if byte_reach(elements, spec.elem_size(), sizes) > i128::from(crate::MAX_FOOTPRINT_BYTES) {
         return Err(IrError::AddressOverflow {
             array: spec.name().into(),
         });
@@ -130,29 +204,51 @@ fn validate_ref(program: &Program, array_ref: &ArrayRef, bound: &[Bound]) -> Res
     Ok(())
 }
 
-/// The term-by-term bound on a reference's byte offset from its array's
-/// base (see [`validate`]), saturating far above any accepted value.
-fn offset_reach(spec: &ArraySpec, array_ref: &ArrayRef, bound: &[Bound]) -> i128 {
-    let mut stride = i128::from(spec.elem_size());
+/// Per dimension, the term-by-term bound on a reference's subscript in
+/// elements: the subscript's constant and the dimension's lower bound,
+/// plus each coefficient times its variable's largest value or step
+/// (see [`validate`]). Saturates far above any accepted value.
+fn element_reach<'a>(
+    spec: &'a ArraySpec,
+    array_ref: &'a ArrayRef,
+    bound: &'a [Bound],
+) -> impl Iterator<Item = i128> + 'a {
+    array_ref
+        .subscripts()
+        .iter()
+        .zip(spec.dims())
+        .map(move |(sub, dim)| {
+            sub.terms().iter().fold(
+                i128::from(sub.offset()).abs() + i128::from(dim.lower).abs(),
+                |acc, (var, coeff)| {
+                    let term = i128::from(*coeff).abs() * lookup(bound, var).reach;
+                    acc.saturating_add(term)
+                },
+            )
+        })
+}
+
+/// The bound on a reference's byte offset from its array's base: its
+/// per-dimension `elements` times the byte strides of an array with
+/// element size `elem_size` and dimension sizes `sizes`. Saturates far
+/// above any accepted value.
+fn byte_reach(
+    elements: impl Iterator<Item = i128>,
+    elem_size: u32,
+    sizes: impl Iterator<Item = i64>,
+) -> i128 {
+    let mut stride = i128::from(elem_size);
     let mut reach = 0i128;
-    for (sub, dim) in array_ref.subscripts().iter().zip(spec.dims()) {
-        let elements = sub.terms().iter().fold(
-            i128::from(sub.offset()).abs() + i128::from(dim.lower).abs(),
-            |acc, (var, coeff)| {
-                let term = i128::from(*coeff).abs() * lookup(bound, var).reach;
-                acc.saturating_add(term)
-            },
-        );
+    for (elements, size) in elements.zip(sizes) {
         reach = reach.saturating_add(elements.saturating_mul(stride));
-        stride = stride.saturating_mul(i128::from(dim.size));
+        stride = stride.saturating_mul(i128::from(size));
     }
     reach
 }
 
 fn check_expr(expr: &AffineExpr, bound: &[Bound]) -> Result<(), IrError> {
-    let bound_set: HashSet<&IndexVar> = bound.iter().map(|b| &b.var).collect();
     for var in expr.vars() {
-        if !bound_set.contains(var) {
+        if !bound.iter().any(|b| b.var == var) {
             return Err(IrError::UnboundVariable {
                 var: var.name().into(),
             });

@@ -68,7 +68,7 @@ pub fn spec(n: i64) -> Program {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use pad_core::{Pad, PaddingConfig};
+    use pad_core::{PaddingConfig, PaddingPipeline};
 
     #[test]
     fn spec_shape() {
@@ -80,7 +80,7 @@ mod tests {
     #[test]
     fn pad_runs_cleanly() {
         let p = spec(DEFAULT_N);
-        let outcome = Pad::new(PaddingConfig::paper_base()).run(&p);
+        let outcome = PaddingPipeline::pad(PaddingConfig::paper_base()).run(&p);
         assert!(outcome.layout.check_no_overlap());
         assert!(outcome.stats.size_increase_percent < 1.0);
     }

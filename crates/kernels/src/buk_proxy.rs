@@ -48,7 +48,7 @@ pub fn spec(n: i64) -> Program {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use pad_core::{uniform_ref_fraction, Pad, PaddingConfig};
+    use pad_core::{uniform_ref_fraction, PaddingConfig, PaddingPipeline};
 
     #[test]
     fn indirection_lowers_uniform_fraction() {
@@ -60,7 +60,7 @@ mod tests {
     #[test]
     fn analysis_cannot_pad_the_indirect_arrays() {
         let p = spec(DEFAULT_N);
-        let outcome = Pad::new(PaddingConfig::paper_base()).run(&p);
+        let outcome = PaddingPipeline::pad(PaddingConfig::paper_base()).run(&p);
         assert_eq!(outcome.stats.arrays_intra_padded, 0);
         assert!(outcome.layout.check_no_overlap());
     }

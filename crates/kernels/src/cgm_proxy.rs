@@ -60,7 +60,7 @@ pub fn spec(n: i64) -> Program {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use pad_core::{Pad, PaddingConfig};
+    use pad_core::{PaddingConfig, PaddingPipeline};
 
     #[test]
     fn spec_shape() {
@@ -74,7 +74,7 @@ mod tests {
     #[test]
     fn no_intra_padding_like_the_paper() {
         let p = spec(DEFAULT_N);
-        let outcome = Pad::new(PaddingConfig::paper_base()).run(&p);
+        let outcome = PaddingPipeline::pad(PaddingConfig::paper_base()).run(&p);
         assert_eq!(outcome.stats.arrays_intra_padded, 0, "all arrays are 1-D");
         assert!(outcome.layout.check_no_overlap());
     }

@@ -188,7 +188,7 @@ mod tests {
 
     #[test]
     fn padded_factorization_matches_plain() {
-        use pad_core::{Pad, PaddingConfig};
+        use pad_core::{PaddingConfig, PaddingPipeline};
         let n = 24i64;
         let p = spec_steps(n, n - 1);
         let a = p.arrays_with_ids().next().expect("has A").0;
@@ -201,7 +201,8 @@ mod tests {
             plain.set(a, &[i, i], v + 50.0);
         }
         let mut padded_ws = {
-            let outcome = Pad::new(PaddingConfig::new(2048, 32).expect("valid")).run(&p);
+            let outcome =
+                PaddingPipeline::pad(PaddingConfig::new(2048, 32).expect("valid")).run(&p);
             Workspace::new(&p, outcome.layout)
         };
         padded_ws.fill_pattern(a, 11);

@@ -44,7 +44,7 @@ pub fn spec(n: i64) -> Program {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use pad_core::{Pad, PaddingConfig};
+    use pad_core::{PaddingConfig, PaddingPipeline};
 
     #[test]
     fn many_small_arrays() {
@@ -58,7 +58,7 @@ mod tests {
         // 200 doubles = 1.6 KiB per array: ten fit in the cache at once,
         // and equal sizes only collide when the whole group exceeds Cs.
         let p = spec(DEFAULT_N);
-        let outcome = Pad::new(PaddingConfig::paper_base()).run(&p);
+        let outcome = PaddingPipeline::pad(PaddingConfig::paper_base()).run(&p);
         assert_eq!(outcome.stats.arrays_intra_padded, 0);
         assert!(outcome.stats.size_increase_percent < 2.0);
     }

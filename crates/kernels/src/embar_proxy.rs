@@ -47,12 +47,12 @@ pub fn spec(n: i64) -> Program {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use pad_core::{uniform_ref_fraction, Pad, PaddingConfig};
+    use pad_core::{uniform_ref_fraction, PaddingConfig, PaddingPipeline};
 
     #[test]
     fn mostly_scalar_code_gets_no_intra_padding() {
         let p = spec(DEFAULT_N);
-        let outcome = Pad::new(PaddingConfig::paper_base()).run(&p);
+        let outcome = PaddingPipeline::pad(PaddingConfig::paper_base()).run(&p);
         assert_eq!(outcome.stats.arrays_intra_padded, 0);
         // Note: INTERPAD may still separate XBUF from Q — the scaled
         // subscripts have *equal* coefficients, so their difference is

@@ -125,7 +125,7 @@ pub fn run_native(ws: &mut Workspace, n: i64) {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use pad_core::{DataLayout, Pad, PaddingConfig};
+    use pad_core::{DataLayout, PaddingConfig, PaddingPipeline};
 
     #[test]
     fn spec_shape() {
@@ -141,7 +141,7 @@ mod tests {
         // U(i,j,k-1)/U(i,j,k) pair is severe, so PAD must pad U.
         let p = spec(64);
         let u = p.arrays_with_ids().next().expect("has U").0;
-        let outcome = Pad::new(PaddingConfig::paper_base()).run(&p);
+        let outcome = PaddingPipeline::pad(PaddingConfig::paper_base()).run(&p);
         assert!(
             outcome.layout.intra_pad_elements(u) > 0,
             "events: {:?}",
@@ -162,7 +162,7 @@ mod tests {
         seed(&mut plain);
         run_native(&mut plain, 12);
 
-        let outcome = Pad::new(PaddingConfig::new(1024, 32).expect("valid")).run(&p);
+        let outcome = PaddingPipeline::pad(PaddingConfig::new(1024, 32).expect("valid")).run(&p);
         let mut padded = Workspace::new(&p, outcome.layout);
         seed(&mut padded);
         run_native(&mut padded, 12);

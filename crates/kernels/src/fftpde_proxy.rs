@@ -82,7 +82,7 @@ pub fn spec(n: i64) -> Program {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use pad_core::{uniform_ref_fraction, Pad, PaddingConfig};
+    use pad_core::{uniform_ref_fraction, PaddingConfig, PaddingPipeline};
 
     #[test]
     fn uniform_fraction_sits_between_irr_and_stencils() {
@@ -94,7 +94,7 @@ mod tests {
     #[test]
     fn pad_runs_and_layout_is_valid() {
         let p = spec(DEFAULT_N);
-        let outcome = Pad::new(PaddingConfig::paper_base()).run(&p);
+        let outcome = PaddingPipeline::pad(PaddingConfig::paper_base()).run(&p);
         assert!(outcome.layout.check_no_overlap());
     }
 }

@@ -49,7 +49,7 @@ pub fn spec(n: i64) -> Program {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use pad_core::{uniform_ref_fraction, Pad, PaddingConfig};
+    use pad_core::{uniform_ref_fraction, PaddingConfig, PaddingPipeline};
 
     #[test]
     fn uniform_fraction_is_very_low() {
@@ -64,7 +64,7 @@ mod tests {
     #[test]
     fn padding_finds_little() {
         let p = spec(DEFAULT_N);
-        let outcome = Pad::new(PaddingConfig::paper_base()).run(&p);
+        let outcome = PaddingPipeline::pad(PaddingConfig::paper_base()).run(&p);
         assert_eq!(outcome.stats.arrays_intra_padded, 0);
     }
 }

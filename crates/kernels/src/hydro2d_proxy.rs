@@ -123,7 +123,7 @@ pub fn run_native(ws: &mut crate::Workspace, n: i64) {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use pad_core::{Pad, PaddingConfig};
+    use pad_core::{PaddingConfig, PaddingPipeline};
 
     #[test]
     fn spec_shape() {
@@ -146,7 +146,7 @@ mod tests {
         seed(&mut plain);
         run_native(&mut plain, 20);
 
-        let outcome = Pad::new(PaddingConfig::new(1024, 32).expect("valid")).run(&p);
+        let outcome = PaddingPipeline::pad(PaddingConfig::new(1024, 32).expect("valid")).run(&p);
         let mut padded = crate::Workspace::new(&p, outcome.layout);
         seed(&mut padded);
         run_native(&mut padded, 20);
@@ -160,7 +160,7 @@ mod tests {
     #[test]
     fn aliasing_arrays_get_separated() {
         let p = spec(DEFAULT_N);
-        let outcome = Pad::new(PaddingConfig::paper_base()).run(&p);
+        let outcome = PaddingPipeline::pad(PaddingConfig::paper_base()).run(&p);
         assert!(outcome.stats.arrays_inter_padded > 0);
     }
 }

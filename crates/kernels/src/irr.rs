@@ -44,7 +44,7 @@ pub fn spec(n: i64) -> Program {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use pad_core::{uniform_ref_fraction, Pad, PadLite, PaddingConfig};
+    use pad_core::{uniform_ref_fraction, PaddingConfig, PaddingPipeline};
 
     #[test]
     fn most_references_are_not_uniform() {
@@ -56,15 +56,15 @@ mod tests {
     fn padding_leaves_irr_untouched() {
         let p = spec(1000);
         for outcome in [
-            Pad::new(PaddingConfig::paper_base()).run(&p),
-            PadLite::new(PaddingConfig::paper_base()).run(&p),
+            PaddingPipeline::pad(PaddingConfig::paper_base()).run(&p),
+            PaddingPipeline::padlite(PaddingConfig::paper_base()).run(&p),
         ] {
             assert_eq!(outcome.stats.arrays_intra_padded, 0);
             // INTERPADLITE may still separate equal-size variables (it
             // needs no reference analysis), but the analytical INTERPAD
             // can prove nothing about the scaled references.
         }
-        let pad = Pad::new(PaddingConfig::paper_base()).run(&p);
+        let pad = PaddingPipeline::pad(PaddingConfig::paper_base()).run(&p);
         assert_eq!(pad.stats.inter_bytes_skipped, 0);
     }
 }

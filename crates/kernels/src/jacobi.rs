@@ -74,7 +74,7 @@ pub fn run_native(ws: &mut Workspace, n: i64) {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use pad_core::{DataLayout, Pad, PaddingConfig};
+    use pad_core::{DataLayout, PaddingConfig, PaddingPipeline};
 
     #[test]
     fn spec_shape() {
@@ -93,7 +93,7 @@ mod tests {
         plain.fill_pattern(a, 3);
         run_native(&mut plain, 32);
 
-        let outcome = Pad::new(PaddingConfig::paper_base()).run(&p);
+        let outcome = PaddingPipeline::pad(PaddingConfig::paper_base()).run(&p);
         let mut padded = Workspace::new(&p, outcome.layout);
         padded.fill_pattern(a, 3);
         run_native(&mut padded, 32);

@@ -77,12 +77,12 @@ pub fn spec(n: i64) -> Program {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use pad_core::{Pad, PaddingConfig};
+    use pad_core::{PaddingConfig, PaddingPipeline};
 
     #[test]
     fn parameters_block_intra_padding() {
         let p = spec(256);
-        let outcome = Pad::new(PaddingConfig::paper_base()).run(&p);
+        let outcome = PaddingPipeline::pad(PaddingConfig::paper_base()).run(&p);
         // 256-column matrix would normally attract LINPAD2, but A is a
         // parameter; only RESID is safe, and it is 1-D.
         assert_eq!(outcome.stats.arrays_intra_padded, 0);
@@ -92,7 +92,7 @@ mod tests {
     #[test]
     fn base_addresses_may_still_move() {
         let p = spec(2048); // vectors alias the 16K cache at this size
-        let outcome = Pad::new(PaddingConfig::paper_base()).run(&p);
+        let outcome = PaddingPipeline::pad(PaddingConfig::paper_base()).run(&p);
         assert!(outcome.layout.check_no_overlap());
     }
 }

@@ -82,7 +82,7 @@ pub fn spec(n: i64) -> Program {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use pad_core::{Pad, PaddingConfig};
+    use pad_core::{PaddingConfig, PaddingPipeline};
 
     #[test]
     fn gather_in_x_is_not_uniform() {
@@ -96,7 +96,7 @@ mod tests {
         // 4096 doubles = 32 KiB per vector: nine equal-size vectors
         // alias the 16 KiB cache pairwise.
         let p = spec(DEFAULT_N);
-        let outcome = Pad::new(PaddingConfig::paper_base()).run(&p);
+        let outcome = PaddingPipeline::pad(PaddingConfig::paper_base()).run(&p);
         assert!(
             outcome.stats.arrays_inter_padded > 0,
             "{:?}",

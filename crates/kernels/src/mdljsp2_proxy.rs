@@ -22,7 +22,7 @@ pub fn spec(n: i64) -> Program {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use pad_core::{Pad, PaddingConfig};
+    use pad_core::{PaddingConfig, PaddingPipeline};
 
     #[test]
     fn uses_four_byte_elements() {
@@ -35,7 +35,7 @@ mod tests {
         // 8192 floats = 32 KiB per vector: same aliasing as the DP
         // variant at twice the element count.
         let p = spec(DEFAULT_N);
-        let outcome = Pad::new(PaddingConfig::paper_base()).run(&p);
+        let outcome = PaddingPipeline::pad(PaddingConfig::paper_base()).run(&p);
         assert!(outcome.stats.arrays_inter_padded > 0);
         assert!(outcome.layout.check_no_overlap());
     }

@@ -147,7 +147,7 @@ pub fn run_native(ws: &mut crate::Workspace, n: i64) {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use pad_core::{Pad, PaddingConfig};
+    use pad_core::{PaddingConfig, PaddingPipeline};
 
     #[test]
     fn spec_shape() {
@@ -170,7 +170,7 @@ mod tests {
         seed(&mut plain);
         run_native(&mut plain, 12);
 
-        let outcome = Pad::new(PaddingConfig::new(1024, 32).expect("valid")).run(&p);
+        let outcome = PaddingPipeline::pad(PaddingConfig::new(1024, 32).expect("valid")).run(&p);
         let mut padded = crate::Workspace::new(&p, outcome.layout);
         seed(&mut padded);
         run_native(&mut padded, 12);
@@ -186,7 +186,7 @@ mod tests {
         // 64² * 8 B planes = 32 KiB alias a 16 KiB cache: the k-direction
         // stencil neighbours conflict within U and R.
         let p = spec(DEFAULT_N);
-        let outcome = Pad::new(PaddingConfig::paper_base()).run(&p);
+        let outcome = PaddingPipeline::pad(PaddingConfig::paper_base()).run(&p);
         assert!(
             outcome.stats.arrays_intra_padded > 0,
             "{:?}",

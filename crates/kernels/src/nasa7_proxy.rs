@@ -76,7 +76,7 @@ pub fn spec(n: i64) -> Program {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use pad_core::{Pad, PaddingConfig};
+    use pad_core::{PaddingConfig, PaddingPipeline};
 
     #[test]
     fn spec_shape() {
@@ -90,7 +90,7 @@ mod tests {
         // XR and XI are 2n² doubles; at n=128 each is 256 KiB, so their
         // bases and the half-distance butterflies alias a 16 KiB cache.
         let p = spec(DEFAULT_N);
-        let outcome = Pad::new(PaddingConfig::paper_base()).run(&p);
+        let outcome = PaddingPipeline::pad(PaddingConfig::paper_base()).run(&p);
         assert!(
             outcome.stats.arrays_inter_padded > 0,
             "{:?}",

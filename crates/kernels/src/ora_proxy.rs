@@ -21,15 +21,15 @@ pub fn spec(_n: i64) -> Program {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use pad_core::{DataLayout, Pad, PadLite, PaddingConfig};
+    use pad_core::{DataLayout, PaddingConfig, PaddingPipeline};
 
     #[test]
     fn no_arrays_no_padding_no_crash() {
         let p = spec(DEFAULT_N);
         assert!(p.arrays().is_empty());
         for outcome in [
-            Pad::new(PaddingConfig::paper_base()).run(&p),
-            PadLite::new(PaddingConfig::paper_base()).run(&p),
+            PaddingPipeline::pad(PaddingConfig::paper_base()).run(&p),
+            PaddingPipeline::padlite(PaddingConfig::paper_base()).run(&p),
         ] {
             assert!(outcome.events.is_empty());
             assert_eq!(outcome.layout.total_bytes(), 0);

@@ -105,14 +105,14 @@ mod tests {
 
     #[test]
     fn padded_run_matches_plain() {
-        use pad_core::{Pad, PaddingConfig};
+        use pad_core::{PaddingConfig, PaddingPipeline};
         let p = spec(24);
         let a = p.arrays_with_ids().next().expect("has A").0;
         let mut plain = Workspace::new(&p, DataLayout::original(&p));
         plain.fill_pattern(a, 5);
         run_native(&mut plain, 24);
 
-        let outcome = Pad::new(PaddingConfig::new(1024, 32).expect("valid")).run(&p);
+        let outcome = PaddingPipeline::pad(PaddingConfig::new(1024, 32).expect("valid")).run(&p);
         let mut padded = Workspace::new(&p, outcome.layout);
         padded.fill_pattern(a, 5);
         run_native(&mut padded, 24);

@@ -244,7 +244,7 @@ mod tests {
 
     #[test]
     fn padded_run_matches_plain() {
-        use pad_core::{Pad, PaddingConfig};
+        use pad_core::{PaddingConfig, PaddingPipeline};
         let p = spec(16);
         let seed_all = |ws: &mut Workspace| {
             for (i, name) in ARRAY_NAMES.iter().enumerate() {
@@ -256,7 +256,7 @@ mod tests {
         seed_all(&mut plain);
         run_native(&mut plain, 16);
 
-        let outcome = Pad::new(PaddingConfig::new(1024, 32).expect("valid")).run(&p);
+        let outcome = PaddingPipeline::pad(PaddingConfig::new(1024, 32).expect("valid")).run(&p);
         let mut padded = Workspace::new(&p, outcome.layout);
         seed_all(&mut padded);
         run_native(&mut padded, 16);

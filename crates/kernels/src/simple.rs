@@ -170,7 +170,7 @@ pub fn run_native(ws: &mut crate::Workspace, n: i64) {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use pad_core::{uniform_ref_fraction, Pad, PaddingConfig};
+    use pad_core::{uniform_ref_fraction, PaddingConfig, PaddingPipeline};
 
     #[test]
     fn spec_shape() {
@@ -183,7 +183,7 @@ mod tests {
     #[test]
     fn power_of_two_mesh_attracts_inter_padding() {
         let p = spec(256); // 256*256*8 = 512 KiB arrays: all alias a 16K cache
-        let outcome = Pad::new(PaddingConfig::paper_base()).run(&p);
+        let outcome = PaddingPipeline::pad(PaddingConfig::paper_base()).run(&p);
         assert!(outcome.stats.arrays_inter_padded > 0);
         assert!(outcome.layout.check_no_overlap());
         assert!(outcome.stats.size_increase_percent < 1.0);
@@ -203,7 +203,7 @@ mod tests {
         seed(&mut plain);
         run_native(&mut plain, 20);
 
-        let outcome = Pad::new(PaddingConfig::new(1024, 32).expect("valid")).run(&p);
+        let outcome = PaddingPipeline::pad(PaddingConfig::new(1024, 32).expect("valid")).run(&p);
         let mut padded = crate::Workspace::new(&p, outcome.layout);
         seed(&mut padded);
         run_native(&mut padded, 20);

@@ -66,7 +66,7 @@ pub fn spec(n: i64) -> Program {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use pad_core::{Pad, PaddingConfig};
+    use pad_core::{PaddingConfig, PaddingPipeline};
 
     #[test]
     fn spec_shape() {
@@ -78,7 +78,7 @@ mod tests {
     #[test]
     fn power_of_two_lattice_attracts_padding() {
         let p = spec(DEFAULT_N); // 64x32x32 doubles: planes are 16 KiB
-        let outcome = Pad::new(PaddingConfig::paper_base()).run(&p);
+        let outcome = PaddingPipeline::pad(PaddingConfig::paper_base()).run(&p);
         assert!(
             outcome.stats.arrays_intra_padded + outcome.stats.arrays_inter_padded > 0,
             "{:?}",

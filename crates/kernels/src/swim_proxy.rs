@@ -19,7 +19,7 @@ pub fn spec(n: i64) -> Program {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use pad_core::{Pad, PaddingConfig};
+    use pad_core::{PaddingConfig, PaddingPipeline};
 
     #[test]
     fn swim_shares_shal_structure() {
@@ -33,7 +33,7 @@ mod tests {
         // 513-wide columns are not power-of-two, but 14 conforming arrays
         // still produce inter-variable collisions PAD can clear.
         let p = spec(DEFAULT_N);
-        let outcome = Pad::new(PaddingConfig::paper_base()).run(&p);
+        let outcome = PaddingPipeline::pad(PaddingConfig::paper_base()).run(&p);
         assert!(outcome.layout.check_no_overlap());
     }
 }

@@ -84,7 +84,7 @@ pub fn spec(n: i64) -> Program {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use pad_core::{Pad, PaddingConfig};
+    use pad_core::{PaddingConfig, PaddingPipeline};
 
     #[test]
     fn spec_shape() {
@@ -96,7 +96,7 @@ mod tests {
     #[test]
     fn butterfly_strides_trigger_padding() {
         let p = spec(DEFAULT_N);
-        let outcome = Pad::new(PaddingConfig::paper_base()).run(&p);
+        let outcome = PaddingPipeline::pad(PaddingConfig::paper_base()).run(&p);
         // The plane-distance butterfly (32 planes * 32 KiB = 1 MiB apart,
         // a multiple of 16 KiB) must be broken up by intra padding.
         assert!(

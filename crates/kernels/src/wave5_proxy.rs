@@ -81,7 +81,7 @@ pub fn spec(n: i64) -> Program {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use pad_core::{uniform_ref_fraction, Pad, PaddingConfig};
+    use pad_core::{uniform_ref_fraction, PaddingConfig, PaddingPipeline};
 
     #[test]
     fn mixes_uniform_fields_with_opaque_particles() {
@@ -93,7 +93,7 @@ mod tests {
     #[test]
     fn field_arrays_attract_padding_at_aliasing_sizes() {
         let p = spec(DEFAULT_N);
-        let outcome = Pad::new(PaddingConfig::paper_base()).run(&p);
+        let outcome = PaddingPipeline::pad(PaddingConfig::paper_base()).run(&p);
         assert!(outcome.layout.check_no_overlap());
         assert!(
             outcome.stats.arrays_inter_padded > 0,

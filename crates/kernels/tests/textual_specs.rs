@@ -80,12 +80,12 @@ fn erle_text_matches_builder_including_rank3_arrays() {
 
 #[test]
 fn padding_decisions_agree_between_text_and_builder() {
-    use pad_core::{Pad, PaddingConfig};
+    use pad_core::{PaddingConfig, PaddingPipeline};
     let parsed = parse(include_str!("../specs/jacobi.pad")).expect("parses");
     let built = pad_kernels::jacobi::spec(512);
     let config = PaddingConfig::paper_base();
-    let a = Pad::new(config.clone()).run(&parsed);
-    let b = Pad::new(config).run(&built);
+    let a = PaddingPipeline::pad(config.clone()).run(&parsed);
+    let b = PaddingPipeline::pad(config).run(&built);
     assert_eq!(a.layout.total_bytes(), b.layout.total_bytes());
     assert_eq!(a.stats.inter_bytes_skipped, b.stats.inter_bytes_skipped);
     assert_eq!(a.stats.arrays_intra_padded, b.stats.arrays_intra_padded);

@@ -18,71 +18,59 @@ use pad_cache_sim::SplitMix64;
 
 use crate::objective::Objective;
 use crate::space::{cmp_candidates, Candidate, SearchSpace};
-use crate::SearchStrategy;
 
 /// Consecutive draw-only steps (no legal neighbor produced) before the
 /// chain gives up — a liveness bound for degenerate spaces; real spaces
 /// always have a legal direction from any point.
 const MAX_FRUITLESS: u32 = 4096;
 
-/// The seeded annealing strategy.
-#[derive(Debug, Clone, Copy)]
-pub struct Annealing {
-    /// RNG seed; equal seeds give byte-identical searches.
-    pub seed: u64,
-}
-
-impl SearchStrategy for Annealing {
-    fn name(&self) -> &'static str {
-        "anneal"
+/// Runs the chain from the best of `seeds` and returns the promotion
+/// chain. Equal `seed`s give byte-identical searches.
+pub(crate) fn run(
+    space: &SearchSpace,
+    objective: &mut Objective<'_>,
+    seeds: &[Candidate],
+    seed: u64,
+) -> Vec<Candidate> {
+    if space.moves().is_empty() {
+        return Vec::new();
     }
+    let Some(start) = seeds.iter().min_by(|a, b| cmp_candidates(a, b)) else {
+        return Vec::new();
+    };
+    let mut current = start.clone();
+    let mut best_fast = current.fast;
+    let mut chain = Vec::new();
+    let mut rng = SplitMix64::new(seed);
 
-    fn run(
-        &self,
-        space: &SearchSpace,
-        objective: &mut Objective<'_>,
-        seeds: &[Candidate],
-    ) -> Vec<Candidate> {
-        if space.moves().is_empty() {
-            return Vec::new();
-        }
-        let Some(start) = seeds.iter().min_by(|a, b| cmp_candidates(a, b)) else {
-            return Vec::new();
+    // Initial temperature at 5% of the starting score: large enough
+    // to cross small conflict barriers, small enough that the chain
+    // still prefers descent from the heuristic seeds.
+    let t0 = (current.fast * 0.05).max(1.0);
+    let total = objective.remaining_budget().max(1);
+    let mut step = 0u64;
+    let mut fruitless = 0u32;
+
+    while objective.budget_left() && fruitless < MAX_FRUITLESS {
+        let progress = step as f64 / total as f64;
+        let temp = t0 * (1.0 - progress).max(0.01);
+        let Some(vector) = space.random_step(&current.vector, &mut rng) else {
+            fruitless += 1;
+            continue;
         };
-        let mut current = start.clone();
-        let mut best_fast = current.fast;
-        let mut chain = Vec::new();
-        let mut rng = SplitMix64::new(self.seed);
-
-        // Initial temperature at 5% of the starting score: large enough
-        // to cross small conflict barriers, small enough that the chain
-        // still prefers descent from the heuristic seeds.
-        let t0 = (current.fast * 0.05).max(1.0);
-        let total = objective.remaining_budget().max(1);
-        let mut step = 0u64;
-        let mut fruitless = 0u32;
-
-        while objective.budget_left() && fruitless < MAX_FRUITLESS {
-            let progress = step as f64 / total as f64;
-            let temp = t0 * (1.0 - progress).max(0.01);
-            let Some(vector) = space.random_step(&current.vector, &mut rng) else {
-                fruitless += 1;
-                continue;
-            };
-            fruitless = 0;
-            step += 1;
-            let Some(cand) = objective.evaluate(vector) else {
-                break;
-            };
-            let delta = cand.fast - current.fast;
-            if cand.fast.total_cmp(&best_fast).is_lt() {
-                best_fast = cand.fast;
-                chain.push(cand.clone());
-            }
-            if delta <= 0.0 || rng.unit_f64() < (-delta / temp).exp() {
-                current = cand;
-            }
+        fruitless = 0;
+        step += 1;
+        let Some(cand) = objective.evaluate(vector) else {
+            break;
+        };
+        let delta = cand.fast - current.fast;
+        if cand.fast.total_cmp(&best_fast).is_lt() {
+            best_fast = cand.fast;
+            chain.push(cand.clone());
         }
-        chain
+        if delta <= 0.0 || rng.unit_f64() < (-delta / temp).exp() {
+            current = cand;
+        }
     }
+    chain
 }

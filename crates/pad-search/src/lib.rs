@@ -10,13 +10,13 @@
 //!   derived from `pad_core`'s conflict analysis ([`pad_core::search_bounds`])
 //!   and FNV fingerprints collapsing candidates that are equivalent
 //!   modulo cache-set placement;
-//! * [`objective`] — the two-rung evaluator: the analytic fast rung for
+//! * `objective` — the two-rung evaluator: the analytic fast rung for
 //!   every candidate, exact `simulate_batch` confirmation for promoted
 //!   frontier candidates only, fanned through `pad_bench::pool`
 //!   isolation cells (a panicking candidate is discarded, not fatal);
-//! * [`beam`] — deterministic beam search with constraint-propagation
-//!   pruning; [`anneal`] — seeded, byte-reproducible simulated
-//!   annealing; both behind the [`SearchStrategy`] trait;
+//! * `beam` — deterministic beam search with constraint-propagation
+//!   pruning; `anneal` — seeded, byte-reproducible simulated
+//!   annealing; [`search_with`] runs the one [`StrategyKind`] names;
 //! * [`experiment`] — the `fig_search` experiment charting
 //!   miss-reduction vs analysis-cost frontiers against PADLITE/PAD.
 //!
@@ -29,11 +29,11 @@
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
-pub mod anneal;
-pub mod beam;
+mod anneal;
+mod beam;
 pub mod experiment;
 mod metrics;
-pub mod objective;
+mod objective;
 pub mod space;
 
 use std::collections::BTreeSet;
@@ -46,17 +46,15 @@ use pad_ir::Program;
 use pad_telemetry::metrics_enabled;
 use pad_trace::padding_config_for;
 
-pub use anneal::Annealing;
-pub use beam::BeamSearch;
-pub use objective::Objective;
+use objective::Objective;
 pub use space::{cmp_candidates, set_signature, Candidate, Move, PadVector, SearchSpace};
 
 /// Which search strategy to run.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum StrategyKind {
-    /// Deterministic beam search ([`BeamSearch`]).
+    /// Deterministic beam search.
     Beam,
-    /// Seeded simulated annealing ([`Annealing`]).
+    /// Seeded simulated annealing.
     Anneal,
 }
 
@@ -103,24 +101,6 @@ impl Default for SearchConfig {
     }
 }
 
-/// A pluggable search strategy. Strategies explore with *fast* scores
-/// only and return their promotion chain: the candidates that improved
-/// the best fast score, in discovery order (strictly decreasing `fast`).
-/// The driver promotes seeds plus chain to exact confirmation afterwards,
-/// so strategy decisions can never depend on exact results — the
-/// invariant behind both thread-width independence and fault equivalence.
-pub trait SearchStrategy {
-    /// Label used in metrics and CSVs.
-    fn name(&self) -> &'static str;
-    /// Explores from `seeds` and returns the promotion chain.
-    fn run(
-        &self,
-        space: &SearchSpace,
-        objective: &mut Objective<'_>,
-        seeds: &[Candidate],
-    ) -> Vec<Candidate>;
-}
-
 /// One promoted frontier candidate, as recorded in [`SearchResult`].
 #[derive(Debug, Clone, PartialEq)]
 pub struct Promotion {
@@ -160,11 +140,6 @@ pub struct SearchResult {
 }
 
 impl SearchResult {
-    /// The winning layout.
-    pub fn best_layout(&self) -> &DataLayout {
-        &self.best.layout
-    }
-
     /// The original layout's exact miss count, from its confirmation
     /// (`None` in fast-only mode, or when that confirmation was
     /// discarded).
@@ -179,7 +154,9 @@ pub struct SearchHooks {
     /// Fault plan injected into exact confirmations (indices are exact
     /// sequence numbers).
     pub faults: FaultPlan,
-    /// Exact sequence numbers to skip (see [`Objective::with_skip`]).
+    /// Exact sequence numbers to skip: those confirmations are discarded
+    /// unrun but still consume their numbers, so a faulted run can be
+    /// compared with a clean run minus the same candidates.
     pub skip: BTreeSet<u64>,
     /// Scramble the move list with this seed before searching; results
     /// must be unchanged (order-independence hook).
@@ -202,6 +179,13 @@ pub fn search(program: &Program, cache: &CacheConfig, cfg: &SearchConfig) -> Sea
 }
 
 /// [`search`] with explicit [`SearchHooks`].
+///
+/// The strategy explores with *fast* scores only and returns its
+/// promotion chain: the candidates that improved the best fast score, in
+/// discovery order (strictly decreasing `fast`). The seeds and the chain
+/// are confirmed on the exact rung only afterwards, so no strategy
+/// decision can depend on an exact result — the invariant behind both
+/// thread-width independence and fault equivalence.
 pub fn search_with(
     program: &Program,
     cache: &CacheConfig,
@@ -244,13 +228,10 @@ pub fn search_with(
         }
     }
 
-    let strategy: Box<dyn SearchStrategy> = match cfg.strategy {
-        StrategyKind::Beam => Box::new(BeamSearch {
-            width: cfg.beam_width,
-        }),
-        StrategyKind::Anneal => Box::new(Annealing { seed: cfg.seed }),
+    let chain = match cfg.strategy {
+        StrategyKind::Beam => beam::run(&space, &mut objective, &seeds, cfg.beam_width),
+        StrategyKind::Anneal => anneal::run(&space, &mut objective, &seeds, cfg.seed),
     };
-    let chain = strategy.run(&space, &mut objective, &seeds);
     if let Some(t0) = clock {
         metrics::record_fast_mean(t0.elapsed(), objective.fast_evals());
     }
@@ -297,7 +278,7 @@ pub fn search_with(
     }
 
     let result = SearchResult {
-        strategy: strategy.name(),
+        strategy: cfg.strategy.name(),
         best,
         best_exact,
         promotions,
@@ -369,7 +350,7 @@ mod tests {
         let best = result.best_exact.expect("exact-confirmed");
         assert!(best <= exact_misses(&program, &padlite, &cache));
         assert!(best <= exact_misses(&program, &pad, &cache));
-        assert_eq!(best, exact_misses(&program, result.best_layout(), &cache));
+        assert_eq!(best, exact_misses(&program, &result.best.layout, &cache));
         assert!(result.fast_evals >= 3);
         assert!(!result.promotions.is_empty());
         assert!(!result.frontier.is_empty());
@@ -390,7 +371,7 @@ mod tests {
             };
             let result = search(&program, &cache, &cfg);
             let exact = result.best_exact.expect("exact-confirmed");
-            assert_eq!(exact, exact_misses(&program, result.best_layout(), &cache));
+            assert_eq!(exact, exact_misses(&program, &result.best.layout, &cache));
             assert_eq!(result.discarded, 0);
         }
     }

@@ -439,9 +439,7 @@ pub struct Candidate<L = ()> {
     /// The materialized layout (shapes + bases) of a promoted candidate.
     pub layout: L,
     /// Fast-rung score: the analytic miss estimate plus the graded
-    /// conflict pressure ([`pad_core::ModelScore`]), as
-    /// [`Objective::force_evaluate`](crate::Objective::force_evaluate)
-    /// computes it.
+    /// conflict pressure ([`pad_core::ModelScore`]).
     pub fast: f64,
     /// Cache-set-equivalence fingerprint ([`set_signature`]).
     pub signature: u64,

@@ -71,7 +71,7 @@ fn search_is_never_worse_than_either_heuristic() {
                 .expect("no faults injected, so the best is exact-confirmed");
             assert_eq!(
                 best,
-                exact_misses(&program, result.best_layout(), &cache),
+                exact_misses(&program, &result.best.layout, &cache),
                 "case {case}: reported best must match direct simulation"
             );
             for (name, bound) in [("original", orig), ("padlite", padlite), ("pad", pad)] {

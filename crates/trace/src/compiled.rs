@@ -625,9 +625,11 @@ mod tests {
             let p = (k.spec)(n);
             for layout in [
                 DataLayout::original(&p),
-                pad_core::Pad::new(pad_core::PaddingConfig::new(1024, 32).expect("valid"))
-                    .run(&p)
-                    .layout,
+                pad_core::PaddingPipeline::pad(
+                    pad_core::PaddingConfig::new(1024, 32).expect("valid"),
+                )
+                .run(&p)
+                .layout,
             ] {
                 assert_eq!(
                     interpret(&p, &layout),
@@ -733,8 +735,9 @@ mod tests {
             let small = k.default_n.clamp(8, 16);
             for n in [small, small + 7] {
                 let p = (k.spec)(n);
-                let pad =
-                    pad_core::Pad::new(pad_core::PaddingConfig::new(1024, 32).expect("valid"));
+                let pad = pad_core::PaddingPipeline::pad(
+                    pad_core::PaddingConfig::new(1024, 32).expect("valid"),
+                );
                 assert_count_matches_interpreter(&p, &DataLayout::original(&p));
                 assert_count_matches_interpreter(&p, &pad.run(&p).layout);
             }

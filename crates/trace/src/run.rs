@@ -70,7 +70,7 @@ pub fn padding_config_for(cache: &CacheConfig) -> PaddingConfig {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use pad_core::Pad;
+    use pad_core::PaddingPipeline;
     use pad_ir::{ArrayBuilder, Loop, Stmt, Subscript};
 
     /// Figure 1: severe inter-variable conflicts in a dot product.
@@ -95,7 +95,7 @@ mod tests {
         let original = simulate_program(&p, &DataLayout::original(&p), &cache);
         assert!(original.miss_rate() > 0.99, "unpadded: every access misses");
 
-        let outcome = Pad::new(padding_config_for(&cache)).run(&p);
+        let outcome = PaddingPipeline::pad(padding_config_for(&cache)).run(&p);
         let padded = simulate_program(&p, &outcome.layout, &cache);
         // With bases separated, only cold misses remain: one per 32-byte
         // line, i.e. a miss every 4 doubles.
@@ -113,7 +113,7 @@ mod tests {
         let classified = simulate_classified(&p, &DataLayout::original(&p), &cache);
         assert!(classified.conflict_share() > 0.7);
 
-        let outcome = Pad::new(padding_config_for(&cache)).run(&p);
+        let outcome = PaddingPipeline::pad(padding_config_for(&cache)).run(&p);
         let after = simulate_classified(&p, &outcome.layout, &cache);
         assert_eq!(after.conflict, 0, "PAD removed every conflict miss");
     }

@@ -10,7 +10,7 @@
 //! space of the paper's Figures 9–11 on one program.
 
 use rivera_padding::cache_sim::CacheConfig;
-use rivera_padding::core::{DataLayout, Pad};
+use rivera_padding::core::{DataLayout, PaddingPipeline};
 use rivera_padding::kernels::suite;
 use rivera_padding::trace::{padding_config_for, simulate_classified};
 
@@ -42,7 +42,9 @@ fn main() {
     for size_kb in [2u64, 4, 8, 16] {
         for ways in [1u32, 2, 4, 16] {
             let cache = CacheConfig::set_associative(size_kb * 1024, 32, ways);
-            let padded = Pad::new(padding_config_for(&cache)).run(&program).layout;
+            let padded = PaddingPipeline::pad(padding_config_for(&cache))
+                .run(&program)
+                .layout;
             let orig = simulate_classified(&program, &DataLayout::original(&program), &cache);
             let pad = simulate_classified(&program, &padded, &cache);
             println!(

@@ -12,7 +12,7 @@
 //! computation against it directly.
 
 use rivera_padding::cache_sim::CacheConfig;
-use rivera_padding::core::{DataLayout, Pad};
+use rivera_padding::core::{DataLayout, PaddingPipeline};
 use rivera_padding::ir::{ArrayBuilder, Loop, Program, Stmt, Subscript};
 use rivera_padding::kernels::Workspace;
 use rivera_padding::trace::{padding_config_for, simulate_program};
@@ -62,7 +62,7 @@ fn main() {
     let program = wave(n);
     let cache = CacheConfig::paper_base();
 
-    let outcome = Pad::new(padding_config_for(&cache)).run(&program);
+    let outcome = PaddingPipeline::pad(padding_config_for(&cache)).run(&program);
     println!("layout chosen by PAD:\n{}", outcome.layout);
 
     for (label, layout) in [

@@ -15,7 +15,7 @@
 //!    maps to disjoint cache locations.
 
 use rivera_padding::cache_sim::CacheConfig;
-use rivera_padding::core::{estimate_miss_rate, select_tile, DataLayout, Pad};
+use rivera_padding::core::{estimate_miss_rate, select_tile, DataLayout, PaddingPipeline};
 use rivera_padding::kernels::jacobi;
 use rivera_padding::trace::{padding_config_for, simulate_program};
 
@@ -31,7 +31,7 @@ fn main() {
     for n in [96i64, 128, 160, 192, 256] {
         let p = jacobi::spec(n);
         let original = DataLayout::original(&p);
-        let padded = Pad::new(config.clone()).run(&p).layout;
+        let padded = PaddingPipeline::pad(config.clone()).run(&p).layout;
         println!(
             "{n:>6} {:>11.1}% {:>11.1}% {:>11.1}% {:>11.1}%",
             estimate_miss_rate(&p, &original, &config).miss_rate_percent(),

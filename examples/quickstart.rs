@@ -10,7 +10,7 @@
 //! direct-mapped, 32 B lines).
 
 use rivera_padding::cache_sim::CacheConfig;
-use rivera_padding::core::{find_severe_conflicts, DataLayout, Pad};
+use rivera_padding::core::{find_severe_conflicts, DataLayout, PaddingPipeline};
 use rivera_padding::kernels::jacobi;
 use rivera_padding::trace::{padding_config_for, simulate_classified};
 
@@ -37,7 +37,7 @@ fn main() {
     }
 
     // 2. Transform: run the PAD algorithm.
-    let outcome = Pad::new(config.clone()).run(&program);
+    let outcome = PaddingPipeline::pad(config.clone()).run(&program);
     println!("\npadding decisions:");
     for event in &outcome.events {
         println!("  {event}");

@@ -69,6 +69,9 @@ fi
 
 run_gate test cargo test --workspace -q
 
+# Formatting: the same check CI's lint job runs.
+run_gate fmt cargo fmt --all -- --check
+
 run_gate clippy cargo clippy --workspace --all-targets -- -D warnings
 
 # API docs: every rustdoc warning, such as a broken intra-doc link or one
@@ -181,6 +184,7 @@ run_gate advisor-restart gate_advisor_restart
 # (from layouts and from pad vectors) bit-identical to the interpreted
 # model and the nest bound to every scored layout equal to the
 # name-keyed linearization, pair distances past i64 taken exactly,
+# pads that would break the IR's address limits failing their array,
 # fast/exact rank-concordance differential, the property suite
 # (never-worse, seeded determinism, move-order independence) and fault
 # equivalence.
@@ -188,6 +192,7 @@ gate_search_differential() {
     cargo test -q -p pad-core &&
         cargo test -q -p pad-search --test model_differential &&
         cargo test -q -p pad-search --test pair_overflow &&
+        cargo test -q -p pad-search --test padded_limits &&
         cargo test -q -p pad-search --test search_differential &&
         cargo test -q -p pad-search --test search_properties &&
         cargo test -q -p pad-search --test search_faults

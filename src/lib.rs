@@ -17,7 +17,7 @@
 //! # Quickstart
 //!
 //! ```
-//! use rivera_padding::core::{DataLayout, Pad};
+//! use rivera_padding::core::{DataLayout, PaddingPipeline};
 //! use rivera_padding::kernels;
 //! use rivera_padding::trace::{padding_config_for, simulate_program};
 //! use rivera_padding::cache_sim::CacheConfig;
@@ -28,7 +28,7 @@
 //!
 //! // Original layout vs the PAD-optimized layout.
 //! let original = DataLayout::original(&program);
-//! let padded = Pad::new(padding_config_for(&cache)).run(&program).layout;
+//! let padded = PaddingPipeline::pad(padding_config_for(&cache)).run(&program).layout;
 //!
 //! let before = simulate_program(&program, &original, &cache);
 //! let after = simulate_program(&program, &padded, &cache);

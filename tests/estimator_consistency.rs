@@ -4,7 +4,7 @@
 //! situation is.
 
 use rivera_padding::cache_sim::CacheConfig;
-use rivera_padding::core::{estimate_miss_rate, DataLayout, Pad};
+use rivera_padding::core::{estimate_miss_rate, DataLayout, PaddingPipeline};
 use rivera_padding::kernels;
 use rivera_padding::trace::{padding_config_for, simulate_program};
 
@@ -25,7 +25,7 @@ fn estimator_ranks_layouts_like_the_simulator() {
     let config = padding_config_for(&cache);
     for (name, p) in cases() {
         let original = DataLayout::original(&p);
-        let padded = Pad::new(config.clone()).run(&p).layout;
+        let padded = PaddingPipeline::pad(config.clone()).run(&p).layout;
         let est_gain = estimate_miss_rate(&p, &original, &config).miss_rate()
             - estimate_miss_rate(&p, &padded, &config).miss_rate();
         let sim_gain = simulate_program(&p, &original, &cache).miss_rate()
@@ -69,7 +69,7 @@ fn estimator_is_a_lower_bound_for_streaming_kernels() {
     let cache = CacheConfig::paper_base();
     let config = padding_config_for(&cache);
     let p = kernels::dot::spec(2048);
-    let padded = Pad::new(config.clone()).run(&p).layout;
+    let padded = PaddingPipeline::pad(config.clone()).run(&p).layout;
     let est = estimate_miss_rate(&p, &padded, &config).miss_rate();
     let sim = simulate_program(&p, &padded, &cache).miss_rate();
     assert!((est - sim).abs() < 0.02, "est {est} vs sim {sim}");

@@ -4,8 +4,8 @@
 
 use rivera_padding::cache_sim::CacheConfig;
 use rivera_padding::core::{
-    find_severe_conflicts, DataLayout, InterHeuristic, IntraHeuristic, LinAlgHeuristic, Pad,
-    PadLite, PaddingConfig, PaddingPipeline,
+    find_severe_conflicts, DataLayout, InterHeuristic, IntraHeuristic, LinAlgHeuristic,
+    PaddingConfig, PaddingPipeline,
 };
 use rivera_padding::ir::{ArrayBuilder, ArrayId, Loop, Program, Stmt, Subscript};
 use rivera_padding::trace::{padding_config_for, simulate_classified, simulate_program};
@@ -53,7 +53,7 @@ fn section3_n512_cs2048() {
     assert_eq!(lite.layout.column_size(a), 512);
     assert_eq!(lite.layout.base_addr(bb), 512 * 512 + 16); // M = 4 lines = 16 elements
 
-    let pad = Pad::new(config.clone()).run(&p);
+    let pad = PaddingPipeline::pad(config.clone()).run(&p);
     assert_eq!(pad.layout.base_addr(bb), 512 * 512 + 5);
 
     for outcome in [lite, pad] {
@@ -80,7 +80,7 @@ fn section3_n512_cs1024() {
     assert_eq!(lite.layout.column_size(bb), 520);
     assert_eq!(lite.layout.base_addr(bb), 520 * 512 + 16);
 
-    let pad = Pad::new(config.clone()).run(&p);
+    let pad = PaddingPipeline::pad(config.clone()).run(&p);
     assert_eq!(pad.layout.column_size(a), 514);
     assert_eq!(pad.layout.column_size(bb), 512);
     assert_eq!(pad.layout.base_addr(bb), 514 * 512);
@@ -105,7 +105,7 @@ fn section3_n934_cs1024_padlite_fails_pad_succeeds() {
     assert_eq!(lite.layout.base_addr(bb), 934 * 934);
     assert!(!find_severe_conflicts(&p, &lite.layout, &config).is_empty());
 
-    let pad = Pad::new(config.clone()).run(&p);
+    let pad = PaddingPipeline::pad(config.clone()).run(&p);
     assert_eq!(pad.layout.base_addr(bb), 934 * 934 + 6);
     assert!(find_severe_conflicts(&p, &pad.layout, &config).is_empty());
 
@@ -137,7 +137,9 @@ fn figure1_dot_product_severe_conflicts() {
     let before = simulate_classified(&p, &DataLayout::original(&p), &cache);
     assert!(before.cache.miss_rate() > 0.99);
 
-    let padded = Pad::new(padding_config_for(&cache)).run(&p).layout;
+    let padded = PaddingPipeline::pad(padding_config_for(&cache))
+        .run(&p)
+        .layout;
     let after = simulate_classified(&p, &padded, &cache);
     assert_eq!(after.conflict, 0);
     // Only cold misses remain: one per 32-byte line per stream.
@@ -165,7 +167,7 @@ fn figure2_intra_padding_restores_column_reuse() {
     let p = b.build().expect("valid");
     let cache = CacheConfig::paper_base();
 
-    let outcome = Pad::new(padding_config_for(&cache)).run(&p);
+    let outcome = PaddingPipeline::pad(padding_config_for(&cache)).run(&p);
     assert!(
         outcome.layout.intra_pad_elements(a) > 0,
         "{:?}",
@@ -197,9 +199,14 @@ fn padlite_and_pad_both_rescue_the_suite_at_small_scale() {
     for p in &programs {
         let config = padding_config_for(&cache);
         let orig = simulate_program(p, &DataLayout::original(p), &cache).miss_rate_percent();
-        let lite = simulate_program(p, &PadLite::new(config.clone()).run(p).layout, &cache)
+        let lite = simulate_program(
+            p,
+            &PaddingPipeline::padlite(config.clone()).run(p).layout,
+            &cache,
+        )
+        .miss_rate_percent();
+        let pad = simulate_program(p, &PaddingPipeline::pad(config).run(p).layout, &cache)
             .miss_rate_percent();
-        let pad = simulate_program(p, &Pad::new(config).run(p).layout, &cache).miss_rate_percent();
         orig_total += orig;
         lite_total += lite;
         pad_total += pad;
@@ -233,7 +240,7 @@ fn multilevel_configuration_clears_both_levels() {
         CacheParams::new(8192, 16).expect("valid"),
     ])
     .expect("two levels");
-    let outcome = Pad::new(config.clone()).run(&p);
+    let outcome = PaddingPipeline::pad(config.clone()).run(&p);
     assert!(find_severe_conflicts(&p, &outcome.layout, &config).is_empty());
     // Both levels individually clear too.
     for level in config.levels() {

@@ -7,7 +7,7 @@
 
 use rivera_padding::cache_sim::{CacheConfig, XorShift64Star};
 use rivera_padding::core::{
-    find_severe_conflicts, DataLayout, Pad, PadEvent, PadLite, PaddingConfig,
+    find_severe_conflicts, DataLayout, PadEvent, PaddingConfig, PaddingPipeline,
 };
 use rivera_padding::ir::{ArrayBuilder, Loop, Program, Stmt, Subscript};
 use rivera_padding::trace::for_each_access;
@@ -80,8 +80,8 @@ fn layouts_are_valid_and_bounded() {
     for case in 0..CASES {
         let p = arb_program(case);
         for outcome in [
-            Pad::new(small_config()).run(&p),
-            PadLite::new(small_config()).run(&p),
+            PaddingPipeline::pad(small_config()).run(&p),
+            PaddingPipeline::padlite(small_config()).run(&p),
         ] {
             assert!(outcome.layout.check_no_overlap(), "case {case}");
             let original = DataLayout::original(&p).total_bytes();
@@ -101,7 +101,7 @@ fn pad_clears_severe_conflicts_or_reports_failure() {
     for case in 0..CASES {
         let p = arb_program(case);
         let config = small_config();
-        let outcome = Pad::new(config.clone()).run(&p);
+        let outcome = PaddingPipeline::pad(config.clone()).run(&p);
         let failed = outcome.events.iter().any(|e| {
             matches!(
                 e,
@@ -123,7 +123,7 @@ fn traces_stay_in_bounds() {
         let p = arb_program(case);
         for layout in [
             DataLayout::original(&p),
-            Pad::new(small_config()).run(&p).layout,
+            PaddingPipeline::pad(small_config()).run(&p).layout,
         ] {
             let total = layout.total_bytes();
             let mut count = 0u64;
@@ -148,7 +148,7 @@ fn padding_preserves_access_counts() {
     for case in 0..CASES {
         let p = arb_program(case);
         let original = DataLayout::original(&p);
-        let padded = Pad::new(small_config()).run(&p).layout;
+        let padded = PaddingPipeline::pad(small_config()).run(&p).layout;
         let count = |layout: &DataLayout| {
             let mut c = 0u64;
             for_each_access(&p, layout, |_| c += 1);

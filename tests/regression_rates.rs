@@ -7,13 +7,15 @@
 //! subtle — shows up as a changed count here and must be justified.
 
 use rivera_padding::cache_sim::CacheConfig;
-use rivera_padding::core::{DataLayout, Pad};
+use rivera_padding::core::{DataLayout, PaddingPipeline};
 use rivera_padding::kernels;
 use rivera_padding::trace::{padding_config_for, simulate_program};
 
 fn rates(program: &rivera_padding::ir::Program, cache: &CacheConfig) -> (u64, u64, u64) {
     let original = simulate_program(program, &DataLayout::original(program), cache);
-    let padded_layout = Pad::new(padding_config_for(cache)).run(program).layout;
+    let padded_layout = PaddingPipeline::pad(padding_config_for(cache))
+        .run(program)
+        .layout;
     let padded = simulate_program(program, &padded_layout, cache);
     assert_eq!(
         original.accesses, padded.accesses,
