@@ -30,12 +30,11 @@ use pad_core::{DataLayout, PaddingPipeline};
 use pad_ir::Program;
 use pad_kernels::suite;
 use pad_telemetry as telemetry;
-use pad_trace::{
-    padding_config_for, simulate_batch, BatchRequest, BatchResults, CompiledTrace, Sinks,
-};
+use pad_trace::{padding_config_for, simulate_batch, BatchRequest, CompiledTrace, Sinks};
 use pad_trace_ingest::IngestError;
 
 use crate::json::Json;
+use crate::memo;
 use crate::protocol::{
     AdviseRequest, Algorithm, ErrorKind, RequestError, Source, MAX_PROBLEM_SIZE,
 };
@@ -278,7 +277,9 @@ fn search_misses(result: &pad_search::SearchResult) -> Option<(u64, u64)> {
 /// of `layout` (not walked again when it equals the original). When
 /// `confirmed` already holds both layouts' plain-cache misses the walks
 /// feed only the reuse sink, for the miss-ratio curve; otherwise a plain
-/// sink counts them.
+/// sink counts them. A layout whose histogram the process-wide memo holds
+/// feeds no reuse sink, so it walks the plain sink alone, or, with
+/// `confirmed`, not at all.
 fn exact_fields(
     program: &Program,
     original: &DataLayout,
@@ -286,21 +287,41 @@ fn exact_fields(
     cache: &CacheConfig,
     confirmed: Option<(u64, u64)>,
 ) -> Vec<(String, Json)> {
-    let sinks = match confirmed {
-        Some(_) => BatchRequest::new(),
-        None => BatchRequest::new().with_plain(*cache),
-    }
-    .with_reuse(cache.line_size(), 0);
-    let before = simulate_batch(program, original, &sinks);
-    let padded = (layout != original).then(|| simulate_batch(program, layout, &sinks));
+    let text = program.to_string();
+    let line = cache.line_size();
+    // One layout's plain-cache stats (when `confirmed` lacks them) and
+    // reuse histogram.
+    let walk = |layout: &DataLayout| {
+        let key = memo::key(&text, program, layout, line);
+        let memoized = memo::get(key);
+        let mut sinks = BatchRequest::new();
+        if confirmed.is_none() {
+            sinks = sinks.with_plain(*cache);
+        }
+        if memoized.is_none() {
+            sinks = sinks.with_reuse(line, 0);
+        }
+        let walked = (!sinks.is_empty()).then(|| simulate_batch(program, layout, &sinks));
+        let plain = walked.as_ref().and_then(|w| w.plain.first().copied());
+        let hist = memoized.unwrap_or_else(|| {
+            let hist = walked
+                .and_then(|w| w.reuse.into_iter().next())
+                .expect("a memo miss walks the reuse sink");
+            memo::insert(key, &hist);
+            hist
+        });
+        (plain, hist)
+    };
+    let before = walk(original);
+    let padded = (layout != original).then(|| walk(layout));
     let after = padded.as_ref().unwrap_or(&before);
-    let stats = |walk: &BatchResults, misses: Option<u64>| match misses {
+    let stats = |(plain, hist): &(Option<CacheStats>, ReuseHistogram), misses| match misses {
         Some(misses) => CacheStats {
-            accesses: walk.reuse[0].accesses(),
+            accesses: hist.accesses(),
             misses,
             ..CacheStats::default()
         },
-        None => walk.plain[0],
+        None => plain.expect("a walk without `confirmed` feeds the plain sink"),
     };
     let (original_misses, padded_misses) = confirmed.unzip();
     let (bs, as_) = (stats(&before, original_misses), stats(after, padded_misses));
@@ -311,10 +332,7 @@ fn exact_fields(
             "improvement_points".into(),
             Json::Num(bs.miss_rate_percent() - as_.miss_rate_percent()),
         ),
-        (
-            "mrc".into(),
-            mrc_json(cache.line_size(), &before.reuse[0], &after.reuse[0]),
-        ),
+        ("mrc".into(), mrc_json(line, &before.1, &after.1)),
     ]
 }
 

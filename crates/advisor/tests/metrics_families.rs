@@ -1,8 +1,9 @@
 //! The process-wide metric families reach the `metrics` op: one session
 //! against a real engine (no handler) sends an exact PAD advise, an
-//! exact search and an exact trace replay, then reads `metrics` and
-//! checks that the walk, engine, search, ingest and pool families count
-//! exactly that work.
+//! exact search, an exact PAD advise of the searched nest under a second
+//! cache geometry and an exact trace replay, then reads `metrics` and
+//! checks that the walk, engine, reuse memo, search, ingest and pool
+//! families count exactly that work.
 //!
 //! The process-global registry is shared by everything in a process, so
 //! this lives in its own integration binary with a single test.
@@ -89,10 +90,14 @@ fn process_families_reach_the_metrics_op() {
         };
         ask(r#"{"id": 1, "op": "advise", "kernel": "EXPL512", "n": 64, "mode": "exact"}"#.into());
         let search = ask(r#"{"id": 2, "op": "advise", "kernel": "DOT256K", "n": 256, "algorithm": "search", "strategy": "beam", "budget": 40, "mode": "exact"}"#.into());
+        // PAD leaves this nest's layout alone, and the search answer
+        // above walked the same original layout at the same line size:
+        // its curve comes from the memo.
+        ask(r#"{"id": 3, "op": "advise", "kernel": "DOT256K", "n": 256, "cache": {"size": 8192, "line": 32, "ways": 2}, "mode": "exact"}"#.into());
         let trace = ask(format!(
-            r#"{{"id": 3, "op": "advise", "trace": {path_json}, "mode": "exact"}}"#
+            r#"{{"id": 4, "op": "advise", "trace": {path_json}, "mode": "exact"}}"#
         ));
-        let metrics = ask(r#"{"id": 4, "op": "metrics"}"#.into());
+        let metrics = ask(r#"{"id": 5, "op": "metrics"}"#.into());
         drop(in_tx); // EOF: serve drains and returns
         (search, trace, metrics)
     });
@@ -113,8 +118,15 @@ fn process_families_reach_the_metrics_op() {
     assert!(counter(metrics, "pad_sim_accesses_total") > 0);
     assert_eq!(
         histogram_count(metrics, "pad_engine_analysis_us{rung=\"exact\"}"),
-        2
+        3
     );
+    // EXPL512's two layouts and the search's original layout missed;
+    // the second geometry's one walk hit.
+    assert_eq!(
+        counter(metrics, "pad_engine_reuse_memo_total{outcome=\"hit\"}"),
+        1
+    );
+    assert!(counter(metrics, "pad_engine_reuse_memo_total{outcome=\"miss\"}") >= 3);
     assert_eq!(
         histogram_count(metrics, "pad_engine_analysis_us{rung=\"trace\"}"),
         1

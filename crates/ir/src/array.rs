@@ -207,42 +207,6 @@ impl ArraySpec {
     pub fn size_bytes(&self) -> i64 {
         self.num_elements() * i64::from(self.elem_size)
     }
-
-    /// Returns a copy with dimension `dim` grown by `pad` elements.
-    /// This is the primitive applied by intra-variable padding.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `dim` is out of range or the resulting size would be
-    /// non-positive.
-    #[must_use]
-    pub fn with_padded_dim(&self, dim: usize, pad: i64) -> Self {
-        let mut padded = self.clone();
-        let d = &mut padded.dims[dim];
-        let new_size = d.size + pad;
-        assert!(
-            new_size >= 1,
-            "padding dimension {dim} by {pad} leaves no elements"
-        );
-        d.size = new_size;
-        padded
-    }
-
-    /// Size in elements of the subarray spanned by dimensions `0..=dim`
-    /// (so `subarray_elements(0)` is the column size). Used by the
-    /// higher-dimensional generalization of INTRAPADLITE.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `dim >= rank`.
-    pub fn subarray_elements(&self, dim: usize) -> i64 {
-        assert!(
-            dim < self.rank(),
-            "dimension {dim} out of range for rank {}",
-            self.rank()
-        );
-        self.dims[..=dim].iter().map(|d| d.size).product()
-    }
 }
 
 impl fmt::Display for ArraySpec {
@@ -365,21 +329,6 @@ mod tests {
     #[test]
     fn one_dimensional_row_size_is_one() {
         assert_eq!(spec(&[100]).row_size(), 1);
-    }
-
-    #[test]
-    fn subarray_elements_products() {
-        let a = spec(&[10, 20, 30]);
-        assert_eq!(a.subarray_elements(0), 10);
-        assert_eq!(a.subarray_elements(1), 200);
-        assert_eq!(a.subarray_elements(2), 6000);
-    }
-
-    #[test]
-    fn padding_a_dimension() {
-        let a = spec(&[512, 512]).with_padded_dim(0, 8);
-        assert_eq!(a.column_size(), 520);
-        assert_eq!(a.row_size(), 512);
     }
 
     #[test]

@@ -108,13 +108,16 @@ run_gate engine-equivalence gate_engine_equivalence
 # Reuse engine: unit tests (sparse input, table switching, compaction,
 # the hot window, log2 buckets, the 3C shadow), differential vs
 # fully-assoc sim and a naive stack (reuses either side of every bucket
-# boundary to 2^12 lines), 3C bit-identity of the one-boundary shadow
+# boundary to 2^12 lines), the front tier against a naive stack (reuses
+# at depths 15/16/17 and deeper, first-touch bursts, wrapped ids, a
+# hashed table), 3C bit-identity of the one-boundary shadow
 # (sweeps of C-1/C/C+1 lines, C above the lines touched, a hashed
 # table), MRC goldens, and every suite kernel's walk keeping a paged
 # last-use table.
 gate_reuse() {
     cargo test -q -p pad-cache-sim --lib &&
         cargo test -q -p pad-cache-sim --test reuse_differential &&
+        cargo test -q -p pad-cache-sim --test front_tier_differential &&
         cargo test -q -p pad-bench --test mrc_golden &&
         cargo test -q -p pad-trace --test reuse_table
 }
@@ -157,7 +160,8 @@ run_gate telemetry gate_telemetry
 # degradation, pricing astronomic rectangular/triangular/LU nests inside
 # a quarter deadline), admission control, exact answers equal to direct
 # walks of both layouts (an unchanged layout walked once; a search's
-# counts, taken from its confirmations, equal to plain walks), each of
+# counts, taken from its confirmations, equal to plain walks), answers
+# byte-identical from a cold or a warm reuse memo, each of
 # two concurrent servers tallying exactly its own traffic, and programs
 # whose addresses would wrap 64 bits refused as `parse` errors.
 gate_advisor_faults() {
@@ -166,6 +170,7 @@ gate_advisor_faults() {
         timeout 300 cargo test -q -p pad-advisor --test answer_equivalence &&
         timeout 300 cargo test -q -p pad-advisor --test search_answers &&
         timeout 300 cargo test -q -p pad-advisor --test walk_count &&
+        timeout 300 cargo test -q -p pad-advisor --test reuse_memo &&
         timeout 300 cargo test -q -p pad-advisor --test server_tally &&
         timeout 300 cargo test -q -p pad-advisor --test address_bounds
 }
