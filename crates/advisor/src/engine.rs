@@ -12,10 +12,11 @@
 //!   search may keep the original, so the answer's layout often *is*
 //!   the original one; a (program, layout) pair always simulates to the
 //!   same result, so such a layout is walked once and both answer
-//!   sections come from that walk. A search's exact confirmations have
-//!   already counted both layouts' misses on the request's cache (the
-//!   original layout is always promoted first, and the winner's count
-//!   is its `best_exact`), so its walks feed the reuse sink alone.
+//!   sections come from that walk. Every answer runs under the
+//!   process-wide walk memo ([`pad_trace::WalkMemo`]): a sink an earlier
+//!   answer or this search's exact confirmations already simulated (the
+//!   original layout is always promoted first, and the winner is
+//!   confirmed on the request's cache) comes from the memo, not a walk.
 //! * **Fast** — run the same pipeline but report the analytic miss-rate
 //!   estimate instead of simulating. Costs microseconds, marked
 //!   `degraded` when it stands in for an exact answer.
@@ -25,16 +26,15 @@
 //! the produced JSON is byte-identical across runs and processes — the
 //! property the persistent answer cache replays rely on.
 
-use pad_cache_sim::{CacheConfig, CacheStats, ReuseHistogram};
+use pad_cache_sim::{CacheConfig, ReuseHistogram};
 use pad_core::{DataLayout, PaddingPipeline};
 use pad_ir::Program;
 use pad_kernels::suite;
 use pad_telemetry as telemetry;
-use pad_trace::{padding_config_for, simulate_batch, BatchRequest, CompiledTrace, Sinks};
+use pad_trace::{padding_config_for, simulate_batch, BatchRequest, CompiledTrace, Sinks, WalkMemo};
 use pad_trace_ingest::IngestError;
 
 use crate::json::Json;
-use crate::memo;
 use crate::protocol::{
     AdviseRequest, Algorithm, ErrorKind, RequestError, Source, MAX_PROBLEM_SIZE,
 };
@@ -162,21 +162,33 @@ pub struct Advice {
 
 /// Runs the analysis at the chosen rung. `exact` selects the
 /// simulation-backed rung; `degraded` records whether this rung is a
-/// fallback (the caller knows; the engine just stamps it).
+/// fallback (the caller knows; the engine just stamps it). Every walk
+/// runs under the process-wide walk memo.
 pub fn advise(program: &Program, request: &AdviseRequest, exact: bool, degraded: bool) -> Advice {
+    static MEMO: std::sync::LazyLock<std::sync::Arc<WalkMemo>> =
+        std::sync::LazyLock::new(Default::default);
+    MEMO.run(|| advise_in_memo(program, request, exact, degraded))
+}
+
+fn advise_in_memo(
+    program: &Program,
+    request: &AdviseRequest,
+    exact: bool,
+    degraded: bool,
+) -> Advice {
     let start = telemetry::now_us();
     let cache = &request.cache;
     let config = padding_config_for(cache);
     // The search algorithm produces its layout (and an extra response
     // section) through `pad-search`; the heuristics run their pipeline.
-    let (layout, events, search_section, confirmed) = match request.algorithm {
+    let (layout, events, search_section) = match request.algorithm {
         Algorithm::Pad => {
             let outcome = PaddingPipeline::pad(config.clone()).run(program);
-            (outcome.layout, outcome.events, None, None)
+            (outcome.layout, outcome.events, None)
         }
         Algorithm::PadLite => {
             let outcome = PaddingPipeline::padlite(config.clone()).run(program);
-            (outcome.layout, outcome.events, None, None)
+            (outcome.layout, outcome.events, None)
         }
         Algorithm::Search => {
             let (result, cfg) = run_search(program, request, exact);
@@ -195,8 +207,7 @@ pub fn advise(program: &Program, request: &AdviseRequest, exact: bool, degraded:
                         .map_or(Json::Null, |m| Json::Int(m as i64)),
                 ),
             ]);
-            let confirmed = search_misses(&result);
-            (result.best.layout, events, Some(section), confirmed)
+            (result.best.layout, events, Some(section))
         }
     };
     let original = DataLayout::original(program);
@@ -222,7 +233,7 @@ pub fn advise(program: &Program, request: &AdviseRequest, exact: bool, degraded:
     ];
 
     if exact {
-        fields.extend(exact_fields(program, &original, &layout, cache, confirmed));
+        fields.extend(exact_fields(program, &original, &layout, cache));
     } else {
         let before = pad_core::estimate_miss_rate(program, &original, &config);
         let after = pad_core::estimate_miss_rate(program, &layout, &config);
@@ -264,67 +275,31 @@ pub fn advise(program: &Program, request: &AdviseRequest, exact: bool, degraded:
     }
 }
 
-/// A search answer's plain-cache misses `(original, padded)` on the
-/// request's cache, from its exact confirmations: `None` in fast-only
-/// mode, or when the original layout's confirmation (or every one) was
-/// discarded.
-fn search_misses(result: &pad_search::SearchResult) -> Option<(u64, u64)> {
-    result.original_exact().zip(result.best_exact)
-}
-
 /// The exact rung's answer sections — `original`, `padded`,
-/// `improvement_points` and `mrc` — from walks of the original layout and
-/// of `layout` (not walked again when it equals the original). When
-/// `confirmed` already holds both layouts' plain-cache misses the walks
-/// feed only the reuse sink, for the miss-ratio curve; otherwise a plain
-/// sink counts them. A layout whose histogram the process-wide memo holds
-/// feeds no reuse sink, so it walks the plain sink alone, or, with
-/// `confirmed`, not at all.
+/// `improvement_points` and `mrc` — from plain-cache and reuse walks of
+/// the original layout and of `layout` (not walked again when it equals
+/// the original). Under the walk memo a sink already simulated is not
+/// walked again, so a layout whose sinks are all memoized is not walked.
 fn exact_fields(
     program: &Program,
     original: &DataLayout,
     layout: &DataLayout,
     cache: &CacheConfig,
-    confirmed: Option<(u64, u64)>,
 ) -> Vec<(String, Json)> {
-    let text = program.to_string();
     let line = cache.line_size();
-    // One layout's plain-cache stats (when `confirmed` lacks them) and
-    // reuse histogram.
+    let sinks = BatchRequest::new().with_plain(*cache).with_reuse(line, 0);
     let walk = |layout: &DataLayout| {
-        let key = memo::key(&text, program, layout, line);
-        let memoized = memo::get(key);
-        let mut sinks = BatchRequest::new();
-        if confirmed.is_none() {
-            sinks = sinks.with_plain(*cache);
-        }
-        if memoized.is_none() {
-            sinks = sinks.with_reuse(line, 0);
-        }
-        let walked = (!sinks.is_empty()).then(|| simulate_batch(program, layout, &sinks));
-        let plain = walked.as_ref().and_then(|w| w.plain.first().copied());
-        let hist = memoized.unwrap_or_else(|| {
-            let hist = walked
-                .and_then(|w| w.reuse.into_iter().next())
-                .expect("a memo miss walks the reuse sink");
-            memo::insert(key, &hist);
-            hist
-        });
-        (plain, hist)
+        let results = simulate_batch(program, layout, &sinks);
+        let hist = results.reuse.into_iter().next();
+        (
+            results.plain[0],
+            hist.expect("the request has a reuse sink"),
+        )
     };
     let before = walk(original);
     let padded = (layout != original).then(|| walk(layout));
     let after = padded.as_ref().unwrap_or(&before);
-    let stats = |(plain, hist): &(Option<CacheStats>, ReuseHistogram), misses| match misses {
-        Some(misses) => CacheStats {
-            accesses: hist.accesses(),
-            misses,
-            ..CacheStats::default()
-        },
-        None => plain.expect("a walk without `confirmed` feeds the plain sink"),
-    };
-    let (original_misses, padded_misses) = confirmed.unzip();
-    let (bs, as_) = (stats(&before, original_misses), stats(after, padded_misses));
+    let ((bs, hb), (as_, ha)) = (&before, after);
     vec![
         ("original".into(), stats_json(bs.accesses, bs.misses)),
         ("padded".into(), stats_json(as_.accesses, as_.misses)),
@@ -332,7 +307,7 @@ fn exact_fields(
             "improvement_points".into(),
             Json::Num(bs.miss_rate_percent() - as_.miss_rate_percent()),
         ),
-        ("mrc".into(), mrc_json(line, &before.1, &after.1)),
+        ("mrc".into(), mrc_json(line, hb, ha)),
     ]
 }
 
@@ -686,45 +661,53 @@ mod tests {
             ..pad_search::SearchConfig::default()
         };
         let original = DataLayout::original(&program);
-        let sections = |layout: &DataLayout, confirmed| {
-            Json::Obj(exact_fields(&program, &original, layout, &cache, confirmed))
-        };
-
-        // The original layout's confirmation is exact sequence number 0.
-        let hooks = pad_search::SearchHooks {
-            skip: [0].into_iter().collect(),
-            ..pad_search::SearchHooks::default()
-        };
-        let skipped = pad_search::search_with(&program, &cache, &cfg, hooks);
-        assert!(skipped.best_exact.is_some());
-        assert_eq!(search_misses(&skipped), None);
-        let layout = &skipped.best.layout;
-        let fields = sections(layout, search_misses(&skipped));
         let walk = |layout: &DataLayout| {
             let sinks = BatchRequest::new().with_plain(cache);
             simulate_batch(&program, layout, &sinks).plain[0]
         };
-        let (before, after) = (walk(&original), walk(layout));
-        for (key, stats) in [("original", before), ("padded", after)] {
-            let section = fields.get(key).expect("section present");
-            assert_eq!(
-                section.get("accesses").and_then(Json::as_u64),
-                Some(stats.accesses)
-            );
-            assert_eq!(
-                section.get("misses").and_then(Json::as_u64),
-                Some(stats.misses)
-            );
-        }
 
-        // With both confirmations the sections are the same bytes.
-        let clean = pad_search::search(&program, &cache, &cfg);
-        let confirmed = search_misses(&clean);
-        assert!(confirmed.is_some());
-        assert_eq!(
-            sections(&clean.best.layout, confirmed).to_string(),
-            sections(&clean.best.layout, None).to_string()
-        );
+        // The original layout's confirmation is exact sequence number 0.
+        for skip in [vec![], vec![0]] {
+            // As `advise` runs it: the search and the sections under one
+            // memo, so the sections take the confirmed plain counts from
+            // it.
+            let memo = std::sync::Arc::new(WalkMemo::new());
+            let hooks = pad_search::SearchHooks {
+                skip: skip.iter().copied().collect(),
+                ..pad_search::SearchHooks::default()
+            };
+            let result = memo.run(|| pad_search::search_with(&program, &cache, &cfg, hooks));
+            assert!(result.best_exact.is_some());
+            assert_eq!(result.promotions[0].exact.is_none(), skip == [0]);
+            let layout = &result.best.layout;
+            let before = memo.stats();
+            let fields = memo.run(|| exact_fields(&program, &original, layout, &cache));
+            let after = memo.stats();
+
+            // One plain and one reuse lookup per layout walked; the
+            // plain ones the confirmations counted are hits.
+            let layouts = if layout == &original { 1 } else { 2 };
+            let confirmed = layouts - u64::from(skip == [0]);
+            assert_eq!(after.hits - before.hits, confirmed, "skip {skip:?}");
+            assert_eq!(after.misses - before.misses, 2 * layouts - confirmed);
+
+            let fields = Json::Obj(fields);
+            for (key, stats) in [("original", walk(&original)), ("padded", walk(layout))] {
+                let section = fields.get(key).expect("section present");
+                assert_eq!(
+                    section.get("accesses").and_then(Json::as_u64),
+                    Some(stats.accesses)
+                );
+                assert_eq!(
+                    section.get("misses").and_then(Json::as_u64),
+                    Some(stats.misses)
+                );
+            }
+            // Outside any memo the sections walk every sink: the same
+            // bytes.
+            let direct = Json::Obj(exact_fields(&program, &original, layout, &cache));
+            assert_eq!(fields.to_string(), direct.to_string(), "skip {skip:?}");
+        }
     }
 
     #[test]

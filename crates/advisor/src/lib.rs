@@ -34,7 +34,6 @@
 #![warn(missing_docs)]
 
 pub mod engine;
-mod memo;
 pub mod metrics;
 pub mod protocol;
 pub mod server;
@@ -42,7 +41,6 @@ pub mod store;
 
 pub use engine::{advise, exact_cost, resolve, Advice};
 pub use json::{Json, JsonError};
-pub use memo::REUSE_MEMO_CAPACITY;
 pub use metrics::AdvisorMetrics;
 /// The hand-rolled JSON layer now lives in `pad-trace-ingest` (both the
 /// NDJSON trace reader and this protocol parse with it); re-exported so

@@ -2,7 +2,7 @@
 //! against a real engine (no handler) sends an exact PAD advise, an
 //! exact search, an exact PAD advise of the searched nest under a second
 //! cache geometry and an exact trace replay, then reads `metrics` and
-//! checks that the walk, engine, reuse memo, search, ingest and pool
+//! checks that the walk, walk memo, engine, search, ingest and pool
 //! families count exactly that work.
 //!
 //! The process-global registry is shared by everything in a process, so
@@ -92,7 +92,7 @@ fn process_families_reach_the_metrics_op() {
         let search = ask(r#"{"id": 2, "op": "advise", "kernel": "DOT256K", "n": 256, "algorithm": "search", "strategy": "beam", "budget": 40, "mode": "exact"}"#.into());
         // PAD leaves this nest's layout alone, and the search answer
         // above walked the same original layout at the same line size:
-        // its curve comes from the memo.
+        // its curve comes from the walk memo.
         ask(r#"{"id": 3, "op": "advise", "kernel": "DOT256K", "n": 256, "cache": {"size": 8192, "line": 32, "ways": 2}, "mode": "exact"}"#.into());
         let trace = ask(format!(
             r#"{{"id": 4, "op": "advise", "trace": {path_json}, "mode": "exact"}}"#
@@ -120,13 +120,38 @@ fn process_families_reach_the_metrics_op() {
         histogram_count(metrics, "pad_engine_analysis_us{rung=\"exact\"}"),
         3
     );
-    // EXPL512's two layouts and the search's original layout missed;
-    // the second geometry's one walk hit.
-    assert_eq!(
-        counter(metrics, "pad_engine_reuse_memo_total{outcome=\"hit\"}"),
-        1
+    // EXPL512's two layouts walked their plain and reuse sinks (4
+    // misses). The search confirmed each promoted candidate on the
+    // request's cache (misses), and its answer took the original's and
+    // the winner's plain counts from those confirmations (2 hits) but
+    // walked their curves (2 misses). The second geometry's answer took
+    // the original's curve (1 hit) and walked its plain cache (1 miss).
+    let promoted = result(&search)
+        .get("search")
+        .and_then(|s| s.get("promoted"))
+        .and_then(Json::as_i64)
+        .expect("search answers carry their promotion count");
+    let bases = |answer: &Json| match answer.get("arrays") {
+        Some(Json::Arr(items)) => items
+            .iter()
+            .map(|a| a.get("base").and_then(Json::as_u64))
+            .collect::<Vec<_>>(),
+        other => panic!("arrays is a list: {other:?}"),
+    };
+    let original: Vec<_> = program
+        .arrays_with_ids()
+        .map(|(id, _)| Some(layout.base_addr(id)))
+        .collect();
+    assert_ne!(
+        bases(&result(&search)),
+        original,
+        "the premise: the search's winner is not the original layout"
     );
-    assert!(counter(metrics, "pad_engine_reuse_memo_total{outcome=\"miss\"}") >= 3);
+    assert_eq!(counter(metrics, "pad_sim_memo_total{outcome=\"hit\"}"), 3);
+    assert_eq!(
+        counter(metrics, "pad_sim_memo_total{outcome=\"miss\"}"),
+        4 + promoted + 2 + 1
+    );
     assert_eq!(
         histogram_count(metrics, "pad_engine_analysis_us{rung=\"trace\"}"),
         1

@@ -25,7 +25,7 @@ use std::time::Instant;
 use pad_cache_sim::CacheConfig;
 use pad_core::{DataLayout, InterHeuristic, IntraHeuristic, LinAlgHeuristic, PaddingPipeline};
 use pad_report::{AsciiChart, Table};
-use pad_trace::{padding_config_for, simulate_batch, simulate_hierarchy, BatchRequest};
+use pad_trace::{padding_config_for, simulate_batch, simulate_hierarchy, BatchRequest, WalkMemo};
 
 use crate::harness::{
     cells_or_marker, diff, emit, miss_rates, pct, suite_programs, sweep_kernels, sweep_sizes,
@@ -1066,8 +1066,14 @@ pub fn ablation_multilevel() -> RunStatus {
 
 /// Runs everything, in paper order, aggregating every experiment's
 /// failure count (the `all` binary exits nonzero if any cell failed
-/// anywhere, after completing every experiment).
+/// anywhere, after completing every experiment). One walk memo serves
+/// the whole suite, so a (stream, cache) pair two experiments simulate
+/// is walked once.
 pub fn all() -> RunStatus {
+    std::sync::Arc::new(WalkMemo::new()).run(all_experiments)
+}
+
+fn all_experiments() -> RunStatus {
     let mut status = RunStatus::default();
     status.merge(table2());
     status.merge(fig08());

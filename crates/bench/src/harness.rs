@@ -7,7 +7,7 @@
 use std::path::PathBuf;
 use std::process::ExitCode;
 use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
-use std::sync::Mutex;
+use std::sync::{Arc, Mutex};
 use std::time::{Duration, Instant};
 
 use pad_cache_sim::CacheConfig;
@@ -16,7 +16,7 @@ use pad_ir::Program;
 use pad_kernels::{suite, Kernel};
 use pad_report::{write_csv, CellFailure, FailureSummary, Table};
 use pad_telemetry::{summarize, Event, Mode, TelemetrySummary, Value};
-use pad_trace::{padding_config_for, simulate_batch, BatchRequest};
+use pad_trace::{padding_config_for, simulate_batch, BatchRequest, WalkMemo};
 
 use crate::journal::{fingerprint, resume_requested, Journal, JournalPayload};
 use crate::pool::{self, CellOutcome};
@@ -302,12 +302,18 @@ impl RunStatus {
 /// degrade to `ERR`/`TIMEOUT` markers in the rendered tables instead of
 /// aborting the binary, and — when a journal is attached — every
 /// completed cell is checkpointed for `RIVERA_RESUME=1` reruns.
+///
+/// Cells run under the [`WalkMemo`] installed on the calling thread, or
+/// under the context's own, so a (stream, cache) pair that several cells
+/// simulate — an original layout a heuristic left unchanged, PADLITE and
+/// PAD agreeing — is walked once per run.
 #[derive(Debug)]
 pub struct RunContext {
     experiment: String,
     threads: usize,
     deadline: Option<Duration>,
     journal: Option<Journal>,
+    memo: Arc<WalkMemo>,
     cells: AtomicUsize,
     resumed: AtomicUsize,
     failures: Mutex<FailureSummary>,
@@ -375,6 +381,7 @@ impl RunContext {
             threads,
             deadline,
             journal,
+            memo: Arc::new(WalkMemo::new()),
             cells: AtomicUsize::new(0),
             resumed: AtomicUsize::new(0),
             failures: Mutex::new(FailureSummary::new()),
@@ -397,7 +404,18 @@ impl RunContext {
     /// per-cell outcomes in cell order: each cell runs once, its panic
     /// isolated and its deadline applied, journaled results are
     /// replayed, and fresh completions checkpointed as they finish.
+    /// Cells run under the installed walk memo, else the context's own.
     pub fn run<T: JournalPayload + Send + Sync>(
+        &self,
+        labels: &[String],
+        f: impl Fn(usize) -> T + Sync,
+    ) -> Vec<CellOutcome<T>> {
+        WalkMemo::installed()
+            .unwrap_or_else(|| Arc::clone(&self.memo))
+            .run(|| self.run_cells(labels, f))
+    }
+
+    fn run_cells<T: JournalPayload + Send + Sync>(
         &self,
         labels: &[String],
         f: impl Fn(usize) -> T + Sync,

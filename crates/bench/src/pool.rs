@@ -36,6 +36,8 @@ use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::{Once, OnceLock};
 use std::time::{Duration, Instant};
 
+use pad_trace::WalkMemo;
+
 /// Environment variable overriding the worker-thread count.
 pub const THREADS_ENV: &str = "RIVERA_THREADS";
 
@@ -235,7 +237,9 @@ fn install_capture_hook() {
 ///
 /// A panic out of `run` is caught per index and the claimer carries on,
 /// so every index runs; afterwards the lowest-indexed panic is re-raised
-/// with its original payload.
+/// with its original payload. Spawned claimers run under the submitting
+/// thread's [`WalkMemo`], if one is installed, so nested runs share it
+/// too.
 fn run_slots<R: Send>(threads: usize, count: usize, run: impl Fn(usize) -> R + Sync) -> Vec<R> {
     type Escaped = (usize, Box<dyn Any + Send>);
     let cursor = AtomicUsize::new(0);
@@ -261,9 +265,16 @@ fn run_slots<R: Send>(threads: usize, count: usize, run: impl Fn(usize) -> R + S
     };
     let mut values = Vec::with_capacity(count);
     let mut first_panic: Option<Escaped> = None;
+    let memo = WalkMemo::installed();
+    let memo = &memo;
     std::thread::scope(|scope| {
         let spawned: Vec<_> = (1..effective_width(threads, count))
-            .map(|_| scope.spawn(claim))
+            .map(|_| {
+                scope.spawn(move || match memo {
+                    Some(memo) => memo.run(claim),
+                    None => claim(),
+                })
+            })
             .collect();
         let own = claim();
         let joined = spawned.into_iter().map(|handle| {

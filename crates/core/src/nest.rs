@@ -17,7 +17,7 @@ use pad_ir::{AccessKind, AffineExpr, ArrayId, ArrayRef, Dim, IndexVar, Program, 
 use crate::layout::DataLayout;
 
 /// An affine expression over loop slots: `constant + Σ coeff · slot`.
-#[derive(Debug, Clone, PartialEq, Eq)]
+#[derive(Debug, Clone, PartialEq, Eq, Hash)]
 pub struct SlotExpr {
     /// The constant term.
     pub constant: i64,

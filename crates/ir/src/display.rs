@@ -2,6 +2,7 @@
 
 use std::fmt;
 
+use crate::array::ArraySpec;
 use crate::loops::Stmt;
 use crate::program::Program;
 use crate::reference::AccessKind;
@@ -17,6 +18,13 @@ impl fmt::Display for Program {
     ///     do j = 2, 511
     ///       A(j-1,i) A(j,i-1) A(j+1,i) A(j,i+1) B(j,i)=
     /// ```
+    ///
+    /// Every array attribute that can change an analysis follows its
+    /// shape, as in the spec language: a non-default element size
+    /// (`elem 4`) and the `param`, `assoc` and `common` safety flags. Two
+    /// programs with one display form therefore pad and simulate alike,
+    /// which the advisor's answer store relies on when it keys answers
+    /// by this form.
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         writeln!(f, "program {}", self.name())?;
         write!(f, "  real ")?;
@@ -25,6 +33,19 @@ impl fmt::Display for Program {
                 write!(f, ", ")?;
             }
             write!(f, "{a}")?;
+            if a.elem_size() != ArraySpec::DEFAULT_ELEM_SIZE {
+                write!(f, " elem {}", a.elem_size())?;
+            }
+            let safety = a.safety();
+            for (flag, set) in [
+                ("param", safety.passed_as_parameter),
+                ("assoc", safety.storage_associated),
+                ("common", safety.fixed_common_block),
+            ] {
+                if set {
+                    write!(f, " {flag}")?;
+                }
+            }
         }
         writeln!(f)?;
         for stmt in self.body() {
@@ -120,6 +141,37 @@ mod tests {
         assert!(text.contains("real A(8,8)"));
         assert!(text.contains("do i = 2, 7"));
         assert!(text.contains("A(j-1,i) A(j,i)="));
+    }
+
+    #[test]
+    fn renders_every_attribute_that_changes_an_answer() {
+        let text = |decl: &str| {
+            crate::parse(&format!(
+                "program twin\narray A(2048, 64){decl}\narray B(8)\n\
+                 do j = 2, 63\n  do i = 1, 2048\n    t = A(i, j-1) + A(i, j+1) + B(1)\n  end\nend\n"
+            ))
+            .expect("twin parses")
+            .to_string()
+        };
+        let plain = text("");
+        assert!(plain.contains("real A(2048,64), B(8)\n"), "{plain}");
+        let twins = [
+            (" elem 4", "A(2048,64) elem 4, B(8)"),
+            (" param", "A(2048,64) param, B(8)"),
+            (" assoc", "A(2048,64) assoc, B(8)"),
+            (" common", "A(2048,64) common, B(8)"),
+            (
+                " elem 4 param assoc common",
+                "A(2048,64) elem 4 param assoc common, B(8)",
+            ),
+            // The default element size is not printed.
+            (" elem 8", "A(2048,64), B(8)"),
+        ];
+        for (decl, shown) in twins {
+            let twin = text(decl);
+            assert!(twin.contains(&format!("real {shown}\n")), "{decl}: {twin}");
+            assert_eq!(twin == plain, decl == " elem 8", "{decl}");
+        }
     }
 
     #[test]

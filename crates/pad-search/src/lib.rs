@@ -139,15 +139,6 @@ pub struct SearchResult {
     pub discarded: u64,
 }
 
-impl SearchResult {
-    /// The original layout's exact miss count, from its confirmation
-    /// (`None` in fast-only mode, or when that confirmation was
-    /// discarded).
-    pub fn original_exact(&self) -> Option<u64> {
-        self.promotions.first().and_then(|p| p.exact)
-    }
-}
-
 /// Deterministic test/diagnostic hooks threaded into a search run.
 #[derive(Debug)]
 pub struct SearchHooks {

@@ -24,6 +24,7 @@ use pad_ir::Program;
 use pad_telemetry::{Event, Value};
 
 use crate::compiled::CompiledTrace;
+use crate::memo::WalkMemo;
 
 /// Chunk size used by the batched engine: big enough to amortize the
 /// per-chunk sink loop, small enough to stay resident in L1/L2 while
@@ -431,6 +432,13 @@ impl Sinks {
 /// emit one end-of-walk counter with their class census. With metrics
 /// on, the walked accesses add to `pad_sim_accesses_total`.
 ///
+/// Under an installed [`WalkMemo`] ([`WalkMemo::run`]) every sink but a
+/// heat sink is looked up first by (compiled stream, sink
+/// configuration): the walk feeds only the sinks the memo lacks, and a
+/// request it holds entirely is answered without walking, so with no
+/// `sim` span and nothing added to `pad_sim_accesses_total`. Results are
+/// the same either way.
+///
 /// # Example
 ///
 /// ```
@@ -454,6 +462,19 @@ pub fn simulate_batch(
     layout: &DataLayout,
     request: &BatchRequest,
 ) -> BatchResults {
+    if request.is_empty() {
+        return BatchResults::default();
+    }
+    let trace = CompiledTrace::compile(program, layout);
+    match WalkMemo::installed() {
+        Some(memo) => memo.simulate(&trace, request),
+        None => walk(&trace, request),
+    }
+}
+
+/// Walks `trace` once in [`BATCH_CHUNK`]-sized chunks, feeding every sink
+/// in `request`, with the telemetry [`simulate_batch`] documents.
+pub(crate) fn walk(trace: &CompiledTrace, request: &BatchRequest) -> BatchResults {
     thread_local! {
         // One persistent chunk buffer per thread: sweep workers call
         // `simulate_batch` per cell, and reusing the allocation keeps
@@ -463,10 +484,6 @@ pub fn simulate_batch(
         static CHUNK_BUF: std::cell::RefCell<Vec<Access>> =
             const { std::cell::RefCell::new(Vec::new()) };
     }
-    if request.is_empty() {
-        return BatchResults::default();
-    }
-    let trace = CompiledTrace::compile(program, layout);
     let mut sinks = Sinks::new(request);
     let instrumented = pad_telemetry::enabled();
     let mut start_us = 0;

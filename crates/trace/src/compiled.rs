@@ -15,7 +15,7 @@ use pad_cache_sim::Access;
 use pad_core::{DataLayout, Nest, NestItem, SlotExpr};
 use pad_ir::Program;
 
-#[derive(Debug, Clone)]
+#[derive(Debug, Clone, Hash)]
 enum Node {
     Loop {
         slot: usize,
@@ -45,7 +45,7 @@ enum Node {
 }
 
 /// One reference inside an [`Node::InnerLoop`] body.
-#[derive(Debug, Clone)]
+#[derive(Debug, Clone, Hash)]
 struct InnerRef {
     addr: SlotExpr,
     /// Address advance per loop iteration: the address expression's
@@ -95,6 +95,16 @@ impl CompiledTrace {
     /// The source program's name (labels telemetry spans for this trace).
     pub fn name(&self) -> &str {
         &self.name
+    }
+
+    /// Feeds `state` everything the access stream depends on: every
+    /// loop's slot, bounds and step and every reference's address form
+    /// (bases and element sizes folded in) and write flag, in program
+    /// order. Not the program's name: two programs that issue the same
+    /// stream hash alike. The walk memo keys its entries by this.
+    pub(crate) fn hash_stream<H: std::hash::Hasher>(&self, state: &mut H) {
+        use std::hash::Hash;
+        self.roots.hash(state);
     }
 
     /// Invokes `f` for every access, in program order — the compiled

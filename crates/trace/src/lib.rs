@@ -46,6 +46,7 @@
 mod batch;
 mod compiled;
 mod generate;
+mod memo;
 mod record;
 #[cfg(test)]
 mod reference;
@@ -54,6 +55,7 @@ mod run;
 pub use batch::{simulate_batch, BatchRequest, BatchResults, Sinks, BATCH_CHUNK};
 pub use compiled::CompiledTrace;
 pub use generate::{count_accesses, for_each_access};
+pub use memo::{MemoStats, WalkMemo, WALK_MEMO_CAPACITY};
 pub use record::collect_trace;
 pub use run::{
     padding_config_for, simulate_classified, simulate_hierarchy, simulate_program, simulate_victim,

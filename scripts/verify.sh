@@ -93,15 +93,22 @@ run_gate fault-injection gate_fault_injection
 
 # Flat cache vs seed model, the run_slice kernels, batched vs
 # per-config, W+1-line conflict sets against analytic miss counts, every
-# sink against a naive model over seeded geometries and streams, and the
-# compiled walker against the interpreter (streams and counts).
+# sink against a naive model over seeded geometries and streams, the
+# compiled walker against the interpreter (streams and counts), and the
+# walk memo: cold, warm and memo-free results equal for every memoized
+# sink kind, one walk per request for its new sinks, keys that separate
+# every setting that changes a result, its FIFO bound and concurrent
+# callers, and where a memo is active (run contexts, nested pool runs).
 gate_engine_equivalence() {
     cargo test -q -p pad-cache-sim --test flat_equivalence &&
         cargo test -q -p pad-cache-sim --test lane_differential &&
         cargo test -q -p pad-cache-sim --test geometry_conformance &&
         cargo test -q -p pad-trace batch &&
         cargo test -q -p pad-trace --test sink_differential &&
-        cargo test -q -p pad-trace compiled
+        cargo test -q -p pad-trace compiled &&
+        cargo test -q -p pad-trace --lib memo &&
+        cargo test -q -p pad-trace --test walk_memo &&
+        cargo test -q -p pad-bench --test walk_memo_scope
 }
 run_gate engine-equivalence gate_engine_equivalence
 
@@ -161,7 +168,8 @@ run_gate telemetry gate_telemetry
 # a quarter deadline), admission control, exact answers equal to direct
 # walks of both layouts (an unchanged layout walked once; a search's
 # counts, taken from its confirmations, equal to plain walks), answers
-# byte-identical from a cold or a warm reuse memo, each of
+# byte-identical from a cold or a warm walk memo, a nest's attribute
+# twins (`param`, `elem 4`) never served its stored answer, each of
 # two concurrent servers tallying exactly its own traffic, and programs
 # whose addresses would wrap 64 bits refused as `parse` errors.
 gate_advisor_faults() {
@@ -171,6 +179,7 @@ gate_advisor_faults() {
         timeout 300 cargo test -q -p pad-advisor --test search_answers &&
         timeout 300 cargo test -q -p pad-advisor --test walk_count &&
         timeout 300 cargo test -q -p pad-advisor --test reuse_memo &&
+        timeout 300 cargo test -q -p pad-advisor --test store_twins &&
         timeout 300 cargo test -q -p pad-advisor --test server_tally &&
         timeout 300 cargo test -q -p pad-advisor --test address_bounds
 }
