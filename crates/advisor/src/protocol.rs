@@ -14,7 +14,8 @@
 //! an inline loop-nest spec (`program`, pad-ir surface syntax), or
 //! points at an on-disk address trace (`trace`, optional `format` and
 //! SHARDS `sample` exponent) for a conflict diagnosis.
-//! `cache` defaults to the paper's base configuration; `algorithm` to
+//! `cache` defaults to the paper's base configuration and holds at most
+//! 2^20 lines; `algorithm` to
 //! `pad` (`padlite` selects the heuristic-only variant, `search` the
 //! global layout optimizer, qualified by optional `strategy`, `budget`,
 //! `seed`, and `beam` fields); `mode` to `auto` (`exact` forbids
@@ -43,6 +44,11 @@ pub const MAX_TRACE_PATH_BYTES: usize = 4096;
 /// within the bound.
 pub const MAX_PROBLEM_SIZE: i64 = 1 << 16;
 
+/// Most lines a request's cache may have: 2^20, a 64 MiB cache of 64-byte
+/// lines. An answer builds several simulators of its cache and each keeps
+/// a word per line, so the cache sets the server's memory.
+const MAX_CACHE_LINES: u64 = 1 << 20;
+
 /// Largest search candidate budget a request may ask for. The fast rung
 /// evaluates in microseconds, so this bounds one request to well under a
 /// second of analytic work.
@@ -62,7 +68,8 @@ pub enum ErrorKind {
     /// An inline program failed to parse as a loop-nest spec.
     Parse,
     /// The frame was well-formed JSON but semantically invalid
-    /// (unknown op/kernel/algorithm, bad cache geometry, out-of-range n).
+    /// (unknown op/kernel/algorithm, bad or oversized cache geometry,
+    /// out-of-range n).
     Invalid,
     /// The admission queue was full; the request was shed unprocessed.
     Overloaded,
@@ -499,7 +506,15 @@ fn parse_cache(c: &Json) -> Result<CacheConfig, RequestError> {
     let ways = field("ways", 1)?;
     let ways =
         u32::try_from(ways).map_err(|_| invalid(format!("cache `ways` out of range: {ways}")))?;
-    CacheConfig::try_new(size, line, ways).map_err(|e| invalid(format!("bad cache geometry: {e}")))
+    let cache = CacheConfig::try_new(size, line, ways)
+        .map_err(|e| invalid(format!("bad cache geometry: {e}")))?;
+    if cache.num_lines() > MAX_CACHE_LINES {
+        return Err(invalid(format!(
+            "cache has {} lines; limit is {MAX_CACHE_LINES}",
+            cache.num_lines()
+        )));
+    }
+    Ok(cache)
 }
 
 #[cfg(test)]
@@ -615,6 +630,11 @@ mod tests {
                 r#"{"op": "advise", "kernel": "dot", "cache": {"size": 64, "line": 1, "ways": 64}}"#,
                 ErrorKind::Invalid,
             ),
+            // 2^21 lines, twice the bound: 128 MiB of 64-byte lines.
+            (
+                r#"{"op": "advise", "kernel": "dot", "cache": {"size": 134217728, "line": 64}}"#,
+                ErrorKind::Invalid,
+            ),
         ];
         for (text, kind) in cases {
             match req(text) {
@@ -622,6 +642,13 @@ mod tests {
                 Ok(r) => panic!("{text} parsed as {r:?}"),
             }
         }
+        // A cache exactly at the line bound parses.
+        let at_bound =
+            r#"{"op": "advise", "kernel": "dot", "cache": {"size": 67108864, "line": 64}}"#;
+        let Op::Advise(a) = req(at_bound).expect("a cache at the bound").op else {
+            panic!("expected advise")
+        };
+        assert_eq!(a.cache.num_lines(), MAX_CACHE_LINES);
     }
 
     #[test]

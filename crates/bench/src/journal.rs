@@ -52,12 +52,7 @@ pub fn resume_requested() -> bool {
 /// and layout (e.g. `fig16: EXPL n=256`), which makes the fingerprint a
 /// stable key across runs and processes.
 pub fn fingerprint(experiment: &str, label: &str) -> u64 {
-    let mut hash: u64 = 0xcbf2_9ce4_8422_2325;
-    for byte in experiment.bytes().chain([0u8]).chain(label.bytes()) {
-        hash ^= u64::from(byte);
-        hash = hash.wrapping_mul(0x0000_0100_0000_01b3);
-    }
-    hash
+    fnv1a(experiment.bytes().chain([0u8]).chain(label.bytes()))
 }
 
 /// FNV-1a over one record line's body, appended as a trailing ` !<hex>`
@@ -68,12 +63,14 @@ pub fn fingerprint(experiment: &str, label: &str) -> u64 {
 /// truncation as if it were the original. The checksum makes any prefix
 /// of a record invalid.
 fn line_checksum(body: &str) -> u64 {
-    let mut hash: u64 = 0xcbf2_9ce4_8422_2325;
-    for byte in body.bytes() {
-        hash ^= u64::from(byte);
-        hash = hash.wrapping_mul(0x0000_0100_0000_01b3);
-    }
-    hash
+    fnv1a(body.bytes())
+}
+
+/// 64-bit FNV-1a over `bytes`.
+fn fnv1a(bytes: impl Iterator<Item = u8>) -> u64 {
+    bytes.fold(0xcbf2_9ce4_8422_2325, |hash, byte| {
+        (hash ^ u64::from(byte)).wrapping_mul(0x0000_0100_0000_01b3)
+    })
 }
 
 /// One self-describing value inside a journal record.
@@ -471,6 +468,16 @@ mod tests {
         assert_ne!(fingerprint("fig08", "a"), fingerprint("fig09", "a"));
         // The NUL separator keeps (experiment, label) unambiguous.
         assert_ne!(fingerprint("ab", "c"), fingerprint("a", "bc"));
+    }
+
+    #[test]
+    fn hashes_are_fnv1a() {
+        // The reference FNV-1a vectors: stored journals and answer stores
+        // are keyed and sealed with exactly these values.
+        assert_eq!(line_checksum(""), 0xcbf2_9ce4_8422_2325);
+        assert_eq!(line_checksum("a"), 0xaf63_dc4c_8601_ec8c);
+        assert_eq!(line_checksum("foobar"), 0x8594_4171_f739_67e8);
+        assert_eq!(fingerprint("fig08", "a"), 0x7969_a3a9_5fc1_e65a);
     }
 
     #[test]

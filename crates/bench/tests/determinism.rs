@@ -76,7 +76,7 @@ fn chunk_histogram(seed: u64) -> ReuseHistogram {
     for _ in 0..500 {
         analyzer.access(Access::read(rng.below(128) * 32));
     }
-    analyzer.into_histogram()
+    analyzer.histogram().clone()
 }
 
 #[test]
@@ -112,8 +112,8 @@ fn histogram_merge_is_associative() {
 }
 
 /// Chunk-local histograms produced by pool workers and merged in cell
-/// order must be byte-identical at every pool width (the `ReuseSink`
-/// merge contract from the batched engine).
+/// order must be byte-identical at every pool width (the
+/// `ReuseHistogram::merge` contract).
 #[test]
 fn merged_histograms_are_identical_at_any_pool_width() {
     let cells = 12usize;

@@ -200,15 +200,9 @@ impl Cache {
     }
 
     /// Statistics accumulated since construction or the last
-    /// [`Cache::reset_stats`].
+    /// [`Cache::reset`].
     pub fn stats(&self) -> &CacheStats {
         &self.stats
-    }
-
-    /// Clears statistics but keeps cache contents (useful for discarding a
-    /// warm-up period).
-    pub fn reset_stats(&mut self) {
-        self.stats = CacheStats::default();
     }
 
     /// Returns the cache to its constructed state: empty, statistics

@@ -125,11 +125,6 @@ impl SetHeatReport {
         self.class_counts
     }
 
-    /// Number of sets in `class`.
-    pub fn count_of(&self, class: HeatClass) -> u64 {
-        self.class_counts[HeatClass::ALL.iter().position(|&c| c == class).unwrap()]
-    }
-
     /// Number of sets in the tracked cache.
     pub fn num_sets(&self) -> u64 {
         self.rows.len() as u64
@@ -305,8 +300,7 @@ mod tests {
             assert_eq!(row.class, HeatClass::VeryCold, "set {}", row.set);
             assert_eq!(row.accesses, 0);
         }
-        assert_eq!(report.count_of(HeatClass::VeryHot), 1);
-        assert_eq!(report.count_of(HeatClass::VeryCold), 15);
+        assert_eq!(report.class_counts(), [1, 0, 0, 15]);
         assert_eq!(report.hottest()[0].set, 0);
     }
 

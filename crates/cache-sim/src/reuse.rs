@@ -786,11 +786,6 @@ impl ReuseAnalyzer {
         &self.hist
     }
 
-    /// Consumes the analyzer, yielding its histogram.
-    pub fn into_histogram(self) -> ReuseHistogram {
-        self.hist
-    }
-
     /// Number of distinct lines seen so far.
     pub fn distinct_lines(&self) -> usize {
         self.stack.distinct_lines()

@@ -108,11 +108,6 @@ impl SampledReuseAnalyzer {
         self.sample_log2
     }
 
-    /// The line sampling rate in `(0, 1]`.
-    pub fn sample_rate(&self) -> f64 {
-        1.0 / (1u64 << self.sample_log2) as f64
-    }
-
     /// True if `line` passes the spatial hash threshold.
     #[inline]
     fn sampled_line(&self, line: u64) -> bool {
@@ -151,11 +146,6 @@ impl SampledReuseAnalyzer {
         &self.hist
     }
 
-    /// Consumes the analyzer, yielding its histogram.
-    pub fn into_histogram(self) -> ReuseHistogram {
-        self.hist
-    }
-
     /// Accesses seen (sampled or not).
     pub fn total_accesses(&self) -> u64 {
         self.total
@@ -164,12 +154,6 @@ impl SampledReuseAnalyzer {
     /// Accesses whose line passed the hash threshold.
     pub fn sampled_accesses(&self) -> u64 {
         self.sampled
-    }
-
-    /// Distinct sampled lines held in the stack — the analyzer's live
-    /// state, ~`2^-k` of the trace's distinct lines.
-    pub fn distinct_sampled_lines(&self) -> usize {
-        self.stack.distinct_lines()
     }
 
     /// Tick-compaction count (telemetry/diagnostics).
@@ -213,7 +197,6 @@ mod tests {
         sampled.run_slice(&trace);
         assert_eq!(exact.histogram(), sampled.histogram());
         assert_eq!(sampled.sampled_accesses(), sampled.total_accesses());
-        assert!((sampled.sample_rate() - 1.0).abs() < 1e-15);
     }
 
     #[test]
@@ -252,8 +235,9 @@ mod tests {
             (est / real - 1.0).abs() < 0.25,
             "estimated {est} accesses vs {real} real"
         );
-        // State really is cut by ~2^k.
-        assert!(s.distinct_sampled_lines() < 4096 / 8);
+        // State really is cut by ~2^k: each distinct sampled line's cold
+        // access weighs 2^k.
+        assert!(s.histogram().cold() >> 4 < 4096 / 8);
     }
 
     #[test]
@@ -296,7 +280,7 @@ mod tests {
                 s.access(Access::read(line * 32));
             }
         }
-        assert!(s.distinct_sampled_lines() < (LINES >> 8) as usize * 2);
+        assert!(s.histogram().cold() >> 8 < (LINES >> 8) * 2);
         assert!(s.histogram().counts().len() <= 65);
         assert_eq!(s.histogram().miss_ratio_at(1), 1.0);
     }

@@ -39,15 +39,6 @@ impl CacheStats {
         100.0 * self.miss_rate()
     }
 
-    /// Hit rate in `[0, 1]`; 0 for an empty trace.
-    pub fn hit_rate(&self) -> f64 {
-        if self.accesses == 0 {
-            0.0
-        } else {
-            self.hits as f64 / self.accesses as f64
-        }
-    }
-
     pub(crate) fn record_access(&mut self, is_write: bool) {
         self.accesses += 1;
         if is_write {
@@ -114,14 +105,12 @@ mod tests {
         };
         assert!((s.miss_rate() - 0.25).abs() < 1e-12);
         assert!((s.miss_rate_percent() - 25.0).abs() < 1e-12);
-        assert!((s.hit_rate() - 0.75).abs() < 1e-12);
     }
 
     #[test]
     fn empty_trace_rates_are_zero() {
         let s = CacheStats::default();
         assert_eq!(s.miss_rate(), 0.0);
-        assert_eq!(s.hit_rate(), 0.0);
     }
 
     #[test]

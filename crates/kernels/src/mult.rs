@@ -62,16 +62,9 @@ pub fn spec_steps(n: i64, steps: i64) -> Program {
 /// of `FirstConflict`; see `pad_core::select_tile`). Bounds stay affine
 /// because the tile sizes must divide `n`.
 ///
-/// # Panics
-///
-/// Panics unless `tile_i` and `tile_k` are positive and divide `n`.
-pub fn spec_tiled(n: i64, tile_i: i64, tile_k: i64) -> Program {
-    spec_tiled_steps(n, tile_i, tile_k, n)
-}
-
-/// Tiled matmul with the `j` loop truncated to `steps` iterations, the
-/// same truncation [`spec_steps`] applies to the untiled form — so the
-/// two cover identical iteration subspaces and their miss rates are
+/// The `j` loop is truncated to `steps` iterations (`n` runs it whole),
+/// the same truncation [`spec_steps`] applies to the untiled form — so
+/// the two cover identical iteration subspaces and their miss rates are
 /// directly comparable.
 ///
 /// # Panics
@@ -178,7 +171,7 @@ mod tests {
         let n = 16i64;
         let (ti, tk) = (8, 4);
         let flat = spec_steps(n, n);
-        let tiled = spec_tiled(n, ti, tk);
+        let tiled = spec_tiled_steps(n, ti, tk, n);
         let lf = DataLayout::original(&flat);
         let lt = DataLayout::original(&tiled);
         let inner = 3 * n * n * n; // C,A,C per innermost iteration
@@ -192,7 +185,7 @@ mod tests {
     #[test]
     #[should_panic(expected = "tile_k must divide n")]
     fn tiled_spec_rejects_non_divisors() {
-        let _ = spec_tiled(16, 8, 3);
+        let _ = spec_tiled_steps(16, 8, 3, 16);
     }
 
     #[test]

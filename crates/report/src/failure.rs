@@ -40,7 +40,7 @@ pub struct CellFailure {
 /// use pad_report::{CellFailure, FailureSummary};
 ///
 /// let mut summary = FailureSummary::new();
-/// assert!(summary.is_clean());
+/// assert!(summary.is_empty());
 /// summary.push(CellFailure {
 ///     label: "fig08: JACOBI512".into(),
 ///     marker: "ERR".into(),
@@ -74,14 +74,8 @@ impl FailureSummary {
     }
 
     /// True when no cell failed.
-    pub fn is_clean(&self) -> bool {
-        self.failures.is_empty()
-    }
-
-    /// Alias for [`FailureSummary::is_clean`], pairing with
-    /// [`FailureSummary::len`].
     pub fn is_empty(&self) -> bool {
-        self.is_clean()
+        self.failures.is_empty()
     }
 
     /// The recorded failures, in the order they were pushed.
@@ -124,7 +118,7 @@ mod tests {
     #[test]
     fn clean_summary_says_so() {
         let summary = FailureSummary::new();
-        assert!(summary.is_clean());
+        assert!(summary.is_empty());
         assert_eq!(summary.len(), 0);
         assert!(summary.to_string().contains("all cells completed"));
     }

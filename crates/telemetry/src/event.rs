@@ -16,20 +16,9 @@ pub enum Value {
 }
 
 impl Value {
-    /// The value rendered as a bare JSON token (numbers unquoted, strings
-    /// *not* escaped — exporters own escaping).
+    /// True for a number, which exporters render unquoted.
     pub fn is_numeric(&self) -> bool {
         !matches!(self, Value::Str(_))
-    }
-
-    /// The value as `f64` when numeric.
-    pub fn as_f64(&self) -> Option<f64> {
-        match self {
-            Value::U64(v) => Some(*v as f64),
-            Value::I64(v) => Some(*v as f64),
-            Value::F64(v) => Some(*v),
-            Value::Str(_) => None,
-        }
     }
 
     /// The value as `u64` when it is one.
@@ -184,10 +173,6 @@ mod tests {
 
     #[test]
     fn value_accessors() {
-        assert_eq!(Value::U64(3).as_f64(), Some(3.0));
-        assert_eq!(Value::I64(-2).as_f64(), Some(-2.0));
-        assert_eq!(Value::F64(0.5).as_f64(), Some(0.5));
-        assert_eq!(Value::Str("x".into()).as_f64(), None);
         assert_eq!(Value::Str("x".into()).as_str(), Some("x"));
         assert!(Value::U64(1).is_numeric());
         assert!(!Value::Str(String::new()).is_numeric());

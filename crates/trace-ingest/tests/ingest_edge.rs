@@ -243,7 +243,7 @@ fn sampled_reuse_tracks_exact_reuse_on_kernel_traces() {
 
     let mut exact = ReuseAnalyzer::new(line_size);
     exact.run_slice(&trace);
-    let exact_hist = exact.into_histogram();
+    let exact_hist = exact.histogram().clone();
 
     let mut unsampled = SampledReuseAnalyzer::new(line_size, 0);
     unsampled.run_slice(&trace);
@@ -255,7 +255,7 @@ fn sampled_reuse_tracks_exact_reuse_on_kernel_traces() {
 
     let mut sampled = SampledReuseAnalyzer::new(line_size, SAMPLE_LOG2);
     sampled.run_slice(&trace);
-    let sampled_hist = sampled.into_histogram();
+    let sampled_hist = sampled.histogram().clone();
     // Rescaled distances are multiples of 2^k, so the sampled curve's
     // resolution is 2^k lines. At the resolution limit itself a single
     // quantization step still dominates; the documented bound holds

@@ -13,6 +13,10 @@
 //! chunks ([`CompiledTrace::for_each_chunk`]) and feeds them in; a trace
 //! file replay (`pad_trace_ingest::read_trace_file`) feeds its decoded
 //! chunks into the same type, so both streams get the same menu.
+//!
+//! A request is a list of sinks in call order. Each sink kind is one arm
+//! of `Spec` (its configuration and memo key), `Sink` (the simulator)
+//! and `Outcome` (what it measured): the compiler checks every `match`.
 
 use pad_cache_sim::{
     Access, Cache, CacheConfig, CacheStats, ClassifiedStats, ClassifyingCache, Hierarchy,
@@ -37,24 +41,37 @@ pub const BATCH_CHUNK: usize = 4096;
 /// produce empty results.
 #[derive(Debug, Clone, Default)]
 pub struct BatchRequest {
-    /// Plain single-level caches.
-    pub plain: Vec<CacheConfig>,
-    /// Caches with three-C miss classification.
-    pub classified: Vec<CacheConfig>,
-    /// Caches augmented with an `n`-line victim buffer.
-    pub victim: Vec<(CacheConfig, usize)>,
-    /// Multi-level hierarchies (each a list of levels, L1 first).
-    pub hierarchy: Vec<Vec<CacheConfig>>,
-    /// Reuse-distance (stack-distance) analyses, each a line size in
-    /// bytes and a SHARDS sampling exponent `k` (rate `2^-k`, 0 =
-    /// exact). Each yields a [`ReuseHistogram`] — the fully-associative
-    /// LRU miss count for *every* capacity at once, estimated when
-    /// `k > 0`.
-    pub reuse: Vec<(u64, u32)>,
-    /// Per-set heat classifications. Each yields a [`SetHeatReport`]
-    /// naming which sets carry the conflict pressure — the evidence the
-    /// XOR-indexing and victim-cache scenarios act on.
-    pub heat: Vec<CacheConfig>,
+    /// The sinks, in call order.
+    pub(crate) specs: Vec<Spec>,
+}
+
+/// One sink of a [`BatchRequest`]: its kind and full configuration.
+#[derive(Debug, Clone, PartialEq, Eq, Hash)]
+pub(crate) enum Spec {
+    Plain(CacheConfig),
+    Classified(CacheConfig),
+    /// A cache and its victim buffer's line count.
+    Victim(CacheConfig, usize),
+    /// Levels, L1 first.
+    Hierarchy(Vec<CacheConfig>),
+    /// A line size in bytes and a SHARDS sampling exponent.
+    Reuse(u64, u32),
+    Heat(CacheConfig),
+}
+
+impl Spec {
+    /// False for a heat sink: its report grows with the set count, so
+    /// the walk memo never holds it.
+    pub(crate) fn memoized(&self) -> bool {
+        match self {
+            Spec::Heat(_) => false,
+            Spec::Plain(_)
+            | Spec::Classified(_)
+            | Spec::Victim(..)
+            | Spec::Hierarchy(_)
+            | Spec::Reuse(..) => true,
+        }
+    }
 }
 
 impl BatchRequest {
@@ -63,128 +80,236 @@ impl BatchRequest {
         BatchRequest::default()
     }
 
+    fn with(mut self, spec: Spec) -> Self {
+        self.specs.push(spec);
+        self
+    }
+
     /// Adds a plain cache simulation.
     #[must_use]
-    pub fn with_plain(mut self, config: CacheConfig) -> Self {
-        self.plain.push(config);
-        self
+    pub fn with_plain(self, config: CacheConfig) -> Self {
+        self.with(Spec::Plain(config))
     }
 
     /// Adds several plain cache simulations.
     #[must_use]
-    pub fn with_plain_configs<I: IntoIterator<Item = CacheConfig>>(mut self, configs: I) -> Self {
-        self.plain.extend(configs);
-        self
+    pub fn with_plain_configs<I: IntoIterator<Item = CacheConfig>>(self, configs: I) -> Self {
+        configs.into_iter().fold(self, BatchRequest::with_plain)
     }
 
     /// Adds a classified (three-C) simulation.
     #[must_use]
-    pub fn with_classified(mut self, config: CacheConfig) -> Self {
-        self.classified.push(config);
-        self
+    pub fn with_classified(self, config: CacheConfig) -> Self {
+        self.with(Spec::Classified(config))
     }
 
-    /// Adds a victim-buffered simulation.
+    /// Adds a simulation of `config` augmented with a `victim_lines`-line
+    /// victim buffer.
     #[must_use]
-    pub fn with_victim(mut self, config: CacheConfig, victim_lines: usize) -> Self {
-        self.victim.push((config, victim_lines));
-        self
+    pub fn with_victim(self, config: CacheConfig, victim_lines: usize) -> Self {
+        self.with(Spec::Victim(config, victim_lines))
     }
 
-    /// Adds a multi-level hierarchy simulation.
+    /// Adds a multi-level hierarchy simulation (levels L1 first).
     #[must_use]
-    pub fn with_hierarchy<I: IntoIterator<Item = CacheConfig>>(mut self, levels: I) -> Self {
-        self.hierarchy.push(levels.into_iter().collect());
-        self
+    pub fn with_hierarchy<I: IntoIterator<Item = CacheConfig>>(self, levels: I) -> Self {
+        self.with(Spec::Hierarchy(levels.into_iter().collect()))
     }
 
-    /// Adds a reuse-distance analysis over lines of `line_size` bytes,
-    /// sampled at rate `2^-sample_log2`. At 0 it runs the exact
-    /// [`ReuseAnalyzer`]; above, a [`SampledReuseAnalyzer`].
+    /// Adds a reuse-distance (stack-distance) analysis over lines of
+    /// `line_size` bytes, sampled at rate `2^-sample_log2`. At 0 it runs
+    /// the exact [`ReuseAnalyzer`]; above, a [`SampledReuseAnalyzer`].
+    /// It yields a [`ReuseHistogram`]: the fully-associative LRU miss
+    /// count for *every* capacity at once, estimated when sampled.
     #[must_use]
-    pub fn with_reuse(mut self, line_size: u64, sample_log2: u32) -> Self {
-        self.reuse.push((line_size, sample_log2));
-        self
+    pub fn with_reuse(self, line_size: u64, sample_log2: u32) -> Self {
+        self.with(Spec::Reuse(line_size, sample_log2))
     }
 
-    /// Adds a per-set heat classification of `config`.
+    /// Adds a per-set heat classification of `config`. It yields a
+    /// [`SetHeatReport`] naming which sets carry the conflict pressure —
+    /// the evidence the XOR-indexing and victim-cache scenarios act on.
     #[must_use]
-    pub fn with_heat(mut self, config: CacheConfig) -> Self {
-        self.heat.push(config);
-        self
+    pub fn with_heat(self, config: CacheConfig) -> Self {
+        self.with(Spec::Heat(config))
     }
 
     /// True when no sink was requested.
     pub fn is_empty(&self) -> bool {
-        self.plain.is_empty()
-            && self.classified.is_empty()
-            && self.victim.is_empty()
-            && self.hierarchy.is_empty()
-            && self.reuse.is_empty()
-            && self.heat.is_empty()
+        self.specs.is_empty()
     }
 }
 
-/// What a finished [`Sinks`] measured, index-aligned with its request.
+/// What a finished [`Sinks`] measured: each kind's results in the order
+/// its sinks were requested.
 #[derive(Debug, Clone, Default, PartialEq)]
 pub struct BatchResults {
-    /// Per-[`BatchRequest::plain`] statistics, in request order.
+    /// Per-[`BatchRequest::with_plain`] statistics.
     pub plain: Vec<CacheStats>,
-    /// Per-[`BatchRequest::classified`] statistics, in request order.
+    /// Per-[`BatchRequest::with_classified`] statistics.
     pub classified: Vec<ClassifiedStats>,
-    /// Per-[`BatchRequest::victim`] statistics, in request order.
+    /// Per-[`BatchRequest::with_victim`] statistics.
     pub victim: Vec<VictimStats>,
-    /// Per-[`BatchRequest::hierarchy`] level statistics, in request order.
+    /// Per-[`BatchRequest::with_hierarchy`] level statistics.
     pub hierarchy: Vec<Vec<LevelStats>>,
-    /// Per-[`BatchRequest::reuse`] histograms, in request order. A
-    /// sampled histogram is rescaled: each sampled access counts `2^k`,
-    /// so `accesses() >> k` is the number of sampled accesses.
+    /// Per-[`BatchRequest::with_reuse`] histograms. A sampled histogram
+    /// is rescaled: each sampled access counts `2^k`, so
+    /// `accesses() >> k` is the number of sampled accesses.
     pub reuse: Vec<ReuseHistogram>,
-    /// Per-[`BatchRequest::heat`] reports, in request order.
+    /// Per-[`BatchRequest::with_heat`] reports.
     pub heat: Vec<SetHeatReport>,
 }
 
-/// One reuse sink: exact, or SHARDS-sampled.
-enum ReuseSink {
-    Exact(ReuseAnalyzer),
-    Sampled(SampledReuseAnalyzer),
+impl BatchResults {
+    /// Files each sink's outcome, in request order, under its kind.
+    pub(crate) fn from_outcomes(outcomes: impl IntoIterator<Item = Outcome>) -> Self {
+        // Exact sizes: results outlive the walk, and `push` alone keeps
+        // room for four (2 KiB for one reuse histogram).
+        fn push<T>(results: &mut Vec<T>, result: T) {
+            results.reserve_exact(1);
+            results.push(result);
+        }
+        let mut results = BatchResults::default();
+        for outcome in outcomes {
+            match outcome {
+                Outcome::Plain(stats) => push(&mut results.plain, stats),
+                Outcome::Classified(stats) => push(&mut results.classified, stats),
+                Outcome::Victim(stats) => push(&mut results.victim, stats),
+                Outcome::Hierarchy(levels) => push(&mut results.hierarchy, levels),
+                Outcome::Reuse(hist) => push(&mut results.reuse, *hist),
+                Outcome::Heat(report) => push(&mut results.heat, report),
+            }
+        }
+        results
+    }
 }
 
-impl ReuseSink {
-    fn new(line_size: u64, sample_log2: u32) -> Self {
-        if sample_log2 == 0 {
-            ReuseSink::Exact(ReuseAnalyzer::new(line_size))
-        } else {
-            ReuseSink::Sampled(SampledReuseAnalyzer::new(line_size, sample_log2))
+/// What one sink measured.
+pub(crate) enum Outcome {
+    Plain(CacheStats),
+    Classified(ClassifiedStats),
+    Victim(VictimStats),
+    Hierarchy(Vec<LevelStats>),
+    /// Boxed: its buckets would make every outcome half a kilobyte.
+    Reuse(Box<ReuseHistogram>),
+    Heat(SetHeatReport),
+}
+
+/// One live simulator.
+enum Sink {
+    Plain(Cache),
+    Classified(ClassifyingCache),
+    Victim(VictimCache),
+    Hierarchy(Hierarchy),
+    Reuse(ReuseAnalyzer),
+    SampledReuse(SampledReuseAnalyzer),
+    Heat(SetHeatTracker),
+}
+
+impl Sink {
+    fn new(spec: &Spec) -> Self {
+        match *spec {
+            Spec::Plain(c) => Sink::Plain(Cache::new(c)),
+            Spec::Classified(c) => Sink::Classified(ClassifyingCache::new(c)),
+            Spec::Victim(c, lines) => Sink::Victim(VictimCache::new(c, lines)),
+            Spec::Hierarchy(ref levels) => Sink::Hierarchy(Hierarchy::new(levels.clone())),
+            Spec::Reuse(line, 0) => Sink::Reuse(ReuseAnalyzer::new(line)),
+            Spec::Reuse(line, k) => Sink::SampledReuse(SampledReuseAnalyzer::new(line, k)),
+            Spec::Heat(c) => Sink::Heat(SetHeatTracker::new(c)),
         }
     }
 
-    fn run_slice(&mut self, chunk: &[Access]) {
+    fn feed(&mut self, chunk: &[Access]) {
         match self {
-            ReuseSink::Exact(r) => r.run_slice(chunk),
-            ReuseSink::Sampled(r) => r.run_slice(chunk),
+            Sink::Plain(c) => c.run_slice(chunk),
+            Sink::Classified(c) => c.run_slice(chunk),
+            Sink::Victim(c) => c.run_slice(chunk),
+            Sink::Hierarchy(h) => h.run_slice(chunk),
+            Sink::Reuse(r) => r.run_slice(chunk),
+            Sink::SampledReuse(r) => r.run_slice(chunk),
+            Sink::Heat(h) => h.run_slice(chunk),
         }
     }
 
-    fn histogram(&self) -> &ReuseHistogram {
+    /// What the sink has measured. By reference: collecting outcomes
+    /// from the sinks by value would reuse and shrink the sinks' larger
+    /// allocation, leaving holes in the heap the walk memo fills.
+    fn finish(&self) -> Outcome {
         match self {
-            ReuseSink::Exact(r) => r.histogram(),
-            ReuseSink::Sampled(r) => r.histogram(),
+            Sink::Plain(c) => Outcome::Plain(*c.stats()),
+            Sink::Classified(c) => Outcome::Classified(c.stats()),
+            Sink::Victim(c) => Outcome::Victim(*c.stats()),
+            Sink::Hierarchy(h) => Outcome::Hierarchy(h.stats()),
+            Sink::Reuse(r) => Outcome::Reuse(Box::new(r.histogram().clone())),
+            Sink::SampledReuse(r) => Outcome::Reuse(Box::new(r.histogram().clone())),
+            Sink::Heat(h) => Outcome::Heat(h.report()),
         }
     }
 
-    /// Tick compactions and whether the last-use table hashed.
-    fn stack_counters(&self) -> (u64, bool) {
+    /// The kind's word in telemetry names: `{trace}/{label}{k}` names
+    /// the `k`-th sink with this label.
+    fn label(&self) -> &'static str {
         match self {
-            ReuseSink::Exact(r) => (r.compactions(), r.is_hashed()),
-            ReuseSink::Sampled(r) => (r.compactions(), r.is_hashed()),
+            Sink::Plain(_) => "plain",
+            Sink::Classified(_) => "classified",
+            Sink::Victim(_) => "victim",
+            Sink::Hierarchy(_) => "hier",
+            Sink::Reuse(_) | Sink::SampledReuse(_) => "reuse",
+            Sink::Heat(_) => "heat",
         }
     }
 
-    fn into_histogram(self) -> ReuseHistogram {
+    /// The caches a counter sampler may watch. A victim-buffered sink
+    /// does not expose its main cache.
+    fn caches(&self) -> &[Cache] {
         match self {
-            ReuseSink::Exact(r) => r.into_histogram(),
-            ReuseSink::Sampled(r) => r.into_histogram(),
+            Sink::Plain(c) => std::slice::from_ref(c),
+            Sink::Classified(c) => std::slice::from_ref(c.main()),
+            Sink::Hierarchy(h) => h.levels(),
+            Sink::Victim(_) | Sink::Reuse(_) | Sink::SampledReuse(_) | Sink::Heat(_) => &[],
+        }
+    }
+
+    /// The names of the samplers on [`Sink::caches`], given the sink's
+    /// own: a hierarchy names its levels, `.L1` on.
+    fn sampler_names(&self, name: &str) -> Vec<String> {
+        match self {
+            Sink::Plain(_) | Sink::Classified(_) => vec![name.to_string()],
+            Sink::Hierarchy(h) => (1..=h.depth()).map(|l| format!("{name}.L{l}")).collect(),
+            Sink::Victim(_) | Sink::Reuse(_) | Sink::SampledReuse(_) | Sink::Heat(_) => Vec::new(),
+        }
+    }
+
+    /// The end-of-walk counter of a reuse or heat sink, named `name`
+    /// (see [`Sinks::emit_walk_events`]).
+    fn counter(&self, name: &str) -> Option<Event> {
+        let reuse = |h: &ReuseHistogram, compactions: u64, hashed: bool| {
+            let table = if hashed { "hashed" } else { "paged" };
+            let args = vec![
+                ("accesses", Value::U64(h.accesses())),
+                ("distinct_lines", Value::U64(h.cold())),
+                ("max_distance", Value::U64(h.max_distance().unwrap_or(0))),
+                ("compactions", Value::U64(compactions)),
+                ("table", Value::Str(table.into())),
+            ];
+            Some(Event::counter("reuse", name.to_string(), args))
+        };
+        match self {
+            Sink::Reuse(r) => reuse(r.histogram(), r.compactions(), r.is_hashed()),
+            Sink::SampledReuse(r) => reuse(r.histogram(), r.compactions(), r.is_hashed()),
+            Sink::Heat(h) => {
+                let report = h.report();
+                let c = report.class_counts();
+                let args = vec![
+                    ("very_hot_sets", Value::U64(c[0])),
+                    ("hot_sets", Value::U64(c[1])),
+                    ("cold_sets", Value::U64(c[2])),
+                    ("very_cold_sets", Value::U64(c[3])),
+                    ("evictions", Value::U64(report.total_evictions())),
+                ];
+                Some(Event::counter("heat", name.to_string(), args))
+            }
+            Sink::Plain(_) | Sink::Classified(_) | Sink::Victim(_) | Sink::Hierarchy(_) => None,
         }
     }
 }
@@ -210,122 +335,57 @@ impl ReuseSink {
 /// assert_eq!(results.reuse[0].misses_at(2), 2);
 /// ```
 pub struct Sinks {
-    plain: Vec<Cache>,
-    classified: Vec<ClassifyingCache>,
-    victim: Vec<VictimCache>,
-    hierarchy: Vec<Hierarchy>,
-    reuse: Vec<ReuseSink>,
-    heat: Vec<SetHeatTracker>,
-    // Cache-counter samplers, each with the index of the sink (and
-    // level) it watches. Empty unless `simulate_batch` turned sampling
-    // on, so the per-chunk sampler loops iterate zero times otherwise.
-    plain_samplers: Vec<(usize, Sampler)>,
-    classified_samplers: Vec<(usize, Sampler)>,
-    hierarchy_samplers: Vec<(usize, usize, Sampler)>,
+    sinks: Vec<Sink>,
+    // Cache-counter samplers, each with the sink and the level of the
+    // cache it watches. Empty unless `simulate_batch` turned sampling
+    // on, so the per-chunk sampler loop iterates zero times otherwise.
+    samplers: Vec<(usize, usize, Sampler)>,
 }
 
 impl Sinks {
     /// Instantiates every simulator `request` names.
     pub fn new(request: &BatchRequest) -> Self {
         Sinks {
-            plain: request.plain.iter().map(|c| Cache::new(*c)).collect(),
-            classified: request
-                .classified
-                .iter()
-                .map(|c| ClassifyingCache::new(*c))
-                .collect(),
-            victim: request
-                .victim
-                .iter()
-                .map(|&(c, n)| VictimCache::new(c, n))
-                .collect(),
-            hierarchy: request
-                .hierarchy
-                .iter()
-                .map(|levels| Hierarchy::new(levels.clone()))
-                .collect(),
-            reuse: request
-                .reuse
-                .iter()
-                .map(|&(line_size, k)| ReuseSink::new(line_size, k))
-                .collect(),
-            heat: request
-                .heat
-                .iter()
-                .map(|c| SetHeatTracker::new(*c))
-                .collect(),
-            plain_samplers: Vec::new(),
-            classified_samplers: Vec::new(),
-            hierarchy_samplers: Vec::new(),
+            sinks: request.specs.iter().map(Sink::new).collect(),
+            samplers: Vec::new(),
         }
     }
 
-    /// Attaches a cache-counter sampler, named `{name}/...`, to every
-    /// plain, classified and hierarchy-level cache. Victim-buffered
-    /// sinks do not expose their main cache and stay unsampled.
-    fn sample_every(&mut self, name: &str, interval: u64) {
-        self.plain_samplers = (0..self.plain.len())
-            .filter_map(|i| Sampler::new(format!("{name}/plain{i}"), interval).map(|s| (i, s)))
-            .collect();
-        self.classified_samplers = (0..self.classified.len())
-            .filter_map(|i| Sampler::new(format!("{name}/classified{i}"), interval).map(|s| (i, s)))
-            .collect();
-        self.hierarchy_samplers = self
-            .hierarchy
-            .iter()
-            .enumerate()
-            .flat_map(|(i, h)| (0..h.levels().len()).map(move |lvl| (i, lvl)))
-            .filter_map(|(i, lvl)| {
-                Sampler::new(format!("{name}/hier{i}.L{}", lvl + 1), interval).map(|s| (i, lvl, s))
+    /// Each sink's telemetry name on `trace`: `{trace}/{label}{k}` for
+    /// the `k`-th sink with its label, in request order.
+    fn names(&self, trace: &str) -> Vec<String> {
+        let labels: Vec<_> = self.sinks.iter().map(Sink::label).collect();
+        let k = |i: usize| labels[..i].iter().filter(|&&l| l == labels[i]).count();
+        (0..labels.len())
+            .map(|i| format!("{trace}/{}{}", labels[i], k(i)))
+            .collect()
+    }
+
+    /// Attaches a cache-counter sampler to every cache a sink exposes.
+    fn sample_every(&mut self, trace: &str, interval: u64) {
+        let names = self.names(trace);
+        self.samplers = (self.sinks.iter().zip(names).enumerate())
+            .flat_map(|(i, (sink, name))| {
+                let levels = sink.sampler_names(&name).into_iter().enumerate();
+                levels
+                    .filter_map(move |(level, n)| Sampler::new(n, interval).map(|s| (i, level, s)))
             })
             .collect();
     }
 
     /// Feeds the next chunk of the stream to every simulator.
     pub fn feed(&mut self, chunk: &[Access]) {
-        for cache in &mut self.plain {
-            cache.run_slice(chunk);
+        for sink in &mut self.sinks {
+            sink.feed(chunk);
         }
-        for cache in &mut self.classified {
-            cache.run_slice(chunk);
-        }
-        for cache in &mut self.victim {
-            cache.run_slice(chunk);
-        }
-        for h in &mut self.hierarchy {
-            h.run_slice(chunk);
-        }
-        for r in &mut self.reuse {
-            r.run_slice(chunk);
-        }
-        for h in &mut self.heat {
-            h.run_slice(chunk);
-        }
-        for (i, s) in &mut self.plain_samplers {
-            s.tick(&self.plain[*i]);
-        }
-        for (i, s) in &mut self.classified_samplers {
-            s.tick(self.classified[*i].main());
-        }
-        for (i, lvl, s) in &mut self.hierarchy_samplers {
-            s.tick(&self.hierarchy[*i].levels()[*lvl]);
+        for (i, level, s) in &mut self.samplers {
+            s.tick(&self.sinks[*i].caches()[*level]);
         }
     }
 
     /// Closes the stream and collects every simulator's results.
     pub fn finish(self) -> BatchResults {
-        BatchResults {
-            plain: self.plain.iter().map(|c| *c.stats()).collect(),
-            classified: self.classified.iter().map(|c| c.stats()).collect(),
-            victim: self.victim.iter().map(|c| *c.stats()).collect(),
-            hierarchy: self.hierarchy.iter().map(Hierarchy::stats).collect(),
-            reuse: self
-                .reuse
-                .into_iter()
-                .map(ReuseSink::into_histogram)
-                .collect(),
-            heat: self.heat.iter().map(SetHeatTracker::report).collect(),
-        }
+        BatchResults::from_outcomes(self.sinks.iter().map(Sink::finish))
     }
 
     /// The end-of-walk telemetry: a final sample from every sampler (so
@@ -337,72 +397,26 @@ impl Sinks {
     /// bound of the histogram's top power-of-two bucket
     /// ([`ReuseHistogram::max_distance`]): `2^b − 1` when the largest
     /// distance lies in `[2^(b−1), 2^b)`.
-    fn emit_walk_events(&self, name: &str, start_us: u64, accesses: u64, chunks: u64) {
-        for (i, s) in &self.plain_samplers {
-            s.sample(&self.plain[*i]);
+    fn emit_walk_events(&self, trace: &str, start_us: u64, accesses: u64, chunks: u64) {
+        for (i, level, s) in &self.samplers {
+            s.sample(&self.sinks[*i].caches()[*level]);
         }
-        for (i, s) in &self.classified_samplers {
-            s.sample(self.classified[*i].main());
-        }
-        for (i, lvl, s) in &self.hierarchy_samplers {
-            s.sample(&self.hierarchy[*i].levels()[*lvl]);
-        }
-
-        for (i, r) in self.reuse.iter().enumerate() {
-            pad_telemetry::emit(|| {
-                let h = r.histogram();
-                let (compactions, hashed) = r.stack_counters();
-                Event::counter(
-                    "reuse",
-                    format!("{name}/reuse{i}"),
-                    vec![
-                        ("accesses", Value::U64(h.accesses())),
-                        ("distinct_lines", Value::U64(h.cold())),
-                        ("max_distance", Value::U64(h.max_distance().unwrap_or(0))),
-                        ("compactions", Value::U64(compactions)),
-                        (
-                            "table",
-                            Value::Str(if hashed { "hashed" } else { "paged" }.into()),
-                        ),
-                    ],
-                )
-            });
+        for (sink, name) in self.sinks.iter().zip(self.names(trace)) {
+            if let Some(event) = sink.counter(&name) {
+                pad_telemetry::emit(|| event);
+            }
         }
 
-        for (i, h) in self.heat.iter().enumerate() {
-            pad_telemetry::emit(|| {
-                let report = h.report();
-                let c = report.class_counts();
-                Event::counter(
-                    "heat",
-                    format!("{name}/heat{i}"),
-                    vec![
-                        ("very_hot_sets", Value::U64(c[0])),
-                        ("hot_sets", Value::U64(c[1])),
-                        ("cold_sets", Value::U64(c[2])),
-                        ("very_cold_sets", Value::U64(c[3])),
-                        ("evictions", Value::U64(report.total_evictions())),
-                    ],
-                )
-            });
-        }
-
-        let sinks = (self.plain.len()
-            + self.classified.len()
-            + self.victim.len()
-            + self.hierarchy.len()
-            + self.reuse.len()
-            + self.heat.len()) as u64;
         pad_telemetry::emit(|| {
             let busy_us = pad_telemetry::now_us().saturating_sub(start_us).max(1);
             Event::span(
                 start_us,
                 "sim",
-                name.to_string(),
+                trace.to_string(),
                 vec![
                     ("accesses", Value::U64(accesses)),
                     ("chunks", Value::U64(chunks)),
-                    ("sinks", Value::U64(sinks)),
+                    ("sinks", Value::U64(self.sinks.len() as u64)),
                     (
                         "accesses_per_sec",
                         Value::F64(accesses as f64 / (busy_us as f64 / 1e6)),
@@ -468,13 +482,14 @@ pub fn simulate_batch(
     let trace = CompiledTrace::compile(program, layout);
     match WalkMemo::installed() {
         Some(memo) => memo.simulate(&trace, request),
-        None => walk(&trace, request),
+        None => BatchResults::from_outcomes(walk(&trace, request)),
     }
 }
 
 /// Walks `trace` once in [`BATCH_CHUNK`]-sized chunks, feeding every sink
-/// in `request`, with the telemetry [`simulate_batch`] documents.
-pub(crate) fn walk(trace: &CompiledTrace, request: &BatchRequest) -> BatchResults {
+/// in `request`, with the telemetry [`simulate_batch`] documents. The
+/// outcomes come in request order.
+pub(crate) fn walk(trace: &CompiledTrace, request: &BatchRequest) -> Vec<Outcome> {
     thread_local! {
         // One persistent chunk buffer per thread: sweep workers call
         // `simulate_batch` per cell, and reusing the allocation keeps
@@ -524,7 +539,7 @@ pub(crate) fn walk(trace: &CompiledTrace, request: &BatchRequest) -> BatchResult
             .add(walked);
     }
 
-    sinks.finish()
+    sinks.sinks.iter().map(Sink::finish).collect()
 }
 
 #[cfg(test)]
@@ -765,6 +780,91 @@ mod tests {
                 .and_then(pad_telemetry::Value::as_u64),
             Some(baseline.reuse[0].cold())
         );
+    }
+
+    #[test]
+    fn interleaved_kinds_keep_request_order() {
+        let _collector = COLLECTOR
+            .lock()
+            .unwrap_or_else(std::sync::PoisonError::into_inner);
+        let program = pad_kernels::expl::spec(24);
+        let layout = DataLayout::original(&program);
+        let dm = CacheConfig::direct_mapped(1024, 32);
+        let two_way = CacheConfig::set_associative(2048, 32, 2);
+        let l2 = CacheConfig::set_associative(8 * 1024, 64, 4);
+        let request = BatchRequest::new()
+            .with_heat(dm)
+            .with_plain(dm)
+            .with_reuse(32, 0)
+            .with_plain(two_way)
+            .with_classified(dm)
+            .with_hierarchy([dm, l2])
+            .with_victim(dm, 4)
+            .with_reuse(64, 2);
+        let results = simulate_batch(&program, &layout, &request);
+
+        // Each kind's results are a request of that kind alone, in call
+        // order.
+        let alone = |request: BatchRequest| simulate_batch(&program, &layout, &request);
+        let plain = alone(BatchRequest::new().with_plain(dm).with_plain(two_way));
+        assert_eq!(results.plain, plain.plain);
+        let classified = alone(BatchRequest::new().with_classified(dm));
+        assert_eq!(results.classified, classified.classified);
+        let hierarchy = alone(BatchRequest::new().with_hierarchy([dm, l2]));
+        assert_eq!(results.hierarchy, hierarchy.hierarchy);
+        let victim = alone(BatchRequest::new().with_victim(dm, 4));
+        assert_eq!(results.victim, victim.victim);
+        let reuse = alone(BatchRequest::new().with_reuse(32, 0).with_reuse(64, 2));
+        assert_eq!(results.reuse, reuse.reuse);
+        assert_eq!(results.heat, alone(BatchRequest::new().with_heat(dm)).heat);
+
+        // Under a memo, a second identical call hits every sink but the
+        // heat sink, and walks once, for it.
+        let memo = std::sync::Arc::new(WalkMemo::new());
+        let cold = memo.run(|| simulate_batch(&program, &layout, &request));
+        let before = memo.stats();
+        let warm = memo.run(|| simulate_batch(&program, &layout, &request));
+        let after = memo.stats();
+        assert_eq!(cold, results);
+        assert_eq!(warm, results);
+        assert_eq!(
+            (
+                after.hits - before.hits,
+                after.misses - before.misses,
+                after.walks - before.walks
+            ),
+            (7, 0, 1)
+        );
+
+        // The end-of-walk events name each sink by its kind and its place
+        // among the sinks of that kind.
+        let recorder = pad_telemetry::install_recorder(pad_telemetry::Mode::Events);
+        let instrumented = simulate_batch(&program, &layout, &request);
+        pad_telemetry::uninstall();
+        assert_eq!(instrumented, results);
+        let events = recorder.snapshot();
+        let mut names: Vec<String> = ["cache", "reuse", "heat"]
+            .iter()
+            .flat_map(|category| events_of(&events, category, &program))
+            .map(|e| e.name.clone())
+            .collect();
+        names.sort();
+        let mut expected = [
+            "plain0",
+            "plain1",
+            "classified0",
+            "hier0.L1",
+            "hier0.L2",
+            "reuse0",
+            "reuse1",
+            "heat0",
+        ]
+        .map(|sink| format!("{}/{sink}", program.name()));
+        expected.sort();
+        assert_eq!(names, expected);
+        let sim = events_of(&events, "sim", &program);
+        assert_eq!(sim.len(), 1);
+        assert_eq!(sim[0].arg("sinks").and_then(Value::as_u64), Some(8));
     }
 
     #[test]

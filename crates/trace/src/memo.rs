@@ -12,17 +12,17 @@
 //! every loop's bounds and step and every reference's address form, with
 //! bases and element sizes folded in, and its write flag — not the
 //! program's name or display form, so identical streams share entries —
-//! plus the sink's kind and full configuration (size, line, ways,
-//! replacement, write policy and index function of every cache; victim
-//! lines; line size and sample exponent of a reuse analysis). Keys are
-//! 128 bits from two SipHash instances under random per-memo keys.
+//! plus the sink's `Spec`: its kind and full configuration (size, line,
+//! ways, replacement, write policy and index function of every cache;
+//! victim lines; line size and sample exponent of a reuse analysis). Keys
+//! are 128 bits from two SipHash instances under random per-memo keys.
 //!
 //! **Entries.** Results as words: a plain cache's eight counters, a
 //! classified cache's eleven, a victim cache's four, eight per
 //! hierarchy level, and a reuse histogram's cold count and buckets up to
-//! the last nonzero one. At most [`WALK_MEMO_CAPACITY`] are kept, the
-//! oldest evicted first. Heat reports are never memoized: they grow with
-//! the set count.
+//! the last nonzero one, each stored and restored by its own `Spec`. At
+//! most [`WALK_MEMO_CAPACITY`] are kept, the oldest evicted first. Heat
+//! sinks get no key: their reports grow with the set count.
 //!
 //! **Concurrency.** A call claims the sinks it walks; another call that
 //! wants a claimed sink waits for it rather than walking it again, and
@@ -42,11 +42,9 @@ use std::hash::{BuildHasher, Hash, Hasher};
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Condvar, Mutex, MutexGuard, OnceLock, PoisonError};
 
-use pad_cache_sim::{
-    CacheConfig, CacheStats, ClassifiedStats, LevelStats, ReuseHistogram, VictimStats,
-};
+use pad_cache_sim::{CacheStats, ClassifiedStats, LevelStats, ReuseHistogram, VictimStats};
 
-use crate::batch::{walk, BatchRequest, BatchResults};
+use crate::batch::{walk, BatchRequest, BatchResults, Outcome, Spec};
 use crate::compiled::CompiledTrace;
 
 /// Results a [`WalkMemo`] holds before each insert evicts its oldest.
@@ -193,69 +191,66 @@ impl WalkMemo {
     /// call is walking is waited for, then looked up again.
     pub(crate) fn simulate(&self, trace: &CompiledTrace, request: &BatchRequest) -> BatchResults {
         let stream = self.stream(trace);
-        let sinks = sinks(request);
-        let keys: Vec<u128> = sinks.iter().map(|&sink| key(&stream, sink)).collect();
-        let mut found: Vec<Option<Box<[u64]>>> = vec![None; sinks.len()];
-        // Heat sinks are never memoized: the first walk feeds them.
-        let (mut heat_sinks, mut heat) = (request.heat.clone(), Vec::new());
-        let mut todo: Vec<usize> = (0..sinks.len()).collect();
+        let specs = &request.specs;
+        // Heat sinks get no key: the first walk feeds them.
+        let keys: Vec<Option<u128>> = (specs.iter())
+            .map(|spec| spec.memoized().then(|| key(&stream, spec)))
+            .collect();
+        let mut found: Vec<Option<Outcome>> = specs.iter().map(|_| None).collect();
+        let mut todo: Vec<usize> = (0..specs.len()).collect();
         let mut missed = 0;
         while !todo.is_empty() {
-            // Indices into `sinks` this pass claims, and those another
-            // call is walking now.
+            // Indices into `specs` this pass walks, and those (with their
+            // keys) another call is walking now.
             let (mut mine, mut waits) = (Vec::new(), Vec::new());
             let mut claim = Claim {
                 memo: self,
                 keys: Vec::new(),
             };
-            let mut to_walk = BatchRequest {
-                heat: std::mem::take(&mut heat_sinks),
-                ..BatchRequest::default()
-            };
             {
                 let mut entries = self.lock();
                 for i in todo {
-                    if let Some(words) = entries.map.get(&keys[i]) {
-                        found[i] = Some(words.clone());
-                    } else if !entries.claimed.insert(keys[i]) {
-                        waits.push(i);
+                    let Some(key) = keys[i] else {
+                        mine.push(i);
+                        continue;
+                    };
+                    if let Some(words) = entries.map.get(&key) {
+                        found[i] = Some(decode(&specs[i], words));
+                    } else if !entries.claimed.insert(key) {
+                        waits.push((i, key));
                     } else {
-                        claim.keys.push(keys[i]);
-                        sinks[i].push_to(&mut to_walk);
+                        claim.keys.push(key);
                         mine.push(i);
                     }
                 }
             }
-            if !to_walk.is_empty() {
-                let mut results = self.walk(trace, &to_walk);
-                heat.append(&mut results.heat);
-                let words: Vec<_> = encode(&results).collect();
-                claim.publish(mine.iter().map(|&i| keys[i]).zip(words.iter().cloned()));
-                for (&i, words) in mine.iter().zip(words) {
-                    found[i] = Some(words);
+            if !mine.is_empty() {
+                self.walks.fetch_add(1, Ordering::Relaxed);
+                let to_walk = BatchRequest {
+                    specs: mine.iter().map(|&i| specs[i].clone()).collect(),
+                };
+                let outcomes = walk(trace, &to_walk);
+                missed += claim.keys.len();
+                let walked = mine.iter().zip(&outcomes);
+                claim.publish(walked.filter_map(|(&i, o)| Some((keys[i]?, encode(o)))));
+                for (i, outcome) in mine.into_iter().zip(outcomes) {
+                    found[i] = Some(outcome);
                 }
-                missed += mine.len();
             }
             drop(claim);
             if !waits.is_empty() {
                 let mut entries = self.lock();
-                while waits.iter().any(|&i| entries.claimed.contains(&keys[i])) {
+                while waits.iter().any(|(_, key)| entries.claimed.contains(key)) {
                     entries = (self.released.wait(entries)).unwrap_or_else(PoisonError::into_inner);
                 }
             }
             // Usually hits now; a sink whose walk panicked is claimed
             // and walked here.
-            todo = waits;
+            todo = waits.into_iter().map(|(i, _)| i).collect();
         }
-        self.record((sinks.len() - missed) as u64, missed as u64);
-        let words = found.into_iter().map(|w| w.expect("every sink answered"));
-        decode(request, words, heat)
-    }
-
-    /// One walk of `trace` for `request`, counted.
-    fn walk(&self, trace: &CompiledTrace, request: &BatchRequest) -> BatchResults {
-        self.walks.fetch_add(1, Ordering::Relaxed);
-        walk(trace, request)
+        let looked_up = keys.iter().flatten().count();
+        self.record((looked_up - missed) as u64, missed as u64);
+        BatchResults::from_outcomes(found.into_iter().map(|o| o.expect("every sink answered")))
     }
 
     /// Both key hashers, fed `trace`'s stream; [`key`] finishes them.
@@ -321,96 +316,13 @@ impl Drop for Claim<'_> {
     }
 }
 
-/// A memoizable sink: its kind and full configuration, the sink half of
-/// a memo key.
-#[derive(Clone, Copy, Hash)]
-enum SinkKey<'a> {
-    Plain(&'a CacheConfig),
-    Classified(&'a CacheConfig),
-    Victim(&'a CacheConfig, usize),
-    Hierarchy(&'a [CacheConfig]),
-    Reuse(u64, u32),
-}
-
-impl SinkKey<'_> {
-    /// Adds this sink to `request`.
-    fn push_to(self, request: &mut BatchRequest) {
-        match self {
-            SinkKey::Plain(c) => request.plain.push(*c),
-            SinkKey::Classified(c) => request.classified.push(*c),
-            SinkKey::Victim(c, lines) => request.victim.push((*c, lines)),
-            SinkKey::Hierarchy(levels) => request.hierarchy.push(levels.to_vec()),
-            SinkKey::Reuse(line, k) => request.reuse.push((line, k)),
-        }
-    }
-}
-
-/// The memo key of `sink` on the stream `stream` was fed.
-fn key(stream: &[DefaultHasher; 2], sink: SinkKey<'_>) -> u128 {
+/// The memo key of `spec` on the stream `stream` was fed.
+fn key(stream: &[DefaultHasher; 2], spec: &Spec) -> u128 {
     let [hi, lo] = stream.clone().map(|mut h| {
-        sink.hash(&mut h);
+        spec.hash(&mut h);
         h.finish()
     });
     (u128::from(hi) << 64) | u128::from(lo)
-}
-
-/// `request`'s memoizable sinks in result order: plain, classified,
-/// victim, hierarchy, reuse.
-fn sinks(request: &BatchRequest) -> Vec<SinkKey<'_>> {
-    let plain = request.plain.iter().map(SinkKey::Plain);
-    let classified = request.classified.iter().map(SinkKey::Classified);
-    let victim = request.victim.iter().map(|(c, n)| SinkKey::Victim(c, *n));
-    let hierarchy = request.hierarchy.iter().map(|l| SinkKey::Hierarchy(l));
-    let reuse = request
-        .reuse
-        .iter()
-        .map(|&(line, k)| SinkKey::Reuse(line, k));
-    plain
-        .chain(classified)
-        .chain(victim)
-        .chain(hierarchy)
-        .chain(reuse)
-        .collect()
-}
-
-/// `results`' memoizable results as words, in [`sinks`] order.
-fn encode(results: &BatchResults) -> impl Iterator<Item = Box<[u64]>> + '_ {
-    let plain = results.plain.iter().map(Memoized::encode);
-    let classified = results.classified.iter().map(Memoized::encode);
-    let victim = results.victim.iter().map(Memoized::encode);
-    let hierarchy = results.hierarchy.iter().map(Memoized::encode);
-    let reuse = results.reuse.iter().map(Memoized::encode);
-    plain
-        .chain(classified)
-        .chain(victim)
-        .chain(hierarchy)
-        .chain(reuse)
-}
-
-/// The results of `request` from its sinks' words, in [`sinks`] order,
-/// and its heat reports.
-fn decode(
-    request: &BatchRequest,
-    mut words: impl Iterator<Item = Box<[u64]>>,
-    heat: Vec<pad_cache_sim::SetHeatReport>,
-) -> BatchResults {
-    fn take<T: Memoized>(words: &mut impl Iterator<Item = Box<[u64]>>, n: usize) -> Vec<T> {
-        words.by_ref().take(n).map(|w| T::decode(&w)).collect()
-    }
-    BatchResults {
-        plain: take(&mut words, request.plain.len()),
-        classified: take(&mut words, request.classified.len()),
-        victim: take(&mut words, request.victim.len()),
-        hierarchy: take(&mut words, request.hierarchy.len()),
-        reuse: take(&mut words, request.reuse.len()),
-        heat,
-    }
-}
-
-/// A sink result as memo words.
-trait Memoized: Sized {
-    fn encode(&self) -> Box<[u64]>;
-    fn decode(words: &[u64]) -> Self;
 }
 
 fn stats_words(s: &CacheStats) -> [u64; 8] {
@@ -439,86 +351,70 @@ fn stats_from(w: &[u64]) -> CacheStats {
     }
 }
 
-impl Memoized for CacheStats {
-    fn encode(&self) -> Box<[u64]> {
-        Box::new(stats_words(self))
-    }
-
-    fn decode(words: &[u64]) -> Self {
-        stats_from(words)
-    }
-}
-
-impl Memoized for ClassifiedStats {
-    fn encode(&self) -> Box<[u64]> {
-        let three = [self.compulsory, self.capacity, self.conflict];
-        stats_words(&self.cache).into_iter().chain(three).collect()
-    }
-
-    fn decode(words: &[u64]) -> Self {
-        ClassifiedStats {
-            cache: stats_from(words),
-            compulsory: words[8],
-            capacity: words[9],
-            conflict: words[10],
-        }
+/// A memoized sink's outcome as memo words.
+fn encode(outcome: &Outcome) -> Box<[u64]> {
+    match outcome {
+        Outcome::Plain(stats) => Box::new(stats_words(stats)),
+        Outcome::Classified(c) => (stats_words(&c.cache).into_iter())
+            .chain([c.compulsory, c.capacity, c.conflict])
+            .collect(),
+        Outcome::Victim(v) => Box::new([v.accesses, v.main_hits, v.victim_hits, v.misses]),
+        Outcome::Hierarchy(levels) => levels.iter().flat_map(|l| stats_words(&l.stats)).collect(),
+        Outcome::Reuse(hist) => std::iter::once(hist.cold())
+            .chain(hist.counts().iter().copied())
+            .collect(),
+        Outcome::Heat(_) => unreachable!("heat sinks get no key"),
     }
 }
 
-impl Memoized for VictimStats {
-    fn encode(&self) -> Box<[u64]> {
-        Box::new([self.accesses, self.main_hits, self.victim_hits, self.misses])
-    }
-
-    fn decode(w: &[u64]) -> Self {
-        VictimStats {
+/// The outcome of `spec` from the words [`encode`] made of it.
+fn decode(spec: &Spec, w: &[u64]) -> Outcome {
+    match spec {
+        Spec::Plain(_) => Outcome::Plain(stats_from(w)),
+        Spec::Classified(_) => Outcome::Classified(ClassifiedStats {
+            cache: stats_from(w),
+            compulsory: w[8],
+            capacity: w[9],
+            conflict: w[10],
+        }),
+        Spec::Victim(..) => Outcome::Victim(VictimStats {
             accesses: w[0],
             main_hits: w[1],
             victim_hits: w[2],
             misses: w[3],
+        }),
+        Spec::Hierarchy(_) => Outcome::Hierarchy(
+            (w.chunks_exact(8).enumerate())
+                .map(|(level, w)| LevelStats {
+                    level,
+                    stats: stats_from(w),
+                })
+                .collect(),
+        ),
+        Spec::Reuse(..) => {
+            let mut hist = ReuseHistogram::new();
+            hist.record_weighted(None, w[0]);
+            for (bucket, &count) in w[1..].iter().enumerate() {
+                // Bucket 0 is distance 0; bucket b ≥ 1 starts at 2^(b−1).
+                let distance = bucket.checked_sub(1).map_or(0, |b| 1u64 << b);
+                hist.record_weighted(Some(distance), count);
+            }
+            Outcome::Reuse(Box::new(hist))
         }
-    }
-}
-
-impl Memoized for Vec<LevelStats> {
-    fn encode(&self) -> Box<[u64]> {
-        self.iter().flat_map(|l| stats_words(&l.stats)).collect()
-    }
-
-    fn decode(words: &[u64]) -> Self {
-        (words.chunks_exact(8).enumerate())
-            .map(|(level, w)| LevelStats {
-                level,
-                stats: stats_from(w),
-            })
-            .collect()
-    }
-}
-
-impl Memoized for ReuseHistogram {
-    fn encode(&self) -> Box<[u64]> {
-        std::iter::once(self.cold())
-            .chain(self.counts().iter().copied())
-            .collect()
-    }
-
-    fn decode(words: &[u64]) -> Self {
-        let mut hist = ReuseHistogram::new();
-        hist.record_weighted(None, words[0]);
-        for (bucket, &count) in words[1..].iter().enumerate() {
-            // Bucket 0 is distance 0; bucket b ≥ 1 starts at 2^(b−1).
-            let distance = bucket.checked_sub(1).map_or(0, |b| 1u64 << b);
-            hist.record_weighted(Some(distance), count);
-        }
-        hist
+        Spec::Heat(_) => unreachable!("heat sinks get no key"),
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use pad_cache_sim::{Access, ReuseAnalyzer};
+    use pad_cache_sim::{Access, CacheConfig, ReuseAnalyzer};
     use pad_core::DataLayout;
+
+    /// The results `words` decode to as `spec`'s.
+    fn decoded(spec: &Spec, words: &[u64]) -> BatchResults {
+        BatchResults::from_outcomes([decode(spec, words)])
+    }
 
     #[test]
     fn entries_decode_to_the_histogram_they_encode() {
@@ -530,10 +426,10 @@ mod tests {
         for d in [0, 1, 2, 3, 1 << 40, u64::MAX] {
             wide.record(Some(d));
         }
-        for hist in [ReuseHistogram::new(), r.into_histogram(), wide] {
-            let words = hist.encode();
+        for hist in [ReuseHistogram::new(), r.histogram().clone(), wide] {
+            let words = encode(&Outcome::Reuse(Box::new(hist.clone())));
             assert_eq!(words.len(), 1 + hist.counts().len());
-            assert_eq!(ReuseHistogram::decode(&words), hist);
+            assert_eq!(decoded(&Spec::Reuse(1, 0), &words).reuse, [hist]);
         }
     }
 
@@ -549,28 +445,37 @@ mod tests {
             write_misses: k + 6,
             writebacks: k + 7,
         };
-        assert_eq!(CacheStats::decode(&stats(1).encode()), stats(1));
+        let dm = CacheConfig::direct_mapped(1024, 32);
+        let words = encode(&Outcome::Plain(stats(1)));
+        assert_eq!(decoded(&Spec::Plain(dm), &words).plain, [stats(1)]);
         let classified = ClassifiedStats {
             cache: stats(10),
             compulsory: 1,
             capacity: 2,
             conflict: 3,
         };
-        assert_eq!(ClassifiedStats::decode(&classified.encode()), classified);
+        let words = encode(&Outcome::Classified(classified));
+        assert_eq!(
+            decoded(&Spec::Classified(dm), &words).classified,
+            [classified]
+        );
         let victim = VictimStats {
             accesses: 9,
             main_hits: 5,
             victim_hits: 3,
             misses: 1,
         };
-        assert_eq!(VictimStats::decode(&victim.encode()), victim);
+        let words = encode(&Outcome::Victim(victim));
+        assert_eq!(decoded(&Spec::Victim(dm, 4), &words).victim, [victim]);
         let levels: Vec<LevelStats> = (0..3)
             .map(|level| LevelStats {
                 level,
                 stats: stats(100 * level as u64),
             })
             .collect();
-        assert_eq!(Vec::<LevelStats>::decode(&levels.encode()), levels);
+        let words = encode(&Outcome::Hierarchy(levels.clone()));
+        let hierarchy = Spec::Hierarchy(vec![dm; 3]);
+        assert_eq!(decoded(&hierarchy, &words).hierarchy, [levels]);
     }
 
     #[test]
@@ -578,7 +483,7 @@ mod tests {
         let memo = WalkMemo::new();
         let reuse_key = |program: &pad_ir::Program, layout: &DataLayout, line: u64| {
             let trace = CompiledTrace::compile(program, layout);
-            key(&memo.stream(&trace), SinkKey::Reuse(line, 0))
+            key(&memo.stream(&trace), &Spec::Reuse(line, 0))
         };
         let program = pad_kernels::jacobi::spec(32);
         let original = DataLayout::original(&program);

@@ -30,9 +30,15 @@ fn kernel(name: &str, n: i64) -> Program {
     (kernel.spec)(n)
 }
 
-/// Every memoized sink kind, twice where a setting varies.
+/// The direct-mapped cache `every_sink` builds on.
+fn dm() -> CacheConfig {
+    CacheConfig::direct_mapped(2048, 32)
+}
+
+/// Every memoized sink kind, twice where a setting varies: the
+/// [`EVERY_SINK`] sinks.
 fn every_sink() -> BatchRequest {
-    let dm = CacheConfig::direct_mapped(2048, 32);
+    let dm = dm();
     BatchRequest::new()
         .with_plain(dm)
         .with_plain(
@@ -50,14 +56,9 @@ fn every_sink() -> BatchRequest {
         .with_reuse(64, 3)
 }
 
-/// Sinks in `request`, heat excluded.
-fn memoized_sinks(request: &BatchRequest) -> u64 {
-    (request.plain.len()
-        + request.classified.len()
-        + request.victim.len()
-        + request.hierarchy.len()
-        + request.reuse.len()) as u64
-}
+/// Sinks in `every_sink()`: three plain, two classified, a victim, a
+/// hierarchy and two reuse analyses.
+const EVERY_SINK: u64 = 9;
 
 /// `after - before`, field by field (entries as of `after`).
 fn delta(before: MemoStats, after: MemoStats) -> MemoStats {
@@ -84,7 +85,7 @@ fn memoized(
 #[test]
 fn cold_and_warm_results_equal_a_walk_without_a_memo() {
     let request = every_sink();
-    let sinks = memoized_sinks(&request);
+    let sinks = EVERY_SINK;
     let memo = Arc::new(WalkMemo::new());
     for (name, n) in [
         ("JACOBI512", 24),
@@ -94,8 +95,7 @@ fn cold_and_warm_results_equal_a_walk_without_a_memo() {
     ] {
         let program = kernel(name, n);
         let original = DataLayout::original(&program);
-        let cache = request.plain[0];
-        let pad = PaddingPipeline::pad(padding_config_for(&cache))
+        let pad = PaddingPipeline::pad(padding_config_for(&dm()))
             .run(&program)
             .layout;
         for layout in [original, pad] {
@@ -329,7 +329,7 @@ fn identical_streams_under_different_names_share_an_entry() {
     let (cold, _) = memoized(&memo, &first, &layout, &request);
     let (warm, d) = memoized(&memo, &second, &DataLayout::original(&second), &request);
     assert_eq!(cold, warm);
-    assert_eq!((d.hits, d.walks), (memoized_sinks(&request), 0));
+    assert_eq!((d.hits, d.walks), (EVERY_SINK, 0));
 }
 
 #[test]
@@ -406,7 +406,7 @@ fn concurrent_calls_for_one_sink_walk_it_once() {
         }
     });
     let stats = memo.stats();
-    let sinks = memoized_sinks(&request);
+    let sinks = EVERY_SINK;
     assert_eq!(stats.walks, 1, "the others waited for the first walk");
     assert_eq!((stats.hits, stats.misses), (3 * sinks, sinks));
 }

@@ -92,13 +92,18 @@ gate_fault_injection() {
 run_gate fault-injection gate_fault_injection
 
 # Flat cache vs seed model, the run_slice kernels, batched vs
-# per-config, W+1-line conflict sets against analytic miss counts, every
-# sink against a naive model over seeded geometries and streams, the
-# compiled walker against the interpreter (streams and counts), and the
-# walk memo: cold, warm and memo-free results equal for every memoized
-# sink kind, one walk per request for its new sinks, keys that separate
-# every setting that changes a result, its FIFO bound and concurrent
-# callers, and where a memo is active (run contexts, nested pool runs).
+# per-config (the `batch` filter also runs
+# interleaved_kinds_keep_request_order: every sink kind alternating in
+# one request keeps each kind's results in call order, a warm memo call
+# walks only for its heat sink, and telemetry names each sink by its
+# place among its kind), W+1-line conflict sets against analytic miss
+# counts, every sink against a naive model over seeded geometries and
+# streams, the compiled walker against the interpreter (streams and
+# counts), and the walk memo: cold, warm and memo-free results equal
+# for every memoized sink kind, one walk per request for its new sinks,
+# keys that separate every setting that changes a result, its FIFO bound
+# and concurrent callers, and where a memo is active (run contexts,
+# nested pool runs).
 gate_engine_equivalence() {
     cargo test -q -p pad-cache-sim --test flat_equivalence &&
         cargo test -q -p pad-cache-sim --test lane_differential &&
